@@ -48,6 +48,7 @@ from ..core.pattern import Pattern
 from ..core.results import RunResult, StepStats
 from ..core.storage import LIST_STORAGE
 from ..graph import LabeledGraph
+from ..graph.bitset import from_bitset
 from ..plan.dag import PlanDAG, bound_stepper, restrict_dag
 from ..plan.fsm_guide import (
     DagProvider,
@@ -141,6 +142,18 @@ class FrequentSubgraphMining(Computation):
         return self.max_edges is not None and embedding.num_edges >= self.max_edges
 
 
+def _map_terminal_domain(
+    computation: Computation, plan: MatchingPlan, words, mask: int
+) -> None:
+    """Map one parent's whole last level as ONE domain — positionwise the
+    union of the singleton domains ``process`` maps child by child: parent
+    words are singletons, the last plan vertex holds the decoded mask."""
+    sets = [frozenset((word,)) for word in words]
+    sets.append(frozenset(from_bitset(mask)))
+    computation.note_domain_hits(len(sets) * mask.bit_count())
+    computation.map(plan.pattern, Domain(match_mapping(plan, sets)))
+
+
 class GuidedPatternDomains(Computation):
     """Discover one candidate pattern's embeddings plan-guided and
     accumulate its MNI domains from the matches.
@@ -180,6 +193,10 @@ class GuidedPatternDomains(Computation):
         mapping = match_mapping(self.plan, embedding.words)
         self.note_domain_hits(len(mapping))
         self.map(self.plan.pattern, Domain.from_mapping(mapping))
+
+    def process_terminal(self, words, member_masks) -> None:
+        for _, mask in member_masks:
+            _map_terminal_domain(self, self.plan, words, mask)
 
     def reduce(self, key, domains: list[Domain]) -> Domain:
         return Domain.merge_all(domains)
@@ -228,6 +245,11 @@ class DagPatternDomains(Computation):
             mapping = match_mapping(plan, words)
             self.note_domain_hits(len(mapping))
             self.map(plan.pattern, Domain.from_mapping(mapping))
+
+    def process_terminal(self, words, member_masks) -> None:
+        plans = self.plan.plans
+        for member, mask in member_masks:
+            _map_terminal_domain(self, plans[member], words, mask)
 
     def reduce(self, key, domains: list[Domain]) -> Domain:
         return Domain.merge_all(domains)

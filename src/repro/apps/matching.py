@@ -38,6 +38,7 @@ from ..core.embedding import (
 from ..core.pattern import Pattern
 from ..core.results import RunResult
 from ..graph import LabeledGraph
+from ..graph.bitset import from_bitset
 from ..isomorphism import SubgraphMatcher
 from ..plan.planner import MatchingPlan
 
@@ -152,13 +153,22 @@ class GuidedMatching(Computation):
     def __init__(self, plan: MatchingPlan):
         super().__init__()
         self.plan = plan
+        self._size = plan.num_steps
 
     def process(self, embedding: Embedding) -> None:
-        if embedding.size == self.plan.num_steps:
+        if len(embedding.words) == self._size:
             self.output(tuple(sorted(embedding.words)))
 
+    def process_terminal(self, words, member_masks) -> None:
+        # Count matches by popcount; decode only when outputs are kept.
+        ((_, mask),) = member_masks  # a single plan is its only member
+        self.output_batch(
+            mask.bit_count(),
+            lambda: (tuple(sorted(words + (w,))) for w in from_bitset(mask)),
+        )
+
     def termination_filter(self, embedding: Embedding) -> bool:
-        return embedding.size >= self.plan.num_steps
+        return len(embedding.words) >= self._size
 
 
 def run_matching(

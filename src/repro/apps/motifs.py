@@ -176,6 +176,12 @@ class DagMotifCounting(Computation):
         for member in stepper.accepting(embedding.words):
             self.map_output(self.plan.plans[member].pattern, 1)
 
+    def process_terminal(self, words, member_masks) -> None:
+        # One accepting leaf per set bit: count them without decoding.
+        plans = self.plan.plans
+        for member, mask in member_masks:
+            self.map_output(plans[member].pattern, mask.bit_count())
+
     def reduce_output(self, key, counts: list[int]) -> int:
         return sum(counts)
 

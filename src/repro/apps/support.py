@@ -38,7 +38,8 @@ class Domain:
     __slots__ = ("_sets",)
 
     def __init__(self, sets: Sequence[frozenset[int]]) -> None:
-        self._sets = tuple(frozenset(s) for s in sets)
+        # frozenset(s) is s itself for an exact frozenset: no re-freeze.
+        self._sets = tuple(map(frozenset, sets))
 
     @classmethod
     def from_embedding(cls, embedding: Embedding) -> "Domain":

@@ -46,6 +46,9 @@ class ComputationContext:
     def output(self, value: Any) -> None:
         raise NotImplementedError
 
+    def output_batch(self, count: int, values) -> None:
+        raise NotImplementedError
+
     def map(self, key: Hashable, value: Any) -> None:
         raise NotImplementedError
 
@@ -78,6 +81,19 @@ class Computation:
     #: generation silently changes what an unaware computation explores
     #: (e.g. a motif census would quietly lose every non-query shape).
     plan_compatible: bool = False
+
+    #: Optional hook ``process_terminal(words, member_masks)`` of
+    #: plan-compatible computations.  When every plan member still alive
+    #: for the stored embedding ``words`` completes at the next word, the
+    #: guided runtime calls it once *instead of* ``filter``/``process``/
+    #: ``termination_filter`` per child: ``member_masks`` lists
+    #: ``(member, mask)`` in ascending member order (member 0 for a
+    #: single plan), bit ``w`` set iff the member accepts
+    #: ``words + (w,)``.  It must be equivalent to calling ``process`` on
+    #: every decoded child in ascending word order; the children are
+    #: never stored.  ``None`` or an overridden ``filter`` keeps the
+    #: per-child loop.
+    process_terminal = None
 
     def __init__(self) -> None:
         self.graph: LabeledGraph | None = None
@@ -139,6 +155,11 @@ class Computation:
     def output(self, value: Any) -> None:
         """Emit a result to the run's output collection."""
         self._require_context().output(value)
+
+    def output_batch(self, count: int, values) -> None:
+        """Emit ``count`` results at once; ``values()`` yields them in
+        emission order and is only called when outputs are collected."""
+        self._require_context().output_batch(count, values)
 
     def map(self, key: Hashable, value: Any) -> None:
         """Send ``value`` to the reducer for ``key`` (pattern keys get

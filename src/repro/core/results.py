@@ -38,6 +38,9 @@ class StepStats:
     #: Per-vertex domain images recorded by domain-accumulating
     #: computations (guided FSM): one hit per (match, pattern position).
     domain_hits: int = 0
+    #: The ``processed_embeddings`` finished by ``process_terminal`` from
+    #: survivor masks, never materialised (zero on the per-child loop).
+    batched_embeddings: int = 0
     #: Embeddings written to the step's store (set F).
     stored_embeddings: int = 0
     #: Wire size of the configured store after the global merge.
@@ -62,6 +65,7 @@ class StepStats:
         "canonical_candidates",
         "processed_embeddings",
         "domain_hits",
+        "batched_embeddings",
     )
 
     def absorb(self, other: "StepStats") -> None:
@@ -157,6 +161,11 @@ class RunResult:
         """Per-vertex domain images recorded across the run (guided FSM:
         ``num matches × pattern arity``; zero for other workloads)."""
         return sum(step.domain_hits for step in self.steps)
+
+    @property
+    def total_batched(self) -> int:
+        """Embeddings finished by terminal-level mask aggregation."""
+        return sum(step.batched_embeddings for step in self.steps)
 
     def embeddings_by_step(self) -> list[int]:
         """Processed embeddings per step — Figure 1's growth series."""

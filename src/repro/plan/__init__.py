@@ -48,6 +48,7 @@ from .fsm_guide import (
 from .guided import (
     guided_candidates,
     guided_extension_check,
+    guided_advance,
     guided_survivors,
     match_mapping,
     plan_checker,
@@ -90,6 +91,7 @@ __all__ = [
     "domain_sets_from_matches",
     "guided_candidates",
     "guided_extension_check",
+    "guided_advance",
     "guided_survivors",
     "label_triples",
     "mask_bundle",

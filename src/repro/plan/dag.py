@@ -48,7 +48,12 @@ from typing import Sequence
 from ..core.pattern import Pattern
 from ..graph import LabeledGraph
 from ..graph.bitset import from_bitset, to_bitset
-from .guided import guided_extension_check, prefers_row_iteration
+from .guided import (
+    confirm_edge_labels,
+    guided_extension_check,
+    prefers_row_iteration,
+    residual_mask,
+)
 from .planner import MatchingPlan, PlanError, compile_plan, restrict_plan
 
 
@@ -950,24 +955,20 @@ class DagStepper:
     their next trie node so the structural half of the step check
     (label, injectivity, back-edges) runs once per *node* and only the
     per-member residual (whitelist, induced non-edges, symmetry
-    restrictions) runs per member.  Checking a whole candidate pool
-    against one embedding then costs one cached lookup plus per-node
-    structural checks — close to the single-plan work profile.
+    restrictions) runs per member.
 
     :meth:`step` is the fused whole-pool kernel the runtime's expansion
-    pass actually calls: per live trie node it collapses the structural
-    half of the check — anchor adjacency ∧ union whitelist ∧ label ∧
-    shared back-edges — into one big-int ``&`` chain over the node's
-    precomputed :class:`DagMaskBundle` masks, decodes the node's
-    survivor set once, and applies only the per-member residual
-    (whitelist, induced non-edges, symmetry restrictions) to the decoded
-    words.  A degree-adaptive hybrid
-    (:func:`repro.plan.guided.prefers_row_iteration` on the summed
-    anchor degrees) falls back to row iteration with per-candidate
-    checks when the pool is tiny; both paths return identical
-    ``(num_candidates, survivors)`` streams and warm the survivor cache
-    for every accepted child, so the computation hooks' ``accepting``/
-    ``extendable`` lookups hit.
+    pass calls: per live trie node the structural half of the check —
+    anchor adjacency ∧ union whitelist ∧ label ∧ shared back-edges —
+    is one big-int ``&`` chain over the node's precomputed
+    :class:`DagMaskBundle` masks, and each member's residual is more mask
+    algebra on top, giving one **survivor bitmask per live member**; a
+    degree-adaptive hybrid (:func:`repro.plan.guided.prefers_row_iteration`
+    on the summed anchor degrees) probes a tiny row pool word by word
+    instead.  Decoding warms the survivor cache for every accepted child
+    (so ``accepting``/``extendable`` lookups hit); on a *terminal level*
+    :meth:`advance` leaves the masks undecoded for
+    ``Computation.process_terminal``.
 
     One stepper is created per worker step task (and lazily per task
     copy of the DAG computations), never shared between threads or
@@ -977,7 +978,7 @@ class DagStepper:
     memory proportional to the working set, not the store.
     """
 
-    __slots__ = ("dag", "graph", "bundle", "_cache")
+    __slots__ = ("dag", "graph", "bundle", "_depths", "_cache")
 
     #: Cache-entry bound; on overflow the cache resets to the root entry.
     CACHE_LIMIT = 8192
@@ -986,25 +987,31 @@ class DagStepper:
         self.dag = dag
         self.graph = graph
         self.bundle = mask_bundle(dag, graph)
+        #: Per-member plan lengths, hoisted off the ``num_steps`` property.
+        self._depths = tuple(len(plan.steps) for plan in dag.plans)
         self._cache: dict[tuple[int, ...], list[int]] = {
             (): list(range(len(dag.plans)))
         }
 
-    def _advance(
-        self, parent_survivors: list[int], prefix: tuple[int, ...], word: int
-    ) -> list[int]:
-        """Members of ``parent_survivors`` that also accept ``word``."""
+    def _live(self, words: tuple[int, ...]) -> dict[int, list[int]]:
+        """Members with a step beyond ``words``, by their next trie node."""
+        depth = len(words)
+        depths = self._depths
+        paths = self.dag.paths
+        by_node: dict[int, list[int]] = {}
+        for p in self.survivors(words):
+            if depths[p] > depth:
+                by_node.setdefault(paths[p][depth], []).append(p)
+        return by_node
+
+    def _advance(self, prefix: tuple[int, ...], word: int) -> list[int]:
+        """Members surviving ``prefix`` that also accept ``word``."""
         depth = len(prefix)
         dag = self.dag
         graph = self.graph
         plans = dag.plans
-        paths = dag.paths
-        by_node: dict[int, list[int]] = {}
-        for p in parent_survivors:
-            if plans[p].num_steps > depth:
-                by_node.setdefault(paths[p][depth], []).append(p)
         result: list[int] = []
-        for node_id, members in by_node.items():
+        for node_id, members in self._live(prefix).items():
             if not _node_structural_ok(dag.nodes[node_id], graph, prefix, word):
                 continue
             for p in members:
@@ -1021,21 +1028,17 @@ class DagStepper:
             return hit
         depth = len(words) - 1
         prefix = words[:depth]
-        result = self._advance(self.survivors(prefix), prefix, words[depth])
-        if len(cache) > self.CACHE_LIMIT:
-            cache.clear()
-            cache[()] = list(range(len(self.dag.plans)))
-        cache[words] = result
+        result = self._advance(prefix, words[depth])
+        self._cache_with_room()[words] = result
         return result
 
-    def _warm_child(self, child: tuple[int, ...], accepted: list[int]) -> None:
-        """Cache a freshly derived survivor entry (the fused paths know
-        every accepted child's member list as a byproduct)."""
+    def _cache_with_room(self) -> dict[tuple[int, ...], list[int]]:
+        """The survivor cache, reset to the root entry once past its bound."""
         cache = self._cache
         if len(cache) > self.CACHE_LIMIT:
             cache.clear()
             cache[()] = list(range(len(self.dag.plans)))
-        cache[child] = accepted
+        return cache
 
     def step(
         self, words: tuple[int, ...], strategy: str | None = None
@@ -1044,39 +1047,53 @@ class DagStepper:
 
         Equivalent to filtering :meth:`candidates` through :meth:`check`
         word by word — ``num_candidates`` is the deduplicated union
-        pool's size, ``survivors`` the ascending words at least one
-        surviving member accepts — but computed with pool-level bitset
-        algebra per live trie node (or row iteration when the summed
-        anchor degrees say the pool is tiny).  ``strategy`` pins a path
-        (``"rows"`` / ``"masks"``) for tests and benchmarks; ``None``
-        selects adaptively.  Accepted children's survivor lists are
-        cached as a byproduct, exactly as on-demand derivation would
-        compute them.
+        pool's size, ``survivors`` the ascending words at least one live
+        member accepts.  ``strategy`` pins a path (``"rows"`` /
+        ``"masks"``) for tests and benchmarks; ``None`` selects
+        adaptively.  Accepted children's survivor lists are cached as a
+        byproduct, exactly as on-demand derivation would compute them.
         """
-        depth = len(words)
-        dag = self.dag
-        graph = self.graph
-        plans = dag.plans
-        paths = dag.paths
-        nodes = dag.nodes
-        by_node: dict[int, list[int]] = {}
-        for p in self.survivors(words):
-            if plans[p].num_steps > depth:
-                by_node.setdefault(paths[p][depth], []).append(p)
+        return self._run(words, strategy, False)[:2]
+
+    def member_masks(
+        self, words: tuple[int, ...], strategy: str | None = None
+    ) -> tuple[int, list[tuple[int, int]]]:
+        """:meth:`step` left undecoded: ``(num_candidates, masks)`` with
+        ``masks`` the non-empty ``(member, bitmask)`` pairs in ascending
+        member order — bit ``w`` set iff the member accepts
+        ``words + (w,)``."""
+        return self._run(words, strategy, True)[:2]
+
+    def advance(self, words: tuple[int, ...], batch: bool):
+        """What the expansion pass runs: ``(num_candidates, found,
+        terminal)`` — :meth:`member_masks` when ``batch`` and every live
+        member completes at the next word (``terminal``), else :meth:`step`."""
+        return self._run(words, None, None if batch else False)
+
+    def _run(self, words: tuple[int, ...], strategy, terminal):
+        """The one kernel: ``(num_candidates, found, terminal)`` with
+        ``found`` member masks (``terminal``) or decoded survivors;
+        ``terminal=None`` asks whether every live member finishes here."""
+        by_node = self._live(words)
         if not by_node:
-            return 0, ()
+            return 0, (), bool(terminal)
+        if terminal is None:
+            last = len(words) + 1
+            depths = self._depths
+            terminal = all(
+                depths[p] == last for members in by_node.values() for p in members
+            )
+        graph = self.graph
+        nodes = self.dag.nodes
         live_nodes = sorted(by_node)
         # Estimate each node's pool by its cheapest back-neighbor degree
         # (an upper bound on the closure-complete intersection — a
         # popcount the CSR offsets hand over for free); the sum drives
-        # the hybrid decision.
+        # the hybrid decision.  Unrolled: no genexp frames on the hot path.
         estimate = 0
         for node_id in live_nodes:
-            node = nodes[node_id]
-            back = node.back_edges
+            back = nodes[node_id].back_edges
             if back:
-                # Unrolled min-degree scan: no genexp/lambda frames on
-                # the hot path.
                 degree = graph.degree(words[back[0][0]])
                 for earlier, _ in back[1:]:
                     vertex_degree = graph.degree(words[earlier])
@@ -1085,20 +1102,50 @@ class DagStepper:
                 estimate += degree
             else:
                 assert not words, "back-edge-less DAG node reached mid-plan"
-                pool = self.bundle.root_pools[node_id]
-                estimate += pool.bit_count()
+                estimate += self.bundle.root_pools[node_id].bit_count()
         if strategy == "rows" or (
             strategy is None and prefers_row_iteration(estimate)
         ):
-            return self._row_step(words, by_node, live_nodes)
-        return self._masked_step(words, by_node, live_nodes)
+            # Sparse path: accepted members per ascending survivor word.
+            num_candidates, word_members = self._row_members(
+                words, by_node, live_nodes
+            )
+            if not terminal:
+                self._cache_with_room().update(
+                    (words + (word,), accepted)
+                    for word, accepted in word_members.items()
+                )
+                return num_candidates, tuple(word_members), False
+            packed: dict[int, int] = {}
+            for word, accepted in word_members.items():
+                bit = 1 << word
+                for p in accepted:
+                    packed[p] = packed.get(p, 0) | bit
+            return num_candidates, sorted(packed.items()), True
+        # Dense path: one survivor bitmask per member.
+        num_candidates, masks = self._masked_masks(words, by_node, live_nodes)
+        if terminal:
+            return num_candidates, masks, True
+        union = 0
+        for _, mask in masks:
+            union |= mask
+        survivors = from_bitset(union)
+        cache = self._cache_with_room()
+        if len(masks) == 1:
+            # One accepting member: its children share one read-only list.
+            cache.update(dict.fromkeys((words + (w,) for w in survivors), [masks[0][0]]))
+        else:
+            for word in survivors:
+                bit = 1 << word
+                cache[words + (word,)] = [p for p, mask in masks if mask & bit]
+        return num_candidates, survivors, False
 
-    def _row_step(
+    def _row_members(
         self,
         words: tuple[int, ...],
         by_node: dict[int, list[int]],
         live_nodes: list[int],
-    ) -> tuple[int, tuple[int, ...]]:
+    ):
         """The hybrid's sparse path: per-candidate probes over the merged
         row pool, with the per-word node/member grouping hoisted out."""
         depth = len(words)
@@ -1107,8 +1154,8 @@ class DagStepper:
         plans = dag.plans
         nodes = dag.nodes
         pool = _pool_for_nodes(dag, graph, words, live_nodes)
-        survivors: list[int] = []
         grouped = [(nodes[node_id], by_node[node_id]) for node_id in live_nodes]
+        word_members: dict[int, list[int]] = {}
         for word in pool:
             accepted: list[int] = []
             for node, members in grouped:
@@ -1119,78 +1166,66 @@ class DagStepper:
                         accepted.append(p)
             if accepted:
                 accepted.sort()
-                self._warm_child(words + (word,), accepted)
-                survivors.append(word)
-        return len(pool), tuple(survivors)
+                word_members[word] = accepted
+        return len(pool), word_members
 
-    def _masked_step(
+    def _masked_masks(
         self,
         words: tuple[int, ...],
         by_node: dict[int, list[int]],
         live_nodes: list[int],
-    ) -> tuple[int, tuple[int, ...]]:
+    ):
         """The dense path: one structural ``&`` chain per live node over
-        the bundle's masks, decoded once per node; per-member residuals
-        run on the decoded survivors only.  The node pool is the
-        closure-complete back-row intersection (see
-        :func:`_pool_for_nodes`), so the shared back-edge ``&``s price
-        into the pool — the same chain the structural check needs anyway
-        — instead of inflating the counted candidate stream."""
+        the bundle's masks, one residual chain per member, nothing
+        decoded.  The node pool is the closure-complete back-row
+        intersection (see :func:`_pool_for_nodes`), so the shared
+        back-edge ``&``s price into the pool instead of inflating the
+        counted candidate stream."""
         depth = len(words)
-        dag = self.dag
         graph = self.graph
-        plans = dag.plans
-        nodes = dag.nodes
+        plans = self.dag.plans
+        nodes = self.dag.nodes
         bundle = self.bundle
+        neighbor_bits = graph.neighbor_bits
         exclude = ~to_bitset(words)
         merged_pool = 0
-        word_members: dict[int, list[int]] = {}
+        masks: list[tuple[int, int]] = []
         for node_id in live_nodes:
             node = nodes[node_id]
-            if not node.back_edges:
+            back = node.back_edges
+            if not back:
                 pool_bits = bundle.root_pools[node_id]
                 struct = pool_bits & bundle.label_masks[node_id]
             else:
-                back = node.back_edges
-                pool_bits = graph.neighbor_bits(words[back[0][0]])
+                pool_bits = neighbor_bits(words[back[0][0]])
                 for earlier, _ in back[1:]:
-                    pool_bits &= graph.neighbor_bits(words[earlier])
+                    pool_bits &= neighbor_bits(words[earlier])
                 if node.allowed is not None:
                     pool_bits &= node.allowed
                 verdict = bundle.edge_label_ok[node_id]
                 if verdict is False:
                     struct = 0
                 else:
-                    struct = pool_bits & bundle.label_masks[node_id]
-                    if struct:
-                        struct &= exclude
+                    struct = pool_bits & bundle.label_masks[node_id] & exclude
+                    if struct and verdict is None:
+                        struct = to_bitset(
+                            confirm_edge_labels(graph, words, back, struct)
+                        )
             merged_pool |= pool_bits
             if not struct:
                 continue
-            decoded: Sequence[int] = from_bitset(struct)
-            if node.back_edges and bundle.edge_label_ok[node_id] is None:
-                # Mixed edge labels: adjacency alone does not imply the
-                # required labels; confirm on the decoded survivors only.
-                decoded = [
-                    word
-                    for word in decoded
-                    if all(
-                        graph.edge_label(graph.edge_between(word, words[earlier]))
-                        == edge_label
-                        for earlier, edge_label in node.back_edges
-                    )
-                ]
-            members = by_node[node_id]
-            for word in decoded:
-                for p in members:
-                    if _member_residual_ok(plans[p], depth, graph, words, word):
-                        word_members.setdefault(word, []).append(p)
-        for word in word_members:
-            accepted = word_members[word]
-            accepted.sort()
-            self._warm_child(words + (word,), accepted)
-        return merged_pool.bit_count(), tuple(sorted(word_members))
+            for p in by_node[node_id]:
+                plan = plans[p]
+                mask = residual_mask(
+                    plan.steps[depth], plan.induced, struct, words, neighbor_bits
+                )
+                if mask:
+                    masks.append((p, mask))
+        masks.sort()
+        return merged_pool.bit_count(), masks
 
+    # ``candidates`` + ``check`` stay the per-candidate formulation, as it
+    # was: the reference the equivalence tests and the bench gate replay.
     def candidates(self, words: tuple[int, ...]) -> Sequence[int]:
         """Memoized-walk :func:`dag_candidates` (the generate hook)."""
         dag = self.dag
@@ -1231,13 +1266,11 @@ class DagStepper:
     def accepting(self, words: tuple[int, ...]) -> list[int]:
         """Memoized-walk :func:`accepting_patterns` (emission hook)."""
         size = len(words)
-        plans = self.dag.plans
-        return [
-            p for p in self.survivors(words) if plans[p].num_steps == size
-        ]
+        depths = self._depths
+        return [p for p in self.survivors(words) if depths[p] == size]
 
     def extendable(self, words: tuple[int, ...]) -> bool:
         """Memoized-walk :func:`dag_extendable` (termination hook)."""
         size = len(words)
-        plans = self.dag.plans
-        return any(plans[p].num_steps > size for p in self.survivors(words))
+        depths = self._depths
+        return any(depths[p] > size for p in self.survivors(words))

@@ -165,6 +165,37 @@ def guided_extension_check(
     return True
 
 
+def residual_mask(step, induced: bool, bits: int, words, neighbor_bits) -> int:
+    """The per-plan half of one step check as mask algebra: ``bits``
+    narrowed by the step's whitelist, symmetry-breaking order
+    restrictions and (``induced``) back-non-edges.  Shared by the
+    single-plan kernel below and the DAG kernel's per-member masks."""
+    if step.allowed is not None:
+        bits &= step.allowed
+    # Order bounds first: they truncate the magnitude of every later ``&``.
+    if step.must_precede:
+        bits &= (1 << min([words[earlier] for earlier in step.must_precede])) - 1
+    if step.must_exceed:
+        bits &= -1 << (max([words[earlier] for earlier in step.must_exceed]) + 1)
+    if induced:
+        for earlier in step.back_non_edges:
+            bits &= ~neighbor_bits(words[earlier])
+    return bits
+
+
+def confirm_edge_labels(graph, words, back_edges, bits: int) -> tuple[int, ...]:
+    """Mixed edge labels: adjacency alone does not imply the required
+    labels, so the words of ``bits`` are confirmed one by one (ascending)."""
+    return tuple(
+        word
+        for word in from_bitset(bits)
+        if all(
+            graph.edge_label(graph.edge_between(word, words[earlier])) == label
+            for earlier, label in back_edges
+        )
+    )
+
+
 def guided_survivors(
     plan: MatchingPlan,
     graph: LabeledGraph,
@@ -198,19 +229,43 @@ def guided_survivors(
     passes the plan check, ascending — so emission order, and with it
     result byte-identity across backends, is untouched.
     """
+    num_candidates, bits, rows = _survivor_kernel(plan, graph, words, strategy)
+    return num_candidates, from_bitset(bits) if rows is None else rows
+
+
+def guided_advance(
+    plan: MatchingPlan, graph: LabeledGraph, words: tuple[int, ...], batch: bool
+):
+    """The single-plan twin of :meth:`repro.plan.dag.DagStepper.advance`:
+    ``(num_candidates, found, terminal)`` — on the plan's last level (when
+    ``batch``) the survivors stay one undecoded ``(0, bitmask)`` member
+    mask for ``Computation.process_terminal``, else they are words."""
+    num_candidates, bits, rows = _survivor_kernel(plan, graph, words, None)
+    if batch and len(words) == len(plan.steps) - 1:
+        if rows is not None:
+            bits = to_bitset(rows)
+        return num_candidates, [(0, bits)] if bits else [], True
+    return num_candidates, from_bitset(bits) if rows is None else rows, False
+
+
+def _survivor_kernel(
+    plan: MatchingPlan, graph: LabeledGraph, words: tuple[int, ...], strategy
+) -> tuple[int, int, tuple[int, ...] | None]:
+    """``(num_candidates, bits, rows)``: the survivors as a bitmask (mask
+    path; ``rows`` is ``None``) or already decoded ascending (row path,
+    label-index step 0, mixed edge labels)."""
     position = len(words)
-    if position >= plan.num_steps:
-        return 0, ()
+    if position >= len(plan.steps):
+        return 0, 0, ()
     step = plan.steps[position]
     if not step.back_edges:
         # Step 0: the pool is the whitelist or the label index; only the
         # label constraint can reject (no earlier positions exist yet).
         if step.allowed is None:
             pool = step_zero_pool(plan, graph)
-            return len(pool), pool
-        return step.allowed.bit_count(), from_bitset(
-            step.allowed & graph.label_bits(step.vertex_label)
-        )
+            return len(pool), 0, pool
+        bits = step.allowed & graph.label_bits(step.vertex_label)
+        return step.allowed.bit_count(), bits, None
     # Anchor = lowest-(degree, id) matched back-neighbor, unrolled: a
     # one-back-edge step (most steps on sparse plans) resolves without
     # a genexp/min frame, and the degree doubles as the pool estimate.
@@ -228,44 +283,28 @@ def guided_survivors(
         strategy is None and estimate <= SMALL_POOL_DEGREE
     ):
         return _row_survivors(plan, step, graph, words, anchor)
-    bits = graph.neighbor_bits(anchor)
+    neighbor_bits = graph.neighbor_bits
+    bits = neighbor_bits(anchor)
     if step.allowed is not None:
         bits &= step.allowed
     num_candidates = bits.bit_count()
     if not bits:
-        return 0, ()
-    # Order restrictions first: they truncate the bitset's magnitude, so
-    # every later ``&`` runs on fewer machine words.
-    if step.must_precede:
-        bits &= (1 << min(words[earlier] for earlier in step.must_precede)) - 1
-    if step.must_exceed:
-        bits &= -1 << (max(words[earlier] for earlier in step.must_exceed) + 1)
+        return 0, 0, None
+    bits = residual_mask(step, plan.induced, bits, words, neighbor_bits)
     bits &= graph.label_bits(step.vertex_label)
-    for earlier, _ in step.back_edges:
-        bits &= graph.neighbor_bits(words[earlier])
-    if plan.induced:
-        for earlier in step.back_non_edges:
-            bits &= ~graph.neighbor_bits(words[earlier])
+    for earlier, _ in back:
+        bits &= neighbor_bits(words[earlier])
     if bits:
         bits &= ~to_bitset(words)
     if not bits:
-        return num_candidates, ()
+        return num_candidates, 0, None
     uniform = graph.uniform_edge_label
     if uniform is not None:
-        for _, edge_label in step.back_edges:
+        for _, edge_label in back:
             if edge_label != uniform:
-                return num_candidates, ()
-        return num_candidates, from_bitset(bits)
-    survivors = tuple(
-        word
-        for word in from_bitset(bits)
-        if all(
-            graph.edge_label(graph.edge_between(word, words[earlier]))
-            == edge_label
-            for earlier, edge_label in step.back_edges
-        )
-    )
-    return num_candidates, survivors
+                return num_candidates, 0, None
+        return num_candidates, bits, None
+    return num_candidates, 0, confirm_edge_labels(graph, words, back, bits)
 
 
 def _row_survivors(
@@ -274,7 +313,7 @@ def _row_survivors(
     graph: LabeledGraph,
     words: tuple[int, ...],
     anchor: int,
-) -> tuple[int, tuple[int, ...]]:
+) -> tuple[int, int, tuple[int, ...]]:
     """The hybrid's sparse path: iterate the anchor row, probe per word.
 
     Semantically identical to the mask chain — the per-step constraint
@@ -294,7 +333,7 @@ def _row_survivors(
         ]
     num_candidates = len(pool)
     if not num_candidates:
-        return 0, ()
+        return 0, 0, ()
     uniform = graph.uniform_edge_label
     # Pool membership already proves adjacency to the anchor, so the
     # anchor's own back-edge needs no probe (only — on mixed-label
@@ -309,7 +348,7 @@ def _row_survivors(
             if edge_label != uniform:
                 # Required edge label absent from a uniformly-labeled
                 # graph: the mask path zeroes the survivor set too.
-                return num_candidates, ()
+                return num_candidates, 0, ()
         else:
             edge_labels.append((words[earlier], edge_label))
         matched = words[earlier]
@@ -320,7 +359,7 @@ def _row_survivors(
     want_label = step.vertex_label
     if graph.num_vertex_labels == 1:
         if not graph.label_bits(want_label):
-            return num_candidates, ()
+            return num_candidates, 0, ()
         want_label = None
     non_edges = step.back_non_edges if plan.induced else ()
     # Order restrictions become two bounds on the candidate id, exactly
@@ -367,7 +406,7 @@ def _row_survivors(
                     break
         if ok:
             survivors.append(word)
-    return num_candidates, tuple(survivors)
+    return num_candidates, 0, tuple(survivors)
 
 
 def plan_checker(

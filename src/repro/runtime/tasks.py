@@ -33,22 +33,25 @@ the plan's ordering restrictions already guarantee each occurrence is
 generated exactly once, so no canonicality check is needed.  A multi-query
 :class:`~repro.plan.PlanDAG` generalizes the same fusion from one step to
 a *set of active DAG nodes* per embedding
-(:meth:`repro.plan.dag.DagStepper.step`): per live trie node the pool —
-the deduplicated union of the surviving patterns' next anchor
+(:meth:`repro.plan.dag.DagStepper.advance`): per live trie node the
+pool — the deduplicated union of the surviving patterns' next anchor
 neighborhoods — and the shared structural check collapse into one ``&``
 chain over the DAG's precomputed mask bundle (with a degree-adaptive
-row-iteration fallback for tiny pools), per-member residual checks run
-on the decoded survivors, and the extended embedding is stored once no
-matter how many patterns it advances — emission happens once per
-accepting leaf inside the computation.  Everything else (stores,
-aggregation, deltas, backends) is unchanged, which is what keeps guided
-runs byte-identical across backends and worker counts too.
+row-iteration fallback for tiny pools), per-member residuals are more
+mask algebra, and the extended embedding is stored once no matter how
+many patterns it advances — emission happens once per accepting leaf
+inside the computation.  On a plan's *terminal level* (every live member
+completes at the next word) the masks are never decoded: the computation's
+``process_terminal`` hook aggregates them by popcount.  Everything else
+(stores, aggregation, deltas, backends) is unchanged, which is what keeps
+guided runs byte-identical across backends and worker counts too.
 """
 
 from __future__ import annotations
 
 import copy
 import time
+from itertools import islice
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Sequence
 
@@ -78,7 +81,7 @@ from ..core.storage import (
 from ..plan.dag import PlanDAG, bound_stepper
 from ..plan.guided import (
     guided_extension_check,
-    guided_survivors,
+    guided_advance,
     plan_checker,
 )
 from ..plan.planner import MatchingPlan
@@ -170,6 +173,15 @@ class WorkerTaskContext(ComputationContext):
             if limit is None or len(self._delta.outputs) < limit:
                 self._delta.outputs.append(value)
 
+    def output_batch(self, count: int, values) -> None:
+        self._delta.num_outputs += count
+        if self._context.collect_outputs:
+            outputs = self._delta.outputs
+            limit = self._context.output_limit
+            room = count if limit is None else limit - len(outputs)
+            if room > 0:
+                outputs.extend(islice(values(), room))
+
     def map(self, key: Hashable, value: Any) -> None:
         self._local_agg.map(key, value)
 
@@ -206,6 +218,19 @@ def _probe_interrupts(
         raise RunCancelled("run cancelled mid-step")
     if deadline_at is not None and time.monotonic() > deadline_at:
         raise BudgetExceeded(DEADLINE_BUDGET)
+
+
+def _terminal_hook(computation: Computation):
+    """``process_terminal`` when it may replace the per-child loop: φ is
+    the base accept-all, and no subclass refines ``process``/
+    ``termination_filter`` below the class that wrote the hook."""
+    if type(computation).filter is not Computation.filter:
+        return None
+    for klass in type(computation).__mro__:
+        if "process_terminal" in vars(klass):
+            return computation.process_terminal
+        if "process" in vars(klass) or "termination_filter" in vars(klass):
+            return None
 
 
 def _make_extension_checker(mode: str, incremental: bool, plan=None):
@@ -374,19 +399,24 @@ def _expansion_pass(
     graph = context.graph
     mode = context.mode
     plan = context.plan
+    # Terminal level: children completing every live plan member reach
+    # the computation as survivor masks, never materialised.
+    hook = _terminal_hook(computation)
+    batch = hook is not None
     if isinstance(plan, PlanDAG):
         # One stepper per task, shared with the computation's own hooks
         # (process/termination run on the same task copy): its
         # survivor-walk memo is private to this pure task.  Expansion
-        # runs the fused whole-pool kernel (DagStepper.step): per live
-        # trie node one bitset ``&`` chain over the DAG's precomputed
-        # mask bundle, with a degree-adaptive row-iteration fallback —
+        # runs the fused whole-pool kernel (DagStepper.advance):
+        # per live trie node one bitset ``&`` chain over the DAG's
+        # precomputed mask bundle plus one residual chain per member,
+        # with a degree-adaptive row-iteration fallback —
         # counter-for-counter equal to generate-then-check.  The
         # per-candidate check stays bound for the ODAG prefix filter.
         stepper = bound_stepper(computation, plan, graph)
         check_extension = stepper.check
         generate = None
-        fused = stepper.step
+        advance = stepper.advance
     else:
         check_extension = _make_extension_checker(
             mode, context.incremental_canonicality, plan
@@ -401,8 +431,8 @@ def _expansion_pass(
             # the ODAG prefix filter above).
             generate = None
 
-            def fused(words: tuple[int, ...]):
-                return guided_survivors(plan, graph, words)
+            def advance(words: tuple[int, ...], batch: bool):
+                return guided_advance(plan, graph, words, batch)
     profile = context.profile_phases
     # List-format stores (plain or spilled) hold exact embeddings under
     # their true canonical pattern; only ODAG paths can be spurious.
@@ -463,18 +493,35 @@ def _expansion_pass(
         if generate is None:
             # Fused guided kernel (single-plan or DAG): candidate
             # generation and the acceptance check happen inside one
-            # bitset intersection chain; the returned words are already
-            # the survivors, so the loop below skips the per-word check
-            # entirely.
+            # bitset intersection chain; ``found`` holds the survivors —
+            # as words, which the loop below extends without a per-word
+            # check, or on a terminal level as undecoded member masks,
+            # which go to the hook and leave the loop nothing to do.
             if profile:
                 t0 = time.perf_counter()
-                num_candidates, candidate_words = fused(words)
+                num_candidates, found, terminal = advance(words, batch)
                 _add_phase(phase_seconds, "G", time.perf_counter() - t0)
             else:
-                num_candidates, candidate_words = fused(words)
+                num_candidates, found, terminal = advance(words, batch)
             stats.candidates_generated += num_candidates
             work += num_candidates
-            stats.canonical_candidates += len(candidate_words)
+            candidate_words = () if terminal else found
+            if not terminal:
+                stats.canonical_candidates += len(found)
+            elif found:
+                union = 0
+                for _, mask in found:
+                    union |= mask
+                finished = union.bit_count()
+                stats.canonical_candidates += finished
+                stats.processed_embeddings += finished
+                stats.batched_embeddings += finished
+                if profile:
+                    t0 = time.perf_counter()
+                    hook(words, found)
+                    _add_phase(phase_seconds, "P", time.perf_counter() - t0)
+                else:
+                    hook(words, found)
         elif profile:
             t0 = time.perf_counter()
             candidate_words = generate(words)

@@ -200,6 +200,8 @@ class Miner:
         lines = [
             f"graph: {catalog.describe()}",
             f"plan: {plan.describe()}",
+            f"terminal level: step {plan.num_steps - 1} is aggregated from "
+            "survivor masks (run summaries report it as batched=N)",
             choice.describe(),
         ]
         return "\n".join(lines)

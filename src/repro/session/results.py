@@ -63,6 +63,7 @@ class MiningResult:
         raw = self.raw
         return (
             f"# steps={raw.num_steps} processed={raw.total_processed:,} "
+            f"batched={raw.total_batched:,} "
             f"makespan={raw.makespan():.4f}s "
             f"messages={raw.metrics.total_messages:,}"
         )

@@ -478,8 +478,10 @@ class TestDisconnectCancel:
         service = QueryService(registry, max_concurrent=1, max_pending=0)
         handle = start_in_background(service)
         try:
+            # Sized by embeddings, not wall time: the last step alone
+            # expands ~53k stored embeddings, i.e. ~100 cancel probes.
             body = json.dumps(
-                {"graph": "citeseer", "max_size": 4, "labeled": False}
+                {"graph": "citeseer", "max_size": 5, "labeled": False}
             ).encode()
             sock = socket.create_connection(handle.address)
             sock.sendall(
@@ -489,7 +491,14 @@ class TestDisconnectCancel:
                 ).encode()
                 + body
             )
-            time.sleep(0.3)  # let the run get going
+            # Walk away only once the run is really in flight (admitted
+            # and handed to the pool) — a gauge, not a guess at its speed.
+            deadline = time.time() + 120
+            while time.time() < deadline:
+                if service.stats_payload()["admission"]["in_flight"] >= 1:
+                    break
+                time.sleep(0.005)
+            assert service.stats_payload()["admission"]["in_flight"] >= 1
             sock.close()  # the client walks away mid-query
             deadline = time.time() + 120
             while time.time() < deadline:
