@@ -13,7 +13,7 @@ DESIGN.md).
 
 Micro-benchmark note — step-0 universe caching: the engine materializes
 ``initial_candidates(graph, mode)`` once per run (``ArabesqueEngine.
-_initial_universe``) instead of per worker pass.  For the in-memory
+_zero_pool``) instead of per worker pass.  For the in-memory
 ``LabeledGraph`` the candidate set is a ``range``, so the old per-worker
 rebuild cost O(1) and the measured win on Motifs-MiCo (scale 0.02,
 32 workers) is under 1 ms — the caching matters structurally, not for

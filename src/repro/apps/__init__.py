@@ -22,7 +22,6 @@ from .matching import (
     GuidedMatching,
     match_vertex_sets,
     pattern_embeds_in,
-    run_matching,
 )
 from .maximal_cliques import MaximalCliqueFinding, is_maximal_clique
 from .motifs import (
@@ -33,7 +32,6 @@ from .motifs import (
     motif_counts,
     motif_counts_by_size,
     run_guided_motifs,
-    single_motif_count,
 )
 from .support import Domain
 from .transactional_fsm import (
@@ -76,8 +74,6 @@ __all__ = [
     "pattern_embeds_in",
     "run_guided_fsm",
     "run_guided_motifs",
-    "run_matching",
-    "single_motif_count",
     "transactional_frequent_patterns",
     "unit_label_cost",
 ]

@@ -56,7 +56,6 @@ from ..plan.fsm_guide import (
     has_infrequent_subpattern,
     label_triples,
     one_edge_extensions_with_maps,
-    prewarm_level_dag,
     single_edge_domains,
 )
 from ..plan.guided import match_mapping
@@ -472,14 +471,11 @@ def run_guided_fsm(
                 # sibling prefixes, the per-leaf whitelists push each
                 # candidate's parent domains down, and the aggregation
                 # channel demuxes the merged MNI domains by leaf pattern.
-                # The restricted DAG is new per level, so its fused-kernel
-                # mask bundle is warmed here, pre-backend.
-                dag = prewarm_level_dag(
-                    restrict_dag(
-                        provide(tuple(pattern for pattern, _ in evaluated)),
-                        dict(evaluated),
-                    ),
-                    graph,
+                # The restricted DAG is new per level; the engine warms its
+                # fused-kernel mask bundle with the step-0 pool, pre-fork.
+                dag = restrict_dag(
+                    provide(tuple(pattern for pattern, _ in evaluated)),
+                    dict(evaluated),
                 )
                 run_config = dataclasses.replace(
                     base, plan=dag, collect_outputs=False, output_limit=None

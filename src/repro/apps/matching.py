@@ -18,18 +18,18 @@ Two execution strategies share this module:
 * :class:`GraphMatching` — the exhaustive filter-process oracle described
   above: extend every canonical embedding everywhere, keep the ones still
   embeddable in the query.  Exploration-agnostic but trivially correct.
-* :class:`GuidedMatching` + :func:`run_matching` — the planner fast path:
-  the query is compiled into a :class:`~repro.plan.MatchingPlan`
+* :class:`GuidedMatching` — the planner fast path (what
+  ``Miner(graph).match(query)`` runs unless told ``.exhaustive()``): the
+  query is compiled into a :class:`~repro.plan.MatchingPlan`
   (matching order, per-step constraints, symmetry-breaking restrictions)
   and the runtime only proposes candidates satisfying the next plan step.
   Produces the identical match multiset with a fraction of the candidates;
-  the exhaustive mode stays the default and the correctness oracle.
+  the exhaustive mode stays the correctness oracle.
 """
 
 from __future__ import annotations
 
 from ..core.computation import Computation
-from ..core.config import ArabesqueConfig
 from ..core.embedding import (
     EDGE_EXPLORATION,
     Embedding,
@@ -134,9 +134,10 @@ class GraphMatching(Computation):
 class GuidedMatching(Computation):
     """Plan-guided matching: the runtime does the filtering.
 
-    Run with ``config.plan`` set to the same plan (:func:`run_matching`
-    wires this up): every embedding reaching the user functions is a valid
-    partial match by construction — the plan's per-step constraints
+    Run with ``config.plan`` set to the same plan (the session facade's
+    ``match`` query wires this up): every embedding reaching the user
+    functions is a valid partial match by construction — the plan's
+    per-step constraints
     subsume φ, and its symmetry restrictions subsume the canonicality
     check — so the computation only has to emit full-size matches.
 
@@ -169,60 +170,6 @@ class GuidedMatching(Computation):
 
     def termination_filter(self, embedding: Embedding) -> bool:
         return len(embedding.words) >= self._size
-
-
-def run_matching(
-    graph: LabeledGraph,
-    query: Pattern,
-    *,
-    induced: bool = True,
-    guided: bool = False,
-    config: ArabesqueConfig | None = None,
-    plan: MatchingPlan | None = None,
-) -> RunResult:
-    """Retrieve all matches of ``query`` in ``graph``.
-
-    .. deprecated::
-        Thin wrapper kept for compatibility — use the session facade
-        instead: ``Miner(graph).match(query).run()`` (guided, the facade
-        default) or ``...match(query).exhaustive().run()``.  The facade
-        additionally caches compiled plans and step-0 state across
-        queries on one graph.
-
-    ``guided=False`` (the default here, and the oracle the guided path is
-    validated against) runs the exhaustive :class:`GraphMatching`
-    filter-process computation.  ``guided=True`` runs
-    :class:`GuidedMatching` on the plan-guided runtime path.  Both modes
-    emit one ``tuple(sorted(vertices))`` per match and agree on the
-    multiset.  A caller-supplied ``config`` is reused with its ``plan``
-    field forced to match the chosen mode; ``plan`` skips recompilation
-    (guided mode only).
-    """
-    import warnings
-
-    warnings.warn(
-        "run_matching is deprecated; use "
-        "repro.session.Miner(graph).match(query) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..session import Miner
-
-    if not guided and plan is not None:
-        raise ValueError(
-            "a precompiled plan was supplied but guided=False; "
-            "pass guided=True to run the plan-guided path"
-        )
-    request = Miner(graph).match(query, induced=induced)
-    if config is not None:
-        request.config(config)
-    if guided:
-        request.guided()
-        if plan is not None:
-            request.plan(plan)
-    else:
-        request.exhaustive()
-    return request.run().raw
 
 
 def match_vertex_sets(result: RunResult) -> list[tuple[int, ...]]:

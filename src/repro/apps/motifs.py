@@ -37,7 +37,7 @@ from ..core.pattern import Pattern
 from ..core.results import RunResult
 from ..core.storage import LIST_STORAGE
 from ..graph import LabeledGraph
-from ..plan.dag import PlanDAG, bound_stepper, build_plan_dag, mask_bundle
+from ..plan.dag import PlanDAG, bound_stepper, build_plan_dag
 from ..plan.fsm_guide import (
     label_triples,
     one_edge_extensions,
@@ -245,10 +245,6 @@ def run_guided_motifs(
         lambda patterns: build_plan_dag(patterns, induced=True)
     )
     dag = provide(batch)
-    # Warm the fused stepper's structural masks in the driver process so
-    # worker tasks (and forked process workers, via copy-on-write) read
-    # the memo instead of rebuilding per task.
-    mask_bundle(dag, graph)
     run_config = dataclasses.replace(
         base, plan=dag, collect_outputs=False, output_limit=None
     )
@@ -258,43 +254,3 @@ def run_guided_motifs(
 
     run = run_computation(graph, DagMotifCounting(dag), run_config)
     return GuidedMotifsRun(run=run, dag=dag, batch=batch)
-
-
-def single_motif_count(
-    graph: LabeledGraph,
-    motif: Pattern,
-    *,
-    guided: bool = True,
-    config: ArabesqueConfig | None = None,
-) -> int:
-    """Count the vertex-induced embeddings of ONE motif shape.
-
-    .. deprecated::
-        Thin wrapper kept for compatibility — use the session facade:
-        ``Miner(graph).match(motif).count()``.
-
-    Exhaustive :class:`MotifCounting` explores every motif of the size
-    class and reads one entry of the distribution; when only a single
-    shape matters this is the planner fast path — a guided induced match
-    of the motif pattern counts exactly the same embeddings while only
-    generating plan-compatible candidates.  ``guided=False`` falls back to
-    the exhaustive matcher (the oracle), which is also the right choice
-    when the distribution of *all* motifs is needed anyway.
-
-    Outputs are not collected — only the exact count is returned.
-    """
-    import warnings
-
-    warnings.warn(
-        "single_motif_count is deprecated; use "
-        "repro.session.Miner(graph).match(motif).count() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..session import Miner
-
-    request = Miner(graph).match(motif, induced=True)
-    if config is not None:
-        request.config(config)
-    request.guided() if guided else request.exhaustive()
-    return request.count()

@@ -53,7 +53,6 @@ from .budget import (
 from .computation import Computation
 from .config import ArabesqueConfig
 from .embedding import EDGE_EXPLORATION, VERTEX_EXPLORATION
-from .extension import initial_candidates
 from .pattern import PatternCanonicalizer
 from .results import RunResult, StepStats, WorkerDelta
 from .storage import (
@@ -61,9 +60,8 @@ from .storage import (
     LIST_STORAGE,
     ODAG_STORAGE,
     SPILL_STORAGE,
-    ListStore,
-    OdagStore,
     SpillListStore,
+    make_store,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard; see run()
@@ -131,9 +129,6 @@ class ArabesqueEngine:
                     "pass the same MatchingPlan to both (the session "
                     "facade and run_guided_fsm wire this up)"
                 )
-        #: Guided step-0 pool (label index / whitelist / DAG root-pool
-        #: union), computed once per run by :meth:`_plan_pool`.
-        self._plan_universe: tuple[int, ...] | None = None
         #: Monotonic instant the run's deadline budget expires (set per
         #: run from ``config.deadline_seconds``; ``None`` = no deadline).
         self._deadline_at: float | None = None
@@ -144,10 +139,11 @@ class ArabesqueEngine:
         #: Spill-mode only: the run's private segment directory, created
         #: per run and removed when the run finishes.
         self._spill_root: str | None = None
-        #: Expansion of the "undefined" embedding, computed once per engine
-        #: (step 0 used to rebuild it per worker; see bench note in
-        #: benchmarks/_harness.py) — or injected by a session that already
-        #: computed it for this graph and mode.
+        #: The step-0 candidate pool, computed once per engine by
+        #: :meth:`_zero_pool` (step 0 used to rebuild it per worker; see
+        #: bench note in benchmarks/_harness.py) — or, for exhaustive runs,
+        #: injected by a session that already computed it for this graph
+        #: and mode (a guided run's pool is its plan's own).
         if universe is not None:
             expected = (
                 graph.num_vertices
@@ -159,41 +155,33 @@ class ArabesqueEngine:
                     f"injected universe has {len(universe)} candidates but "
                     f"{self._mode} exploration of this graph needs {expected}"
                 )
-        self._universe = tuple(universe) if universe is not None else None
+        self._universe = (
+            tuple(universe)
+            if universe is not None and self.config.plan is None
+            else None
+        )
 
     # ------------------------------------------------------------------
-    def _initial_universe(self) -> tuple[int, ...]:
-        if self._universe is None:
-            self._universe = tuple(initial_candidates(self.graph, self._mode))
-        return self._universe
+    def _zero_pool(self) -> tuple[int, ...]:
+        """The step-0 candidate pool, computed once per run: every vertex
+        or edge (exhaustive), a plan's first-step label index or
+        whitelist, or the sorted-unique union of a DAG's root pools — the
+        stepper knows which (:func:`repro.plan.stepper.make_stepper`).
 
-    def _plan_pool(self) -> tuple[int, ...]:
-        """Guided step-0 candidate pool, computed once per run.
-
-        The single-plan pool is the first step's label index (or
-        whitelist); a DAG's is the sorted-unique union of its root
-        pools.  Computing it here — in the parent process, before any
-        step task runs — both avoids repeating the union merge in every
-        worker and warms the graph's label index so the process
-        backend's forks inherit it copy-on-write.  DAG runs also
-        prewarm the structural mask bundle
-        (:func:`repro.plan.dag.mask_bundle`) at the same point, for the
-        same reason: every worker task's fused stepper reads the
-        prebuilt masks instead of rebuilding them per fork.
+        Computing it here — in the parent process, before any step task
+        runs — avoids repeating a DAG's union merge in every worker, and
+        building a DAG's stepper prewarms its structural mask bundle
+        (:func:`repro.plan.dag.mask_bundle`), so the process backend's
+        forks inherit the prebuilt masks copy-on-write instead of
+        rebuilding them per fork.
         """
-        if self._plan_universe is None:
+        if self._universe is None:
             # Imported lazily like the runtime (core.config <- plan).
-            from ..plan.dag import PlanDAG, dag_step_zero_pool, mask_bundle
-            from ..plan.guided import step_zero_pool
+            from ..plan.stepper import make_stepper
 
-            plan = self.config.plan
-            if isinstance(plan, PlanDAG):
-                mask_bundle(plan, self.graph)
-                pool = dag_step_zero_pool(plan, self.graph)
-            else:
-                pool = step_zero_pool(plan, self.graph)
-            self._plan_universe = tuple(pool)
-        return self._plan_universe
+            stepper = make_stepper(self.config.plan, self.graph, self._mode)
+            self._universe = tuple(stepper.zero_pool())
+        return self._universe
 
     def _step_context(
         self,
@@ -222,17 +210,7 @@ class ArabesqueEngine:
             plan=config.plan,
             pattern_cache=canonicalizer.cache_snapshot(),
             published_aggregates=agg_channel.published(),
-            # Guided runs draw step 0 from the plan's own pool (label
-            # index, domain whitelist, or DAG root-pool union) instead of
-            # the exhaustive universe; either way the engine computes the
-            # pool once and ships it through the same channel.
-            universe=(
-                None
-                if step != 0
-                else self._initial_universe()
-                if config.plan is None
-                else self._plan_pool()
-            ),
+            universe=self._zero_pool() if step == 0 else None,
             global_store=global_store if step > 0 else None,
             deadline_at=self._deadline_at,
             spill_dir=self._spill_root,
@@ -515,35 +493,27 @@ class ArabesqueEngine:
         this step — the paper's sparse-graph fallback (section 6.3); the
         in-process representation stays an ODAG either way.
         """
-        if self.config.storage == LIST_STORAGE:
-            merged = ListStore()
+        config = self.config
+        merged = make_store(
+            config.storage,
+            spill_dir=self._spill_root,
+            spill_budget_nbytes=config.spill_budget_nbytes,
+            spill_tag=f"s{stats.step}m",
+        )
+        if config.storage in (LIST_STORAGE, SPILL_STORAGE):
+            # Spill has list mode's wire semantics (each embedding ships
+            # once to its expander), but the merged store — like the worker
+            # locals — spills past the byte budget instead of growing.
             for store in local_stores:
                 merged.merge(store)
+                if isinstance(store, SpillListStore):
+                    store.dispose()
             merged.sort()
             step_metrics.messages_sent += merged.num_embeddings
             step_metrics.bytes_sent += merged.wire_size()
             stats.shipped_format = LIST_STORAGE
             return merged
 
-        if self.config.storage == SPILL_STORAGE:
-            # Same wire semantics as list mode (each embedding ships once
-            # to its expander), but the merged store — like the worker
-            # locals — spills past the byte budget instead of growing.
-            merged = SpillListStore(
-                directory=self._spill_root,
-                budget_nbytes=self.config.spill_budget_nbytes,
-                tag=f"s{stats.step}m",
-            )
-            for store in local_stores:
-                merged.merge(store)
-                if isinstance(store, SpillListStore):
-                    store.dispose()
-            step_metrics.messages_sent += merged.num_embeddings
-            step_metrics.bytes_sent += merged.wire_size()
-            stats.shipped_format = LIST_STORAGE
-            return merged
-
-        merged = OdagStore()
         shuffle_messages = 0
         shuffle_bytes = 0
         for store in local_stores:
@@ -559,7 +529,7 @@ class ArabesqueEngine:
         # ODAGs pay the per-entry merge shuffle plus the broadcast; lists
         # ship each embedding once to its expander.
         ship_as_list = (
-            self.config.storage == ADAPTIVE_STORAGE
+            config.storage == ADAPTIVE_STORAGE
             and list_bytes < shuffle_bytes + odag_bytes
         )
         if ship_as_list:

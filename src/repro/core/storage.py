@@ -463,7 +463,9 @@ def make_store(
     spill_tag: str = "seg",
 ) -> EmbeddingStore:
     """Factory for the configured storage strategy."""
-    if storage_mode == ODAG_STORAGE:
+    if storage_mode in (ODAG_STORAGE, ADAPTIVE_STORAGE):
+        # Adaptive picks the cheaper *wire* format per step (the engine's
+        # store merge); the in-process representation is an ODAG either way.
         return OdagStore()
     if storage_mode == LIST_STORAGE:
         return ListStore()

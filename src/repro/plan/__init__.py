@@ -8,7 +8,9 @@ proposing only candidates that satisfy the next plan step.  See
 :mod:`repro.plan.planner` (compilation), :mod:`repro.plan.symmetry`
 (automorphism restrictions), :mod:`repro.plan.guided` (execution),
 :mod:`repro.plan.dag` (multi-query plan DAGs: one shared-prefix
-exploration for a whole pattern batch), and :mod:`repro.plan.fsm_guide`
+exploration for a whole pattern batch), :mod:`repro.plan.stepper` (the
+one ``zero_pool``/``check``/``advance`` shape the runtime drives —
+exhaustive, single plan and DAG alike), and :mod:`repro.plan.fsm_guide`
 (per-candidate plans + MNI domain math for plan-guided FSM).  The
 statistics-driven half lives in :mod:`repro.plan.stats` (the per-graph
 :class:`GraphCatalog`) and :mod:`repro.plan.cost` (selectivity-chain
@@ -29,9 +31,6 @@ from .dag import (
     PlanDAG,
     accepting_patterns,
     build_plan_dag,
-    dag_candidates,
-    dag_extension_check,
-    dag_step_zero_pool,
     dag_survivors,
     mask_bundle,
     restrict_dag,
@@ -46,16 +45,16 @@ from .fsm_guide import (
     single_edge_candidates,
 )
 from .guided import (
+    PlanStepper,
     guided_candidates,
     guided_extension_check,
-    guided_advance,
     guided_survivors,
     match_mapping,
-    plan_checker,
 )
 from .planner import MatchingPlan, PlanError, PlanStep, compile_plan
 from .shapes import NAMED_SHAPES, read_pattern_file, resolve_query
 from .stats import GraphCatalog, build_catalog
+from .stepper import ExhaustiveStepper, make_stepper
 from .symmetry import (
     pattern_automorphisms,
     satisfies_restrictions,
@@ -66,6 +65,7 @@ __all__ = [
     "DagMaskBundle",
     "DagNode",
     "DagStepper",
+    "ExhaustiveStepper",
     "GraphCatalog",
     "MatchingPlan",
     "NAMED_SHAPES",
@@ -74,6 +74,7 @@ __all__ = [
     "PlanDAG",
     "PlanError",
     "PlanStep",
+    "PlanStepper",
     "StepEstimate",
     "accepting_patterns",
     "build_catalog",
@@ -83,23 +84,19 @@ __all__ = [
     "compile_candidate_dag",
     "compile_candidate_plan",
     "compile_plan",
-    "dag_candidates",
-    "dag_extension_check",
-    "dag_step_zero_pool",
     "dag_survivors",
     "restrict_dag",
     "domain_sets_from_matches",
     "guided_candidates",
     "guided_extension_check",
-    "guided_advance",
     "guided_survivors",
     "label_triples",
+    "make_stepper",
     "mask_bundle",
     "match_mapping",
     "mni_support_from_domains",
     "one_edge_extensions",
     "pattern_automorphisms",
-    "plan_checker",
     "read_pattern_file",
     "resolve_query",
     "satisfies_restrictions",

@@ -19,13 +19,13 @@ one structure instead:
   whitelists stay on the member plans, where they are sound per pattern
   by construction (they are exactly the solo plan's);
 * **set-of-active-nodes execution** — the runtime advances each embedding
-  against the whole batch at once: :func:`dag_survivors` tracks which
-  member patterns still accept the word sequence, candidate pools are
-  generated once per distinct trie node of the surviving patterns and
-  deduplicated (:func:`dag_candidates`), a candidate is kept if *any*
-  survivor accepts it (:func:`dag_extension_check`), and a full-size
-  embedding is emitted once per accepting leaf
-  (:func:`accepting_patterns`).
+  against the whole batch at once through a :class:`DagStepper`:
+  :func:`dag_survivors` tracks which member patterns still accept the
+  word sequence, candidate pools are generated once per distinct trie
+  node of the surviving patterns and deduplicated
+  (:meth:`DagStepper.candidates`), a candidate is kept if *any* survivor
+  accepts it (:meth:`DagStepper.check`), and a full-size embedding is
+  emitted once per accepting leaf (:func:`accepting_patterns`).
 
 Correctness is independent of how much sharing the order search finds:
 every member pattern owns a complete plan, and an embedding advances a
@@ -53,6 +53,9 @@ from .guided import (
     guided_extension_check,
     prefers_row_iteration,
     residual_mask,
+    residual_ok,
+    root_pool_bits,
+    structural_ok,
 )
 from .planner import MatchingPlan, PlanError, compile_plan, restrict_plan
 
@@ -195,6 +198,77 @@ def _signature_chain(
     return tuple(chain)
 
 
+def _insert_chain(
+    chain: tuple[tuple, ...], root_children: dict, node_children: list[dict]
+) -> tuple[int, ...]:
+    """Walk ``chain`` down the trie, creating missing nodes (ids are
+    assigned in creation order); returns the node path, root to leaf.
+    ``root_children`` is the child table of position 0, ``node_children[i]``
+    that of node ``i``."""
+    path = []
+    table = root_children
+    for signature in chain:
+        child = table.get(signature)
+        if child is None:
+            child = len(node_children)
+            node_children.append({})
+            table[signature] = child
+        path.append(child)
+        table = node_children[child]
+    return tuple(path)
+
+
+def _affine_greedy_order(
+    pattern: Pattern,
+    adjacency: dict[int, dict[int, int]],
+    root_children: dict,
+    node_children: list[dict],
+) -> tuple[int, ...]:
+    """The catalog-free greedy prefix-affine order against the current trie.
+
+    At every step, prefer a frontier vertex whose structural step
+    signature matches an existing child of the current trie node (so
+    shared subpatterns align), falling back to the single-plan
+    connectivity heuristic (most placed neighbors, then degree, then
+    smaller id) when nothing matches — from then on the pattern is on
+    novel nodes and the heuristic alone decides.
+    """
+    position_of: dict[int, int] = {}
+    order: list[int] = []
+    table: dict | None = root_children
+    while len(order) < pattern.num_vertices:
+        if order:
+            frontier = [
+                v
+                for v in range(pattern.num_vertices)
+                if v not in position_of
+                and position_of.keys() & adjacency[v].keys()
+            ]
+        else:
+            frontier = list(range(pattern.num_vertices))
+        ranked = sorted(
+            frontier,
+            key=lambda v: (
+                len(position_of.keys() & adjacency[v].keys()),
+                len(adjacency[v]),
+                -v,
+            ),
+            reverse=True,
+        )
+        chosen = ranked[0]
+        if table is not None:
+            child = None
+            for v in ranked:
+                child = table.get(_step_signature(pattern, adjacency, position_of, v))
+                if child is not None:
+                    chosen = v
+                    break
+            table = None if child is None else node_children[child]
+        position_of[chosen] = len(order)
+        order.append(chosen)
+    return tuple(order)
+
+
 def _harmonized_orders(
     batch: tuple[Pattern, ...], catalog
 ) -> list[tuple[int, ...]]:
@@ -224,9 +298,6 @@ def _harmonized_orders(
     from .cost import candidate_orders, estimate_order
 
     adjacencies = [_pattern_adjacency(pattern) for pattern in batch]
-    degrees = [
-        {v: len(adjacency[v]) for v in adjacency} for adjacency in adjacencies
-    ]
     #: Per pattern: [(order, signature chain, cost estimate)].
     priced: list[list[tuple[tuple[int, ...], tuple, object]]] = []
     estimates: list[dict[tuple[int, ...], object]] = []
@@ -274,75 +345,6 @@ def _harmonized_orders(
             novel += 1
         return (novel_cost, novel, estimate.total_candidates)
 
-    def insert(
-        chain: tuple[tuple, ...],
-        root_children: dict,
-        node_children: list[dict],
-    ) -> None:
-        parent: int | None = None
-        for signature in chain:
-            table = root_children if parent is None else node_children[parent]
-            child = table.get(signature)
-            if child is None:
-                child = len(node_children)
-                node_children.append({})
-                table[signature] = child
-            parent = child
-
-    def affine_greedy(
-        index: int, root_children: dict, node_children: list[dict]
-    ) -> tuple[int, ...]:
-        """The catalog-free greedy order against the current trie (the
-        baseline an alternative must strictly beat)."""
-        pattern = batch[index]
-        adjacency = adjacencies[index]
-        degree = degrees[index]
-        position_of: dict[int, int] = {}
-        order: list[int] = []
-        parent: int | None = None
-        diverged = False
-        while len(order) < pattern.num_vertices:
-            if order:
-                frontier = [
-                    v
-                    for v in range(pattern.num_vertices)
-                    if v not in position_of
-                    and position_of.keys() & adjacency[v].keys()
-                ]
-            else:
-                frontier = list(range(pattern.num_vertices))
-            ranked = sorted(
-                frontier,
-                key=lambda v: (
-                    len(position_of.keys() & adjacency[v].keys()),
-                    degree[v],
-                    -v,
-                ),
-                reverse=True,
-            )
-            chosen = ranked[0]
-            if not diverged:
-                table = root_children if parent is None else node_children[parent]
-                match = next(
-                    (
-                        v
-                        for v in ranked
-                        if _step_signature(pattern, adjacency, position_of, v)
-                        in table
-                    ),
-                    None,
-                )
-                if match is None:
-                    diverged = True
-                else:
-                    chosen = match
-                    parent = table[
-                        _step_signature(pattern, adjacency, position_of, chosen)
-                    ]
-            position_of[chosen] = len(order)
-            order.append(chosen)
-        return tuple(order)
-
     def choose(
         index: int,
         root_children: dict,
@@ -371,10 +373,15 @@ def _harmonized_orders(
     children1: list[dict] = []
     pass1: list[tuple[int, ...]] = []
     for index, pattern in enumerate(batch):
-        baseline = affine_greedy(index, root1, children1)
+        # The baseline an alternative must strictly beat.
+        baseline = _affine_greedy_order(
+            pattern, adjacencies[index], root1, children1
+        )
         order = choose(index, root1, children1, baseline)
         pass1.append(order)
-        insert(_signature_chain(pattern, adjacencies[index], order), root1, children1)
+        _insert_chain(
+            _signature_chain(pattern, adjacencies[index], order), root1, children1
+        )
     return [
         choose(index, root1, children1, pass1[index])
         for index in range(len(batch))
@@ -387,12 +394,8 @@ def build_plan_dag(
     """Compile a batch of patterns into one prefix-sharing :class:`PlanDAG`.
 
     Patterns are inserted into the trie in batch order; each one's
-    matching order is chosen greedily — at every step, prefer a frontier
-    vertex whose structural step signature (required vertex label +
-    back-edges with edge labels) matches an existing child of the
-    current trie node (so shared subpatterns align), falling back to the
-    single-plan connectivity heuristic (most placed neighbors, then
-    degree, then smaller id) when nothing matches.
+    matching order is chosen greedily against the trie built so far
+    (:func:`_affine_greedy_order`).
 
     ``catalog`` (a :class:`~repro.plan.stats.GraphCatalog`) upgrades the
     order search to the jointly-costed **harmonized** mode
@@ -422,70 +425,30 @@ def build_plan_dag(
     if catalog is not None and len(catalog.label_frequency) > 1:
         harmonized = _harmonized_orders(batch, catalog)
 
-    #: Child tables: root_children for position 0, node_children[i] for
-    #: the children of node i.  node_info[i] = (position, signature).
     root_children: dict[tuple, int] = {}
     node_children: list[dict[tuple, int]] = []
+    #: node_info[i] = (position, signature) of trie node i.
     node_info: list[tuple[int, tuple]] = []
-
-    def child_of(parent: int | None, signature: tuple, position: int) -> int:
-        table = root_children if parent is None else node_children[parent]
-        node_id = table.get(signature)
-        if node_id is None:
-            node_id = len(node_info)
-            node_info.append((position, signature))
-            node_children.append({})
-            table[signature] = node_id
-        return node_id
-
     orders: list[tuple[int, ...]] = []
     paths: list[tuple[int, ...]] = []
     for member, pattern in enumerate(batch):
         adjacency = _pattern_adjacency(pattern)
-        degree = {v: len(adjacency[v]) for v in range(pattern.num_vertices)}
-        position_of: dict[int, int] = {}
-        order: list[int] = []
-        path: list[int] = []
-        parent: int | None = None
-        while len(order) < pattern.num_vertices:
-            if harmonized is not None:
-                chosen = harmonized[member][len(order)]
-            else:
-                if order:
-                    frontier = [
-                        v
-                        for v in range(pattern.num_vertices)
-                        if v not in position_of
-                        and position_of.keys() & adjacency[v].keys()
-                    ]
-                else:
-                    frontier = list(range(pattern.num_vertices))
-                ranked = sorted(
-                    frontier,
-                    key=lambda v: (
-                        len(position_of.keys() & adjacency[v].keys()),
-                        degree[v],
-                        -v,
-                    ),
-                    reverse=True,
-                )
-                table = root_children if parent is None else node_children[parent]
-                chosen = next(
-                    (
-                        v
-                        for v in ranked
-                        if _step_signature(pattern, adjacency, position_of, v)
-                        in table
-                    ),
-                    ranked[0],
-                )
-            signature = _step_signature(pattern, adjacency, position_of, chosen)
-            parent = child_of(parent, signature, len(order))
-            path.append(parent)
-            position_of[chosen] = len(order)
-            order.append(chosen)
-        orders.append(tuple(order))
-        paths.append(tuple(path))
+        if harmonized is not None:
+            order = harmonized[member]
+        else:
+            order = _affine_greedy_order(
+                pattern, adjacency, root_children, node_children
+            )
+        chain = _signature_chain(pattern, adjacency, order)
+        path = _insert_chain(chain, root_children, node_children)
+        # New nodes sit at the tail of the path, numbered in path order.
+        node_info.extend(
+            (depth, chain[depth])
+            for depth in range(len(path))
+            if path[depth] >= len(node_info)
+        )
+        orders.append(order)
+        paths.append(path)
 
     plans = tuple(
         compile_plan(pattern, induced=induced, order=order)
@@ -626,35 +589,6 @@ def dag_extendable(
     )
 
 
-def dag_step_zero_pool(
-    dag: PlanDAG, graph: LabeledGraph
-) -> tuple[int, ...]:
-    """The DAG's step-0 candidate pool: the union of its root pools.
-
-    One bitset per distinct root node (whitelist when every member
-    routed through it is whitelisted, else the node label's index —
-    mirroring :func:`repro.plan.guided.step_zero_pool`), OR-ed together
-    and decoded ascending, so every worker partitions the identical
-    sorted tuple and shared roots are scanned once instead of once per
-    pattern.
-    """
-    roots = sorted({path[0] for path in dag.paths})
-    if len(roots) == 1:
-        node = dag.nodes[roots[0]]
-        if node.allowed is not None:
-            return from_bitset(node.allowed)
-        return graph.vertices_with_label(node.vertex_label)
-    merged = 0
-    for node_id in roots:
-        node = dag.nodes[node_id]
-        merged |= (
-            node.allowed
-            if node.allowed is not None
-            else graph.label_bits(node.vertex_label)
-        )
-    return from_bitset(merged)
-
-
 def _pool_for_nodes(
     dag: PlanDAG,
     graph: LabeledGraph,
@@ -689,11 +623,7 @@ def _pool_for_nodes(
             # violated invariant must fail loudly rather than quietly
             # degrade into an inflated pool.
             assert not words, "back-edge-less DAG node reached mid-plan"
-            merged |= (
-                node.allowed
-                if node.allowed is not None
-                else graph.label_bits(node.vertex_label)
-            )
+            merged |= root_pool_bits(node, graph)
             continue
         if single and len(back) == 1 and node.allowed is None:
             return graph.neighbors(words[back[0][0]])
@@ -704,56 +634,6 @@ def _pool_for_nodes(
             pool &= node.allowed
         merged |= pool
     return from_bitset(merged)
-
-
-def dag_candidates(
-    dag: PlanDAG, graph: LabeledGraph, words: tuple[int, ...]
-) -> Sequence[int]:
-    """Candidate pool for extending ``words`` by one step, batch-wide.
-
-    One closure-complete pool per distinct trie node the surviving
-    patterns occupy next (the intersection of the node's back-edge
-    neighbor rows, pre-filtered by its union whitelist), merged
-    sorted-unique — the sharing win: a candidate proposed by several
-    sibling patterns is generated (and counted) once, and the per-node
-    intersection cost is amortized across every member routed through
-    the node.  Completeness per pattern is the single-plan argument
-    (every member back-edge is a shared node back-edge), applied per
-    node.
-    """
-    position = len(words)
-    live_nodes = sorted(
-        {
-            dag.paths[p][position]
-            for p in dag_survivors(dag, graph, words)
-            if dag.plans[p].num_steps > position
-        }
-    )
-    return _pool_for_nodes(dag, graph, words, live_nodes)
-
-
-def dag_extension_check(
-    dag: PlanDAG,
-    graph: LabeledGraph,
-    parent_words: tuple[int, ...],
-    word: int,
-) -> bool:
-    """Whether ``parent_words + (word,)`` advances at least one pattern.
-
-    The DAG counterpart of the single plan's per-step check: a candidate
-    is kept (and the extended embedding stored once) iff some member
-    surviving the parent prefix accepts it at the next step.  Like the
-    single-plan check it is anti-monotone — survivors only shrink — so
-    ODAG extraction can apply it prefix by prefix.
-    """
-    position = len(parent_words)
-    for p in dag_survivors(dag, graph, parent_words):
-        plan = dag.plans[p]
-        if plan.num_steps > position and guided_extension_check(
-            plan, graph, parent_words, word
-        ):
-            return True
-    return False
 
 
 class DagMaskBundle:
@@ -774,14 +654,15 @@ class DagMaskBundle:
       empty), ``None`` on mixed-label graphs (confirm per decoded
       survivor, exactly like the single-plan kernel);
     * ``root_pools[node_id]`` — for back-edge-less roots only: the step-0
-      pool bitset (union whitelist when set, else the label index).
+      pool bitset (:func:`repro.plan.guided.root_pool_bits` over the
+      node's union whitelist).
 
     Bundles are plain derived data — rebuilding one from scratch always
     reproduces it (the ``restrict_dag`` property tests pin this), so the
-    memo (:func:`mask_bundle`) is a pure cache: sessions and the engine
-    prewarm it per compiled DAG, worker tasks read it, and a fork-based
-    process backend inherits the prewarmed masks through copy-on-write
-    instead of rebuilding them per process.
+    memo (:func:`mask_bundle`) is a pure cache: the engine prewarms it
+    per compiled DAG along with the step-0 pool, worker tasks read it,
+    and a fork-based process backend inherits the prewarmed masks
+    through copy-on-write instead of rebuilding them per process.
     """
 
     __slots__ = ("dag", "graph", "label_masks", "edge_label_ok", "root_pools")
@@ -804,14 +685,9 @@ class DagMaskBundle:
                     label == uniform for _, label in node.back_edges
                 )
             edge_label_ok.append(verdict)
-            if node.back_edges:
-                root_pools.append(None)
-            else:
-                root_pools.append(
-                    node.allowed
-                    if node.allowed is not None
-                    else graph.label_bits(node.vertex_label)
-                )
+            root_pools.append(
+                None if node.back_edges else root_pool_bits(node, graph)
+            )
         self.label_masks = tuple(label_masks)
         self.edge_label_ok = tuple(edge_label_ok)
         self.root_pools = tuple(root_pools)
@@ -833,18 +709,15 @@ _MASK_BUNDLES: dict[int, tuple["weakref.ref[PlanDAG]", DagMaskBundle]] = {}
 def mask_bundle(dag: PlanDAG, graph: LabeledGraph) -> DagMaskBundle:
     """The memoized :class:`DagMaskBundle` for ``(dag, graph)``.
 
-    Cheap to call anywhere a DAG meets its graph: the session facade and
-    the engine prewarm it once per run (before the process backend
-    forks), and every :class:`DagStepper` resolves through it — so the
-    masks are computed once per compiled DAG per process, not once per
-    worker task.
+    Cheap to call anywhere a DAG meets its graph: the engine prewarms it
+    once per run (building the step-0 stepper does it, before the process
+    backend forks), and every :class:`DagStepper` resolves through it —
+    so the masks are computed once per compiled DAG per process, not
+    once per worker task.
     """
     key = id(dag)
-    entry = _MASK_BUNDLES.get(key)
-    if entry is not None:
-        ref, bundle = entry
-        if ref() is dag and bundle.graph is graph:
-            return bundle
+    if has_mask_bundle(dag, graph):
+        return _MASK_BUNDLES[key][1]
     bundle = DagMaskBundle(dag, graph)
     # Bind the memo as a default so the finalizer survives interpreter
     # shutdown (module globals are cleared before late GC runs).
@@ -884,64 +757,6 @@ def bound_stepper(computation, dag: PlanDAG, graph: LabeledGraph) -> "DagStepper
         stepper = DagStepper(dag, graph)
         computation._dag_stepper = stepper
     return stepper
-
-
-def _node_structural_ok(
-    node: DagNode,
-    graph: LabeledGraph,
-    parent_words: tuple[int, ...],
-    word: int,
-) -> bool:
-    """The member-independent half of one step check, shared per node.
-
-    Covers exactly the constraints every member routed through the node
-    agrees on — required label, injectivity, back-edge adjacency with
-    edge labels — mirroring the corresponding clauses of
-    :func:`repro.plan.guided.guided_extension_check`.
-    """
-    if graph.vertex_label(word) != node.vertex_label:
-        return False
-    if word in parent_words:
-        return False
-    if node.back_edges:
-        word_bits = graph.neighbor_bits(word)
-        uniform = graph.uniform_edge_label
-        for earlier, edge_label in node.back_edges:
-            matched = parent_words[earlier]
-            if not (word_bits >> matched) & 1:
-                return False
-            if uniform is not None:
-                if edge_label != uniform:
-                    return False
-            elif graph.edge_label(graph.edge_between(word, matched)) != edge_label:
-                return False
-    return True
-
-
-def _member_residual_ok(
-    plan: MatchingPlan,
-    depth: int,
-    graph: LabeledGraph,
-    parent_words: tuple[int, ...],
-    word: int,
-) -> bool:
-    """The per-member half: whitelist, induced non-edges, restrictions."""
-    step = plan.steps[depth]
-    allowed = step.allowed
-    if allowed is not None and not (allowed >> word) & 1:
-        return False
-    if plan.induced and step.back_non_edges:
-        word_bits = graph.neighbor_bits(word)
-        for earlier in step.back_non_edges:
-            if (word_bits >> parent_words[earlier]) & 1:
-                return False
-    for earlier in step.must_exceed:
-        if parent_words[earlier] >= word:
-            return False
-    for earlier in step.must_precede:
-        if parent_words[earlier] <= word:
-            return False
-    return True
 
 
 class DagStepper:
@@ -1004,21 +819,18 @@ class DagStepper:
                 by_node.setdefault(paths[p][depth], []).append(p)
         return by_node
 
-    def _advance(self, prefix: tuple[int, ...], word: int) -> list[int]:
-        """Members surviving ``prefix`` that also accept ``word``."""
+    def _members_accepting(self, prefix: tuple[int, ...], word: int):
+        """Members surviving ``prefix`` that also accept ``word``, lazily:
+        the structural half once per live node, the residual per member."""
         depth = len(prefix)
         dag = self.dag
         graph = self.graph
         plans = dag.plans
-        result: list[int] = []
         for node_id, members in self._live(prefix).items():
-            if not _node_structural_ok(dag.nodes[node_id], graph, prefix, word):
-                continue
-            for p in members:
-                if _member_residual_ok(plans[p], depth, graph, prefix, word):
-                    result.append(p)
-        result.sort()
-        return result
+            if structural_ok(dag.nodes[node_id], graph, prefix, word):
+                for p in members:
+                    if residual_ok(plans[p], depth, graph, prefix, word):
+                        yield p
 
     def survivors(self, words: tuple[int, ...]) -> list[int]:
         """Memoized :func:`dag_survivors` (derived from the parent's)."""
@@ -1028,7 +840,7 @@ class DagStepper:
             return hit
         depth = len(words) - 1
         prefix = words[:depth]
-        result = self._advance(prefix, words[depth])
+        result = sorted(self._members_accepting(prefix, words[depth]))
         self._cache_with_room()[words] = result
         return result
 
@@ -1159,10 +971,10 @@ class DagStepper:
         for word in pool:
             accepted: list[int] = []
             for node, members in grouped:
-                if not _node_structural_ok(node, graph, words, word):
+                if not structural_ok(node, graph, words, word):
                     continue
                 for p in members:
-                    if _member_residual_ok(plans[p], depth, graph, words, word):
+                    if residual_ok(plans[p], depth, graph, words, word):
                         accepted.append(p)
             if accepted:
                 accepted.sort()
@@ -1224,44 +1036,41 @@ class DagStepper:
         masks.sort()
         return merged_pool.bit_count(), masks
 
-    # ``candidates`` + ``check`` stay the per-candidate formulation, as it
-    # was: the reference the equivalence tests and the bench gate replay.
+    def zero_pool(self) -> tuple[int, ...]:
+        """The DAG's step-0 candidate pool: its distinct root pools OR-ed
+        together and decoded ascending, so every worker partitions the
+        identical sorted tuple and shared roots are scanned once instead
+        of once per pattern."""
+        merged = 0
+        for node_id in {path[0] for path in self.dag.paths}:
+            merged |= self.bundle.root_pools[node_id]
+        return from_bitset(merged)
+
+    # ``candidates`` + ``check`` are the per-candidate formulation of
+    # ``step``: the reference the equivalence tests replay, and what step 0
+    # and the ODAG prefix filter call.
     def candidates(self, words: tuple[int, ...]) -> Sequence[int]:
-        """Memoized-walk :func:`dag_candidates` (the generate hook)."""
-        dag = self.dag
-        position = len(words)
-        live_nodes = sorted(
-            {
-                dag.paths[p][position]
-                for p in self.survivors(words)
-                if dag.plans[p].num_steps > position
-            }
-        )
-        return _pool_for_nodes(dag, self.graph, words, live_nodes)
+        """Candidate pool for extending ``words`` by one step, batch-wide:
+        one closure-complete pool per distinct trie node the surviving
+        members occupy next (:func:`_pool_for_nodes`), merged
+        sorted-unique — a candidate proposed by several sibling patterns
+        is generated (and counted) once."""
+        return _pool_for_nodes(self.dag, self.graph, words, sorted(self._live(words)))
 
     def check(
         self, graph: LabeledGraph, parent_words: tuple[int, ...], word: int
     ) -> bool:
-        """Memoized-walk :func:`dag_extension_check` (the checker hook)."""
-        depth = len(parent_words)
-        dag = self.dag
-        plans = dag.plans
-        paths = dag.paths
-        by_node: dict[int, list[int]] = {}
-        for p in self.survivors(parent_words):
-            if plans[p].num_steps > depth:
-                by_node.setdefault(paths[p][depth], []).append(p)
-        for node_id, members in by_node.items():
-            if not _node_structural_ok(
-                dag.nodes[node_id], graph, parent_words, word
-            ):
-                continue
-            for p in members:
-                if _member_residual_ok(
-                    plans[p], depth, graph, parent_words, word
-                ):
-                    return True
-        return False
+        """Whether ``parent_words + (word,)`` advances at least one member.
+
+        The DAG counterpart of the single plan's per-step check: a
+        candidate is kept (and the extended embedding stored once) iff
+        some member surviving the parent prefix accepts it at the next
+        step.  Like the single-plan check it is anti-monotone — survivors
+        only shrink — so ODAG extraction can apply it prefix by prefix.
+        (``graph`` is the extension-checker call signature; a stepper
+        only ever answers for the graph it was built on.)
+        """
+        return next(self._members_accepting(parent_words, word), None) is not None
 
     def accepting(self, words: tuple[int, ...]) -> list[int]:
         """Memoized-walk :func:`accepting_patterns` (emission hook)."""

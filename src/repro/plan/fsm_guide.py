@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Sequence
 
 from ..core.pattern import Pattern
 from ..graph import LabeledGraph
-from .dag import PlanDAG, build_plan_dag, mask_bundle
+from .dag import PlanDAG, build_plan_dag
 from .guided import match_mapping
 from .planner import MatchingPlan, PlanError, compile_plan
 
@@ -88,22 +88,6 @@ def compile_candidate_dag(
                 "canonicalize the candidates before compiling"
             )
     return build_plan_dag(patterns, induced=False, catalog=catalog)
-
-
-def prewarm_level_dag(dag: PlanDAG, graph: LabeledGraph) -> PlanDAG:
-    """Warm a level DAG's fused-kernel masks before the engine run.
-
-    The batched drivers restrict a cached base DAG per level
-    (:func:`repro.plan.dag.restrict_dag` produces a *new* ``PlanDAG``),
-    so the restricted DAG's :class:`~repro.plan.dag.DagMaskBundle` is
-    built here — in the driver process, before any backend spins up —
-    and every worker task's fused :class:`~repro.plan.dag.DagStepper`
-    resolves it from the memo instead of rebuilding per task (fork-based
-    process workers inherit it copy-on-write).  Returns ``dag`` so the
-    call slots into the driver's restrict-then-run expression.
-    """
-    mask_bundle(dag, graph)
-    return dag
 
 
 def default_dag_provider() -> DagProvider:

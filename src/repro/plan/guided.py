@@ -9,21 +9,27 @@ check.  The guided path replaces both:
   next plan step — so the candidate pool shrinks from the embedding's
   whole frontier to one neighborhood;
 * :func:`guided_extension_check` validates a candidate against the next
-  plan step (label, back-edges with edge labels, back-non-edges under
-  induced semantics, and the symmetry-breaking order restrictions).  The
-  restrictions make the check a *uniqueness* guarantee: every occurrence
-  of the query is generated through exactly one word sequence, which is
-  why the guided path needs no embedding canonicality check;
+  plan step — the per-candidate constraint battery, defined once as two
+  halves: :func:`structural_ok` (label, injectivity, back-edges with edge
+  labels — what a multi-query trie node shares) and :func:`residual_ok`
+  (whitelist, back-non-edges under induced semantics, symmetry-breaking
+  order restrictions — what stays per plan).  The restrictions make the
+  check a *uniqueness* guarantee: every occurrence of the query is
+  generated through exactly one word sequence, which is why the guided
+  path needs no embedding canonicality check;
 * :func:`guided_survivors` fuses both into the form the runtime's step
   tasks actually execute: the whole constraint battery collapses into
   one chain of big-int ``&`` ops over the graph's bitsets, decoded to
-  sorted vertex order once per embedding.
+  sorted vertex order once per embedding;
+* :class:`PlanStepper` puts one plan behind the stepper shape the runtime
+  drives (``zero_pool`` / ``check`` / ``advance`` — see
+  :mod:`repro.plan.stepper`).
 
-Both functions are pure and operate on ``(plan, graph, words)`` only, so
-the runtime's step tasks can call them from any backend.  The check is
-also handed to ODAG extraction as the spurious-path prefix filter: a path
-through the overapproximated ODAG is a genuine partial match iff every
-prefix extension passes the plan check, mirroring how the exhaustive path
+All of it is pure in ``(plan, graph, words)``, so the runtime's step
+tasks can call it from any backend.  The check is also handed to ODAG
+extraction as the spurious-path prefix filter: a path through the
+overapproximated ODAG is a genuine partial match iff every prefix
+extension passes the plan check, mirroring how the exhaustive path
 re-applies canonicality plus the user filter (engine section 5.2).
 
 Completeness note: every valid extension of a valid partial match is
@@ -34,7 +40,8 @@ misses a match.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from functools import partial
+from typing import Sequence
 
 from ..graph import LabeledGraph
 from ..graph.bitset import from_bitset, to_bitset
@@ -86,7 +93,7 @@ def guided_candidates(
     step = plan.steps[position]
     if not step.back_edges:
         # Only the first step of a connected plan has no back-neighbor.
-        return step_zero_pool(plan, graph)
+        return from_bitset(root_pool_bits(step, graph))
     anchor = min(
         (words[earlier] for earlier, _ in step.back_edges),
         key=lambda vertex: (graph.degree(vertex), vertex),
@@ -96,40 +103,27 @@ def guided_candidates(
     return from_bitset(graph.neighbor_bits(anchor) & step.allowed)
 
 
-def step_zero_pool(plan: MatchingPlan, graph: LabeledGraph) -> tuple[int, ...]:
-    """The candidate pool for a plan's first step, always a sorted tuple.
-
-    A whitelisted first step (guided FSM pushing parent domains down)
-    decodes its whitelist bitset; otherwise the pool is the graph's
-    eager label index for the step's required label — both ascending,
-    so every worker partitions the identical sequence.
-    """
-    first = plan.steps[0]
-    if first.allowed is not None:
-        return from_bitset(first.allowed)
-    return graph.vertices_with_label(first.vertex_label)
+def root_pool_bits(step, graph: LabeledGraph) -> int:
+    """The pool of a step with no back-neighbor — a plan's first step or a
+    DAG root node — as a bitset: its whitelist when one is set (guided FSM
+    pushing parent domains down), else the label index of its required
+    label.  Decodes ascending, so every worker partitions the identical
+    sequence."""
+    if step.allowed is not None:
+        return step.allowed
+    return graph.label_bits(step.vertex_label)
 
 
-def guided_extension_check(
-    plan: MatchingPlan,
-    graph: LabeledGraph,
-    parent_words: tuple[int, ...],
-    word: int,
+def structural_ok(
+    step, graph: LabeledGraph, parent_words: tuple[int, ...], word: int
 ) -> bool:
-    """Whether ``parent_words + (word,)`` is a valid partial match.
-
-    Assumes ``parent_words`` already satisfies the plan's first
-    ``len(parent_words)`` steps (the engine only extends surviving
-    embeddings, and ODAG extraction applies this check prefix by prefix).
-    """
-    position = len(parent_words)
-    if position >= plan.num_steps:
-        return False
-    step = plan.steps[position]
+    """The shareable half of one step check: required label, injectivity,
+    back-edge adjacency with edge labels.  ``step`` is a
+    :class:`~repro.plan.planner.PlanStep` or a multi-query
+    :class:`~repro.plan.dag.DagNode` — both carry ``vertex_label`` and
+    ``back_edges``, and a node holds exactly what every member routed
+    through it agrees on, so the DAG stepper runs this once per node."""
     if graph.vertex_label(word) != step.vertex_label:
-        return False
-    allowed = step.allowed
-    if allowed is not None and not (allowed >> word) & 1:
         return False
     if word in parent_words:
         return False
@@ -147,11 +141,22 @@ def guided_extension_check(
                     return False
             elif graph.edge_label(graph.edge_between(word, matched)) != edge_label:
                 return False
-        if plan.induced:
-            for earlier in step.back_non_edges:
-                if (word_bits >> parent_words[earlier]) & 1:
-                    return False
-    elif plan.induced and step.back_non_edges:
+    return True
+
+
+def residual_ok(
+    plan: MatchingPlan,
+    depth: int,
+    graph: LabeledGraph,
+    parent_words: tuple[int, ...],
+    word: int,
+) -> bool:
+    """The per-plan half: whitelist, induced non-edges, restrictions."""
+    step = plan.steps[depth]
+    allowed = step.allowed
+    if allowed is not None and not (allowed >> word) & 1:
+        return False
+    if plan.induced and step.back_non_edges:
         word_bits = graph.neighbor_bits(word)
         for earlier in step.back_non_edges:
             if (word_bits >> parent_words[earlier]) & 1:
@@ -163,6 +168,26 @@ def guided_extension_check(
         if parent_words[earlier] <= word:
             return False
     return True
+
+
+def guided_extension_check(
+    plan: MatchingPlan,
+    graph: LabeledGraph,
+    parent_words: tuple[int, ...],
+    word: int,
+) -> bool:
+    """Whether ``parent_words + (word,)`` is a valid partial match.
+
+    Assumes ``parent_words`` already satisfies the plan's first
+    ``len(parent_words)`` steps (the engine only extends surviving
+    embeddings, and ODAG extraction applies this check prefix by prefix).
+    """
+    position = len(parent_words)
+    return (
+        position < len(plan.steps)
+        and structural_ok(plan.steps[position], graph, parent_words, word)
+        and residual_ok(plan, position, graph, parent_words, word)
+    )
 
 
 def residual_mask(step, induced: bool, bits: int, words, neighbor_bits) -> int:
@@ -233,21 +258,6 @@ def guided_survivors(
     return num_candidates, from_bitset(bits) if rows is None else rows
 
 
-def guided_advance(
-    plan: MatchingPlan, graph: LabeledGraph, words: tuple[int, ...], batch: bool
-):
-    """The single-plan twin of :meth:`repro.plan.dag.DagStepper.advance`:
-    ``(num_candidates, found, terminal)`` — on the plan's last level (when
-    ``batch``) the survivors stay one undecoded ``(0, bitmask)`` member
-    mask for ``Computation.process_terminal``, else they are words."""
-    num_candidates, bits, rows = _survivor_kernel(plan, graph, words, None)
-    if batch and len(words) == len(plan.steps) - 1:
-        if rows is not None:
-            bits = to_bitset(rows)
-        return num_candidates, [(0, bits)] if bits else [], True
-    return num_candidates, from_bitset(bits) if rows is None else rows, False
-
-
 def _survivor_kernel(
     plan: MatchingPlan, graph: LabeledGraph, words: tuple[int, ...], strategy
 ) -> tuple[int, int, tuple[int, ...] | None]:
@@ -262,7 +272,7 @@ def _survivor_kernel(
         # Step 0: the pool is the whitelist or the label index; only the
         # label constraint can reject (no earlier positions exist yet).
         if step.allowed is None:
-            pool = step_zero_pool(plan, graph)
+            pool = graph.vertices_with_label(step.vertex_label)
             return len(pool), 0, pool
         bits = step.allowed & graph.label_bits(step.vertex_label)
         return step.allowed.bit_count(), bits, None
@@ -409,21 +419,40 @@ def _row_survivors(
     return num_candidates, 0, tuple(survivors)
 
 
-def plan_checker(
-    plan: MatchingPlan,
-) -> Callable[[LabeledGraph, tuple[int, ...], int], bool]:
-    """The plan's check with the extension-checker call signature.
+class PlanStepper:
+    """One compiled plan behind the stepper shape the runtime drives.
 
-    Drop-in replacement for :func:`repro.core.canonical.extension_checker`
-    inside the runtime's step tasks.
+    The single-plan twin of :class:`repro.plan.dag.DagStepper`, around the
+    same :func:`_survivor_kernel` that :func:`guided_survivors` decodes.
+    Stateless beyond ``(plan, graph)``: a plan is its own only member, so
+    there is no survivor walk to memoize.
     """
 
-    def check(
-        graph: LabeledGraph, parent_words: tuple[int, ...], word: int
-    ) -> bool:
-        return guided_extension_check(plan, graph, parent_words, word)
+    __slots__ = ("plan", "graph", "check")
 
-    return check
+    def __init__(self, plan: MatchingPlan, graph: LabeledGraph) -> None:
+        self.plan = plan
+        self.graph = graph
+        #: :func:`guided_extension_check` with the extension-checker call
+        #: signature ``(graph, parent_words, word)``.
+        self.check = partial(guided_extension_check, plan)
+
+    def zero_pool(self) -> tuple[int, ...]:
+        """The plan's step-0 candidate pool, sorted ascending."""
+        return from_bitset(root_pool_bits(self.plan.steps[0], self.graph))
+
+    def advance(self, words: tuple[int, ...], batch: bool):
+        """``(num_candidates, found, terminal)`` — on the plan's last level
+        (when ``batch``) the survivors stay one undecoded ``(0, bitmask)``
+        member mask for ``Computation.process_terminal``, else they are
+        words."""
+        plan = self.plan
+        num_candidates, bits, rows = _survivor_kernel(plan, self.graph, words, None)
+        if batch and len(words) == len(plan.steps) - 1:
+            if rows is not None:
+                bits = to_bitset(rows)
+            return num_candidates, [(0, bits)] if bits else [], True
+        return num_candidates, from_bitset(bits) if rows is None else rows, False
 
 
 def match_mapping(plan: MatchingPlan, words: tuple[int, ...]) -> tuple[int, ...]:

@@ -22,35 +22,28 @@ processes while producing byte-identical results:
 * the computation object is shallow-copied per task ⇒ the per-task context
   binding (``bind_context``) never races between threads.
 
-When the context carries a guided :class:`~repro.plan.MatchingPlan`, the
-expansion swaps its two hot pieces for ONE fused kernel
-(:func:`repro.plan.guided.guided_survivors`): the candidate pool is the
-plan's anchor neighborhood bitset (``&``-ed with the step whitelist when
-one is set) instead of the whole frontier, and the per-candidate
-label/adjacency/symmetry acceptance test collapses into the same chain
-of big-int ``&`` ops, decoded to sorted id order once per embedding —
-the plan's ordering restrictions already guarantee each occurrence is
-generated exactly once, so no canonicality check is needed.  A multi-query
-:class:`~repro.plan.PlanDAG` generalizes the same fusion from one step to
-a *set of active DAG nodes* per embedding
-(:meth:`repro.plan.dag.DagStepper.advance`): per live trie node the
-pool — the deduplicated union of the surviving patterns' next anchor
-neighborhoods — and the shared structural check collapse into one ``&``
-chain over the DAG's precomputed mask bundle (with a degree-adaptive
-row-iteration fallback for tiny pools), per-member residuals are more
-mask algebra, and the extended embedding is stored once no matter how
-many patterns it advances — emission happens once per accepting leaf
-inside the computation.  On a plan's *terminal level* (every live member
-completes at the next word) the masks are never decoded: the computation's
+How an embedding is expanded — exhaustive generate-then-canonicality,
+a guided :class:`~repro.plan.MatchingPlan`'s fused bitset kernel, or a
+multi-query :class:`~repro.plan.PlanDAG`'s set-of-active-nodes kernel —
+is the *stepper's* business (:mod:`repro.plan.stepper`): the passes below
+call ``zero_pool``/``check``/``advance`` and never look at the plan.  A
+guided plan's ordering restrictions already guarantee each occurrence is
+generated exactly once, so its check replaces canonicality; a DAG stores
+the extended embedding once no matter how many patterns it advances —
+emission happens once per accepting leaf inside the computation.  On a
+plan's *terminal level* (every live member completes at the next word)
+the survivor masks are never decoded: the computation's
 ``process_terminal`` hook aggregates them by popcount.  Everything else
-(stores, aggregation, deltas, backends) is unchanged, which is what keeps
-guided runs byte-identical across backends and worker counts too.
+(stores, aggregation, deltas, backends) is the same for all three, which
+is what keeps guided runs byte-identical across backends and worker
+counts too.
 """
 
 from __future__ import annotations
 
 import copy
 import time
+from functools import partial
 from itertools import islice
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Sequence
@@ -63,28 +56,20 @@ from ..core.budget import (
     DEADLINE_CHECK_INTERVAL,
     RunCancelled,
 )
-from ..core.canonical import extension_checker, full_checker
 from ..core.computation import Computation, ComputationContext
 from ..core.embedding import make_embedding
-from ..core.extension import extensions
 from ..core.pattern import Pattern, PatternCanonicalizer
 from ..core.results import StepStats, WorkerDelta
 from ..core.storage import (
     DEFAULT_SPILL_BUDGET_NBYTES,
     EmbeddingStore,
     LIST_STORAGE,
-    ListStore,
-    OdagStore,
     SPILL_STORAGE,
-    SpillListStore,
+    make_store,
 )
-from ..plan.dag import PlanDAG, bound_stepper
-from ..plan.guided import (
-    guided_extension_check,
-    guided_advance,
-    plan_checker,
-)
+from ..plan.dag import PlanDAG
 from ..plan.planner import MatchingPlan
+from ..plan.stepper import make_stepper
 
 
 @dataclass(frozen=True)
@@ -233,25 +218,35 @@ def _terminal_hook(computation: Computation):
             return None
 
 
-def _make_extension_checker(mode: str, incremental: bool, plan=None):
-    """The acceptance predicate for one-word extensions.
+def _untimed(phase: str, call):
+    """``profile_phases`` off: every phase runs as the raw callable."""
+    return call
 
-    Exhaustive mode uses the canonicality check (Algorithm 2); guided mode
-    uses the plan's per-step constraint check, whose symmetry restrictions
-    subsume canonicality's dedup role.  Multi-query DAGs never reach this
-    helper — the expansion pass builds a per-task :class:`DagStepper`
-    whose check accepts a candidate when any surviving member plan does.
-    """
-    if plan is not None:
-        return plan_checker(plan)
-    if incremental:
-        return extension_checker(mode)
-    full = full_checker(mode)
 
-    def from_scratch(graph, parent_words, word):
-        return full(graph, parent_words + (word,))
+def _phase_timer(phase_seconds: dict[str, float]):
+    """``timed(phase, call)``: ``call``, charging its wall time to ``phase``
+    (W/R/G/C/P — paper Figure 12).  A timed call running inside another
+    (the exhaustive check inside ``advance``) is charged once, to the inner
+    phase, so the phases never sum past the task's wall."""
+    clock = time.perf_counter
+    charged = 0.0  # seconds charged to any phase so far
 
-    return from_scratch
+    def timed(phase: str, call):
+        def timed_call(*args):
+            nonlocal charged
+            before = charged
+            started = clock()
+            result = call(*args)
+            elapsed = clock() - started
+            phase_seconds[phase] = (
+                phase_seconds.get(phase, 0.0) + elapsed - (charged - before)
+            )
+            charged = before + elapsed
+            return result
+
+        return timed_call
+
+    return timed
 
 
 def run_step_task(context: StepContext, worker_id: int) -> WorkerDelta:
@@ -266,19 +261,14 @@ def run_step_task(context: StepContext, worker_id: int) -> WorkerDelta:
     )
     local_agg = LocalAggregation(computation.reduce, canonicalizer)
     local_out = LocalAggregation(computation.reduce_output, canonicalizer)
-    store: EmbeddingStore
-    if context.storage == LIST_STORAGE:
-        store = ListStore()
-    elif context.storage == SPILL_STORAGE:
-        # Per-(step, worker) segment tag so every task in the step can
-        # share the run's spill root without filename collisions.
-        store = SpillListStore(
-            directory=context.spill_dir,
-            budget_nbytes=context.spill_budget_nbytes,
-            tag=f"s{context.step}w{worker_id}",
-        )
-    else:
-        store = OdagStore()
+    # Per-(step, worker) segment tag so every task in the step can share
+    # the run's spill root without filename collisions.
+    store = make_store(
+        context.storage,
+        spill_dir=context.spill_dir,
+        spill_budget_nbytes=context.spill_budget_nbytes,
+        spill_tag=f"s{context.step}w{worker_id}",
+    )
     delta = WorkerDelta(
         worker_id=worker_id,
         local_store=store,
@@ -287,13 +277,29 @@ def run_step_task(context: StepContext, worker_id: int) -> WorkerDelta:
     task_context = WorkerTaskContext(
         context, delta, local_agg, local_out, canonicalizer
     )
+    # The one place phase timing is decided: every phase callable below is
+    # passed through ``timed`` once, before any loop runs.
+    timed = _phase_timer(delta.phase_seconds) if context.profile_phases else _untimed
+    # One stepper per task.  A DAG's is shared with the computation's own
+    # hooks (process/termination run on the same task copy): its
+    # survivor-walk memo is private to this pure task.
+    stepper = make_stepper(
+        context.plan,
+        context.graph,
+        context.mode,
+        context.incremental_canonicality,
+        computation,
+        wrap_check=partial(timed, "C"),
+    )
+    settle = _settler(computation, canonicalizer, store, delta.counters, timed)
     computation.bind_context(task_context)
     try:
         if context.step == 0:
-            _initial_pass(context, worker_id, computation, canonicalizer, store, delta)
+            _initial_pass(context, worker_id, stepper, settle, delta)
         else:
             _expansion_pass(
-                context, worker_id, computation, canonicalizer, store, delta
+                context, worker_id, computation, canonicalizer, stepper, settle,
+                timed, delta,
             )
     finally:
         computation.bind_context(None)
@@ -319,38 +325,50 @@ def run_step_chunk(
 # ----------------------------------------------------------------------
 # The two passes (Algorithm 1, split by step number)
 # ----------------------------------------------------------------------
-def _initial_pass(
-    context: StepContext,
-    worker_id: int,
+def _settler(
     computation: Computation,
     canonicalizer: PatternCanonicalizer,
     store: EmbeddingStore,
-    delta: WorkerDelta,
+    stats: StepStats,
+    timed,
+):
+    """The tail both passes share, for one accepted embedding: φ, π, the
+    termination filter, then the write to set F under its canonical
+    pattern.  Pattern canonicalization is charged to P (paper Figure 12:
+    P = pattern aggregation), only the store write to W."""
+    keep = computation.filter
+    process = timed("P", computation.process)
+    terminates = computation.termination_filter
+    canonicalize = timed("P", canonicalizer.canonicalize)
+    add = timed("W", store.add)
+
+    def settle(embedding) -> None:
+        if not keep(embedding):
+            return
+        stats.processed_embeddings += 1
+        process(embedding)
+        if terminates(embedding):
+            return
+        canonical_pattern, _ = canonicalize(embedding.pattern())
+        add(canonical_pattern, embedding.words)
+
+    return settle
+
+
+def _initial_pass(
+    context: StepContext, worker_id: int, stepper, settle, delta: WorkerDelta
 ) -> None:
-    """Step 0: expand the "undefined" embedding — all vertices/edges."""
+    """Step 0: expand the "undefined" embedding — this worker's rank range
+    of the stepper's step-0 pool (all vertices/edges, or a plan's own
+    pool).  The engine computes the pool once per run and ships it through
+    the universe channel, sorted and identical for every worker, so the
+    partition stays deterministic."""
     graph = context.graph
     mode = context.mode
-    profile = context.profile_phases
     stats = delta.counters
-    phase_seconds = delta.phase_seconds
-    plan = context.plan
-    # Guided runs draw step 0 from the plan's own pool (label index,
-    # whitelist, or DAG root-pool union); the engine computes it once per
-    # run and ships it through the universe channel, sorted and identical
-    # for every worker, so the rank-range partition stays deterministic.
     universe = context.universe
     assert universe is not None, "step-0 context must carry the universe"
-    if isinstance(plan, PlanDAG):
-        # Shared with the computation's own hooks (same task copy):
-        # step-0 checks group by distinct root node instead of scanning
-        # every member per word.
-        stepper = bound_stepper(computation, plan, graph)
-
-        def check_word(plan, graph, parent_words, word):
-            return stepper.check(graph, parent_words, word)
-
-    else:
-        check_word = guided_extension_check
+    check = stepper.check
     total = len(universe)
     num_workers = context.num_workers
     start = total * worker_id // num_workers
@@ -362,28 +380,11 @@ def _initial_pass(
         _probe_interrupts(deadline_at, cancel, index - start)
         word = universe[index]
         stats.candidates_generated += 1
-        if plan is not None and not check_word(plan, graph, (), word):
+        if not check(graph, (), word):
             continue
-        stats.canonical_candidates += 1  # single words are canonical
+        stats.canonical_candidates += 1
         work += 1
-        embedding = make_embedding(graph, mode, (word,))
-        if not computation.filter(embedding):
-            continue
-        stats.processed_embeddings += 1
-        if profile:
-            t0 = time.perf_counter()
-            computation.process(embedding)
-            _add_phase(phase_seconds, "P", time.perf_counter() - t0)
-        else:
-            computation.process(embedding)
-        if computation.termination_filter(embedding):
-            continue
-        if profile:
-            t0 = time.perf_counter()
-        canonical_pattern, _ = canonicalizer.canonicalize(embedding.pattern())
-        store.add(canonical_pattern, embedding.words)
-        if profile:
-            _add_phase(phase_seconds, "W", time.perf_counter() - t0)
+        settle(make_embedding(graph, mode, (word,)))
     delta.work_units += work
 
 
@@ -392,53 +393,26 @@ def _expansion_pass(
     worker_id: int,
     computation: Computation,
     canonicalizer: PatternCanonicalizer,
-    store: EmbeddingStore,
+    stepper,
+    settle,
+    timed,
     delta: WorkerDelta,
 ) -> None:
     """Steps >= 1: read a share of set I, apply α/β, expand, φ/π, write."""
     graph = context.graph
     mode = context.mode
-    plan = context.plan
     # Terminal level: children completing every live plan member reach
     # the computation as survivor masks, never materialised.
     hook = _terminal_hook(computation)
     batch = hook is not None
-    if isinstance(plan, PlanDAG):
-        # One stepper per task, shared with the computation's own hooks
-        # (process/termination run on the same task copy): its
-        # survivor-walk memo is private to this pure task.  Expansion
-        # runs the fused whole-pool kernel (DagStepper.advance):
-        # per live trie node one bitset ``&`` chain over the DAG's
-        # precomputed mask bundle plus one residual chain per member,
-        # with a degree-adaptive row-iteration fallback —
-        # counter-for-counter equal to generate-then-check.  The
-        # per-candidate check stays bound for the ODAG prefix filter.
-        stepper = bound_stepper(computation, plan, graph)
-        check_extension = stepper.check
-        generate = None
-        advance = stepper.advance
-    else:
-        check_extension = _make_extension_checker(
-            mode, context.incremental_canonicality, plan
-        )
-        if plan is None:
-            def generate(words: tuple[int, ...]):
-                return extensions(graph, mode, words)
-        else:
-            # Guided runs use the fused bitset kernel: pool generation
-            # AND the per-candidate plan check collapse into one chain
-            # of ``&`` ops per embedding (plan_checker stays in use for
-            # the ODAG prefix filter above).
-            generate = None
-
-            def advance(words: tuple[int, ...], batch: bool):
-                return guided_advance(plan, graph, words, batch)
-    profile = context.profile_phases
+    if batch:
+        hook = timed("P", hook)
+    advance = timed("G", stepper.advance)
+    check_extension = stepper.check
     # List-format stores (plain or spilled) hold exact embeddings under
     # their true canonical pattern; only ODAG paths can be spurious.
     verify_pattern = context.storage not in (LIST_STORAGE, SPILL_STORAGE)
     stats = delta.counters
-    phase_seconds = delta.phase_seconds
     global_store = context.global_store
     assert global_store is not None, "expansion context must carry set I"
     work = 0
@@ -448,13 +422,18 @@ def _expansion_pass(
         acceptance check (Algorithm 2 canonicality, or the plan's
         constraint check in guided mode) plus φ on the prefix (both
         anti-monotone, so failing prefixes prune whole subtrees —
-        section 5.2)."""
+        section 5.2).  Part of the read, so charged to R."""
         if not check_extension(graph, words[:-1], words[-1]):
             return False
         return computation.filter(make_embedding(graph, mode, words))
 
-    iterator = global_store.extract_partition(
-        worker_id, context.num_workers, prefix_ok
+    read = timed(
+        "R",
+        partial(
+            next,
+            global_store.extract_partition(worker_id, context.num_workers, prefix_ok),
+            None,
+        ),
     )
     deadline_at = context.deadline_at
     cancel = context.cancel
@@ -462,12 +441,7 @@ def _expansion_pass(
     while True:
         _probe_interrupts(deadline_at, cancel, probe_count)
         probe_count += 1
-        if profile:
-            t0 = time.perf_counter()
-            item = next(iterator, None)
-            _add_phase(phase_seconds, "R", time.perf_counter() - t0)
-        else:
-            item = next(iterator, None)
+        item = read()
         if item is None:
             break
         store_pattern, words = item
@@ -490,25 +464,15 @@ def _expansion_pass(
             continue
         computation.aggregation_process(embedding)
 
-        if generate is None:
-            # Fused guided kernel (single-plan or DAG): candidate
-            # generation and the acceptance check happen inside one
-            # bitset intersection chain; ``found`` holds the survivors —
-            # as words, which the loop below extends without a per-word
-            # check, or on a terminal level as undecoded member masks,
-            # which go to the hook and leave the loop nothing to do.
-            if profile:
-                t0 = time.perf_counter()
-                num_candidates, found, terminal = advance(words, batch)
-                _add_phase(phase_seconds, "G", time.perf_counter() - t0)
-            else:
-                num_candidates, found, terminal = advance(words, batch)
-            stats.candidates_generated += num_candidates
-            work += num_candidates
-            candidate_words = () if terminal else found
-            if not terminal:
-                stats.canonical_candidates += len(found)
-            elif found:
+        # One expansion, whatever the stepper: the pool's size, and the
+        # accepted extensions — as words, settled one child at a time, or
+        # on a terminal level as undecoded member masks, which go to the
+        # hook whole.
+        num_candidates, found, terminal = advance(words, batch)
+        stats.candidates_generated += num_candidates
+        work += num_candidates
+        if terminal:
+            if found:
                 union = 0
                 for _, mask in found:
                     union |= mask
@@ -516,56 +480,9 @@ def _expansion_pass(
                 stats.canonical_candidates += finished
                 stats.processed_embeddings += finished
                 stats.batched_embeddings += finished
-                if profile:
-                    t0 = time.perf_counter()
-                    hook(words, found)
-                    _add_phase(phase_seconds, "P", time.perf_counter() - t0)
-                else:
-                    hook(words, found)
-        elif profile:
-            t0 = time.perf_counter()
-            candidate_words = generate(words)
-            _add_phase(phase_seconds, "G", time.perf_counter() - t0)
-        else:
-            candidate_words = generate(words)
-
-        for word in candidate_words:
-            if generate is not None:
-                stats.candidates_generated += 1
-                work += 1
-                if profile:
-                    t0 = time.perf_counter()
-                    canonical = check_extension(graph, words, word)
-                    _add_phase(phase_seconds, "C", time.perf_counter() - t0)
-                else:
-                    canonical = check_extension(graph, words, word)
-                if not canonical:
-                    continue
-                stats.canonical_candidates += 1
-            child = embedding.extend(word)
-            if not computation.filter(child):
-                continue
-            stats.processed_embeddings += 1
-            if profile:
-                t0 = time.perf_counter()
-                computation.process(child)
-                _add_phase(phase_seconds, "P", time.perf_counter() - t0)
-            else:
-                computation.process(child)
-            if computation.termination_filter(child):
-                continue
-            if profile:
-                t0 = time.perf_counter()
-                canonical_pattern, _ = canonicalizer.canonicalize(child.pattern())
-                _add_phase(phase_seconds, "P", time.perf_counter() - t0)
-                t0 = time.perf_counter()
-                store.add(canonical_pattern, child.words)
-                _add_phase(phase_seconds, "W", time.perf_counter() - t0)
-            else:
-                canonical_pattern, _ = canonicalizer.canonicalize(child.pattern())
-                store.add(canonical_pattern, child.words)
+                hook(words, found)
+            continue
+        stats.canonical_candidates += len(found)
+        for word in found:
+            settle(embedding.extend(word))
     delta.work_units += work
-
-
-def _add_phase(phase_seconds: dict[str, float], phase: str, seconds: float) -> None:
-    phase_seconds[phase] = phase_seconds.get(phase, 0.0) + seconds

@@ -13,8 +13,7 @@ caches plans — including guided FSM's per-candidate plans — the step-0
 universe, and the stripped graph variant across queries.
 
 The CLI (:mod:`repro.cli`) and every bundled example are built on this
-facade; the older per-app helpers (``run_matching``,
-``single_motif_count``) survive as thin deprecated wrappers around it.
+facade.
 """
 
 from .miner import Miner, SessionCacheInfo

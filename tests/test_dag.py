@@ -50,11 +50,10 @@ from repro.plan import (
     accepting_patterns,
     build_plan_dag,
     compile_plan,
-    dag_step_zero_pool,
     dag_survivors,
     restrict_dag,
 )
-from repro.plan.dag import dag_extendable
+from repro.plan.dag import DagStepper, dag_extendable
 from repro.session import Miner, SessionError
 
 BACKENDS = ("serial", "thread", "process")
@@ -225,12 +224,12 @@ class TestRestrictDag:
         graph = unlabeled_graph(5)
         batch = shapes("wedge",)
         dag = build_plan_dag(batch, induced=True)
-        full_pool = dag_step_zero_pool(dag, graph)
+        full_pool = DagStepper(dag, graph).zero_pool()
         assert tuple(full_pool) == tuple(graph.vertices())
         restricted = restrict_dag(
             dag, {batch[0]: {dag.plans[0].order[0]: frozenset({0, 1})}}
         )
-        assert tuple(dag_step_zero_pool(restricted, graph)) == (0, 1)
+        assert DagStepper(restricted, graph).zero_pool() == (0, 1)
         assert dag_survivors(restricted, graph, (2,)) == []
 
 

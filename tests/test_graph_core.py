@@ -154,27 +154,28 @@ def test_step_zero_pool_is_always_a_tuple():
     """Satellite: the old all-one-label fallback returned a ``range``;
     pools are now one sequence type (tuple) regardless of label layout."""
     from repro.core import Pattern
-    from repro.plan import build_plan_dag, compile_plan
-    from repro.plan.dag import dag_step_zero_pool
-    from repro.plan.guided import step_zero_pool
+    from repro.plan import build_plan_dag, compile_plan, make_stepper
     from repro.plan.planner import restrict_plan
+
+    def zero_pool(plan):
+        return make_stepper(plan, graph, "vertex").zero_pool()
 
     # Single-label graph: the label index IS the whole vertex range —
     # exactly the case that used to fall back to range().
     graph = LabeledGraph([0] * 5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     triangle = Pattern((0, 0, 0), ((0, 1, 0), (1, 2, 0), (0, 2, 0)))
     plan = compile_plan(triangle, induced=False)
-    pool = step_zero_pool(plan, graph)
+    pool = zero_pool(plan)
     assert isinstance(pool, tuple)
     assert pool == (0, 1, 2, 3, 4)
 
     dag = build_plan_dag([triangle], induced=False)
-    dag_pool = dag_step_zero_pool(dag, graph)
+    dag_pool = zero_pool(dag)
     assert isinstance(dag_pool, tuple)
     assert dag_pool == (0, 1, 2, 3, 4)
 
     whitelisted = restrict_plan(plan, {plan.order[0]: frozenset({3, 1})})
-    wpool = step_zero_pool(whitelisted, graph)
+    wpool = zero_pool(whitelisted)
     assert isinstance(wpool, tuple)
     assert wpool == (1, 3)
 

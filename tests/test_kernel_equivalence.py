@@ -25,14 +25,30 @@ order included — on every path through it:
   memoized one;
 * **restriction composition** — ``restrict_plan``/``restrict_dag``
   applied twice compose by intersection (never a silent overwrite) and
-  are idempotent, at the step level and in end-to-end counts.
+  are idempotent, at the step level and in end-to-end counts;
+* **the stepper contract** — the three steppers the runtime drives
+  (exhaustive in both exploration modes, single plan, DAG) are one
+  parametrised axis: ``advance`` equals generate-then-``check`` at every
+  replayed state, ``zero_pool`` is what step 0 partitions, and turning
+  ``profile_phases`` on changes nothing but the clock.
 """
+
+import time
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.apps import GraphMatching, enumerate_motif_patterns
-from repro.core import ArabesqueConfig, Pattern, run_computation
+from repro.apps import (
+    CliqueFinding,
+    DagMotifCounting,
+    GraphMatching,
+    GuidedMatching,
+    MotifCounting,
+    enumerate_motif_patterns,
+)
+from repro.core import ArabesqueConfig, Pattern, extensions, run_computation
+from repro.core.pattern import PatternCanonicalizer
 from repro.datasets import (
     citeseer_like,
     instagram_like,
@@ -43,7 +59,14 @@ from repro.datasets import (
 )
 from repro.graph import assign_labels, gnm_random_graph, strip_labels
 from repro.graph.bitset import to_bitset
-from repro.plan import NAMED_SHAPES, build_plan_dag, compile_plan, restrict_dag
+from repro.plan import (
+    NAMED_SHAPES,
+    build_plan_dag,
+    compile_plan,
+    guided_candidates,
+    make_stepper,
+    restrict_dag,
+)
 from repro.plan.dag import DagMaskBundle, DagStepper, has_mask_bundle, mask_bundle
 from repro.plan.fsm_guide import (
     label_triples,
@@ -226,6 +249,144 @@ class TestDifferentialReplay:
         counts = _engine_leaf_counts(graph, build_plan_dag(batch, induced=True))
         for member, pattern in enumerate(batch):
             assert counts.get(member, 0) == miner.match(pattern).count()
+
+
+# ---------------------------------------------------------------------------
+# The stepper contract: exhaustive, single plan and DAG are one axis
+# ---------------------------------------------------------------------------
+STEPPER_KINDS = ("exhaustive-vertex", "exhaustive-edge", "plan", "dag")
+
+
+def stepper_case(kind, graph):
+    """``(plan, make_computation, mode, reference pool, grows)`` of one
+    stepper kind: what ``config.plan`` carries, a computation that runs
+    on it, and the per-candidate reference ``advance`` is replayed
+    against."""
+    batch = enumerate_motif_patterns(graph, 3, min_size=2)
+    if kind == "plan":
+        plan = compile_plan(batch[-1], induced=True)
+        return (
+            plan,
+            lambda: GuidedMatching(plan),
+            "vertex",
+            partial(guided_candidates, plan, graph),
+            lambda words: len(words) < plan.num_steps,
+        )
+    if kind == "dag":
+        dag = build_plan_dag(batch, induced=True)
+        reference = DagStepper(dag, graph)
+        return (
+            dag,
+            lambda: DagMotifCounting(dag),
+            "vertex",
+            reference.candidates,
+            reference.extendable,
+        )
+    mode = kind.split("-")[1]
+    make = (
+        (lambda: MotifCounting(3))
+        if mode == "vertex"
+        else (lambda: GraphMatching(batch[-1], induced=False))
+    )
+    return None, make, mode, partial(extensions, graph, mode), lambda words: len(words) < 3
+
+
+CONTRACT_GRAPHS = [BUNDLED[0], BUNDLED[1]]  # sparse rows / dense masks
+
+
+class TestStepperContract:
+    @pytest.mark.parametrize("kind", STEPPER_KINDS)
+    @pytest.mark.parametrize(
+        "name,factory", CONTRACT_GRAPHS, ids=[name for name, _ in CONTRACT_GRAPHS]
+    )
+    def test_advance_is_generate_then_check(self, name, factory, kind):
+        graph = factory()
+        plan, make_computation, mode, pool_of, grows = stepper_case(kind, graph)
+        stepper = make_stepper(plan, graph, mode)
+        zero_pool = stepper.zero_pool()
+        roots = [w for w in zero_pool if stepper.check(graph, (), w)]
+        stack = [(word,) for word in roots]
+        states = deepest = 0
+        while stack and states < 1500:
+            words = stack.pop()
+            states += 1
+            deepest = max(deepest, len(words))
+            pool = pool_of(words)
+            num_candidates, found, terminal = stepper.advance(words, False)
+            assert (num_candidates, list(found), terminal) == (
+                len(pool),
+                [w for w in pool if stepper.check(graph, words, w)],
+                False,
+            ), f"{kind}: advance diverges from generate-then-check at {words}"
+            stack.extend(
+                words + (w,) for w in found if grows(words + (w,))
+            )
+        assert roots and deepest > 1, f"{kind}: replay must leave step 0"
+        # zero_pool() is what step 0 partitions, whatever the worker count.
+        for workers in (1, 3):
+            step0 = run_computation(
+                graph,
+                make_computation(),
+                ArabesqueConfig(
+                    plan=plan, num_workers=workers, collect_outputs=False
+                ),
+            ).steps[0]
+            assert step0.candidates_generated == len(zero_pool)
+            assert step0.canonical_candidates == len(roots)
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    @pytest.mark.parametrize("storage", ["list", "odag"])
+    @pytest.mark.parametrize("kind", STEPPER_KINDS)
+    def test_profile_phases_changes_nothing_but_the_clock(
+        self, kind, storage, backend
+    ):
+        graph = _bounded_labels(mico_like(scale=0.001))
+        plan, make_computation, _, _, _ = stepper_case(kind, graph)
+
+        def run(profile):
+            config = ArabesqueConfig(
+                plan=plan,
+                storage=storage,
+                backend=backend,
+                num_workers=2,
+                profile_phases=profile,
+                collect_outputs=False,
+            )
+            return run_computation(graph, make_computation(), config)
+
+        timed, plain = run(True), run(False)
+        assert timed.canonical_signature() == plain.canonical_signature()
+        assert timed.steps == plain.steps  # every StepStats field
+        assert not plain.phase_totals()
+        # Phase seconds are summed over workers, which a process backend
+        # may run side by side.
+        overlap = 2 if backend == "process" else 1
+        for superstep in timed.metrics.supersteps:
+            phases = superstep.phase_seconds
+            assert phases.keys() <= set("WRGCP")
+            assert sum(phases.values()) <= superstep.wall_seconds * overlap
+        assert timed.metrics.supersteps[0].phase_seconds["P"] > 0
+
+    def test_step_zero_charges_canonicalization_to_P(self, monkeypatch):
+        # Paper Figure 12: P = pattern aggregation, W = the store write.
+        # Step 0 used to charge both to W.  Canonicalization is slowed by
+        # a known amount so the attribution is visible on any machine;
+        # CliqueFinding canonicalizes nowhere but the store tail.
+        nap = 0.002
+        real = PatternCanonicalizer.canonicalize
+
+        def slow(self, pattern):
+            time.sleep(nap)
+            return real(self, pattern)
+
+        monkeypatch.setattr(PatternCanonicalizer, "canonicalize", slow)
+        graph = strip_labels(gnm_random_graph(20, 40, seed=1))
+        run = run_computation(
+            graph, CliqueFinding(3), ArabesqueConfig(profile_phases=True)
+        )
+        slept = nap * run.steps[0].stored_embeddings
+        step0 = run.metrics.supersteps[0].phase_seconds
+        assert step0["P"] >= slept > step0["W"]
 
 
 def _engine_leaf_counts(graph, dag):

@@ -27,8 +27,6 @@ from repro.apps import (
     MotifCounting,
     match_vertex_sets,
     motif_counts,
-    run_matching,
-    single_motif_count,
 )
 from repro.core import ArabesqueConfig, Pattern, run_computation
 from repro.datasets import DATASETS
@@ -51,6 +49,7 @@ from repro.plan import (
     satisfies_restrictions,
     symmetry_breaking_restrictions,
 )
+from repro.session import Miner
 
 #: Scales keeping every bundled dataset in the few-hundred-vertex range so
 #: the exhaustive oracle stays fast.
@@ -110,6 +109,15 @@ def monomorphism_images(query: Pattern, graph: LabeledGraph) -> set[frozenset]:
 # ----------------------------------------------------------------------
 # Planner structure
 # ----------------------------------------------------------------------
+def both_runs(graph, query, induced=True):
+    """``(exhaustive, guided)`` raw runs of one match query."""
+    request = Miner(graph).match
+    return (
+        request(query, induced=induced).exhaustive().run().raw,
+        request(query, induced=induced).run().raw,
+    )
+
+
 class TestPlanner:
     def test_order_is_connected_and_complete(self):
         for name, shape in NAMED_SHAPES.items():
@@ -255,8 +263,7 @@ class TestCrossValidation:
     def test_triangle_on_every_bundled_dataset(self, dataset):
         graph = strip_labels(DATASETS[dataset](scale=DATASET_SCALES[dataset]))
         query = NAMED_SHAPES["triangle"]
-        exhaustive = run_matching(graph, query, induced=True, guided=False)
-        guided = run_matching(graph, query, induced=True, guided=True)
+        exhaustive, guided = both_runs(graph, query)
         assert match_vertex_sets(exhaustive) == match_vertex_sets(guided)
         assert exhaustive.num_outputs == guided.num_outputs
         oracle = distinct_embeddings(
@@ -272,8 +279,7 @@ class TestCrossValidation:
     def test_shapes_on_citeseer(self, shape, induced):
         graph = strip_labels(DATASETS["citeseer"](scale=0.1))
         query = NAMED_SHAPES[shape]
-        exhaustive = run_matching(graph, query, induced=induced, guided=False)
-        guided = run_matching(graph, query, induced=induced, guided=True)
+        exhaustive, guided = both_runs(graph, query, induced)
         assert match_vertex_sets(exhaustive) == match_vertex_sets(guided)
         if induced:
             oracle_count = len(
@@ -294,8 +300,7 @@ class TestCrossValidation:
         graph = assign_labels(gnm_random_graph(n, m, seed=seed), 2, seed=seed + 1)
         query = random_connected_pattern(seed + 2, max_vertices=4, labels=2)
         induced = bool(seed % 2)
-        exhaustive = run_matching(graph, query, induced=induced, guided=False)
-        guided = run_matching(graph, query, induced=induced, guided=True)
+        exhaustive, guided = both_runs(graph, query, induced)
         assert match_vertex_sets(exhaustive) == match_vertex_sets(guided)
         if induced:
             oracle_count = len(
@@ -311,15 +316,14 @@ class TestCrossValidation:
         graph = assign_labels(gnm_random_graph(12, 20, seed=9), 3, seed=2)
         label = graph.vertex_label(0)
         query = Pattern((label,), ())
-        guided = run_matching(graph, query, induced=True, guided=True)
-        exhaustive = run_matching(graph, query, induced=True, guided=False)
+        exhaustive, guided = both_runs(graph, query)
         expected = sorted(
             (v,) for v in graph.vertices() if graph.vertex_label(v) == label
         )
         assert match_vertex_sets(guided) == expected
         assert match_vertex_sets(exhaustive) == expected
 
-    def test_single_motif_count_agrees_with_motif_distribution(self):
+    def test_single_motif_match_count_agrees_with_motif_distribution(self):
         graph = strip_labels(gnm_random_graph(25, 60, seed=17))
         distribution = motif_counts(
             run_computation(graph, MotifCounting(4), ArabesqueConfig())
@@ -327,11 +331,9 @@ class TestCrossValidation:
         for name in ("triangle", "wedge", "square", "diamond"):
             canonical = NAMED_SHAPES[name].canonical()
             expected = distribution.get(canonical, 0)
-            assert single_motif_count(graph, NAMED_SHAPES[name]) == expected
-            assert (
-                single_motif_count(graph, NAMED_SHAPES[name], guided=False)
-                == expected
-            )
+            match = Miner(graph).match
+            assert match(NAMED_SHAPES[name]).count() == expected
+            assert match(NAMED_SHAPES[name]).exhaustive().count() == expected
 
 
 # ----------------------------------------------------------------------
@@ -346,9 +348,7 @@ class TestGuidedDeterminism:
             per_worker = {}
             for workers in (1, 2, 5):
                 config = ArabesqueConfig(num_workers=workers, backend=backend)
-                result = run_matching(
-                    graph, query, induced=True, guided=True, config=config
-                )
+                result = Miner(graph).match(query).config(config).run().raw
                 per_worker[workers] = result.canonical_signature()
                 cross_everything.add(
                     result.canonical_signature(ignore_output_order=True)
@@ -359,13 +359,10 @@ class TestGuidedDeterminism:
     def test_process_backend_matches_serial(self):
         graph = strip_labels(gnm_random_graph(30, 70, seed=29))
         query = NAMED_SHAPES["triangle"]
-        serial = run_matching(
-            graph, query, induced=True, guided=True,
-            config=ArabesqueConfig(num_workers=2, backend="serial"),
-        )
-        process = run_matching(
-            graph, query, induced=True, guided=True,
-            config=ArabesqueConfig(num_workers=2, backend="process"),
+        serial, process = (
+            Miner(graph).match(query)
+            .config(ArabesqueConfig(num_workers=2, backend=backend)).run().raw
+            for backend in ("serial", "process")
         )
         assert serial.canonical_signature() == process.canonical_signature()
 
@@ -373,11 +370,9 @@ class TestGuidedDeterminism:
     def test_storage_modes_agree(self, storage):
         graph = strip_labels(gnm_random_graph(30, 80, seed=31))
         query = NAMED_SHAPES["diamond"]
-        result = run_matching(
-            graph, query, induced=False, guided=True,
-            config=ArabesqueConfig(storage=storage),
-        )
-        oracle = run_matching(graph, query, induced=False, guided=False)
+        request = Miner(graph).match(query, induced=False)
+        result = request.config(ArabesqueConfig(storage=storage)).run().raw
+        oracle = Miner(graph).match(query, induced=False).exhaustive().run().raw
         assert match_vertex_sets(result) == match_vertex_sets(oracle)
 
 
@@ -415,24 +410,20 @@ class TestPlanConfig:
         graph = strip_labels(gnm_random_graph(15, 30, seed=3))
         query = NAMED_SHAPES["triangle"]
         plan = compile_plan(query.canonical(), induced=True)
-        with_plan = run_matching(
-            graph, query, induced=True, guided=True, plan=plan
-        )
-        without_plan = run_matching(graph, query, induced=True, guided=True)
+        miner = Miner(graph)
+        with_plan = miner.match(query).plan(plan).run().raw
+        without_plan = miner.match(query).run().raw
         assert with_plan.canonical_signature() == without_plan.canonical_signature()
         with pytest.raises(ValueError):
-            run_matching(graph, query, induced=False, guided=True, plan=plan)
+            miner.match(query, induced=False).plan(plan)
         # Pairing a plan compiled from a different query must fail loudly
         # instead of returning the other pattern's matches.
         with pytest.raises(ValueError, match="different query"):
-            run_matching(
-                graph, NAMED_SHAPES["square"], induced=True, guided=True,
-                plan=plan,
-            )
-        # A plan with guided=False signals caller confusion — reject it
-        # rather than silently running the exhaustive path.
-        with pytest.raises(ValueError, match="guided=False"):
-            run_matching(graph, query, induced=True, guided=False, plan=plan)
+            miner.match(NAMED_SHAPES["square"]).plan(plan)
+        # A plan on an exhaustive query signals caller confusion — reject
+        # it rather than silently running the exhaustive path.
+        with pytest.raises(ValueError, match="conflicts"):
+            miner.match(query).exhaustive().plan(plan)
 
     def test_disconnected_query_rejected_by_both_modes(self):
         from repro.apps import GraphMatching
@@ -444,17 +435,15 @@ class TestPlanConfig:
         with pytest.raises(PlanError):
             compile_plan(disconnected)
 
-    def test_run_matching_strips_plan_for_exhaustive(self):
-        plan = compile_plan(NAMED_SHAPES["triangle"])
+    def test_exhaustive_query_strips_a_plan_carried_by_its_config(self):
+        plan = compile_plan(NAMED_SHAPES["triangle"].canonical())
         graph = strip_labels(gnm_random_graph(12, 25, seed=2))
         config = ArabesqueConfig(plan=plan)
-        exhaustive = run_matching(
-            graph, NAMED_SHAPES["triangle"], guided=False, config=config
-        )
-        guided = run_matching(
-            graph, NAMED_SHAPES["triangle"], guided=True, config=config
-        )
-        assert match_vertex_sets(exhaustive) == match_vertex_sets(guided)
+        request = Miner(graph).match
+        exhaustive = request("triangle").config(config).exhaustive().run()
+        guided = request("triangle").config(config).run()
+        assert exhaustive.raw.total_batched == 0  # really the oracle path
+        assert exhaustive.vertex_sets() == guided.vertex_sets()
 
     def test_mismatched_computation_and_config_plans_rejected(self):
         graph = strip_labels(gnm_random_graph(10, 20, seed=4))

@@ -29,8 +29,6 @@ from repro.apps import (
     frequent_patterns,
     match_vertex_sets,
     motif_counts,
-    run_matching,
-    single_motif_count,
 )
 from repro.core import (
     ArabesqueConfig,
@@ -238,37 +236,36 @@ class TestLegacyEquivalence:
         assert facade.signature() == legacy.canonical_signature()
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_guided_match_equivalent_to_legacy_helper(self, graph, backend):
+    def test_guided_match_chained_options_equal_explicit_config(self, graph, backend):
         # Storage pinned to the facade's guided default (list): output
         # *order* at multi-worker runs is only guaranteed byte-identical
         # at a fixed storage mode (the multiset always agrees).
         config = ArabesqueConfig(num_workers=2, backend=backend, storage="list")
         query = NAMED_SHAPES["square"]
-        legacy = run_matching(
-            strip_labels(graph), query, guided=True, config=config
-        )
+        explicit = Miner(strip_labels(graph)).match(query).config(config).run()
         facade = (
             Miner(graph).match(query).unlabeled()
             .workers(2).backend(backend).run()
         )
-        assert facade.signature() == legacy.canonical_signature()
+        assert facade.signature() == explicit.signature()
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_exhaustive_match_equivalent_to_legacy_helper(self, graph, backend):
+    def test_exhaustive_match_chained_options_equal_explicit_config(self, graph, backend):
         config = ArabesqueConfig(num_workers=2, backend=backend)
         query = NAMED_SHAPES["triangle"]
-        legacy = run_matching(
-            strip_labels(graph), query, guided=False, config=config
+        explicit = (
+            Miner(strip_labels(graph)).match(query).config(config)
+            .exhaustive().run()
         )
         facade = (
             Miner(graph).match(query).unlabeled().exhaustive()
             .workers(2).backend(backend).run()
         )
-        assert facade.signature() == legacy.canonical_signature()
+        assert facade.signature() == explicit.signature()
 
     def test_guided_match_equivalent_to_direct_engine_wiring(self, graph):
-        # Equivalence against the raw engine path (not the wrapper, which
-        # itself delegates to the facade): GuidedMatching + config.plan.
+        # Equivalence against the raw engine path: GuidedMatching +
+        # config.plan.
         query = NAMED_SHAPES["square"].canonical()
         plan = compile_plan(query, induced=True)
         legacy = run_computation(
@@ -328,11 +325,11 @@ class TestLegacyEquivalence:
         assert isinstance(facade, MiningResult)
         assert facade.signature() == legacy.canonical_signature()
 
-    def test_count_matches_single_motif_count(self, graph):
-        stripped = strip_labels(graph)
+    def test_count_matches_exhaustive_count(self, graph):
+        match = Miner(strip_labels(graph)).match
         for name in ("triangle", "wedge", "square"):
-            legacy = single_motif_count(stripped, NAMED_SHAPES[name])
-            assert Miner(stripped).match(NAMED_SHAPES[name]).count() == legacy
+            oracle = match(NAMED_SHAPES[name]).exhaustive().count()
+            assert match(NAMED_SHAPES[name]).count() == oracle
 
     def test_guided_default_agrees_with_exhaustive_opt_out(self, miner):
         guided = miner.match("square").unlabeled().run()
@@ -388,17 +385,18 @@ class TestSessionCaching:
         assert miner.cache_info().plan_compilations == 2
 
     def test_reused_session_skips_step0_setup(self, miner, monkeypatch):
-        import repro.core.engine as engine_module
+        # Engine-built step-0 pools come from the exhaustive stepper.
+        import repro.plan.stepper as stepper_module
 
         calls = []
-        real_initial = engine_module.initial_candidates
+        real_initial = stepper_module.initial_candidates
 
         def counting_initial(graph, mode):
             calls.append(mode)
             return real_initial(graph, mode)
 
         monkeypatch.setattr(
-            engine_module, "initial_candidates", counting_initial
+            stepper_module, "initial_candidates", counting_initial
         )
         # Session-path universes come from repro.session.miner's import.
         import repro.session.miner as miner_module
@@ -531,32 +529,6 @@ class TestResultViews:
         exact = miner.cliques(3, min_size=1).run().num_outputs
         assert query.count() == exact > 5
         assert len(query.run().outputs) == 5  # the cap still holds for run()
-
-
-# ---------------------------------------------------------------------------
-# Deprecated wrappers still behave (and warn)
-# ---------------------------------------------------------------------------
-class TestDeprecatedWrappers:
-    def test_run_matching_warns_but_delegates(self, graph):
-        stripped = strip_labels(graph)
-        with pytest.warns(DeprecationWarning, match="Miner"):
-            legacy = run_matching(stripped, NAMED_SHAPES["triangle"])
-        facade = Miner(stripped).match("triangle").exhaustive().run()
-        assert facade.signature() == legacy.canonical_signature()
-
-    def test_single_motif_count_warns_but_delegates(self, graph):
-        stripped = strip_labels(graph)
-        with pytest.warns(DeprecationWarning, match="Miner"):
-            count = single_motif_count(stripped, NAMED_SHAPES["wedge"])
-        assert count == Miner(stripped).match("wedge").count()
-
-    def test_run_matching_still_rejects_plan_without_guided(self, graph):
-        plan = compile_plan(NAMED_SHAPES["triangle"])
-        with pytest.raises(ValueError, match="guided=False"):
-            run_matching(
-                strip_labels(graph), NAMED_SHAPES["triangle"],
-                guided=False, plan=plan,
-            )
 
 
 # ---------------------------------------------------------------------------

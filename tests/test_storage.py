@@ -151,6 +151,7 @@ class TestSpillStoreSurface:
 class TestFactory:
     def test_make_store(self):
         assert isinstance(make_store("odag"), OdagStore)
+        assert isinstance(make_store("adaptive"), OdagStore)  # ODAG in memory
         assert isinstance(make_store("list"), ListStore)
         with pytest.raises(ValueError):
             make_store("bogus")

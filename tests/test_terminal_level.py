@@ -48,7 +48,7 @@ from repro.graph.bitset import from_bitset
 from repro.plan import NAMED_SHAPES, build_plan_dag, compile_plan, restrict_dag
 from repro.plan.dag import DagStepper
 from repro.plan.fsm_guide import single_edge_candidates
-from repro.plan.guided import SMALL_POOL_DEGREE, guided_advance, guided_survivors
+from repro.plan.guided import SMALL_POOL_DEGREE, PlanStepper, guided_survivors
 from repro.plan.planner import restrict_plan
 
 
@@ -371,14 +371,13 @@ class TestPoolDegreeBoundary:
     def test_single_plan_mask_equals_survivors(self):
         graph = strip_labels(small_labeled(edges=200))
         plan = compile_plan(NAMED_SHAPES["square"].canonical())
+        stepper = PlanStepper(plan, graph)
         for u in list(graph.vertices())[:10]:
             for v in graph.neighbors(u)[:4]:
                 for words in [(u, v)] + [(u, v, w) for w in graph.neighbors(v)[:3]]:
                     expected = guided_survivors(plan, graph, words)
-                    assert guided_advance(plan, graph, words, False) == (
-                        *expected, False
-                    )
-                    count, found, terminal = guided_advance(plan, graph, words, True)
+                    assert stepper.advance(words, False) == (*expected, False)
+                    count, found, terminal = stepper.advance(words, True)
                     assert terminal == (len(words) == 3) and count == expected[0]
                     if terminal:
                         bits = sum(1 << w for w in expected[1])
