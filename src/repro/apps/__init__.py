@@ -12,7 +12,6 @@ from .fsm import (
     FrequentSubgraphMining,
     GuidedFSMLevel,
     GuidedFSMResult,
-    GuidedPatternDomains,
     frequent_patterns,
     run_guided_fsm,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "GuidedFSMResult",
     "GuidedMatching",
     "GuidedMotifsRun",
-    "GuidedPatternDomains",
     "InexactMatching",
     "MaximalCliqueFinding",
     "MotifCounting",

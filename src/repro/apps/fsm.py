@@ -153,57 +153,6 @@ def _map_terminal_domain(
     computation.map(plan.pattern, Domain(match_mapping(plan, sets)))
 
 
-class GuidedPatternDomains(Computation):
-    """Discover one candidate pattern's embeddings plan-guided and
-    accumulate its MNI domains from the matches.
-
-    Run with ``config.plan`` set to the same plan (:func:`run_guided_fsm`
-    wires this up).  Every full-size embedding is a symmetry-unique
-    monomorphism representative by construction, so ``process`` only has
-    to translate the plan-ordered words into a match mapping and map a
-    singleton :class:`~repro.apps.support.Domain` to the candidate's
-    canonical pattern — the aggregation channel merges domains per worker
-    and across workers, and the merged domain lands in
-    ``final_aggregates[plan.pattern]``.  No per-embedding output is
-    emitted and nothing survives the final store, so the run never
-    materializes the embedding set.
-
-    Support read-out folds the canonical pattern's automorphism orbits
-    (:meth:`Domain.support`), which restores the images the symmetry
-    restrictions deduplicated away (see :mod:`repro.plan.fsm_guide`).
-    """
-
-    exploration_mode = VERTEX_EXPLORATION
-    plan_compatible = True
-
-    def __init__(self, plan: MatchingPlan):
-        super().__init__()
-        if plan.induced:
-            raise ValueError(
-                "FSM candidate plans must use monomorphic semantics "
-                "(compile with induced=False); edge-based embeddings are "
-                "monomorphism images"
-            )
-        self.plan = plan
-
-    def process(self, embedding: Embedding) -> None:
-        if embedding.size != self.plan.num_steps:
-            return
-        mapping = match_mapping(self.plan, embedding.words)
-        self.note_domain_hits(len(mapping))
-        self.map(self.plan.pattern, Domain.from_mapping(mapping))
-
-    def process_terminal(self, words, member_masks) -> None:
-        for _, mask in member_masks:
-            _map_terminal_domain(self, self.plan, words, mask)
-
-    def reduce(self, key, domains: list[Domain]) -> Domain:
-        return Domain.merge_all(domains)
-
-    def termination_filter(self, embedding: Embedding) -> bool:
-        return embedding.size >= self.plan.num_steps
-
-
 class DagPatternDomains(Computation):
     """Discover one candidate *batch*'s embeddings through a multi-query
     DAG and accumulate per-candidate MNI domains in a single run.

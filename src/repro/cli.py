@@ -46,13 +46,14 @@ level's surviving candidates into one DAG run.  Both accept
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .core import BACKENDS, SERIAL_BACKEND, STORAGE_MODES
 from .datasets import DATASETS, UnknownDatasetError, dataset_statistics, resolve
 from .graph import LabeledGraph
-from .plan import NAMED_SHAPES
-from .session import Miner, Query
+from .plan import NAMED_SHAPES, resolve_query
+from .session import Miner, QuerySpec
 
 
 def load_graph(spec: str, scale: float | None) -> LabeledGraph:
@@ -76,34 +77,24 @@ def open_session(args: argparse.Namespace) -> Miner:
     return Miner(load_graph(args.graph, args.scale))
 
 
-def configure(query: Query, args: argparse.Namespace) -> Query:
-    """Chain the shared CLI flags onto a facade query.
+def spec_from_args(args: argparse.Namespace) -> QuerySpec:
+    """The mining subcommand's namespace -> one validated query spec.
 
-    Handles the flags every subcommand shares — workers, backend, storage
-    — plus the per-command ones when present: ``--labeled`` (subcommands
-    that default to label-stripped runs chain ``.unlabeled()`` unless the
-    flag is given) and ``--limit``.
+    Every flag a mining subcommand defines is stored under the spec
+    field it sets (``--num-workers`` -> ``workers``, ``--exhaustive`` ->
+    ``exhaustive``, ``--monomorphic`` -> ``induced=False``, ...), so the
+    mapping is "copy the fields the subcommand has"; flags a subcommand
+    lacks keep the spec's defaults.  The spec's rules then reject bad
+    values exactly as they do for the facade and the service.
     """
-    query.workers(args.workers).backend(args.backend)
-    if args.storage is not None:
-        query.storage(args.storage)
-    if getattr(args, "checkpoint_dir", None) is not None:
-        query.checkpoint(args.checkpoint_dir)
-    if not getattr(args, "labeled", True):
-        query.unlabeled()
-    limit = getattr(args, "limit", None)
-    if limit is not None:
-        query.limit(limit)
-    return query
-
-
-def _print_clique_sizes(result, verbose: bool) -> None:
-    for size, cliques in sorted(result.by_size().items()):
-        kind = "maximal cliques" if result.maximal else "cliques"
-        print(f"size {size}: {len(cliques):,} {kind}")
-        if verbose:
-            for clique in cliques[:10]:
-                print(f"  {clique}")
+    fields = {
+        field.name: getattr(args, field.name)
+        for field in dataclasses.fields(QuerySpec)
+        if hasattr(args, field.name)
+    }
+    if hasattr(args, "query"):
+        fields["pattern"] = resolve_query(args.query)
+    return QuerySpec(**fields)
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -114,150 +105,49 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_motifs(args: argparse.Namespace) -> int:
+def cmd_mine(args: argparse.Namespace) -> int:
+    """Every mining subcommand: namespace -> spec -> run -> print."""
     session = open_session(args)
-    # One handler for the whole distribution layer: guided + collect-style
-    # flag conflicts exit cleanly with the facade's loud SessionError
-    # instead of dumping a traceback (mirrors cmd_match).
+    # One handler for the whole query layer: bad option values, unknown
+    # shapes, malformed pattern files, disconnected queries, guided +
+    # collect-style conflicts and labeled queries against a stripped
+    # graph all exit cleanly with the spec's or the facade's message
+    # instead of dumping a traceback.
     try:
-        query = session.motifs(max_size=args.max_size)
-        if not args.guided:
-            query.exhaustive()
-        configure(query, args)
-        if args.limit is None:
-            query.collect(False)
-        result = query.run()
-    except ValueError as exc:  # SessionError is a ValueError
-        raise SystemExit(f"error: {exc}")
-    mode = "guided" if result.guided else "exhaustive"
-    if result.guided and result.dag is not None:
-        print(f"dag: {result.dag.describe()}")
-    print(f"motifs ({mode}): max size {args.max_size}")
-    for pattern, count in sorted(
-        result.counts().items(),
-        key=lambda kv: (kv[0].num_vertices, -kv[1]),
-    ):
-        edges = ",".join(f"{i}-{j}" for i, j, _ in pattern.edges)
-        print(f"motif v={pattern.num_vertices} edges=[{edges}] count={count:,}")
-    print(result.summary())
-    return 0
-
-
-def cmd_cliques(args: argparse.Namespace) -> int:
-    session = open_session(args)
-    if args.maximal:
-        query = session.maximal_cliques(max_size=args.max_size)
-    else:
-        query = session.cliques(max_size=args.max_size, min_size=args.min_size)
-    result = configure(query, args).run()
-    _print_clique_sizes(result, args.verbose)
-    print(result.summary())
-    return 0
-
-
-def cmd_maximal_cliques(args: argparse.Namespace) -> int:
-    session = open_session(args)
-    result = configure(session.maximal_cliques(max_size=args.max_size), args).run()
-    _print_clique_sizes(result, args.verbose)
-    print(result.summary())
-    return 0
-
-
-def cmd_fsm(args: argparse.Namespace) -> int:
-    session = open_session(args)
-    query = configure(
-        session.fsm(args.support, max_edges=args.max_edges), args
-    )
-    if not args.guided:
-        query.exhaustive()
-    result = query.collect(False).run()
-    mode = "guided" if result.guided else "exhaustive"
-    print(
-        f"fsm ({mode}): support >= {args.support}, "
-        f"{len(result.patterns())} frequent patterns"
-    )
-    # repr tiebreak: identical output for identical tables regardless of
-    # the strategy's table insertion order (guided vs exhaustive).
-    for pattern, support in sorted(
-        result.patterns().items(),
-        key=lambda kv: (kv[0].num_edges, -kv[1], repr(kv[0])),
-    ):
-        labels = "/".join(map(str, pattern.vertex_labels))
-        edges = ",".join(f"{i}-{j}" for i, j, _ in pattern.edges)
-        print(f"pattern labels=[{labels}] edges=[{edges}] support={support}")
-    print(result.summary())
-    return 0
-
-
-def cmd_match(args: argparse.Namespace) -> int:
-    session = open_session(args)
-    induced = not args.monomorphic
-    # One handler for the whole matching layer: unknown shapes, malformed
-    # pattern files, disconnected queries, and labeled queries against a
-    # stripped graph all exit cleanly instead of dumping a traceback.
-    try:
-        if args.explain:
+        spec = spec_from_args(args)
+        if getattr(args, "explain", False):
             print(
                 session.explain(
-                    args.query, induced=induced, labeled=args.labeled
+                    spec.pattern, induced=spec.induced, labeled=spec.labeled
                 )
             )
-        query = configure(session.match(args.query, induced=induced), args)
-        if not args.guided:
-            query.exhaustive()
-        result = query.run()
-        if result.guided:
-            print(f"plan: {result.plan.describe()}")
+        result = session.query(spec).run()
     except ValueError as exc:  # SessionError is a ValueError
         raise SystemExit(f"error: {exc}")
-    mode = "guided" if result.guided else "exhaustive"
-    semantics = "induced" if induced else "monomorphic"
-    print(
-        f"query {args.query!r} ({semantics}, {mode}): "
-        f"{result.num_matches:,} matches, "
-        f"{result.raw.total_candidates:,} candidates generated"
-    )
-    if args.verbose:
-        for match in result.vertex_sets()[:20]:
-            print(f"  {match}")
+    # Request echo (needs the user's own spelling), then the view's body.
+    mode = "exhaustive" if spec.exhaustive else "guided"
+    if spec.workload == "motifs":
+        if result.dag is not None:
+            print(f"dag: {result.dag.describe()}")
+        print(f"motifs ({mode}): max size {spec.max_size}")
+    elif spec.workload == "match":
+        if result.guided:
+            print(f"plan: {result.plan.describe()}")
+        semantics = "induced" if spec.induced else "monomorphic"
+        print(
+            f"query {args.query!r} ({semantics}, {mode}): "
+            f"{result.num_matches:,} matches, "
+            f"{result.total_candidates:,} candidates generated"
+        )
+    for line in result.lines(getattr(args, "verbose", False)):
+        print(line)
     print(result.summary())
     return 0
-
-
-def _resumed_view(computation, raw):
-    """Wrap a resumed engine record in the workload-matched result view,
-    so ``resume`` prints the same body lines as the original command."""
-    from .apps import (
-        CliqueFinding,
-        FrequentSubgraphMining,
-        MaximalCliqueFinding,
-        MotifCounting,
-    )
-    from .apps.motifs import DagMotifCounting
-    from .session.results import CliqueResult, FSMResult, MiningResult, MotifResult
-
-    if isinstance(computation, MaximalCliqueFinding):
-        return CliqueResult(raw, maximal=True)
-    if isinstance(computation, CliqueFinding):
-        return CliqueResult(raw)
-    if isinstance(computation, DagMotifCounting):
-        # Both motif strategies expose the identical aggregate surface.
-        return MotifResult(raw, guided=True)
-    if isinstance(computation, MotifCounting):
-        return MotifResult(raw, guided=False)
-    if isinstance(computation, FrequentSubgraphMining):
-        return FSMResult(
-            raw,
-            support_threshold=computation.support_threshold,
-            guided=False,
-        )
-    return MiningResult(raw)
 
 
 def cmd_resume(args: argparse.Namespace) -> int:
-    import dataclasses
-
     from .checkpoint import CheckpointError, load_latest
+    from .session.results import view_for
 
     session = open_session(args)
     # Semantics (storage mode, budgets, the plan) come from the snapshot;
@@ -278,21 +168,9 @@ def cmd_resume(args: argparse.Namespace) -> int:
         f"resumed from barrier {payload['step']} "
         f"({payload['processed_total']:,} embeddings already processed)"
     )
-    view = _resumed_view(payload["computation"], result)
-    if hasattr(view, "maximal"):  # clique views share the size printer
-        _print_clique_sizes(view, verbose=False)
-    elif hasattr(view, "counts"):
-        for pattern, count in sorted(
-            view.counts().items(),
-            key=lambda kv: (kv[0].num_vertices, -kv[1]),
-        ):
-            edges = ",".join(f"{i}-{j}" for i, j, _ in pattern.edges)
-            print(f"motif v={pattern.num_vertices} edges=[{edges}] count={count:,}")
-    elif hasattr(view, "patterns"):
-        print(
-            f"fsm: support >= {view.support_threshold}, "
-            f"{len(view.patterns())} frequent patterns"
-        )
+    view = view_for(payload["computation"], result)
+    for line in view.lines():
+        print(line)
     print(view.summary())
     return 0
 
@@ -381,14 +259,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="keep vertex labels (labeled motifs)")
     motif_strategy = motifs.add_mutually_exclusive_group()
     motif_strategy.add_argument(
-        "--guided", dest="guided", action="store_true", default=True,
+        "--guided", dest="exhaustive", action="store_false", default=False,
         help="compile every motif candidate of the size range into ONE "
              "multi-query plan DAG (shared-prefix exploration, symmetry "
              "breaking per motif) and answer the whole distribution in "
              "one guided engine run (default)",
     )
     motif_strategy.add_argument(
-        "--exhaustive", dest="guided", action="store_false",
+        "--exhaustive", dest="exhaustive", action="store_true",
         help="exploration-agnostic filter-process counting — the oracle "
              "the guided mode is validated against",
     )
@@ -398,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
              "aggregate the distribution and reject this loudly, exactly "
              "like the facade)",
     )
-    motifs.set_defaults(handler=cmd_motifs)
+    motifs.set_defaults(handler=cmd_mine, workload="motifs")
 
     cliques = subparsers.add_parser("cliques", help="enumerate cliques")
     common(cliques)
@@ -409,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     cliques.add_argument("--limit", type=int, default=100_000,
                          help="cap on collected cliques")
     cliques.add_argument("--verbose", action="store_true")
-    cliques.set_defaults(handler=cmd_cliques)
+    cliques.set_defaults(handler=cmd_mine, workload="cliques")
 
     maximal = subparsers.add_parser(
         "maximal-cliques",
@@ -422,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     maximal.add_argument("--limit", type=int, default=100_000,
                          help="cap on collected cliques")
     maximal.add_argument("--verbose", action="store_true")
-    maximal.set_defaults(handler=cmd_maximal_cliques)
+    maximal.set_defaults(handler=cmd_mine, workload="cliques", maximal=True)
 
     match = subparsers.add_parser(
         "match", help="retrieve all occurrences of a query pattern"
@@ -437,18 +315,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     strategy = match.add_mutually_exclusive_group()
     strategy.add_argument(
-        "--guided", dest="guided", action="store_true", default=True,
+        "--guided", dest="exhaustive", action="store_false", default=False,
         help="compile the query into a pattern-aware exploration plan "
              "(matching order + symmetry breaking) and only generate "
              "plan-compatible candidates (default)",
     )
     strategy.add_argument(
-        "--exhaustive", dest="guided", action="store_false",
+        "--exhaustive", dest="exhaustive", action="store_true",
         help="exploration-agnostic filter-process matching — the oracle "
              "the guided mode is validated against",
     )
     match.add_argument(
-        "--monomorphic", action="store_true",
+        "--monomorphic", dest="induced", action="store_false",
         help="edge-subset (monomorphism) semantics instead of "
              "vertex-induced occurrences",
     )
@@ -467,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
              "cardinality estimates, and the comparison against the "
              "degree heuristic's order",
     )
-    match.set_defaults(handler=cmd_match)
+    match.set_defaults(handler=cmd_mine, workload="match")
 
     fsm = subparsers.add_parser("fsm", help="frequent subgraph mining")
     common(fsm)
@@ -476,19 +354,19 @@ def build_parser() -> argparse.ArgumentParser:
     fsm.add_argument("--max-edges", type=int, default=None)
     fsm_strategy = fsm.add_mutually_exclusive_group()
     fsm_strategy.add_argument(
-        "--guided", dest="guided", action="store_true", default=True,
+        "--guided", dest="exhaustive", action="store_false", default=False,
         help="plan-guided FSM (default): grow candidate patterns "
              "level-wise and discover each one's embeddings through its "
              "compiled exploration plan, accumulating MNI domains from "
              "the guided matches",
     )
     fsm_strategy.add_argument(
-        "--exhaustive", dest="guided", action="store_false",
+        "--exhaustive", dest="exhaustive", action="store_true",
         help="one exploration-agnostic edge-exploration run covering "
              "every pattern at once — the oracle the guided mode is "
              "validated against",
     )
-    fsm.set_defaults(handler=cmd_fsm)
+    fsm.set_defaults(handler=cmd_mine, workload="fsm")
 
     resume = subparsers.add_parser(
         "resume",

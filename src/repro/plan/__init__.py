@@ -37,7 +37,6 @@ from .dag import (
 )
 from .fsm_guide import (
     compile_candidate_dag,
-    compile_candidate_plan,
     domain_sets_from_matches,
     label_triples,
     mni_support_from_domains,
@@ -82,7 +81,6 @@ __all__ = [
     "choose_order",
     "estimate_order",
     "compile_candidate_dag",
-    "compile_candidate_plan",
     "compile_plan",
     "dag_survivors",
     "restrict_dag",

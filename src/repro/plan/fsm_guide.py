@@ -1,12 +1,13 @@
-"""Per-candidate plan compilation and MNI domains for plan-guided FSM.
+"""Candidate-batch DAG compilation and MNI domains for plan-guided FSM.
 
 GraMi pairs level-wise candidate generation with a per-pattern CSP/VFLib
 matcher; this module is the same pairing for the planner subsystem: each
-FSM candidate pattern is compiled into a monomorphic
-:class:`~repro.plan.planner.MatchingPlan` and its embeddings are
-discovered through the guided-candidate runtime path, with
-minimum-node-image domains accumulated directly from guided matches —
-no full embedding store is materialized and re-aggregated.
+level's candidate patterns are compiled into one monomorphic multi-query
+:class:`~repro.plan.dag.PlanDAG` (one member
+:class:`~repro.plan.planner.MatchingPlan` per candidate) and their
+embeddings are discovered through the guided-candidate runtime path,
+with minimum-node-image domains accumulated directly from guided matches
+— no full embedding store is materialized and re-aggregated.
 
 Invariants this module relies on (and preserves):
 
@@ -42,32 +43,13 @@ from ..core.pattern import Pattern
 from ..graph import LabeledGraph
 from .dag import PlanDAG, build_plan_dag
 from .guided import match_mapping
-from .planner import MatchingPlan, PlanError, compile_plan
+from .planner import MatchingPlan, PlanError
 
 #: A plan-DAG source for a whole level's candidate batch (canonical
 #: patterns, deterministic order).  The default compiles fresh with a
 #: per-run memo; a session passes its cross-query DAG cache so repeated
 #: runs recompile nothing.
 DagProvider = Callable[[tuple[Pattern, ...]], PlanDAG]
-
-
-def compile_candidate_plan(
-    pattern: Pattern, *, catalog=None
-) -> MatchingPlan:
-    """Compile one FSM candidate pattern into its guided matching plan.
-
-    The pattern must be canonical (candidates from this module always
-    are) and connected; the plan uses monomorphic semantics, matching
-    edge-based FSM embedding semantics.  ``catalog`` (a
-    :class:`~repro.plan.stats.GraphCatalog`) switches the matching-order
-    choice to the cost-based search — results are identical either way.
-    """
-    if not pattern.is_canonical():
-        raise PlanError(
-            "FSM candidate plans are cached by canonical pattern; "
-            "canonicalize the candidate before compiling"
-        )
-    return compile_plan(pattern, induced=False, catalog=catalog)
 
 
 def compile_candidate_dag(

@@ -6,9 +6,10 @@ Three layers, each usable on its own:
   :class:`~repro.session.Miner` per named graph (memory-accounted LRU
   eviction) plus a whole-result cache keyed by canonical query
   signatures.
-* :mod:`~repro.service.queries` — :class:`QuerySpec` parses/validates
-  JSON requests, derives the cache-key signatures, and runs specs
-  through the session facade.
+* :mod:`~repro.service.queries` — deserializes JSON requests into the
+  session's validated :class:`QuerySpec` (which derives the cache-key
+  signatures), runs specs through :meth:`Miner.query
+  <repro.session.Miner.query>` and splits payloads into NDJSON rows.
 * :mod:`~repro.service.server` — :class:`QueryService` adds admission
   control (bounded pool, default budgets) and the asyncio HTTP/NDJSON
   transport; :func:`start_in_background` hosts it in-process for tests
@@ -20,7 +21,6 @@ See ``docs/service.md`` for the endpoint and semantics reference.
 from .queries import (
     WORKLOADS,
     QuerySpec,
-    build_query,
     encode_result,
     parse_pattern,
     parse_request,
@@ -51,7 +51,6 @@ __all__ = [
     "ServiceStats",
     "UnknownGraphError",
     "WORKLOADS",
-    "build_query",
     "encode_result",
     "parse_pattern",
     "parse_request",

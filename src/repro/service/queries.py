@@ -1,47 +1,45 @@
-"""Typed query specs: JSON request -> canonical signature -> facade run.
+"""The network surface of a query: JSON request -> spec -> payload.
 
-One :class:`QuerySpec` is the service's unit of work — a parsed,
-validated description of a mining query against one pooled graph.  It
-splits cleanly into two halves:
+A query is validated in exactly one place — the session's frozen
+:class:`~repro.session.spec.QuerySpec`, which the CLI and the fluent
+facade build too — so this module keeps only what a *network* surface
+needs on top of it:
 
-* **semantic fields** (workload, its parameters, labeled/exhaustive
-  semantics, the output cap) feed the **canonical signatures** the
-  whole-result cache keys on.  Patterns are canonicalized before
-  signing, so ``"triangle"`` and an equivalent explicit edge list are
-  the *same* cache entry.  Execution-only knobs — workers, backend,
-  storage, budgets — are deliberately **excluded**: the engine's results
-  are byte-identical across all of them (the determinism property the
-  test suite enforces), so including them would only fragment the cache.
-* **execution fields** (workers/backend/storage, deadline and embedding
-  budgets, streaming) steer *how* the run happens, chained onto the
-  facade query verbatim.
+* **unknown-key rejection** per workload, with the allowed spelling
+  listed;
+* :func:`parse_pattern` — query patterns arrive as outside input (a
+  named shape or an explicit edge list; file paths are refused);
+* the JSON key -> spec field mapping (``query`` -> ``pattern``,
+  ``deadline_ms`` -> ``deadline_seconds``).
 
-Parsing is loud: unknown keys, wrong types, unknown shapes, or options a
-workload cannot take all raise :class:`~repro.service.registry.ServiceError`
-with the allowed spelling listed — the server maps those to 400s.
+Every option rule (types, ranges, ``backend``/``storage`` domains, which
+workload takes which parameter) runs inside ``QuerySpec`` *before* the
+server admits the request or consults its result cache, so a bad option
+is a 400 whether or not the semantic query happens to be cached.  The
+spec also derives the canonical signatures the whole-result cache keys
+on; see its module docstring for the semantic/execution field split.
+
+Parsing is loud: every failure raises
+:class:`~repro.service.registry.ServiceError` — the server maps those
+to 400s.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Iterator
 
 from ..core.budget import CancelFlag
 from ..core.pattern import Pattern
 from ..plan.shapes import NAMED_SHAPES
-from ..session import Miner
-from ..session.query import Query
-from ..session.results import MiningResult
+from ..session import Miner, MiningResult, QuerySpec, SessionError
+from ..session.spec import WORKLOADS
 
 from .registry import ServiceError
 
-#: Workloads the service exposes (each is also a POST endpoint).
-WORKLOADS = ("motifs", "match", "fsm", "cliques")
-
+#: Request keys that address the query rather than describe it.
+_ENVELOPE_KEYS = {"graph", "workload"}
 #: Request keys every workload accepts.
 _COMMON_KEYS = {
-    "graph",
-    "workload",
     "labeled",
     "exhaustive",
     "workers",
@@ -58,76 +56,14 @@ _WORKLOAD_KEYS = {
     "fsm": {"support", "max_edges"},
     "cliques": {"max_size", "min_size", "maximal", "limit"},
 }
-
-
-@dataclass(frozen=True)
-class QuerySpec:
-    """One validated service query (see module docstring for the split
-    between semantic and execution fields)."""
-
-    workload: str
-    # -- semantic fields (signed) --------------------------------------
-    max_size: int | None = None
-    min_size: int | None = None
-    pattern: Pattern | None = None  # canonical (match only)
-    induced: bool = True
-    support: int | None = None
-    max_edges: int | None = None
-    maximal: bool = False
-    labeled: bool = True
-    exhaustive: bool = False
-    limit: int | None = None
-    # -- execution fields (not signed) ---------------------------------
-    workers: int | None = None
-    backend: str | None = None
-    storage: str | None = None
-    deadline_seconds: float | None = None
-    max_embeddings: int | None = None
-    stream: bool = False
-
-    # ------------------------------------------------------------------
-    def query_signature(self) -> str:
-        """Canonical signature of *what* is asked (cache-key half 1)."""
-        parts: tuple[Any, ...] = (
-            self.workload,
-            self.max_size,
-            self.min_size,
-            None if self.pattern is None else (
-                self.pattern.vertex_labels,
-                self.pattern.edges,
-            ),
-            self.induced,
-            self.support,
-            self.max_edges,
-            self.maximal,
-            self.labeled,
-            self.exhaustive,
-        )
-        return repr(parts)
-
-    def config_signature(self) -> str:
-        """Signature of the result-affecting config subset (cache-key
-        half 2).  Only the output cap qualifies: workers, backend,
-        storage, and budgets cannot change a finished run's payload."""
-        return repr(("limit", self.limit))
-
-
-def _require_int(body: dict, key: str, *, minimum: int) -> int | None:
-    value = body.get(key)
-    if value is None:
-        return None
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ServiceError(
-            f"{key!r} must be an integer >= {minimum} (got {value!r})"
-        )
-    return value
-
-
-def _require_bool(body: dict, key: str, default: bool) -> bool:
-    value = body.get(key, default)
-    if not isinstance(value, bool):
-        raise ServiceError(f"{key!r} must be true or false (got {value!r})")
-    return value
+#: Workload -> the payload key holding its items (what NDJSON streaming
+#: splits into rows).
+_ITEMS_KEY = {
+    "motifs": "counts",
+    "match": "matches",
+    "fsm": "patterns",
+    "cliques": "cliques_by_size",
+}
 
 
 def parse_pattern(value: Any) -> Pattern:
@@ -208,182 +144,35 @@ def parse_request(workload: str, body: dict) -> QuerySpec:
         raise ServiceError(
             f"request body must be a JSON object (got {type(body).__name__})"
         )
-    allowed = _COMMON_KEYS | _WORKLOAD_KEYS[workload]
+    allowed = _ENVELOPE_KEYS | _COMMON_KEYS | _WORKLOAD_KEYS[workload]
     unknown = set(body) - allowed
     if unknown:
         raise ServiceError(
             f"unknown request keys {sorted(unknown)} for workload "
             f"{workload!r} — allowed: {', '.join(sorted(allowed))}"
         )
-
-    deadline_ms = body.get("deadline_ms")
-    if deadline_ms is not None and (
-        isinstance(deadline_ms, bool)
-        or not isinstance(deadline_ms, (int, float))
-        or not deadline_ms > 0
-    ):
-        raise ServiceError(
-            f"'deadline_ms' must be a positive number (got {deadline_ms!r})"
-        )
-    backend = body.get("backend")
-    if backend is not None and not isinstance(backend, str):
-        raise ServiceError(f"'backend' must be a string (got {backend!r})")
-    storage = body.get("storage")
-    if storage is not None and not isinstance(storage, str):
-        raise ServiceError(f"'storage' must be a string (got {storage!r})")
-
-    spec = dict(
-        workload=workload,
-        labeled=_require_bool(body, "labeled", True),
-        exhaustive=_require_bool(body, "exhaustive", False),
-        stream=_require_bool(body, "stream", False),
-        workers=_require_int(body, "workers", minimum=1),
-        backend=backend,
-        storage=storage,
-        deadline_seconds=None if deadline_ms is None else deadline_ms / 1000.0,
-        max_embeddings=_require_int(body, "max_embeddings", minimum=1),
-    )
-    if workload == "motifs":
-        spec["max_size"] = _require_int(body, "max_size", minimum=1) or 3
-        spec["min_size"] = _require_int(body, "min_size", minimum=1) or 3
-    elif workload == "match":
-        if "query" not in body:
+    fields = {
+        key: value for key, value in body.items() if key not in _ENVELOPE_KEYS
+    }
+    if workload == "match":
+        if "query" not in fields:
             raise ServiceError(
                 'match requests need a "query" — a named shape or a '
                 'pattern object {"edges": [...]}'
             )
-        spec["pattern"] = parse_pattern(body["query"]).canonical()
-        spec["induced"] = _require_bool(body, "induced", True)
-        spec["limit"] = _require_int(body, "limit", minimum=0)
-    elif workload == "fsm":
-        support = _require_int(body, "support", minimum=1)
-        if support is None:
-            raise ServiceError(
-                'fsm requests need a "support" threshold (integer >= 1)'
-            )
-        spec["support"] = support
-        spec["max_edges"] = _require_int(body, "max_edges", minimum=1)
-    else:  # cliques
-        spec["max_size"] = _require_int(body, "max_size", minimum=1)
-        spec["min_size"] = _require_int(body, "min_size", minimum=1) or 1
-        spec["maximal"] = _require_bool(body, "maximal", False)
-        spec["limit"] = _require_int(body, "limit", minimum=0)
-    return QuerySpec(**spec)
+        fields["pattern"] = parse_pattern(fields.pop("query"))
+    deadline = fields.pop("deadline_ms", None)
+    if isinstance(deadline, (int, float)) and not isinstance(deadline, bool):
+        deadline /= 1000.0
+    try:
+        return QuerySpec(workload, deadline_seconds=deadline, **fields)
+    except SessionError as exc:
+        raise ServiceError(str(exc)) from None
 
 
 # ----------------------------------------------------------------------
 # Execution
 # ----------------------------------------------------------------------
-def build_query(
-    miner: Miner,
-    spec: QuerySpec,
-    *,
-    cancel: CancelFlag | None = None,
-    checkpoint_dir: str | None = None,
-) -> Query:
-    """Chain one facade query for ``spec`` (nothing runs yet).
-
-    ``cancel`` and ``checkpoint_dir`` are *server-side* execution
-    options — the server arms a cancel flag per request to abort runs
-    whose client disconnected, and (when configured with a checkpoint
-    root) snapshots long runs — so they live here as keywords, not on
-    the request-derived :class:`QuerySpec`.
-    """
-    if spec.workload == "motifs":
-        query: Query = miner.motifs(spec.max_size, min_size=spec.min_size)
-    elif spec.workload == "match":
-        query = miner.match(spec.pattern, induced=spec.induced)
-    elif spec.workload == "fsm":
-        query = miner.fsm(spec.support, max_edges=spec.max_edges)
-    elif spec.maximal:
-        query = miner.maximal_cliques(max_size=spec.max_size)
-    else:
-        query = miner.cliques(spec.max_size, min_size=spec.min_size)
-    if spec.exhaustive:
-        query.exhaustive()
-    if not spec.labeled:
-        query.unlabeled()
-    if spec.workload in ("motifs", "fsm"):
-        # The service answers these with the aggregate table; individual
-        # embeddings are never materialized.
-        query.collect(False)
-    elif spec.limit is not None:
-        query.limit(spec.limit)
-    if spec.workers is not None:
-        query.workers(spec.workers)
-    if spec.backend is not None:
-        query.backend(spec.backend)
-    if spec.storage is not None:
-        query.storage(spec.storage)
-    if spec.deadline_seconds is not None:
-        query.deadline(spec.deadline_seconds)
-    if spec.max_embeddings is not None:
-        query.max_embeddings(spec.max_embeddings)
-    if cancel is not None:
-        query.cancellation(cancel)
-    if checkpoint_dir is not None:
-        query.checkpoint(checkpoint_dir)
-    return query
-
-
-def encode_pattern(pattern: Pattern) -> dict[str, Any]:
-    """JSON-able canonical pattern encoding."""
-    return {
-        "vertex_labels": list(pattern.vertex_labels),
-        "edges": [[u, v, label] for u, v, label in pattern.edges],
-    }
-
-
-def encode_result(spec: QuerySpec, result: MiningResult) -> dict[str, Any]:
-    """The cached/cacheable response payload for one finished run.
-
-    Everything in here is deterministic for the spec's signatures —
-    wall-clock and similar per-run noise live in the server's response
-    envelope, never in the payload.
-    """
-    payload: dict[str, Any] = {
-        "workload": spec.workload,
-        "stats": {
-            "steps": result.num_steps,
-            "processed_embeddings": result.total_processed,
-            "candidates_generated": result.total_candidates,
-        },
-    }
-    if spec.workload == "motifs":
-        rows = sorted(
-            result.counts().items(),
-            key=lambda kv: (kv[0].num_vertices, -kv[1], repr(kv[0])),
-        )
-        payload["counts"] = [
-            {"pattern": encode_pattern(p), "count": c} for p, c in rows
-        ]
-        payload["num_motifs"] = len(rows)
-    elif spec.workload == "match":
-        matches = result.vertex_sets()
-        payload["query"] = encode_pattern(spec.pattern)
-        payload["num_matches"] = result.num_matches
-        payload["matches"] = [list(match) for match in matches]
-    elif spec.workload == "fsm":
-        rows = sorted(
-            result.patterns().items(),
-            key=lambda kv: (kv[0].num_edges, -kv[1], repr(kv[0])),
-        )
-        payload["support_threshold"] = spec.support
-        payload["patterns"] = [
-            {"pattern": encode_pattern(p), "support": s} for p, s in rows
-        ]
-        payload["num_patterns"] = len(rows)
-    else:  # cliques
-        by_size = result.by_size()
-        payload["maximal"] = spec.maximal
-        payload["num_cliques"] = result.num_outputs
-        payload["cliques_by_size"] = {
-            str(size): [list(clique) for clique in cliques]
-            for size, cliques in sorted(by_size.items())
-        }
-    return payload
-
-
 def run_query(
     miner: Miner,
     spec: QuerySpec,
@@ -391,11 +180,26 @@ def run_query(
     cancel: CancelFlag | None = None,
     checkpoint_dir: str | None = None,
 ) -> dict[str, Any]:
-    """Execute one spec against a warm session; return its payload."""
-    query = build_query(
-        miner, spec, cancel=cancel, checkpoint_dir=checkpoint_dir
-    )
+    """Execute one spec against a warm session; return its payload.
+
+    ``cancel`` and ``checkpoint_dir`` are *server-side* execution
+    options — the server arms a cancel flag per request to abort runs
+    whose client disconnected, and (when configured with a checkpoint
+    root) snapshots long runs — so they arrive here as keywords, not in
+    the request-derived spec.
+    """
+    query = miner.query(spec)
+    if cancel is not None:
+        query.cancellation(cancel)
+    if checkpoint_dir is not None:
+        query.checkpoint(checkpoint_dir)
     return encode_result(spec, query.run())
+
+
+def encode_result(spec: QuerySpec, result: MiningResult) -> dict[str, Any]:
+    """The cached/cacheable response payload for one finished run of
+    ``spec`` — the result view's own :meth:`MiningResult.payload`."""
+    return result.payload()
 
 
 def stream_rows(payload: dict[str, Any]) -> Iterator[dict[str, Any]]:
@@ -407,32 +211,27 @@ def stream_rows(payload: dict[str, Any]) -> Iterator[dict[str, Any]]:
     cached query ship without re-running anything.
     """
     workload = payload["workload"]
-    meta = {
-        key: value
-        for key, value in payload.items()
-        if key not in ("counts", "matches", "patterns", "cliques_by_size")
+    items_key = _ITEMS_KEY[workload]
+    yield {
+        "meta": {
+            key: value for key, value in payload.items() if key != items_key
+        }
     }
-    yield {"meta": meta}
-    if workload == "motifs":
-        for row in payload["counts"]:
-            yield row
-    elif workload == "match":
-        for match in payload["matches"]:
+    items = payload[items_key]
+    if workload == "match":
+        for match in items:
             yield {"match": match}
-    elif workload == "fsm":
-        for row in payload["patterns"]:
-            yield row
-    else:
-        for size, cliques in payload["cliques_by_size"].items():
+    elif workload == "cliques":
+        for size, cliques in items.items():
             for clique in cliques:
                 yield {"size": int(size), "clique": clique}
+    else:
+        yield from items
 
 
 __all__ = [
     "QuerySpec",
     "WORKLOADS",
-    "build_query",
-    "encode_pattern",
     "encode_result",
     "parse_pattern",
     "parse_request",

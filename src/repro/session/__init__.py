@@ -24,7 +24,6 @@ from .query import (
     MatchQuery,
     MotifQuery,
     Query,
-    SessionError,
 )
 from .results import (
     CliqueResult,
@@ -33,6 +32,7 @@ from .results import (
     MiningResult,
     MotifResult,
 )
+from .spec import QuerySpec, SessionError
 
 __all__ = [
     "CliqueQuery",
@@ -47,6 +47,7 @@ __all__ = [
     "MotifQuery",
     "MotifResult",
     "Query",
+    "QuerySpec",
     "SessionCacheInfo",
     "SessionError",
 ]

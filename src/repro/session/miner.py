@@ -45,6 +45,7 @@ the lock, so queries still overlap.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 from dataclasses import dataclass
 
@@ -58,6 +59,7 @@ from ..graph import LabeledGraph
 from ..graph.generators import strip_labels
 from ..plan.dag import PlanDAG, build_plan_dag, has_mask_bundle
 from ..plan.planner import MatchingPlan, compile_plan
+from ..plan.shapes import resolve_query
 from ..plan.stats import GraphCatalog, build_catalog
 
 from .query import (
@@ -67,8 +69,16 @@ from .query import (
     MatchQuery,
     MotifQuery,
     Query,
-    SessionError,
 )
+from .spec import AGGREGATE_WORKLOADS, QuerySpec, SessionError
+
+#: Workload name -> the query class that runs it (see :meth:`Miner.query`).
+_QUERY_TYPES = {
+    "motifs": MotifQuery,
+    "match": MatchQuery,
+    "fsm": FSMQuery,
+    "cliques": CliqueQuery,
+}
 
 
 @dataclass
@@ -147,6 +157,33 @@ class Miner:
     # ------------------------------------------------------------------
     # Workload front doors
     # ------------------------------------------------------------------
+    def query(self, spec: QuerySpec) -> Query:
+        """The query a validated :class:`QuerySpec` describes — the one
+        entry the spec-driven surfaces (CLI, query service) run through,
+        and the one place a workload name picks its query class.
+
+        Those surfaces answer aggregate workloads (motifs, FSM) with the
+        aggregate table, so individual embeddings are not collected
+        unless the spec asks for them (``collect``/``limit``).
+        """
+        if not isinstance(spec, QuerySpec):
+            raise SessionError(
+                f"query() needs a QuerySpec (got {type(spec).__name__})"
+            )
+        query_type = _QUERY_TYPES.get(spec.workload)
+        if query_type is None:
+            raise SessionError(
+                f"{spec.workload} queries carry an in-process object a "
+                "spec cannot describe — build them with Miner.compute()"
+            )
+        if (
+            spec.workload in AGGREGATE_WORKLOADS
+            and spec.collect is None
+            and spec.limit is None
+        ):
+            spec = dataclasses.replace(spec, collect=False)
+        return query_type(self, spec)
+
     def motifs(self, max_size: int = 3, *, min_size: int = 3) -> MotifQuery:
         """Motif frequency distribution up to ``max_size`` vertices.
 
@@ -158,7 +195,9 @@ class Miner:
         ``.unlabeled()`` for classic (structure-only) motifs on a
         labeled graph.
         """
-        return MotifQuery(self, max_size, min_size=min_size)
+        return MotifQuery(
+            self, QuerySpec("motifs", max_size=max_size, min_size=min_size)
+        )
 
     def match(
         self, query: "Pattern | str", *, induced: bool = True
@@ -171,7 +210,11 @@ class Miner:
         for the filter-process oracle.  ``induced=False`` switches from
         vertex-induced occurrences to monomorphisms.
         """
-        return MatchQuery(self, query, induced=induced)
+        if isinstance(query, str):
+            query = resolve_query(query)
+        return MatchQuery(
+            self, QuerySpec("match", pattern=query, induced=induced)
+        )
 
     def explain(
         self,
@@ -189,7 +232,6 @@ class Miner:
         ``match --explain``.
         """
         from ..plan.cost import choose_order
-        from ..plan.shapes import resolve_query
 
         if isinstance(query, str):
             query = resolve_query(query)
@@ -216,17 +258,23 @@ class Miner:
         chain ``.exhaustive()`` for the single-run edge-exploration
         oracle.
         """
-        return FSMQuery(self, support, max_edges=max_edges)
+        return FSMQuery(
+            self, QuerySpec("fsm", support=support, max_edges=max_edges)
+        )
 
     def cliques(
         self, max_size: int | None = None, *, min_size: int = 1
     ) -> CliqueQuery:
         """Enumerate all cliques up to ``max_size`` vertices."""
-        return CliqueQuery(self, max_size, min_size=min_size)
+        return CliqueQuery(
+            self, QuerySpec("cliques", max_size=max_size, min_size=min_size)
+        )
 
     def maximal_cliques(self, max_size: int | None = None) -> CliqueQuery:
         """Enumerate maximal cliques (optionally capped at ``max_size``)."""
-        return CliqueQuery(self, max_size, maximal=True)
+        return CliqueQuery(
+            self, QuerySpec("cliques", max_size=max_size, maximal=True)
+        )
 
     def compute(self, computation: Computation) -> ComputeQuery:
         """Run an arbitrary :class:`~repro.core.Computation` with the
@@ -389,57 +437,22 @@ class Miner:
         )
         return run_computation(graph, computation, config, universe=universe)
 
-    def _guided_fsm(
-        self,
-        graph: LabeledGraph,
-        support: int,
-        max_edges: int | None,
-        config: ArabesqueConfig,
+    def _run_guided(
+        self, driver, graph: LabeledGraph, *args, induced: bool, **options
     ):
-        """Run plan-guided FSM with the session's caches wired in: the
-        DAG cache serves (and counts) every level-batch compilation, and
-        the run counter meters each per-level engine run.  No universe is
-        needed — guided runs draw step 0 from each DAG's own root pools."""
-        from ..apps.fsm import run_guided_fsm
-
+        """Run a guided driver (``run_guided_motifs``/``run_guided_fsm``)
+        with the session's caches wired in: the DAG cache serves (and
+        counts) every batch compilation, and the run counter meters each
+        engine run.  No universe is involved — guided runs draw step 0
+        from each DAG's own root pools."""
         labeled = graph is self.graph
-        result = run_guided_fsm(
+        result = driver(
             graph,
-            support,
-            max_edges=max_edges,
-            config=config,
+            *args,
             dag_provider=lambda patterns: self._dag_for(
-                patterns, False, labeled
+                patterns, induced, labeled
             ),
-            catalog=self._catalog_for(labeled),
-        )
-        with self._lock:
-            self._info.runs += result.engine_runs
-        return result
-
-    def _guided_motifs(
-        self,
-        graph: LabeledGraph,
-        max_size: int,
-        min_size: int,
-        config: ArabesqueConfig,
-    ):
-        """Run DAG-guided motifs with the session's DAG cache wired in.
-
-        The whole distribution is one engine run over one cached
-        multi-query DAG; no universe is involved — the DAG's root pools
-        are its own step 0."""
-        from ..apps.motifs import run_guided_motifs
-
-        labeled = graph is self.graph
-        result = run_guided_motifs(
-            graph,
-            max_size,
-            min_size=min_size,
-            config=config,
-            dag_provider=lambda patterns: self._dag_for(
-                patterns, True, labeled
-            ),
+            **options,
         )
         with self._lock:
             self._info.runs += result.engine_runs

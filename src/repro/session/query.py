@@ -10,10 +10,13 @@ options chained fluently::
 Every option validates its argument **at call time** — unknown backend or
 storage strings, conflicting strategy choices (``.exhaustive()`` plus a
 precompiled ``.plan()``), or nonsensical values raise a loud
-:class:`SessionError` before anything runs.  ``.run()`` returns the
-workload's typed result view (:mod:`repro.session.results`);
+:class:`SessionError` before anything runs.  The rules themselves live
+in :class:`~repro.session.spec.QuerySpec`: a query holds one spec and
+each chained option replaces it, so the fluent facade, the CLI and the
+query service reject the same values with the same message.  ``.run()``
+returns the workload's typed result view (:mod:`repro.session.results`);
 ``.count()`` returns just the exact output count (collection disabled);
-``.stream()`` returns an iterator over the workload's natural items.
+``.stream()`` returns an iterator over the view's ``rows()``.
 
 Plan-capable queries default to **guided** execution with
 ``.exhaustive()`` as the opt-out into the filter-process oracle:
@@ -33,161 +36,108 @@ explicit ``.storage()`` or ``.config()`` always wins.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import os
 from typing import TYPE_CHECKING, Any, Iterator
 
 from ..core.budget import CancelFlag
 from ..core.computation import Computation
-from ..core.config import ArabesqueConfig, BACKENDS
-from ..core.pattern import Pattern
-from ..core.storage import LIST_STORAGE, STORAGE_MODES
+from ..core.config import ArabesqueConfig
+from ..core.storage import LIST_STORAGE
 from ..plan.planner import MatchingPlan
 
-from .results import (
-    CliqueResult,
-    FSMResult,
-    MatchResult,
-    MiningResult,
-    MotifResult,
+from .results import FSMResult, MiningResult, MotifResult, view_for
+from .spec import (
+    AGGREGATE_WORKLOADS,
+    PLAN_CAPABLE_WORKLOADS,
+    QuerySpec,
+    SessionError,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .miner import Miner
 
 
-class SessionError(ValueError):
-    """A facade query was built or combined incorrectly."""
-
-
 class Query:
     """Base chainable query: shared execution options + run/count/stream.
 
-    Subclasses fix the workload (which computation runs and which result
-    view wraps the outcome); this class owns everything the workloads
-    share — worker count, backend, storage, output handling, and the
-    labeled/unlabeled graph choice.
+    A query holds one validated :class:`~repro.session.spec.QuerySpec`;
+    every chained option replaces it, so the spec's rules reject a bad
+    value at call time.  What cannot live in a declarative spec — a base
+    :class:`ArabesqueConfig`, a :class:`CancelFlag`, a precompiled plan —
+    rides on the query itself.  Subclasses fix the workload: which
+    computation runs and, for plan-capable workloads, the guided driver.
     """
 
-    #: Human name used in error messages.
-    workload = "mining"
-    #: Whether ``.stream()`` iterates the run's collected outputs (and
-    #: therefore conflicts with ``.collect(False)``).  Workloads whose
-    #: stream comes from aggregates (motifs, FSM) override this.
-    _stream_needs_outputs = True
-
-    def __init__(self, miner: "Miner") -> None:
+    def __init__(self, miner: "Miner", spec: QuerySpec) -> None:
         self._miner = miner
-        self._backend: str | None = None
-        self._workers: int | None = None
-        self._storage: str | None = None
-        self._limit: int | None = None
-        self._collect: bool | None = None
-        self._labeled = True
+        self._spec = spec
         self._base_config: ArabesqueConfig | None = None
-        self._deadline_seconds: float | None = None
-        self._max_embeddings: int | None = None
-        self._checkpoint_dir: str | None = None
         self._cancel: CancelFlag | None = None
 
+    @property
+    def spec(self) -> QuerySpec:
+        """The validated spec this query currently describes."""
+        return self._spec
+
+    @property
+    def workload(self) -> str:
+        """Human name used in error messages."""
+        return self._spec.workload
+
+    def _set(self, **changes: Any) -> "Query":
+        self._spec = dataclasses.replace(self._spec, **changes)
+        return self
+
     # ------------------------------------------------------------------
-    # Chainable execution options (validated eagerly)
+    # Chainable execution options (validated eagerly, by the spec)
     # ------------------------------------------------------------------
     def backend(self, name: str) -> "Query":
         """Execution runtime for the worker step tasks."""
-        if name not in BACKENDS:
-            raise SessionError(
-                f"unknown backend {name!r} (choose from "
-                f"{', '.join(BACKENDS)})"
-            )
-        self._backend = name
-        return self
+        return self._set(backend=name)
 
     def workers(self, count: int) -> "Query":
         """Logical workers the exploration is partitioned over."""
-        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-            raise SessionError(
-                f"workers() needs an integer >= 1, got {count!r}"
-            )
-        self._workers = count
-        return self
+        return self._set(workers=count)
 
     def storage(self, mode: str) -> "Query":
         """Embedding storage strategy ("odag", "list", or "adaptive")."""
-        if mode not in STORAGE_MODES:
-            raise SessionError(
-                f"unknown storage mode {mode!r} (choose from "
-                f"{', '.join(STORAGE_MODES)})"
-            )
-        self._storage = mode
-        return self
+        return self._set(storage=mode)
 
     def limit(self, count: int) -> "Query":
         """Cap on collected outputs (exact counts are never truncated)."""
-        if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-            raise SessionError(
-                f"limit() needs an integer >= 0, got {count!r}"
-            )
-        if self._collect is False:
-            raise SessionError(
-                "limit() caps collected outputs, but collect(False) "
-                "disabled collection for this query"
-            )
-        self._limit = count
-        return self
+        return self._set(limit=count)
 
     def collect(self, flag: bool = True) -> "Query":
         """Keep (or drop) individual outputs; counts stay exact either way."""
-        if not flag and self._limit is not None:
-            raise SessionError(
-                "collect(False) conflicts with the limit() already set on "
-                "this query — a cap on outputs that are not collected"
-            )
-        self._collect = bool(flag)
-        return self
+        return self._set(collect=flag)
 
     def unlabeled(self) -> "Query":
         """Run on the session's label-stripped graph variant (cached)."""
-        self._labeled = False
-        return self
+        return self._set(labeled=False)
 
     def deadline(self, seconds: float) -> "Query":
         """Cooperative wall-clock budget for the run: exceeding it raises
         a loud :class:`~repro.core.budget.BudgetExceeded` at the next
         BSP barrier (or mid-step probe) instead of running forever.  The
         query service arms this on every admitted request."""
-        if not isinstance(seconds, (int, float)) or isinstance(seconds, bool) \
-                or not seconds > 0:
-            raise SessionError(
-                f"deadline() needs a positive number of seconds, "
-                f"got {seconds!r}"
-            )
-        self._deadline_seconds = float(seconds)
-        return self
+        return self._set(deadline_seconds=seconds)
 
     def max_embeddings(self, count: int) -> "Query":
         """Cooperative cap on processed embeddings (checked at every BSP
         barrier, deterministic across backends); exceeding it raises a
         loud :class:`~repro.core.budget.BudgetExceeded`."""
-        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-            raise SessionError(
-                f"max_embeddings() needs an integer >= 1, got {count!r}"
-            )
-        self._max_embeddings = count
-        return self
+        return self._set(max_embeddings=count)
 
     def checkpoint(self, run_dir: "str | os.PathLike") -> "Query":
         """Snapshot the run into ``run_dir`` at every BSP barrier, so a
         crash can be resumed from the last barrier via
         :meth:`Miner.resume` (or ``repro.checkpoint.resume_run``).  See
         docs/checkpoint.md for the format and resume semantics."""
-        if not isinstance(run_dir, (str, os.PathLike)) or not str(run_dir):
-            raise SessionError(
-                f"checkpoint() needs a non-empty directory path, "
-                f"got {run_dir!r}"
-            )
-        self._checkpoint_dir = str(run_dir)
-        return self
+        if isinstance(run_dir, os.PathLike):
+            run_dir = os.fspath(run_dir)
+        return self._set(checkpoint_dir=run_dir)
 
     def cancellation(self, flag: CancelFlag) -> "Query":
         """Arm a :class:`~repro.core.budget.CancelFlag`: setting it from
@@ -215,21 +165,21 @@ class Query:
         return self
 
     # Pattern-strategy options exist on every query so misuse fails with
-    # a message instead of an AttributeError; only the plan-capable
-    # queries (MatchQuery, FSMQuery, MotifQuery) override.
+    # a message instead of an AttributeError.
     def guided(self) -> "Query":
-        raise SessionError(
-            f"{self.workload} queries have no guided/exhaustive choice — "
-            "only plan-capable queries (Miner.match, Miner.fsm, "
-            "Miner.motifs) compile exploration plans"
-        )
+        """Run the plan-guided path (the default)."""
+        if self.workload not in PLAN_CAPABLE_WORKLOADS:
+            raise SessionError(
+                f"{self.workload} queries have no guided/exhaustive choice "
+                "— only plan-capable queries (Miner.match, Miner.fsm, "
+                "Miner.motifs) compile exploration plans"
+            )
+        return self._set(exhaustive=False)
 
     def exhaustive(self) -> "Query":
-        raise SessionError(
-            f"{self.workload} queries always run exhaustively — only "
-            "plan-capable queries (Miner.match, Miner.fsm, Miner.motifs) "
-            "have an exhaustive() opt-out"
-        )
+        """Opt out of guided execution into the exploration-agnostic
+        oracle covering the whole workload in one run."""
+        return self._set(exhaustive=True)
 
     def plan(self, plan: MatchingPlan) -> "Query":
         raise SessionError(
@@ -238,93 +188,85 @@ class Query:
             "and guided motifs compile their own multi-query plan DAGs)"
         )
 
+    @property
+    def is_guided(self) -> bool:
+        return (
+            self.workload in PLAN_CAPABLE_WORKLOADS
+            and not self._spec.exhaustive
+        )
+
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def run(self) -> MiningResult:
         """Execute the query and return its typed result view."""
-        graph = self._miner._graph_variant(self._labeled)
+        graph = self._miner._graph_variant(self._spec.labeled)
         self._validate(graph)
-        config = self._build_config()
-        raw = self._miner._run(graph, self._computation(), config)
-        return self._wrap(raw)
+        return self._execute(graph, self._build_config())
 
     def count(self) -> int:
         """Execute without collecting outputs; return the exact count.
 
         The collection default (and any ``limit()``, which only caps
         *collected* outputs — counts are never truncated) is overridden
-        only for this call: a later ``.run()`` on the same query still
-        collects with its cap, unless the query itself chained
-        ``.collect(False)``.
+        only for this call, on a copy of the query: a later ``.run()``
+        on the same query still collects with its cap, unless the query
+        itself chained ``.collect(False)``.
         """
-        saved_collect, saved_limit = self._collect, self._limit
-        if saved_collect is None:
-            self._collect = False
-            self._limit = None
-        try:
-            return self.run().raw.num_outputs
-        finally:
-            self._collect, self._limit = saved_collect, saved_limit
+        query = self
+        if self._spec.collect is None:
+            query = copy.copy(self)._set(collect=False, limit=None)
+        return query.run().raw.num_outputs
 
     def stream(self) -> Iterator[Any]:
-        """Execute and iterate the workload's natural output items."""
-        if self._stream_needs_outputs and self._effective_collect() is False:
+        """Execute and iterate the workload's natural output items
+        (the result view's ``rows()``)."""
+        # Aggregate workloads stream their table; everything else
+        # iterates the run's collected outputs.
+        if (
+            self.workload not in AGGREGATE_WORKLOADS
+            and not self._effective_collect()
+        ):
             raise SessionError(
                 f"stream() iterates the run's outputs, but this "
                 f"{self.workload} query has collect_outputs disabled — "
                 "drop collect(False) to stream"
             )
-        result = self.run()
-        return iter(self._stream_items(result))
+        return iter(self.run().rows())
 
     # ------------------------------------------------------------------
     # Internals / subclass hooks
     # ------------------------------------------------------------------
     def _effective_collect(self) -> bool:
-        if self._collect is not None:
-            return self._collect
+        if self._spec.collect is not None:
+            return self._spec.collect
         if self._base_config is not None:
             return self._base_config.collect_outputs
         return ArabesqueConfig.collect_outputs
 
-    def _default_storage(self) -> str | None:
-        """Workload's auto storage mode; None keeps the config default."""
-        return None
-
     def _build_config(self) -> ArabesqueConfig:
         base = self._base_config or ArabesqueConfig()
-        if base.plan is not None and not isinstance(self, _PatternShaped):
+        if base.plan is not None and self.workload != "match":
             raise SessionError(
                 f"the base config carries a plan, but {self.workload} "
                 "queries never take one — only Miner.match accepts a "
                 "precompiled MatchingPlan (guided FSM and guided motifs "
                 "compile their own multi-query plan DAGs)"
             )
-        overrides: dict[str, Any] = {}
-        if self._workers is not None:
-            overrides["num_workers"] = self._workers
-        if self._backend is not None:
-            overrides["backend"] = self._backend
-        if self._storage is not None:
-            overrides["storage"] = self._storage
-        elif self._base_config is None:
-            auto = self._default_storage()
-            if auto is not None:
-                overrides["storage"] = auto
-        if self._collect is not None:
-            overrides["collect_outputs"] = self._collect
-        if self._limit is not None:
-            overrides["output_limit"] = self._limit
-        if self._deadline_seconds is not None:
-            overrides["deadline_seconds"] = self._deadline_seconds
-        if self._max_embeddings is not None:
-            overrides["max_embeddings"] = self._max_embeddings
-        if self._checkpoint_dir is not None:
-            overrides["checkpoint_dir"] = self._checkpoint_dir
+        overrides = self._spec.config_overrides()
+        if (
+            self.is_guided
+            and "storage" not in overrides
+            and self._base_config is None
+        ):
+            # Guided runs store only plan-accepted, symmetry-unique
+            # paths, so ODAG's spurious-path re-validation buys nothing;
+            # list storage measured faster in
+            # benchmarks/bench_planner_speedup.py.
+            overrides["storage"] = LIST_STORAGE
         if self._cancel is not None:
             overrides["cancel"] = self._cancel
-        if self._limit is not None and not self._effective_collect():
+        if self._spec.limit is not None and not self._effective_collect():
             raise SessionError(
                 "limit() caps collected outputs, but the base config has "
                 "collect_outputs=False — enable collect() or drop limit()"
@@ -334,100 +276,51 @@ class Query:
     def _validate(self, graph) -> None:
         """Cross-option validation hook; runs right before execution."""
 
+    def _execute(self, graph, config: ArabesqueConfig) -> MiningResult:
+        computation = self._computation()
+        return view_for(computation, self._miner._run(graph, computation, config))
+
     def _computation(self) -> Computation:
         raise NotImplementedError
 
-    def _wrap(self, raw) -> MiningResult:
-        return MiningResult(raw)
-
-    def _stream_items(self, result: MiningResult) -> Any:
-        return result.raw.outputs
-
-
-class _PatternShaped:
-    """Marker: queries that may carry a MatchingPlan in their config."""
-
 
 class _GuidedAggregateQuery(Query):
-    """Shared strategy surface for aggregate plan-capable workloads.
+    """Shared control flow of the aggregate plan-capable workloads.
 
     FSM and motifs both answer with an *aggregate* (a pattern table, a
     distribution) rather than per-embedding outputs, and both default to
-    guided execution over session-cached plan DAGs.  This base owns the
-    control flow they share — guided/exhaustive selection, the loud
-    rejections of ``.collect(True)``/``.limit()``/``.count()`` and the
-    ``config(output_limit=...)`` spelling under guided execution, the
-    list-storage default, and the guided ``run()`` dispatch — while each
-    workload supplies its own error wording (class attributes below) and
-    its guided driver (``_run_guided``).
+    guided execution over session-cached plan DAGs.  The spec already
+    rejects ``collect(True)``/``limit()`` under guided execution; this
+    base adds the two rejections a spec cannot see (``count()`` and a
+    ``config(output_limit=...)`` base) and dispatches guided runs to the
+    workload's driver (``_run_guided``).
     """
-
-    #: Workload-specific error texts (each must point at .exhaustive()).
-    _guided_option_error: str
-    _collect_error: str
-    _limit_error: str
-    _count_error: str
-    _config_cap_error: str
-
-    def __init__(self, miner: "Miner") -> None:
-        super().__init__(miner)
-        self._guided: bool | None = None  # None = default (guided)
-
-    # -- strategy options ---------------------------------------------
-    def guided(self) -> "_GuidedAggregateQuery":
-        """Run the plan-guided path (the default)."""
-        if self._collect is True or self._limit is not None:
-            raise SessionError(self._guided_option_error)
-        self._guided = True
-        return self
-
-    def exhaustive(self) -> "_GuidedAggregateQuery":
-        """Opt out of guided execution into the exploration-agnostic
-        oracle covering the whole workload in one run."""
-        self._guided = False
-        return self
-
-    @property
-    def is_guided(self) -> bool:
-        return self._guided if self._guided is not None else True
-
-    # -- option interactions ------------------------------------------
-    def collect(self, flag: bool = True) -> "_GuidedAggregateQuery":
-        if flag and self._guided is not False:
-            raise SessionError(self._collect_error)
-        super().collect(flag)
-        return self
-
-    def limit(self, count: int) -> "_GuidedAggregateQuery":
-        if self._guided is not False:
-            raise SessionError(self._limit_error)
-        super().limit(count)
-        return self
 
     def count(self) -> int:
         if self.is_guided:
-            raise SessionError(self._count_error)
+            raise SessionError(
+                f"guided {self.workload} does not materialize "
+                "per-embedding outputs to count — read the table from "
+                ".run(), or chain .exhaustive() for the raw output count"
+            )
         return super().count()
 
-    def _default_storage(self) -> str | None:
-        # Guided runs store only plan-accepted symmetry-unique paths, so
-        # list storage wins for the same reason it does for matches.
-        return LIST_STORAGE if self.is_guided else None
-
-    # -- execution ------------------------------------------------------
-    def run(self) -> MiningResult:
+    def _execute(self, graph, config: ArabesqueConfig) -> MiningResult:
         if not self.is_guided:
-            return super().run()
-        if self._base_config is not None and self._base_config.output_limit is not None:
-            # Mirror the .limit() rejection for the config() spelling —
+            return super()._execute(graph, config)
+        if config.output_limit is not None:
+            # Mirror the limit() rejection for the config() spelling —
             # a capped output collection only makes sense exhaustively.
             # (A bare collect_outputs=True cannot be rejected the same
             # way: it is the dataclass default, so intent is invisible;
             # the guided drivers run with collection off regardless.)
-            raise SessionError(self._config_cap_error)
-        graph = self._miner._graph_variant(self._labeled)
-        self._validate(graph)
-        return self._run_guided(graph, self._build_config())
+            raise SessionError(
+                "the base config caps collected outputs (output_limit), "
+                f"but guided {self.workload} (the default) answers with "
+                "its aggregate table, not per-embedding outputs — chain "
+                ".exhaustive() to collect outputs"
+            )
+        return self._run_guided(graph, config)
 
     def _run_guided(self, graph, config: ArabesqueConfig) -> MiningResult:
         """Execute the workload's guided driver with the built config."""
@@ -449,95 +342,36 @@ class MotifQuery(_GuidedAggregateQuery):
     FSM.
     """
 
-    workload = "motifs"
-    _stream_needs_outputs = False  # streams the aggregated distribution
+    def _run_guided(self, graph, config: ArabesqueConfig) -> MotifResult:
+        from ..apps.motifs import run_guided_motifs
 
-    _guided_option_error = (
-        "guided motifs aggregate the distribution, not per-embedding "
-        "outputs — collect()/limit() need the exhaustive() path"
-    )
-    _collect_error = (
-        "guided motifs (the default) aggregate the distribution, not "
-        "per-embedding outputs — chain .exhaustive() before .collect()"
-    )
-    _limit_error = (
-        "guided motifs (the default) produce a distribution table, not "
-        "collected outputs — chain .exhaustive() before .limit()"
-    )
-    _count_error = (
-        "guided motifs do not materialize per-embedding outputs to "
-        "count — read the distribution via .run().counts(), or chain "
-        ".exhaustive() for the raw output count"
-    )
-    _config_cap_error = (
-        "the base config caps collected outputs (output_limit), but "
-        "guided motifs (the default) aggregate the distribution, not "
-        "per-embedding outputs — chain .exhaustive() to collect outputs"
-    )
-
-    def __init__(self, miner: "Miner", max_size: int, min_size: int = 3) -> None:
-        super().__init__(miner)
-        from ..apps.motifs import MotifCounting
-
-        MotifCounting(max_size, min_size=min_size)  # eager arg validation
-        self._max_size = max_size
-        self._min_size = min_size
-
-    def _run_guided(self, graph, config: ArabesqueConfig) -> "MotifResult":
-        guided = self._miner._guided_motifs(
-            graph, self._max_size, self._min_size, config
+        guided = self._miner._run_guided(
+            run_guided_motifs,
+            graph,
+            self._spec.max_size,
+            min_size=self._spec.min_size,
+            config=config,
+            induced=True,
         )
         return MotifResult(guided.run, guided=True, dag=guided.dag)
 
     def _computation(self) -> Computation:
         from ..apps.motifs import MotifCounting
 
-        return MotifCounting(self._max_size, min_size=self._min_size)
-
-    def _wrap(self, raw) -> MotifResult:
-        return MotifResult(raw, guided=False)
-
-    def _stream_items(self, result: MotifResult) -> Any:
-        return sorted(
-            result.counts().items(),
-            key=lambda kv: (kv[0].num_vertices, -kv[1], repr(kv[0])),
-        )
+        return MotifCounting(self._spec.max_size, min_size=self._spec.min_size)
 
 
 class CliqueQuery(Query):
     """Clique (or maximal-clique) enumeration."""
 
-    workload = "cliques"
-
-    def __init__(
-        self,
-        miner: "Miner",
-        max_size: int | None,
-        min_size: int = 1,
-        maximal: bool = False,
-    ) -> None:
-        super().__init__(miner)
-        from ..apps.cliques import CliqueFinding
-        from ..apps.maximal_cliques import MaximalCliqueFinding
-
-        if maximal:
-            MaximalCliqueFinding(max_size=max_size)  # eager arg validation
-        else:
-            CliqueFinding(max_size=max_size, min_size=min_size)
-        self._max_size = max_size
-        self._min_size = min_size
-        self._maximal = maximal
-
     def _computation(self) -> Computation:
         from ..apps.cliques import CliqueFinding
         from ..apps.maximal_cliques import MaximalCliqueFinding
 
-        if self._maximal:
-            return MaximalCliqueFinding(max_size=self._max_size)
-        return CliqueFinding(max_size=self._max_size, min_size=self._min_size)
-
-    def _wrap(self, raw) -> CliqueResult:
-        return CliqueResult(raw, maximal=self._maximal)
+        spec = self._spec
+        if spec.maximal:
+            return MaximalCliqueFinding(max_size=spec.max_size)
+        return CliqueFinding(max_size=spec.max_size, min_size=spec.min_size)
 
 
 class FSMQuery(_GuidedAggregateQuery):
@@ -553,51 +387,21 @@ class FSMQuery(_GuidedAggregateQuery):
     ``.count()`` require it.
     """
 
-    workload = "fsm"
-    _stream_needs_outputs = False  # streams the frequent-pattern table
+    def _run_guided(self, graph, config: ArabesqueConfig) -> FSMResult:
+        from ..apps.fsm import run_guided_fsm
 
-    _guided_option_error = (
-        "guided FSM accumulates MNI domains, not per-embedding outputs "
-        "— collect()/limit() need the exhaustive() path"
-    )
-    _collect_error = (
-        "guided FSM (the default) accumulates MNI domains, not "
-        "per-embedding outputs — chain .exhaustive() before .collect() "
-        "to materialize frequent embeddings"
-    )
-    _limit_error = (
-        "guided FSM (the default) produces a pattern table, not "
-        "collected outputs — chain .exhaustive() before .limit()"
-    )
-    _count_error = (
-        "guided FSM does not materialize frequent embeddings to count — "
-        "use len(result.patterns()) for the pattern count, or chain "
-        ".exhaustive() for the embedding count"
-    )
-    _config_cap_error = (
-        "the base config caps collected outputs (output_limit), but "
-        "guided FSM (the default) accumulates MNI domains, not "
-        "per-embedding outputs — chain .exhaustive() to collect "
-        "frequent embeddings"
-    )
-
-    def __init__(
-        self, miner: "Miner", support: int, max_edges: int | None = None
-    ) -> None:
-        super().__init__(miner)
-        from ..apps.fsm import FrequentSubgraphMining
-
-        FrequentSubgraphMining(support, max_edges=max_edges)  # eager check
-        self._support = support
-        self._max_edges = max_edges
-
-    def _run_guided(self, graph, config: ArabesqueConfig) -> "FSMResult":
-        guided = self._miner._guided_fsm(
-            graph, self._support, self._max_edges, config
+        guided = self._miner._run_guided(
+            run_guided_fsm,
+            graph,
+            self._spec.support,
+            max_edges=self._spec.max_edges,
+            config=config,
+            induced=False,
+            catalog=self._miner._catalog_for(self._spec.labeled),
         )
         return FSMResult(
             guided.combined,
-            support_threshold=self._support,
+            support_threshold=self._spec.support,
             guided=True,
             guided_details=guided,
         )
@@ -605,55 +409,22 @@ class FSMQuery(_GuidedAggregateQuery):
     def _computation(self) -> Computation:
         from ..apps.fsm import FrequentSubgraphMining
 
-        return FrequentSubgraphMining(self._support, max_edges=self._max_edges)
-
-    def _wrap(self, raw) -> FSMResult:
-        return FSMResult(raw, support_threshold=self._support, guided=False)
-
-    def _stream_items(self, result: FSMResult) -> Any:
-        return sorted(
-            result.patterns().items(),
-            key=lambda kv: (kv[0].num_edges, -kv[1], repr(kv[0])),
+        return FrequentSubgraphMining(
+            self._spec.support, max_edges=self._spec.max_edges
         )
 
 
-class MatchQuery(Query, _PatternShaped):
+class MatchQuery(Query):
     """Retrieve every occurrence of a fixed query pattern.
 
     Guided execution (plan compiled and cached on the session) is the
     default; ``.exhaustive()`` opts out into the filter-process oracle.
     """
 
-    workload = "match"
-
-    def __init__(
-        self, miner: "Miner", query: "Pattern | str", induced: bool = True
-    ) -> None:
-        super().__init__(miner)
-        if isinstance(query, str):
-            from ..plan.shapes import resolve_query
-
-            query = resolve_query(query)
-        if not isinstance(query, Pattern):
-            raise SessionError(
-                "match() needs a Pattern, a named shape, or a pattern-file "
-                f"path (got {type(query).__name__})"
-            )
-        if query.num_vertices == 0:
-            raise SessionError("query pattern must not be empty")
-        if not query.is_connected():
-            raise SessionError("query pattern must be connected")
-        self._query = query.canonical()
-        self._induced = bool(induced)
-        self._guided: bool | None = None  # None = default (guided)
-        self._plan: MatchingPlan | None = None
+    #: Precompiled (``.plan()``) or session-compiled plan, once resolved.
+    _plan: MatchingPlan | None = None
 
     # -- strategy options ---------------------------------------------
-    def guided(self) -> "MatchQuery":
-        """Run the plan-guided fast path (the default)."""
-        self._guided = True
-        return self
-
     def exhaustive(self) -> "MatchQuery":
         """Opt out of guided execution: run the filter-process oracle."""
         if self._plan is not None:
@@ -661,8 +432,7 @@ class MatchQuery(Query, _PatternShaped):
                 "exhaustive() conflicts with the precompiled plan() already "
                 "set on this query — plans only drive guided matching"
             )
-        self._guided = False
-        return self
+        return super().exhaustive()
 
     def plan(self, plan: MatchingPlan) -> "MatchQuery":
         """Reuse a precompiled plan instead of compiling (implies guided)."""
@@ -671,17 +441,17 @@ class MatchQuery(Query, _PatternShaped):
                 f"plan() needs a repro.plan.MatchingPlan "
                 f"(got {type(plan).__name__})"
             )
-        if self._guided is False:
+        if self._spec.exhaustive:
             raise SessionError(
                 "plan() conflicts with exhaustive() already set on this "
                 "query — plans only drive guided matching"
             )
-        if plan.induced != self._induced:
+        if plan.induced != self._spec.induced:
             raise SessionError(
                 f"precompiled plan has induced={plan.induced}, "
-                f"but induced={self._induced} was requested"
+                f"but induced={self._spec.induced} was requested"
             )
-        if plan.pattern != self._query:
+        if plan.pattern != self._spec.pattern:
             raise SessionError(
                 "precompiled plan was built from a different query pattern"
             )
@@ -689,20 +459,11 @@ class MatchQuery(Query, _PatternShaped):
         return self
 
     # -- execution ------------------------------------------------------
-    @property
-    def is_guided(self) -> bool:
-        return self._guided if self._guided is not None else True
-
-    def _default_storage(self) -> str | None:
-        # Guided matches store only symmetry-unique plan paths, so ODAG's
-        # spurious-path re-validation buys nothing; list storage measured
-        # faster in benchmarks/bench_planner_speedup.py.
-        return LIST_STORAGE if self.is_guided else None
-
     def _validate(self, graph) -> None:
-        if not self._labeled and (
-            any(self._query.vertex_labels)
-            or any(label for _, _, label in self._query.edges)
+        pattern = self._spec.pattern
+        if not self._spec.labeled and (
+            any(pattern.vertex_labels)
+            or any(label for _, _, label in pattern.edges)
         ):
             raise SessionError(
                 "query pattern carries labels but the graph's labels are "
@@ -713,17 +474,17 @@ class MatchQuery(Query, _PatternShaped):
 
     def _resolved_plan(self) -> MatchingPlan:
         if self._plan is None:
+            spec = self._spec
             self._plan = self._miner._plan_for(
-                self._query, self._induced, self._labeled
+                spec.pattern, spec.induced, spec.labeled
             )
         return self._plan
 
     def _build_config(self) -> ArabesqueConfig:
         config = super()._build_config()
-        if self.is_guided:
-            return dataclasses.replace(config, plan=self._resolved_plan())
-        if config.plan is not None:
-            return dataclasses.replace(config, plan=None)
+        plan = self._resolved_plan() if self.is_guided else None
+        if config.plan is not plan:
+            config = dataclasses.replace(config, plan=plan)
         return config
 
     def _computation(self) -> Computation:
@@ -731,29 +492,15 @@ class MatchQuery(Query, _PatternShaped):
 
         if self.is_guided:
             return GuidedMatching(self._resolved_plan())
-        return GraphMatching(self._query, induced=self._induced)
-
-    def _wrap(self, raw) -> MatchResult:
-        return MatchResult(
-            raw,
-            query=self._query,
-            induced=self._induced,
-            guided=self.is_guided,
-            plan=self._resolved_plan() if self.is_guided else None,
-        )
-
-    def _stream_items(self, result: MatchResult) -> Any:
-        return result.vertex_sets()
+        return GraphMatching(self._spec.pattern, induced=self._spec.induced)
 
 
 class ComputeQuery(Query):
     """Escape hatch: run an arbitrary user :class:`Computation` with the
     session's cached graph state and the fluent option surface."""
 
-    workload = "compute"
-
     def __init__(self, miner: "Miner", computation: Computation) -> None:
-        super().__init__(miner)
+        super().__init__(miner, QuerySpec("compute"))
         if not isinstance(computation, Computation):
             raise SessionError(
                 "compute() needs a repro.core.Computation instance "

@@ -53,8 +53,11 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "motif" in out
 
-    def test_motifs_exhaustive_round_trip(self, capsys, edge_list_file):
-        """`motifs` and `motifs --exhaustive` print identical tables."""
+    @pytest.mark.parametrize("labeled", [[], ["--labeled"]])
+    def test_motifs_exhaustive_round_trip(self, capsys, edge_list_file, labeled):
+        """`motifs` and `motifs --exhaustive` print identical tables —
+        same rows in the same order — with or without labels, and
+        labeled rows say which labels they count."""
 
         def motif_lines(args):
             assert main(args) == 0
@@ -64,10 +67,11 @@ class TestCommands:
                 if line.startswith("motif v=")
             ]
 
-        base = ["motifs", str(edge_list_file), "--max-size", "3"]
+        base = ["motifs", str(edge_list_file), "--max-size", "3", *labeled]
         guided = motif_lines(base)
         exhaustive = motif_lines(base + ["--exhaustive"])
         assert guided == exhaustive and guided
+        assert all(("labels=[" in line) == bool(labeled) for line in guided)
 
     def test_motifs_guided_rejects_limit(self, capsys, edge_list_file):
         # --limit caps collected outputs, which guided motifs never
@@ -171,6 +175,27 @@ class TestCommands:
             ["motifs", str(edge_list_file), "--max-size", "3",
              "--workers", "4"]
         ) == 0
+
+    @pytest.mark.parametrize(
+        "command,flags",
+        [
+            ("fsm", ["--support", "0"]),
+            ("cliques", ["--max-size", "0"]),
+            ("cliques", ["--limit", "-1"]),
+            ("maximal-cliques", ["--num-workers", "0"]),
+            ("motifs", ["--max-size", "0"]),
+            ("match", ["nosuchshape"]),
+        ],
+    )
+    def test_bad_arguments_exit_cleanly(
+        self, capsys, edge_list_file, command, flags
+    ):
+        # Every mining subcommand shares one handler: an `error:` line,
+        # never a traceback.
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, str(edge_list_file), *flags])
+        assert str(exit_info.value.code).startswith("error:")
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):

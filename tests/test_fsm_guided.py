@@ -22,8 +22,8 @@ import pytest
 
 from repro.apps import (
     Domain,
+    DagPatternDomains,
     FrequentSubgraphMining,
-    GuidedPatternDomains,
     frequent_patterns,
     run_guided_fsm,
 )
@@ -37,7 +37,7 @@ from repro.core import ArabesqueConfig, Pattern, run_computation
 from repro.datasets import citeseer_like
 from repro.graph import assign_labels, from_bitset, gnm_random_graph
 from repro.plan import (
-    compile_candidate_plan,
+    build_plan_dag,
     compile_plan,
     domain_sets_from_matches,
     label_triples,
@@ -46,6 +46,7 @@ from repro.plan import (
     single_edge_candidates,
 )
 from repro.plan.fsm_guide import (
+    compile_candidate_dag,
     connected_subpatterns_one_edge_removed,
     has_infrequent_subpattern,
     one_edge_extensions_with_maps,
@@ -264,11 +265,11 @@ class TestDomainPlumbing:
     def test_domain_hits_meter_matches_times_arity(self):
         g = labeled_graph(7)
         pattern = single_edge_candidates(g)[0]
-        plan = compile_candidate_plan(pattern)
+        dag = compile_candidate_dag((pattern,))
         run = run_computation(
             g,
-            GuidedPatternDomains(plan),
-            ArabesqueConfig(plan=plan, collect_outputs=False, storage="list"),
+            DagPatternDomains(dag),
+            ArabesqueConfig(plan=dag, collect_outputs=False, storage="list"),
         )
         matches = sum(step.processed_embeddings for step in run.steps[1:])
         assert run.total_domain_hits == matches * pattern.num_vertices
@@ -290,7 +291,7 @@ class TestDomainPlumbing:
 
     def test_restrict_plan_overlays_whitelists(self):
         pattern = Pattern((0, 1), ((0, 1, 0),)).canonical()
-        plan = compile_candidate_plan(pattern)
+        plan = compile_plan(pattern, induced=False)
         restricted = restrict_plan(plan, {0: frozenset({1, 2})})
         assert restricted.pattern == plan.pattern
         assert restricted.order == plan.order
@@ -302,17 +303,17 @@ class TestDomainPlumbing:
         # The base plan is untouched (cache safety).
         assert all(step.allowed is None for step in plan.steps)
 
-    def test_candidate_plan_requires_canonical_pattern(self):
+    def test_candidate_dag_requires_canonical_patterns(self):
         non_canonical = Pattern((1, 0), ((0, 1, 0),))
         if non_canonical.is_canonical():  # pragma: no cover - layout guard
             pytest.skip("canonical form happens to match")
         with pytest.raises(PlanError, match="canonical"):
-            compile_candidate_plan(non_canonical)
+            compile_candidate_dag((non_canonical,))
 
-    def test_guided_pattern_domains_rejects_induced_plans(self):
+    def test_dag_pattern_domains_rejects_induced_dags(self):
         pattern = Pattern((0, 1), ((0, 1, 0),)).canonical()
         with pytest.raises(ValueError, match="monomorphic"):
-            GuidedPatternDomains(compile_plan(pattern, induced=True))
+            DagPatternDomains(build_plan_dag((pattern,), induced=True))
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +374,12 @@ class TestFsmGuideHelpers:
         from repro.isomorphism import SubgraphMatcher
 
         for pattern in single_edge_candidates(g)[:3]:
-            plan = compile_candidate_plan(pattern)
+            dag = compile_candidate_dag((pattern,))
+            (plan,) = dag.plans
             run = run_computation(
                 g,
-                _MatchCollector(plan),
-                ArabesqueConfig(plan=plan, storage="list"),
+                _MatchCollector(dag),
+                ArabesqueConfig(plan=dag, storage="list"),
             )
             sets = domain_sets_from_matches(plan, run.outputs)
             support = mni_support_from_domains(sets, pattern.orbits())
@@ -389,10 +391,11 @@ class TestFsmGuideHelpers:
             assert len(run.outputs) * plan.num_automorphisms == total
 
 
-class _MatchCollector(GuidedPatternDomains):
-    """Test-only: also emit each full guided word sequence."""
+class _MatchCollector(DagPatternDomains):
+    """Test-only: also emit each full guided word sequence (one-member
+    DAGs only, so every accepted embedding is the member's match)."""
 
     def process(self, embedding):
         super().process(embedding)
-        if embedding.size == self.plan.num_steps:
+        if embedding.size == self.plan.plans[0].num_steps:
             self.output(embedding.words)

@@ -377,6 +377,28 @@ class TestQueriesEndToEnd:
         assert session_after.plan_compilations == session_before.plan_compilations
         assert session_after.runs == session_before.runs
 
+    def test_bad_execution_options_are_400_cold_and_warm(self, server):
+        # Options are validated before the result cache is consulted: a
+        # warm semantic query must not turn a bad option into a 200.
+        body = {"graph": "tiny", "query": "triangle", "labeled": False}
+        bad_options = [{"backend": "gpu"}, {"storage": "bogus"}]
+
+        def answers():
+            return [
+                (status, json.loads(raw).get("error", {}).get("type"))
+                for status, raw in (
+                    call(server, "POST", "/match", {**body, **option})
+                    for option in bad_options
+                )
+            ]
+
+        assert answers() == [(400, "bad_request")] * 2
+        status, raw = call(server, "POST", "/match", body)  # prime
+        assert status == 200
+        status, raw = call(server, "POST", "/match", body)
+        assert json.loads(raw)["cache"]["hit"] is True
+        assert answers() == [(400, "bad_request")] * 2
+
     def test_equivalent_spellings_share_one_cache_entry(self, server):
         call(server, "POST", "/match", {"graph": "tiny", "query": "wedge"})
         status, raw = call(

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps import fsm as fsm_app
-from repro.apps.fsm import DagPatternDomains, GuidedPatternDomains, run_guided_fsm
+from repro.apps.fsm import DagPatternDomains, run_guided_fsm
 from repro.apps.matching import GuidedMatching
 from repro.apps.motifs import DagMotifCounting, enumerate_motif_patterns
 from repro.checkpoint import resume_run, run_to_crash
@@ -62,10 +62,6 @@ class PerChildMatching(GuidedMatching):
 
 
 class PerChildDagDomains(DagPatternDomains):
-    process_terminal = None
-
-
-class PerChildPlanDomains(GuidedPatternDomains):
     process_terminal = None
 
 
@@ -322,16 +318,23 @@ class TestWhitelists:
         assert dag.plans[1].pattern in batched.final_aggregates
 
     def test_restrict_plan(self):
+        # A whitelisted single plan (GuidedMatching is the single-plan
+        # hook) and the same whitelists on a one-member DAG (domains).
         graph = strip_labels(small_labeled())
         wedge = NAMED_SHAPES["wedge"].canonical()
         domain = frozenset(range(0, graph.num_vertices, 2))
+        dag = build_plan_dag((wedge,), induced=False)
         for whitelist in (domain, frozenset()):
-            plan = restrict_plan(
-                compile_plan(wedge, induced=False), {0: whitelist, 2: domain}
+            allowed = {0: whitelist, 2: domain}
+            plan = restrict_plan(compile_plan(wedge, induced=False), allowed)
+            assert_same_run(
+                *run_pair(graph, plan, GuidedMatching, PerChildMatching),
+                expect_batched=bool(whitelist),
             )
             assert_same_run(
-                *run_pair(graph, plan, GuidedPatternDomains,
-                          PerChildPlanDomains, collect_outputs=False),
+                *run_pair(graph, restrict_dag(dag, {wedge: allowed}),
+                          DagPatternDomains, PerChildDagDomains,
+                          collect_outputs=False),
                 expect_batched=bool(whitelist),
             )
 
