@@ -7,7 +7,19 @@ P (pattern aggregation).  Findings: storing/sharing/extracting embeddings
 dominates (W ~25-50%), user functions are negligible, and Cliques skips P.
 
 With ``profile_phases`` the engine wall-clock-stamps the same five phases.
+G and C are each one bitset kernel call per *parent* on the exhaustive
+path (extension mask, then Algorithm 2 over the whole pool), not one
+Python call per candidate, so their shares sit well below the paper's
+11-18% C — and below this bench's own 43% C for Cliques before the mask
+kernel; the time that remains is storage (W, R) and pattern aggregation
+(P).  ``R`` still runs the per-candidate check, as ODAG extraction's
+spurious-path filter, which is why it leads on Cliques.
+
+``BENCH_QUICK=1`` shrinks the graphs so CI can smoke-run the bench; the
+share assertions are loose enough to hold there too.
 """
+
+import os
 
 from repro.apps import CliqueFinding, FrequentSubgraphMining, MotifCounting
 from repro.core import ArabesqueConfig, run_computation
@@ -16,20 +28,25 @@ from repro.graph import strip_labels
 
 from _harness import report
 
+QUICK = os.environ.get("BENCH_QUICK", "") not in ("", "0", "false", "no")
+CITESEER_SCALE, FSM_SUPPORT, MICO_SCALE = (
+    (0.3, 45, 0.002) if QUICK else (1.0, 150, 0.006)
+)
+
 WORKLOADS = [
     (
         "FSM-CiteSeer",
-        lambda: citeseer_like(),
-        lambda: FrequentSubgraphMining(150, max_edges=4),
+        lambda: citeseer_like(scale=CITESEER_SCALE),
+        lambda: FrequentSubgraphMining(FSM_SUPPORT, max_edges=4),
     ),
     (
         "Motifs-MiCo",
-        lambda: strip_labels(mico_like(scale=0.006)),
+        lambda: strip_labels(mico_like(scale=MICO_SCALE)),
         lambda: MotifCounting(4),
     ),
     (
         "Cliques-MiCo",
-        lambda: strip_labels(mico_like(scale=0.006)),
+        lambda: strip_labels(mico_like(scale=MICO_SCALE)),
         lambda: CliqueFinding(max_size=5),
     ),
 ]
@@ -37,20 +54,15 @@ WORKLOADS = [
 PHASES = ("W", "R", "G", "C", "P")
 
 
-def test_fig12_cpu_breakdown(benchmark):
+def run_fig12():
     rows = {}
-
-    def run_all():
-        for name, make_graph, make_app in WORKLOADS:
-            config = ArabesqueConfig(profile_phases=True, collect_outputs=False)
-            result = run_computation(make_graph(), make_app(), config)
-            # Penultimate superstep, like the paper.
-            steps = result.metrics.supersteps
-            step = steps[-2] if len(steps) >= 2 else steps[-1]
-            rows[name] = dict(step.phase_seconds)
-        return rows
-
-    benchmark.pedantic(run_all, rounds=1, iterations=1)
+    for name, make_graph, make_app in WORKLOADS:
+        config = ArabesqueConfig(profile_phases=True, collect_outputs=False)
+        result = run_computation(make_graph(), make_app(), config)
+        # Penultimate superstep, like the paper.
+        steps = result.metrics.supersteps
+        step = steps[-2] if len(steps) >= 2 else steps[-1]
+        rows[name] = dict(step.phase_seconds)
 
     lines = [f"{'workload':<14} " + " ".join(f"{p:>6}" for p in PHASES)]
     shares = {}
@@ -70,10 +82,21 @@ def test_fig12_cpu_breakdown(benchmark):
     report("fig12", "Figure 12: CPU phase breakdown (penultimate superstep)", lines)
 
     for name, share in shares.items():
-        # Storing/sharing/extracting embeddings (W+R) plus canonicality is
-        # the bulk of the work everywhere.
+        # Storing/sharing/extracting embeddings (W+R), canonicality and
+        # pattern aggregation are the bulk of the work everywhere.  The
+        # bar predates the mask kernels and still holds with margin: they
+        # shrank G (the excluded phase) along with C, so the sum rose
+        # (measured 88 / 95 / 85 %, from 83 / 91 / 57 % per candidate).
         assert share["W"] + share["R"] + share["C"] + share["P"] > 40.0, name
     # Pattern aggregation is a real cost for FSM but idle for Cliques'
     # single-shape exploration is still charged pattern lookups, so just
     # check FSM spends more there proportionally.
     assert shares["FSM-CiteSeer"]["P"] >= shares["Cliques-MiCo"]["P"] - 5.0
+
+
+def test_fig12_cpu_breakdown(benchmark):
+    benchmark.pedantic(run_fig12, rounds=1, iterations=1)
+
+
+if __name__ == "__main__":  # pragma: no cover
+    run_fig12()

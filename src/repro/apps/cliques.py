@@ -13,6 +13,7 @@ from __future__ import annotations
 from ..core.computation import Computation
 from ..core.embedding import Embedding, VERTEX_EXPLORATION, VertexInducedEmbedding
 from ..core.results import RunResult
+from ..graph import LabeledGraph
 
 
 class CliqueFinding(Computation):
@@ -41,12 +42,28 @@ class CliqueFinding(Computation):
             return False
         return embedding.is_clique()
 
+    def filter_extensions(self, words: tuple[int, ...], mask: int) -> int:
+        return clique_extensions(self.graph, self.max_size, words, mask)
+
     def process(self, embedding: Embedding) -> None:
         if embedding.num_vertices >= self.min_size:
             self.output(tuple(sorted(embedding.words)))
 
     def termination_filter(self, embedding: Embedding) -> bool:
         return self.max_size is not None and embedding.num_vertices >= self.max_size
+
+
+def clique_extensions(
+    graph: LabeledGraph, max_size: int | None, words: tuple[int, ...], mask: int
+) -> int:
+    """The clique φ over a whole pool: the size cap, then the candidates
+    adjacent to every member — ``isClique`` for each child at once."""
+    if max_size is not None and len(words) >= max_size:
+        return 0
+    neighbor_bits = graph.neighbor_bits
+    for word in words:
+        mask &= neighbor_bits(word)
+    return mask
 
 
 def cliques_by_size(result: RunResult) -> dict[int, list[tuple[int, ...]]]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from ..core.computation import Computation
 from ..core.embedding import Embedding, VERTEX_EXPLORATION, VertexInducedEmbedding
 from ..graph.bitset import to_bitset
+from .cliques import clique_extensions
 
 
 def is_maximal_clique(embedding: VertexInducedEmbedding) -> bool:
@@ -53,6 +54,9 @@ class MaximalCliqueFinding(Computation):
         if self.max_size is not None and embedding.num_vertices > self.max_size:
             return False
         return embedding.is_clique()
+
+    def filter_extensions(self, words: tuple[int, ...], mask: int) -> int:
+        return clique_extensions(self.graph, self.max_size, words, mask)
 
     def process(self, embedding: Embedding) -> None:
         assert isinstance(embedding, VertexInducedEmbedding)

@@ -71,6 +71,9 @@ class MotifCounting(Computation):
     def filter(self, embedding: Embedding) -> bool:
         return embedding.num_vertices <= self.max_size
 
+    def filter_extensions(self, words: tuple[int, ...], mask: int) -> int:
+        return mask if len(words) < self.max_size else 0
+
     def process(self, embedding: Embedding) -> None:
         if embedding.num_vertices >= self.min_size:
             self.map_output(self.pattern(embedding), 1)

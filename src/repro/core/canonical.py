@@ -163,6 +163,36 @@ def canonicalize_edge_set(graph: LabeledGraph, edge_ids) -> tuple[int, ...]:
 
 
 # ----------------------------------------------------------------------
+# Algorithm 2 over a whole candidate pool (both exploration modes)
+# ----------------------------------------------------------------------
+def canonical_extension_mask(row, parent_words: tuple[int, ...], pool: int) -> int:
+    """The members ``w`` of the bitset ``pool`` for which
+    ``parent_words + (w,)`` is canonical — Algorithm 2 for every candidate
+    of one parent at once, in ``len(parent_words)`` shifts and ``&``s.
+
+    ``row(word)`` is the bitset of words adjacent to ``word``
+    (:func:`repro.core.extension.word_row`: ``neighbor_bits`` in vertex
+    mode, the two endpoints' ``incident_bits`` in edge mode).  Algorithm 2
+    rejects ``w`` iff ``w < w1``, or ``w`` has no neighbor in the parent,
+    or some ``wj > w`` sits after ``w``'s first neighbor — and ``wj`` sits
+    after the first neighbor exactly when ``w`` is in
+    ``seen_j = row(w1) | .. | row(wj-1)``.  So one walk keeping ``seen``
+    collects the rejected set ``U_j seen_j & {ids below wj}``; the
+    survivors are ``pool & seen & ~rejected`` from ``w1`` upward.  Equal to
+    filtering ``pool`` through ``is_canonical_*_extension`` for *any* pool
+    (not just the extension pool), which the differential tests replay.
+    """
+    if not parent_words:
+        return pool
+    seen = 0
+    rejected = 0
+    for word in parent_words:
+        rejected |= seen & ((1 << word) - 1)
+        seen |= row(word)
+    return pool & seen & ~rejected & (-1 << parent_words[0])
+
+
+# ----------------------------------------------------------------------
 # Mode dispatch used by the engine and storages
 # ----------------------------------------------------------------------
 def extension_checker(mode: str):

@@ -95,6 +95,18 @@ class Computation:
     #: per-child loop.
     process_terminal = None
 
+    #: Optional hook ``filter_extensions(words, mask) -> mask``: φ over a
+    #: whole extension pool.  Bit ``w`` of ``mask`` proposes the child
+    #: ``words + (w,)`` of the stored embedding ``words`` (vertex or edge
+    #: ids, by exploration mode); the result keeps exactly the bits whose
+    #: decoded child ``filter`` would accept, so the exhaustive runtime
+    #: builds only those children and skips their per-child ``filter``
+    #: call.  Like ``process_terminal`` it is honoured only while no
+    #: subclass refines ``filter`` below the class that wrote the hook,
+    #: and never for plan-compatible computations; ``None`` keeps the
+    #: per-child φ.  Step 0 always filters per child.
+    filter_extensions = None
+
     def __init__(self) -> None:
         self.graph: LabeledGraph | None = None
         self._context: ComputationContext | None = None

@@ -106,17 +106,49 @@ class Embedding:
     def __repr__(self) -> str:
         return f"{type(self).__name__}{self.words!r}"
 
+    def __reduce__(self):
+        # Identity only: a subclass's derived-state slots (the quick-pattern
+        # caches below) never cross a process boundary.
+        return type(self), (self.graph, self.words)
+
 
 class VertexInducedEmbedding(Embedding):
-    """Embedding defined by a vertex set; edges are induced (section 2)."""
+    """Embedding defined by a vertex set; edges are induced (section 2).
 
-    __slots__ = ()
+    ``extend`` children remember their parent, so ``pattern()`` derives a
+    child's quick pattern from the parent's plus the newest vertex — the
+    extended report's incremental construction — instead of re-deriving
+    all O(k²) position pairs.  The three cache slots are derived state:
+    they take no part in equality, hashing, ``repr`` or pickling."""
+
+    __slots__ = ("_parent", "_quick", "_child_quicks")
 
     mode = VERTEX_EXPLORATION
+
+    def __init__(self, graph: LabeledGraph, words: tuple[int, ...] = ()) -> None:
+        self.graph = graph
+        self.words = tuple(words)
+        #: The embedding ``extend`` built this one from (``None``: a root,
+        #: or decoded from a store).
+        self._parent: VertexInducedEmbedding | None = None
+        #: This embedding's quick pattern, once asked for.
+        self._quick: Pattern | None = None
+        #: Quick patterns of this embedding's children by what the newest
+        #: vertex adds — siblings that add the same share one ``Pattern``.
+        self._child_quicks: dict[tuple, Pattern] | None = None
 
     @property
     def vertices(self) -> tuple[int, ...]:
         return self.words
+
+    @property
+    def num_vertices(self) -> int:
+        return len(self.words)
+
+    def extend(self, word: int) -> "VertexInducedEmbedding":
+        child = type(self)(self.graph, self.words + (word,))
+        child._parent = self
+        return child
 
     @property
     def edges(self) -> tuple[int, ...]:
@@ -124,6 +156,17 @@ class VertexInducedEmbedding(Embedding):
         return tuple(self.graph.induced_edge_ids(self.words))
 
     def pattern(self) -> Pattern:
+        quick = self._quick
+        if quick is None:
+            parent = self._parent
+            if parent is None:
+                quick = self._pattern_from_scratch()
+            else:
+                quick = parent._child_pattern(self.words[-1])
+            self._quick = quick
+        return quick
+
+    def _pattern_from_scratch(self) -> Pattern:
         graph = self.graph
         words = self.words
         vertex_labels = tuple(graph.vertex_label(v) for v in words)
@@ -138,6 +181,37 @@ class VertexInducedEmbedding(Embedding):
                     )
         pattern_edges.sort()
         return Pattern(vertex_labels, tuple(pattern_edges))
+
+    def _child_pattern(self, v: int) -> Pattern:
+        """Quick pattern of the child ``self.words + (v,)``: this
+        embedding's, plus ``v``'s label and one edge per adjacent position.
+        What ``v`` adds — label, adjacency-to-positions bits, and the edge
+        labels where the graph's are not uniform — keys the sibling memo."""
+        graph = self.graph
+        words = self.words
+        neighbor_bits = graph.neighbor_bits(v)
+        positions = [i for i, u in enumerate(words) if (neighbor_bits >> u) & 1]
+        edge_label = graph.uniform_edge_label
+        if edge_label is None:
+            edge_labels = [
+                graph.edge_label(graph.edge_between(words[i], v)) for i in positions
+            ]
+        else:
+            edge_labels = [edge_label] * len(positions)
+        label = graph.vertex_label(v)
+        key = (label, *positions, *edge_labels)
+        memo = self._child_quicks
+        if memo is None:
+            memo = self._child_quicks = {}
+        quick = memo.get(key)
+        if quick is None:
+            base = self.pattern()
+            newest = len(words)
+            added = [(i, newest, l) for i, l in zip(positions, edge_labels)]
+            quick = memo[key] = Pattern(
+                base.vertex_labels + (label,), tuple(sorted([*base.edges, *added]))
+            )
+        return quick
 
     def is_clique(self) -> bool:
         """Whether the newest vertex connects to all previous ones.

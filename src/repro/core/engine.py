@@ -7,10 +7,14 @@ Each *exploration step* performs, per logical worker:
    discard spurious ODAG paths (section 5.2);
 2. **aggregation filter/process (α/β)** — now that the generation step's
    aggregates are readable;
-3. **generate (G)** — one-word extensions of each surviving embedding;
-4. **canonicality (C)** — Algorithm 2 on every candidate, the
+3. **generate (G)** — the one-word extensions of each surviving
+   embedding, as one bitset;
+4. **canonicality (C)** — Algorithm 2 over that whole pool at once
+   (:func:`~repro.core.canonical.canonical_extension_mask`), the
    coordination-free dedup of section 5.1;
-5. **filter/process (φ/π)** — the user functions; π may ``map``/``output``;
+5. **filter/process (φ/π)** — the user functions; π may ``map``/``output``
+   (φ too runs on the pool where the computation offers
+   ``filter_extensions``);
 6. **write (W)** — survivors (minus termination-filtered ones) go to the
    worker-local store under their canonical pattern.
 

@@ -877,10 +877,19 @@ class DagStepper:
         return self._run(words, strategy, True)[:2]
 
     def advance(self, words: tuple[int, ...], batch: bool):
-        """What the expansion pass runs: ``(num_candidates, found,
-        terminal)`` — :meth:`member_masks` when ``batch`` and every live
-        member completes at the next word (``terminal``), else :meth:`step`."""
-        return self._run(words, None, None if batch else False)
+        """What the expansion pass runs: ``(num_candidates, num_accepted,
+        found, terminal)`` — :meth:`member_masks` when ``batch`` and every
+        live member completes at the next word (``terminal``: a child
+        several members accept counts once), else :meth:`step`."""
+        num_candidates, found, terminal = self._run(
+            words, None, None if batch else False
+        )
+        if not terminal:
+            return num_candidates, len(found), found, False
+        union = 0
+        for _, mask in found:
+            union |= mask
+        return num_candidates, union.bit_count(), found, True
 
     def _run(self, words: tuple[int, ...], strategy, terminal):
         """The one kernel: ``(num_candidates, found, terminal)`` with

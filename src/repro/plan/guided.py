@@ -442,17 +442,18 @@ class PlanStepper:
         return from_bitset(root_pool_bits(self.plan.steps[0], self.graph))
 
     def advance(self, words: tuple[int, ...], batch: bool):
-        """``(num_candidates, found, terminal)`` — on the plan's last level
-        (when ``batch``) the survivors stay one undecoded ``(0, bitmask)``
-        member mask for ``Computation.process_terminal``, else they are
-        words."""
+        """``(num_candidates, num_accepted, found, terminal)`` — on the
+        plan's last level (when ``batch``) the survivors stay one undecoded
+        ``(0, bitmask)`` member mask for ``Computation.process_terminal``,
+        else they are words."""
         plan = self.plan
         num_candidates, bits, rows = _survivor_kernel(plan, self.graph, words, None)
         if batch and len(words) == len(plan.steps) - 1:
             if rows is not None:
                 bits = to_bitset(rows)
-            return num_candidates, [(0, bits)] if bits else [], True
-        return num_candidates, from_bitset(bits) if rows is None else rows, False
+            return num_candidates, bits.bit_count(), [(0, bits)] if bits else [], True
+        found = from_bitset(bits) if rows is None else rows
+        return num_candidates, len(found), found, False
 
 
 def match_mapping(plan: MatchingPlan, words: tuple[int, ...]) -> tuple[int, ...]:

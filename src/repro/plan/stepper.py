@@ -13,31 +13,55 @@ A *stepper* is that difference, behind three methods:
     the per-candidate acceptance test: what step 0 applies to its pool
     and what ODAG extraction re-applies prefix by prefix to discard
     spurious paths;
-``advance(words, batch) -> (num_candidates, found, terminal)``
-    one expansion: the size of the candidate pool, and the accepted
-    words ascending — always equal to ``[w for w in pool if
-    check(graph, words, w)]``.  When ``batch`` is set and every live plan
-    member completes at the next word (``terminal``), ``found`` is
-    instead the undecoded ``(member, bitmask)`` survivor masks for
-    ``Computation.process_terminal``.
+``advance(words, batch) -> (num_candidates, num_accepted, found, terminal)``
+    one expansion: the size of the candidate pool, how many of its words
+    ``check`` accepts, and those words ascending — ``[w for w in pool if
+    check(graph, words, w)]``, less any a pool-level φ rejected (below).
+    When ``batch`` is set and every live plan member completes at the
+    next word (``terminal``), ``found`` is instead the undecoded
+    ``(member, bitmask)`` survivor masks for
+    ``Computation.process_terminal`` and ``num_accepted`` the popcount of
+    their union.
 
-Three steppers have the shape — :class:`ExhaustiveStepper` (``extensions``
-+ Algorithm 2 canonicality), :class:`~repro.plan.guided.PlanStepper` (the
-single-plan anchor-row kernel) and :class:`~repro.plan.dag.DagStepper` (the
-multi-query closure-complete kernel); docs/plans.md §6 tabulates them and
-records why a single plan is not run as a one-member DAG (measured
-1.6-1.8x slower, and a different pool definition would change
-``candidates_generated``).  :func:`make_stepper` is the only place that
-looks at the plan's type.
+Three steppers have the shape — :class:`ExhaustiveStepper` (extension
+mask, then Algorithm 2 over the whole pool),
+:class:`~repro.plan.guided.PlanStepper` (the single-plan anchor-row
+kernel) and :class:`~repro.plan.dag.DagStepper` (the multi-query
+closure-complete kernel); docs/plans.md §6 tabulates them, derives the
+mask form of Algorithm 2, and records why a single plan is not run as a
+one-member DAG (measured 1.6-1.8x slower, and a different pool definition
+would change ``candidates_generated``).  :func:`make_stepper` is the only
+place that looks at the plan's type.
+
+Exhaustive exploration is mask algebra end to end: no Python call per
+candidate.  The pool, its canonical subset and the subset φ keeps
+(``Computation.filter_extensions``, where the computation offers it) are
+three bitsets; the two counters are popcounts; only the children that
+will be built are decoded.  The per-candidate ``check`` remains for the
+callers that meet candidates one at a time — step 0, ODAG prefix
+filtering, the ``incremental_canonicality=False`` ablation — and as the
+oracle ``tests/test_kernel_equivalence.py`` replays the masks against.
 """
 
 from __future__ import annotations
 
-from ..core.canonical import extension_checker, full_checker
-from ..core.extension import extensions, initial_candidates
+from functools import partial
+
+from ..core.canonical import (
+    canonical_extension_mask,
+    extension_checker,
+    full_checker,
+)
+from ..core.extension import extension_mask, initial_candidates, word_row
 from ..graph import LabeledGraph
+from ..graph.bitset import from_bitset, to_bitset
 from .dag import DagStepper, PlanDAG, bound_stepper
 from .guided import PlanStepper
+
+
+def _keep_all(words: tuple[int, ...], mask: int) -> int:
+    """The pool-level φ of a computation without ``filter_extensions``."""
+    return mask
 
 
 class ExhaustiveStepper:
@@ -45,35 +69,53 @@ class ExhaustiveStepper:
     candidate, and the canonicality check (Algorithm 2) — incremental, or
     from scratch when ``incremental`` is off — is the acceptance test that
     keeps one copy per automorphism class.  Never ``terminal``: there is
-    no plan whose last level could be aggregated."""
+    no plan whose last level could be aggregated.
 
-    __slots__ = ("graph", "mode", "check", "_accept")
+    ``advance`` never looks at one candidate: the pool is the extension
+    *mask* (phase G), the accepted words are its canonical sub-mask (phase
+    C, one :func:`~repro.core.canonical.canonical_extension_mask` call per
+    parent), both counted by popcount; ``pool_filter`` — the computation's
+    ``filter_extensions`` — then drops the children φ rejects before
+    anything is decoded.  ``check`` keeps the per-candidate form."""
+
+    __slots__ = ("graph", "mode", "check", "_row", "_canonical", "_pool_filter")
 
     def __init__(
-        self, graph: LabeledGraph, mode: str, incremental: bool, wrap_check=None
+        self,
+        graph: LabeledGraph,
+        mode: str,
+        incremental: bool,
+        wrap_check=None,
+        pool_filter=None,
     ) -> None:
         self.graph = graph
         self.mode = mode
+        self._row = word_row(graph, mode)
         if incremental:
             self.check = extension_checker(mode)
+            canonical = partial(canonical_extension_mask, self._row)
         else:
             full = full_checker(mode)
-            self.check = lambda graph, parent_words, word: full(
+            self.check = check = lambda graph, parent_words, word: full(
                 graph, parent_words + (word,)
             )
+            canonical = lambda words, pool: to_bitset(
+                w for w in from_bitset(pool) if check(graph, words, w)
+            )
         # Generate and check are two separable phases here (G and C of the
-        # paper's Figure 12), so ``advance`` reaches its check through a
-        # slot the caller may have wrapped; ``check`` itself stays raw.
-        self._accept = self.check if wrap_check is None else wrap_check(self.check)
+        # paper's Figure 12), so ``advance`` reaches its canonical pass
+        # through a slot the caller may have wrapped; ``check`` stays raw.
+        self._canonical = canonical if wrap_check is None else wrap_check(canonical)
+        self._pool_filter = _keep_all if pool_filter is None else pool_filter
 
     def zero_pool(self) -> tuple[int, ...]:
         return tuple(initial_candidates(self.graph, self.mode))
 
     def advance(self, words: tuple[int, ...], batch: bool):
-        graph = self.graph
-        accept = self._accept
-        pool = extensions(graph, self.mode, words)
-        return len(pool), [w for w in pool if accept(graph, words, w)], False
+        pool = extension_mask(self._row, words)
+        accepted = self._canonical(words, pool)
+        found = from_bitset(self._pool_filter(words, accepted))
+        return pool.bit_count(), accepted.bit_count(), found, False
 
 
 def make_stepper(
@@ -83,6 +125,7 @@ def make_stepper(
     incremental: bool = True,
     computation=None,
     wrap_check=None,
+    pool_filter=None,
 ):
     """The stepper for ``plan`` (``None`` = exhaustive) on ``graph``.
 
@@ -90,12 +133,15 @@ def make_stepper(
     stepper is bound to it (:func:`repro.plan.dag.bound_stepper`), because
     its survivor memo is how ``advance`` hands the accepted members to the
     computation's own ``process``/``termination_filter``.  ``wrap_check``
-    decorates the check where it runs as a pass of its own inside
-    ``advance`` (exhaustive only — the runtime's phase timer); a fused
-    kernel has no separate check to wrap.
+    decorates the canonicality kernel where it runs as a pass of its own
+    inside ``advance`` (exhaustive only — the runtime's phase timer); a
+    fused kernel has no separate check to wrap.  ``pool_filter`` is the
+    computation's ``filter_extensions`` when it may stand in for the
+    per-child φ (exhaustive only too: the hook is defined over extension
+    masks, and the runtime offers it for no plan-compatible computation).
     """
     if plan is None:
-        return ExhaustiveStepper(graph, mode, incremental, wrap_check)
+        return ExhaustiveStepper(graph, mode, incremental, wrap_check, pool_filter)
     if isinstance(plan, PlanDAG):
         if computation is None:
             return DagStepper(plan, graph)

@@ -22,8 +22,9 @@ processes while producing byte-identical results:
 * the computation object is shallow-copied per task ⇒ the per-task context
   binding (``bind_context``) never races between threads.
 
-How an embedding is expanded — exhaustive generate-then-canonicality,
-a guided :class:`~repro.plan.MatchingPlan`'s fused bitset kernel, or a
+How an embedding is expanded — exhaustive extension and canonicality
+masks (with the computation's pool-level φ, ``filter_extensions``, where
+it has one), a guided :class:`~repro.plan.MatchingPlan`'s fused bitset kernel, or a
 multi-query :class:`~repro.plan.PlanDAG`'s set-of-active-nodes kernel —
 is the *stepper's* business (:mod:`repro.plan.stepper`): the passes below
 call ``zero_pool``/``check``/``advance`` and never look at the plan.  A
@@ -205,17 +206,44 @@ def _probe_interrupts(
         raise BudgetExceeded(DEADLINE_BUDGET)
 
 
+def _trusted_hook(computation: Computation, hook: str, replaces: tuple[str, ...]):
+    """The optional ``hook`` of ``computation`` (``None`` if absent), unless
+    a subclass refines one of the methods it ``replaces`` below the class
+    that wrote the hook — which would leave the hook answering for code
+    that no longer runs."""
+    for klass in type(computation).__mro__:
+        defined = vars(klass)
+        if hook in defined:
+            return getattr(computation, hook)
+        if any(name in defined for name in replaces):
+            return None
+
+
 def _terminal_hook(computation: Computation):
     """``process_terminal`` when it may replace the per-child loop: φ is
     the base accept-all, and no subclass refines ``process``/
     ``termination_filter`` below the class that wrote the hook."""
     if type(computation).filter is not Computation.filter:
         return None
-    for klass in type(computation).__mro__:
-        if "process_terminal" in vars(klass):
-            return computation.process_terminal
-        if "process" in vars(klass) or "termination_filter" in vars(klass):
-            return None
+    return _trusted_hook(
+        computation, "process_terminal", ("process", "termination_filter")
+    )
+
+
+def _extension_filter(computation: Computation):
+    """``filter_extensions`` when it may stand in for the per-child φ: no
+    subclass refines ``filter`` below the class that wrote the hook, and
+    the computation is not plan-compatible — the hook is defined over an
+    exhaustive extension mask, and the engine pairs no plan with a
+    computation that has not opted in."""
+    if computation.plan_compatible:
+        return None
+    return _trusted_hook(computation, "filter_extensions", ("filter",))
+
+
+def _accept_all(embedding) -> bool:
+    """φ of children the stepper already filtered as a pool."""
+    return True
 
 
 def _untimed(phase: str, call):
@@ -283,6 +311,7 @@ def run_step_task(context: StepContext, worker_id: int) -> WorkerDelta:
     # One stepper per task.  A DAG's is shared with the computation's own
     # hooks (process/termination run on the same task copy): its
     # survivor-walk memo is private to this pure task.
+    pool_filter = _extension_filter(computation)
     stepper = make_stepper(
         context.plan,
         context.graph,
@@ -290,8 +319,16 @@ def run_step_task(context: StepContext, worker_id: int) -> WorkerDelta:
         context.incremental_canonicality,
         computation,
         wrap_check=partial(timed, "C"),
+        pool_filter=pool_filter,
     )
-    settle = _settler(computation, canonicalizer, store, delta.counters, timed)
+    # φ runs per child — except on an expansion's children when the
+    # stepper applied it to their whole pool (step 0 has no pool hook).
+    keep = (
+        computation.filter
+        if pool_filter is None or context.step == 0
+        else _accept_all
+    )
+    settle = _settler(computation, keep, canonicalizer, store, delta.counters, timed)
     computation.bind_context(task_context)
     try:
         if context.step == 0:
@@ -327,16 +364,16 @@ def run_step_chunk(
 # ----------------------------------------------------------------------
 def _settler(
     computation: Computation,
+    keep,
     canonicalizer: PatternCanonicalizer,
     store: EmbeddingStore,
     stats: StepStats,
     timed,
 ):
-    """The tail both passes share, for one accepted embedding: φ, π, the
-    termination filter, then the write to set F under its canonical
+    """The tail both passes share, for one accepted embedding: φ (``keep``),
+    π, the termination filter, then the write to set F under its canonical
     pattern.  Pattern canonicalization is charged to P (paper Figure 12:
     P = pattern aggregation), only the store write to W."""
-    keep = computation.filter
     process = timed("P", computation.process)
     terminates = computation.termination_filter
     canonicalize = timed("P", canonicalizer.canonicalize)
@@ -464,25 +501,21 @@ def _expansion_pass(
             continue
         computation.aggregation_process(embedding)
 
-        # One expansion, whatever the stepper: the pool's size, and the
-        # accepted extensions — as words, settled one child at a time, or
-        # on a terminal level as undecoded member masks, which go to the
+        # One expansion, whatever the stepper: the pool's size, how many
+        # of it were accepted, and the accepted extensions — as words
+        # (those a pool-level φ kept), settled one child at a time, or on
+        # a terminal level as undecoded member masks, which go to the
         # hook whole.
-        num_candidates, found, terminal = advance(words, batch)
+        num_candidates, num_accepted, found, terminal = advance(words, batch)
         stats.candidates_generated += num_candidates
+        stats.canonical_candidates += num_accepted
         work += num_candidates
         if terminal:
             if found:
-                union = 0
-                for _, mask in found:
-                    union |= mask
-                finished = union.bit_count()
-                stats.canonical_candidates += finished
-                stats.processed_embeddings += finished
-                stats.batched_embeddings += finished
+                stats.processed_embeddings += num_accepted
+                stats.batched_embeddings += num_accepted
                 hook(words, found)
             continue
-        stats.canonical_candidates += len(found)
         for word in found:
             settle(embedding.extend(word))
     delta.work_units += work

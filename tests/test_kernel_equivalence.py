@@ -30,7 +30,12 @@ order included — on every path through it:
   (exhaustive in both exploration modes, single plan, DAG) are one
   parametrised axis: ``advance`` equals generate-then-``check`` at every
   replayed state, ``zero_pool`` is what step 0 partitions, and turning
-  ``profile_phases`` on changes nothing but the clock.
+  ``profile_phases`` on changes nothing but the clock;
+* **the canonicality kernel** — Algorithm 2 as one mask per parent
+  (:func:`repro.core.canonical.canonical_extension_mask`) equals the
+  per-candidate ``is_canonical_*_extension`` oracle on every bundled
+  dataset and on random graphs, in both exploration modes, for pools that
+  include members and words with no neighbour in the parent.
 """
 
 import time
@@ -48,6 +53,8 @@ from repro.apps import (
     enumerate_motif_patterns,
 )
 from repro.core import ArabesqueConfig, Pattern, extensions, run_computation
+from repro.core.canonical import canonical_extension_mask, extension_checker
+from repro.core.extension import extension_mask, word_row
 from repro.core.pattern import PatternCanonicalizer
 from repro.datasets import (
     citeseer_like,
@@ -58,7 +65,7 @@ from repro.datasets import (
     youtube_like,
 )
 from repro.graph import assign_labels, gnm_random_graph, strip_labels
-from repro.graph.bitset import to_bitset
+from repro.graph.bitset import from_bitset, to_bitset
 from repro.plan import (
     NAMED_SHAPES,
     build_plan_dag,
@@ -312,10 +319,14 @@ class TestStepperContract:
             states += 1
             deepest = max(deepest, len(words))
             pool = pool_of(words)
-            num_candidates, found, terminal = stepper.advance(words, False)
-            assert (num_candidates, list(found), terminal) == (
+            accepted = [w for w in pool if stepper.check(graph, words, w)]
+            num_candidates, num_accepted, found, terminal = stepper.advance(
+                words, False
+            )
+            assert (num_candidates, num_accepted, list(found), terminal) == (
                 len(pool),
-                [w for w in pool if stepper.check(graph, words, w)],
+                len(accepted),
+                accepted,
                 False,
             ), f"{kind}: advance diverges from generate-then-check at {words}"
             stack.extend(
@@ -387,6 +398,78 @@ class TestStepperContract:
         slept = nap * run.steps[0].stored_embeddings
         step0 = run.metrics.supersteps[0].phase_seconds
         assert step0["P"] >= slept > step0["W"]
+
+
+# ---------------------------------------------------------------------------
+# Algorithm 2 as a pool-level mask == the per-candidate oracle
+# ---------------------------------------------------------------------------
+def assert_mask_is_oracle(graph, mode, words, pool):
+    row = word_row(graph, mode)
+    check = extension_checker(mode)
+    assert from_bitset(canonical_extension_mask(row, words, pool)) == tuple(
+        w for w in from_bitset(pool) if check(graph, words, w)
+    ), f"{mode}: canonical mask diverges from Algorithm 2 at {words}"
+
+
+class TestCanonicalMaskKernel:
+    @pytest.mark.parametrize("mode", ["vertex", "edge"])
+    @pytest.mark.parametrize(
+        "name,factory", BUNDLED, ids=[name for name, _ in BUNDLED]
+    )
+    def test_mask_equals_per_candidate_check_at_every_state(
+        self, name, factory, mode
+    ):
+        graph = factory()
+        stepper = make_stepper(None, graph, mode)
+        # Every word of the mode: members, and words with no neighbour in
+        # the parent (Algorithm 2 would accept those; this repo's P2
+        # deviation rejects them, and so must the mask).
+        universe = (1 << len(stepper.zero_pool())) - 1
+        stack = [(word,) for word in stepper.zero_pool()[:40]]
+        states = deepest = 0
+        while stack and states < 600:
+            words = stack.pop()
+            states += 1
+            deepest = max(deepest, len(words))
+            assert_mask_is_oracle(graph, mode, words, universe)
+            pool = extension_mask(word_row(graph, mode), words)
+            assert_mask_is_oracle(graph, mode, words, pool)
+            _, _, found, _ = stepper.advance(words, False)
+            if len(words) < 4:
+                stack.extend(words + (w,) for w in found[:3])
+        assert deepest == 4, f"{name}/{mode}: replay must reach depth 4"
+
+    @given(
+        seed=st.integers(0, 10_000),
+        edges=st.integers(5, 60),
+        size=st.integers(0, 5),
+        mode=st.sampled_from(["vertex", "edge"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_mask_equals_oracle_for_any_parent_and_pool(
+        self, seed, edges, size, mode
+    ):
+        # No precondition: the parent need not be canonical or even
+        # connected, and the pool is every word of the mode.
+        import random
+
+        graph = gnm_random_graph(16, edges, seed=seed)
+        ids = range(graph.num_vertices if mode == "vertex" else graph.num_edges)
+        words = tuple(random.Random(seed).sample(ids, min(size, len(ids))))
+        assert_mask_is_oracle(graph, mode, words, (1 << len(ids)) - 1)
+
+    @pytest.mark.parametrize("mode", ["vertex", "edge"])
+    def test_from_scratch_ablation_accepts_the_same_words(self, mode):
+        graph = citeseer_like(scale=0.03)
+        incremental = make_stepper(None, graph, mode)
+        from_scratch = make_stepper(None, graph, mode, incremental=False)
+        stack = [(word,) for word in incremental.zero_pool()[:25]]
+        while stack:
+            words = stack.pop()
+            expected = incremental.advance(words, False)
+            assert from_scratch.advance(words, False) == expected
+            if len(words) < 3:
+                stack.extend(words + (w,) for w in expected[2][:3])
 
 
 def _engine_leaf_counts(graph, dag):

@@ -360,11 +360,12 @@ class TestPoolDegreeBoundary:
             rows = stepper.member_masks(words, "rows")
             assert rows == stepper.member_masks(words, "masks")
             num_candidates, masks = rows
-            finishes = stepper.advance(words, True)[2]
+            _, num_accepted, _, finishes = stepper.advance(words, True)
             assert finishes == (len(words) == 2)
             union = 0
             for _, mask in masks:
                 union |= mask
+            assert num_accepted == union.bit_count()
             assert stepper.step(words) == (num_candidates, from_bitset(union))
             if not finishes:
                 frontier.extend(words + (w,) for w in from_bitset(union)[:6])
@@ -379,9 +380,13 @@ class TestPoolDegreeBoundary:
             for v in graph.neighbors(u)[:4]:
                 for words in [(u, v)] + [(u, v, w) for w in graph.neighbors(v)[:3]]:
                     expected = guided_survivors(plan, graph, words)
-                    assert stepper.advance(words, False) == (*expected, False)
-                    count, found, terminal = stepper.advance(words, True)
-                    assert terminal == (len(words) == 3) and count == expected[0]
+                    survivors = len(expected[1])
+                    assert stepper.advance(words, False) == (
+                        expected[0], survivors, expected[1], False
+                    )
+                    count, accepted, found, terminal = stepper.advance(words, True)
+                    assert terminal == (len(words) == 3)
+                    assert (count, accepted) == (expected[0], survivors)
                     if terminal:
                         bits = sum(1 << w for w in expected[1])
                         assert found == ([(0, bits)] if bits else [])
