@@ -12,8 +12,11 @@ path (extension mask, then Algorithm 2 over the whole pool), not one
 Python call per candidate, so their shares sit well below the paper's
 11-18% C — and below this bench's own 43% C for Cliques before the mask
 kernel; the time that remains is storage (W, R) and pattern aggregation
-(P).  ``R`` still runs the per-candidate check, as ODAG extraction's
-spurious-path filter, which is why it leads on Cliques.
+(P).  ``R`` is mask algebra too: ODAG extraction filters each path
+prefix's whole successor set through the same two kernels (canonicality,
+then the pool-level φ) instead of checking paths one by one, so R no
+longer leads on Cliques (full mode 62 % -> 24 %; quick mode 54 % -> 16 %)
+and the freed share lands on the phases that did not change — G, P, W.
 
 ``BENCH_QUICK=1`` shrinks the graphs so CI can smoke-run the bench; the
 share assertions are loose enough to hold there too.
@@ -86,7 +89,10 @@ def run_fig12():
         # pattern aggregation are the bulk of the work everywhere.  The
         # bar predates the mask kernels and still holds with margin: they
         # shrank G (the excluded phase) along with C, so the sum rose
-        # (measured 88 / 95 / 85 %, from 83 / 91 / 57 % per candidate).
+        # (88 / 95 / 85 %, from 83 / 91 / 57 % per candidate).  Reading
+        # ODAGs by mask then shrank R itself — Cliques' R 62 % -> 24 %,
+        # so G's share doubled there and the sum is 90 / 95 / 67 %; quick
+        # mode's smallest is 72 %.  Still well clear of the bar.
         assert share["W"] + share["R"] + share["C"] + share["P"] > 40.0, name
     # Pattern aggregation is a real cost for FSM but idle for Cliques'
     # single-shape exploration is still charged pattern lookups, so just

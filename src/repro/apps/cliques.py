@@ -14,6 +14,7 @@ from ..core.computation import Computation
 from ..core.embedding import Embedding, VERTEX_EXPLORATION, VertexInducedEmbedding
 from ..core.results import RunResult
 from ..graph import LabeledGraph
+from ..graph.bitset import from_bitset
 
 
 class CliqueFinding(Computation):
@@ -51,6 +52,17 @@ class CliqueFinding(Computation):
 
     def termination_filter(self, embedding: Embedding) -> bool:
         return self.max_size is not None and embedding.num_vertices >= self.max_size
+
+    @property
+    def terminal_size(self) -> int | None:
+        return self.max_size
+
+    def process_terminal(self, words: tuple[int, ...], mask: int) -> None:
+        if len(words) + 1 >= self.min_size:
+            self.output_batch(
+                mask.bit_count(),
+                lambda: (tuple(sorted(words + (w,))) for w in from_bitset(mask)),
+            )
 
 
 def clique_extensions(

@@ -22,6 +22,7 @@ from ..core.computation import Computation
 from ..core.embedding import Embedding, VERTEX_EXPLORATION, VertexInducedEmbedding
 from ..core.pattern import Pattern
 from ..core.results import RunResult
+from .cliques import clique_extensions
 from .support import Domain
 
 
@@ -54,6 +55,9 @@ class FrequentCliqueMining(Computation):
         if self.max_size is not None and embedding.num_vertices > self.max_size:
             return False
         return embedding.is_clique()
+
+    def filter_extensions(self, words: tuple[int, ...], mask: int) -> int:
+        return clique_extensions(self.graph, self.max_size, words, mask)
 
     def process(self, embedding: Embedding) -> None:
         self.map(self.pattern(embedding), Domain.from_embedding(embedding))

@@ -32,11 +32,12 @@ from typing import Callable
 from ..bsp.metrics import RunMetrics
 from ..core.computation import Computation
 from ..core.config import ArabesqueConfig
-from ..core.embedding import Embedding, VERTEX_EXPLORATION
+from ..core.embedding import Embedding, VERTEX_EXPLORATION, VertexInducedEmbedding
 from ..core.pattern import Pattern
 from ..core.results import RunResult
 from ..core.storage import LIST_STORAGE
 from ..graph import LabeledGraph
+from ..graph.bitset import from_bitset
 from ..plan.dag import PlanDAG, bound_stepper, build_plan_dag
 from ..plan.fsm_guide import (
     label_triples,
@@ -85,6 +86,54 @@ class MotifCounting(Computation):
         # Skip the exploration step that would generate size max_size + 1
         # candidates only to filter all of them out (section 4.1's example).
         return embedding.num_vertices >= self.max_size
+
+    @property
+    def terminal_size(self) -> int:
+        return self.max_size
+
+    def process_terminal(self, words: tuple[int, ...], mask: int) -> None:
+        """Count the last level per quick pattern without building it: two
+        children share a quick pattern iff the new vertex has the same
+        label and touches the same parent positions (edge labels being
+        uniform), so ``mask`` splits by each parent word's adjacency row,
+        then by label, and one representative per class supplies the
+        pattern.  Classes map in order of their smallest member — the order
+        the per-child loop first meets them."""
+        graph = self.graph
+        parent = VertexInducedEmbedding(graph, words)
+        if graph.uniform_edge_label is None:
+            for word in from_bitset(mask):
+                self.map_output(parent.extend(word).pattern(), 1)
+            return
+        classes = [mask]
+        for word in words:
+            row = graph.neighbor_bits(word)
+            classes = [
+                part
+                for members in classes
+                for part in (members & row, members & ~row)
+                if part
+            ]
+        classes = [
+            part for members in classes for part in _split_by_label(graph, members)
+        ]
+        classes.sort(key=_lowest)
+        for members in classes:
+            representative = parent.extend(_lowest(members))
+            self.map_output(representative.pattern(), members.bit_count())
+
+
+def _lowest(bits: int) -> int:
+    """The smallest id in a non-empty bitset."""
+    return (bits & -bits).bit_length() - 1
+
+
+def _split_by_label(graph: LabeledGraph, members: int):
+    """``members`` cut into one bitset per vertex label present in it."""
+    while members:
+        part = members & graph.label_bits(graph.vertex_label(_lowest(members)))
+        yield part
+        members ^= part
 
 
 def motif_counts(result: RunResult) -> dict[Pattern, int]:

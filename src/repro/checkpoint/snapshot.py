@@ -45,7 +45,9 @@ from ..core.storage import EmbeddingStore, ListStore, SpillListStore
 from ..graph import LabeledGraph
 
 MAGIC = b"ARBKCKPT"
-FORMAT_VERSION = 1
+#: 2: a pickled ODAG holds its arrays and successor sets as big-int bitsets
+#: (version 1 pickled Python sets under different slot names).
+FORMAT_VERSION = 2
 _CHECKSUM_NBYTES = 32
 
 #: Snapshot payloads produced by spill-mode runs store the rows themselves

@@ -82,18 +82,38 @@ class Computation:
     #: (e.g. a motif census would quietly lose every non-query shape).
     plan_compatible: bool = False
 
-    #: Optional hook ``process_terminal(words, member_masks)`` of
-    #: plan-compatible computations.  When every plan member still alive
-    #: for the stored embedding ``words`` completes at the next word, the
-    #: guided runtime calls it once *instead of* ``filter``/``process``/
-    #: ``termination_filter`` per child: ``member_masks`` lists
-    #: ``(member, mask)`` in ascending member order (member 0 for a
-    #: single plan), bit ``w`` set iff the member accepts
-    #: ``words + (w,)``.  It must be equivalent to calling ``process`` on
-    #: every decoded child in ascending word order; the children are
-    #: never stored.  ``None`` or an overridden ``filter`` keeps the
-    #: per-child loop.
+    #: Optional hook ``process_terminal(words, found)``: finish a whole
+    #: last level from bitmasks.  The runtime calls it once per stored
+    #: embedding ``words`` *instead of* ``filter``/``process``/
+    #: ``termination_filter`` per child, when every child is known to
+    #: terminate; it must be equivalent to calling ``process`` on every
+    #: decoded child in ascending word order, and the children are never
+    #: built or stored.  ``found`` has one of two shapes, by how the
+    #: computation runs:
+    #:
+    #: * plan-compatible (guided): every plan member still alive for
+    #:   ``words`` completes at the next word, and ``found`` lists
+    #:   ``(member, mask)`` in ascending member order (member 0 for a
+    #:   single plan), bit ``w`` set iff the member accepts
+    #:   ``words + (w,)``;
+    #: * exhaustive: ``len(words) + 1 == terminal_size`` (below), and
+    #:   ``found`` is one bitmask — bit ``w`` set iff ``words + (w,)`` is
+    #:   a canonical extension that ``filter`` accepts.
+    #:
+    #: Honoured only while ``filter`` is the base accept-all or is stood
+    #: in for by a trusted ``filter_extensions``, and no subclass refines
+    #: ``process``/``termination_filter`` below the class that wrote the
+    #: hook; ``None`` keeps the per-child loop.  With
+    #: ``two_level_aggregation`` off an exhaustive run stays per child
+    #: (that ablation is one canonicalization per embedding).
     process_terminal = None
+
+    #: The terminal-size contract of an exhaustive ``process_terminal``:
+    #: the word count at which ``termination_filter`` is true for *every*
+    #: embedding (so none of that size is ever stored), or ``None`` when
+    #: there is no such size.  Read once per worker task; step 0 always
+    #: goes per child.
+    terminal_size: int | None = None
 
     #: Optional hook ``filter_extensions(words, mask) -> mask``: φ over a
     #: whole extension pool.  Bit ``w`` of ``mask`` proposes the child
@@ -104,7 +124,9 @@ class Computation:
     #: call.  Like ``process_terminal`` it is honoured only while no
     #: subclass refines ``filter`` below the class that wrote the hook,
     #: and never for plan-compatible computations; ``None`` keeps the
-    #: per-child φ.  Step 0 always filters per child.
+    #: per-child φ.  Step 0 always filters per child.  ODAG extraction
+    #: passes it path prefixes (two or more words that passed every check
+    #: so far) with a successor sub-mask, under the same contract.
     filter_extensions = None
 
     def __init__(self) -> None:

@@ -3,8 +3,9 @@
 Each *exploration step* performs, per logical worker:
 
 1. **read (R)** — extract this worker's rank-range share of the previous
-   step's global store, re-applying the canonicality check and filter φ to
-   discard spurious ODAG paths (section 5.2);
+   step's global store, re-applying the canonicality check and filter φ —
+   both over each path prefix's whole successor pool — to discard spurious
+   ODAG paths (section 5.2);
 2. **aggregation filter/process (α/β)** — now that the generation step's
    aggregates are readable;
 3. **generate (G)** — the one-word extensions of each surviving
@@ -14,7 +15,8 @@ Each *exploration step* performs, per logical worker:
    coordination-free dedup of section 5.1;
 5. **filter/process (φ/π)** — the user functions; π may ``map``/``output``
    (φ too runs on the pool where the computation offers
-   ``filter_extensions``);
+   ``filter_extensions``, and a last level whose children all terminate is
+   finished from the φ-kept mask by ``process_terminal``);
 6. **write (W)** — survivors (minus termination-filtered ones) go to the
    worker-local store under their canonical pattern.
 
@@ -521,11 +523,13 @@ class ArabesqueEngine:
         shuffle_messages = 0
         shuffle_bytes = 0
         for store in local_stores:
+            # One message per array entry: its word and level, plus 4 bytes
+            # per outgoing edge — read off the bitsets by popcount.
             for pattern in store.patterns():
                 odag = store.odag_for(pattern)
-                for level, word, successors in odag.entries():
-                    shuffle_messages += 1
-                    shuffle_bytes += 20 + 4 * len(successors)
+                entries = odag.num_entries()
+                shuffle_messages += entries
+                shuffle_bytes += 20 * entries + 4 * odag.num_edges()
             merged.merge(store)
         odag_bytes = merged.wire_size()
         list_bytes = self._list_equivalent_bytes(merged, embedding_size)

@@ -1,6 +1,6 @@
 """Load-balancing analysis for the cost-estimated partitioning (section 5.3).
 
-The partitioning itself lives in :meth:`repro.core.odag.Odag.extract_range`
+The partitioning itself lives in :meth:`repro.core.odag.Odag.extract`
 (rank-range splits over the overapproximated path space, using per-element
 path counts as cost estimates) and
 :meth:`repro.core.storage.OdagStore.extract_partition`.  This module
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .odag import PrefixFilter
+from .odag import PoolFilter
 from .storage import EmbeddingStore
 
 
@@ -43,23 +43,23 @@ class PartitionReport:
 def measure_partition(
     store: EmbeddingStore,
     num_workers: int,
-    prefix_filter: PrefixFilter | None = None,
+    children: PoolFilter | None = None,
 ) -> PartitionReport:
     """Extract every worker's share and report the balance.
 
     Also validates the partition invariant: every stored embedding is
     extracted by exactly one worker — the shares must sum to what a single
-    worker extracting everything would see (the same prefix filter applied,
+    worker extracting everything would see (the same pool filter applied,
     so spurious-path discards cancel out).  A store whose partitioning
     drops or duplicates embeddings raises ``ValueError``.
     """
     shares = []
     for worker_id in range(num_workers):
         count = sum(
-            1 for _ in store.extract_partition(worker_id, num_workers, prefix_filter)
+            1 for _ in store.extract_partition(worker_id, num_workers, children)
         )
         shares.append(count)
-    whole = sum(1 for _ in store.extract_partition(0, 1, prefix_filter))
+    whole = sum(1 for _ in store.extract_partition(0, 1, children))
     total = sum(shares)
     if total != whole:
         raise ValueError(

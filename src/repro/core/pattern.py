@@ -98,6 +98,20 @@ class Pattern:
         """Wire size: labels row + one triple per edge (4 bytes per int)."""
         return 4 + 4 * len(self.vertex_labels) + 12 * len(self.edges)
 
+    def __hash__(self) -> int:
+        # The dataclass hash, computed once: patterns key the canonicalizer
+        # and aggregation dicts, which re-hashed both tuples on every lookup.
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.vertex_labels, self.edges))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __getstate__(self) -> dict:
+        # Fields only: the memoized hash never reaches a pickle.
+        return {"vertex_labels": self.vertex_labels, "edges": self.edges}
+
     def __repr__(self) -> str:
         return f"Pattern(labels={self.vertex_labels}, edges={self.edges})"
 

@@ -30,7 +30,7 @@ import shutil
 import tempfile
 from typing import Callable, Iterator
 
-from .odag import Odag, PrefixFilter
+from .odag import Odag, PoolFilter
 from .pattern import Pattern
 
 #: Storage-mode configuration values.
@@ -90,9 +90,13 @@ class EmbeddingStore:
         self,
         worker_id: int,
         num_workers: int,
-        prefix_filter: PrefixFilter | None = None,
+        children: PoolFilter | None = None,
     ) -> Iterator[tuple[Pattern, tuple[int, ...]]]:
-        """Yield ``(pattern, words)`` of this worker's share of embeddings."""
+        """Yield ``(pattern, words)`` of this worker's share of embeddings.
+
+        ``children`` is the spurious-path filter of stores that
+        overapproximate (:data:`~repro.core.odag.PoolFilter`; ``None``
+        accepts every path); exact stores never consult it."""
         raise NotImplementedError
 
 
@@ -160,7 +164,7 @@ class OdagStore(EmbeddingStore):
         self,
         worker_id: int,
         num_workers: int,
-        prefix_filter: PrefixFilter | None = None,
+        children: PoolFilter | None = None,
     ) -> Iterator[tuple[Pattern, tuple[int, ...]]]:
         """Block round-robin share of each pattern's ODAG (section 5.3).
 
@@ -178,13 +182,17 @@ class OdagStore(EmbeddingStore):
             total = odag.total_paths()
             if total == 0:
                 continue
-            num_blocks = min(total, num_workers * self.blocks_per_worker)
-            first = (worker_id + pattern_index) % num_workers
-            for block in range(first, num_blocks, num_workers):
-                start = total * block // num_blocks
-                end = total * (block + 1) // num_blocks
-                for words in odag.extract_range(start, end, prefix_filter):
-                    yield pattern, words
+            if num_workers == 1:
+                ranges = None  # every block: the whole path space
+            else:
+                num_blocks = min(total, num_workers * self.blocks_per_worker)
+                first = (worker_id + pattern_index) % num_workers
+                ranges = [
+                    (total * block // num_blocks, total * (block + 1) // num_blocks)
+                    for block in range(first, num_blocks, num_workers)
+                ]
+            for words in odag.extract(children, ranges):
+                yield pattern, words
 
 
 class ListStore(EmbeddingStore):
@@ -228,10 +236,10 @@ class ListStore(EmbeddingStore):
         self,
         worker_id: int,
         num_workers: int,
-        prefix_filter: PrefixFilter | None = None,
+        children: PoolFilter | None = None,
     ) -> Iterator[tuple[Pattern, tuple[int, ...]]]:
         """Contiguous per-pattern slices; stored embeddings are exact, so
-        ``prefix_filter`` is not consulted (nothing spurious to discard)."""
+        ``children`` is not consulted (nothing spurious to discard)."""
         for pattern in self.patterns():
             words_list = self._lists[pattern]
             total = len(words_list)
@@ -421,11 +429,11 @@ class SpillListStore(EmbeddingStore):
         self,
         worker_id: int,
         num_workers: int,
-        prefix_filter: PrefixFilter | None = None,
+        children: PoolFilter | None = None,
     ) -> Iterator[tuple[Pattern, tuple[int, ...]]]:
         """Contiguous per-pattern rank-range slices of the sorted stream —
         the exact slices :meth:`ListStore.extract_partition` yields for the
-        same content.  Stored rows are exact, so ``prefix_filter`` is not
+        same content.  Stored rows are exact, so ``children`` is not
         consulted (nothing spurious to discard)."""
         current: Pattern | None = None
         index = start = end = 0

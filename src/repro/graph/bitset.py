@@ -57,6 +57,12 @@ def from_bitset(bits: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def filter_bitset(bits: int, keep) -> int:
+    """The sub-bitset of members ``keep(id)`` accepts — a per-id predicate
+    folded over a pool, for the callers whose test has no mask form."""
+    return to_bitset(i for i in from_bitset(bits) if keep(i))
+
+
 def iter_bitset(bits: int) -> Iterator[int]:
     """Lazily yield a bitset's member ids in ascending order."""
     while bits:

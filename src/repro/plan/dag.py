@@ -43,11 +43,12 @@ from __future__ import annotations
 import dataclasses
 import weakref
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 from ..core.pattern import Pattern
 from ..graph import LabeledGraph
-from ..graph.bitset import from_bitset, to_bitset
+from ..graph.bitset import filter_bitset, from_bitset, to_bitset
 from .guided import (
     confirm_edge_labels,
     guided_extension_check,
@@ -879,17 +880,19 @@ class DagStepper:
     def advance(self, words: tuple[int, ...], batch: bool):
         """What the expansion pass runs: ``(num_candidates, num_accepted,
         found, terminal)`` — :meth:`member_masks` when ``batch`` and every
-        live member completes at the next word (``terminal``: a child
-        several members accept counts once), else :meth:`step`."""
+        live member completes at the next word (``terminal``: the children
+        the masks hold, one several members accept counting once), else
+        :meth:`step` (``terminal`` is ``None``)."""
         num_candidates, found, terminal = self._run(
             words, None, None if batch else False
         )
         if not terminal:
-            return num_candidates, len(found), found, False
+            return num_candidates, len(found), found, None
         union = 0
         for _, mask in found:
             union |= mask
-        return num_candidates, union.bit_count(), found, True
+        survivors = union.bit_count()
+        return num_candidates, survivors, found, survivors
 
     def _run(self, words: tuple[int, ...], strategy, terminal):
         """The one kernel: ``(num_candidates, found, terminal)`` with
@@ -1056,8 +1059,8 @@ class DagStepper:
         return from_bitset(merged)
 
     # ``candidates`` + ``check`` are the per-candidate formulation of
-    # ``step``: the reference the equivalence tests replay, and what step 0
-    # and the ODAG prefix filter call.
+    # ``step``: the reference the equivalence tests replay, what step 0
+    # calls, and what ``accept`` folds over an ODAG successor pool.
     def candidates(self, words: tuple[int, ...]) -> Sequence[int]:
         """Candidate pool for extending ``words`` by one step, batch-wide:
         one closure-complete pool per distinct trie node the surviving
@@ -1080,6 +1083,10 @@ class DagStepper:
         only ever answers for the graph it was built on.)
         """
         return next(self._members_accepting(parent_words, word), None) is not None
+
+    def accept(self, words: tuple[int, ...], pool: int) -> int:
+        """The members of ``pool`` that :meth:`check` accepts after ``words``."""
+        return filter_bitset(pool, partial(self.check, self.graph, words))
 
     def accepting(self, words: tuple[int, ...]) -> list[int]:
         """Memoized-walk :func:`accepting_patterns` (emission hook)."""

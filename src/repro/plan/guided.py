@@ -22,14 +22,14 @@ check.  The guided path replaces both:
   one chain of big-int ``&`` ops over the graph's bitsets, decoded to
   sorted vertex order once per embedding;
 * :class:`PlanStepper` puts one plan behind the stepper shape the runtime
-  drives (``zero_pool`` / ``check`` / ``advance`` — see
+  drives (``zero_pool`` / ``check`` / ``accept`` / ``advance`` — see
   :mod:`repro.plan.stepper`).
 
 All of it is pure in ``(plan, graph, words)``, so the runtime's step
-tasks can call it from any backend.  The check is also handed to ODAG
-extraction as the spurious-path prefix filter: a path through the
-overapproximated ODAG is a genuine partial match iff every prefix
-extension passes the plan check, mirroring how the exhaustive path
+tasks can call it from any backend.  The check, folded over a successor
+pool (``accept``), is also ODAG extraction's spurious-path filter: a path
+through the overapproximated ODAG is a genuine partial match iff every
+prefix extension passes the plan check, mirroring how the exhaustive path
 re-applies canonicality plus the user filter (engine section 5.2).
 
 Completeness note: every valid extension of a valid partial match is
@@ -44,7 +44,7 @@ from functools import partial
 from typing import Sequence
 
 from ..graph import LabeledGraph
-from ..graph.bitset import from_bitset, to_bitset
+from ..graph.bitset import filter_bitset, from_bitset, to_bitset
 from .planner import MatchingPlan
 
 #: Candidate-pool size below which the fused bitset kernels fall back to
@@ -441,19 +441,24 @@ class PlanStepper:
         """The plan's step-0 candidate pool, sorted ascending."""
         return from_bitset(root_pool_bits(self.plan.steps[0], self.graph))
 
+    def accept(self, words: tuple[int, ...], pool: int) -> int:
+        """The members of ``pool`` that ``check`` accepts after ``words``."""
+        return filter_bitset(pool, partial(self.check, self.graph, words))
+
     def advance(self, words: tuple[int, ...], batch: bool):
         """``(num_candidates, num_accepted, found, terminal)`` — on the
         plan's last level (when ``batch``) the survivors stay one undecoded
-        ``(0, bitmask)`` member mask for ``Computation.process_terminal``,
-        else they are words."""
+        ``(0, bitmask)`` member mask for ``Computation.process_terminal``
+        and ``terminal`` counts them, else they are words."""
         plan = self.plan
         num_candidates, bits, rows = _survivor_kernel(plan, self.graph, words, None)
         if batch and len(words) == len(plan.steps) - 1:
             if rows is not None:
                 bits = to_bitset(rows)
-            return num_candidates, bits.bit_count(), [(0, bits)] if bits else [], True
+            survivors = bits.bit_count()
+            return num_candidates, survivors, [(0, bits)] if bits else [], survivors
         found = from_bitset(bits) if rows is None else rows
-        return num_candidates, len(found), found, False
+        return num_candidates, len(found), found, None
 
 
 def match_mapping(plan: MatchingPlan, words: tuple[int, ...]) -> tuple[int, ...]:

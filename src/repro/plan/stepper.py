@@ -4,24 +4,29 @@ Algorithm 1 is one loop — read set I, expand, filter, process, write set
 F — and what differs between an exhaustive run, a guided
 :class:`~repro.plan.planner.MatchingPlan` and a multi-query
 :class:`~repro.plan.dag.PlanDAG` is only how an embedding is expanded.
-A *stepper* is that difference, behind three methods:
+A *stepper* is that difference, behind four methods:
 
 ``zero_pool()``
     the sorted step-0 candidate words (the expansion of the "undefined"
     embedding), computed once per run by the engine;
 ``check(graph, parent_words, word)``
-    the per-candidate acceptance test: what step 0 applies to its pool
-    and what ODAG extraction re-applies prefix by prefix to discard
+    the per-candidate acceptance test: what step 0 applies to its pool;
+``accept(words, pool) -> mask``
+    ``check`` over a whole bitset pool — ``{w in pool : check(graph,
+    words, w)}`` for *any* pool, not just the extension pool.  ODAG
+    extraction re-applies it to a path prefix's successor set to discard
     spurious paths;
 ``advance(words, batch) -> (num_candidates, num_accepted, found, terminal)``
     one expansion: the size of the candidate pool, how many of its words
     ``check`` accepts, and those words ascending — ``[w for w in pool if
-    check(graph, words, w)]``, less any a pool-level φ rejected (below).
-    When ``batch`` is set and every live plan member completes at the
-    next word (``terminal``), ``found`` is instead the undecoded
-    ``(member, bitmask)`` survivor masks for
-    ``Computation.process_terminal`` and ``num_accepted`` the popcount of
-    their union.
+    check(graph, words, w)]``, less any a pool-level φ rejected (below) —
+    with ``terminal`` ``None``.  When ``batch`` is set and every child
+    finishes at the next word, ``found`` is instead left undecoded for
+    ``Computation.process_terminal`` and ``terminal`` is the number of
+    children it holds: the ``(member, bitmask)`` survivor masks of a plan
+    whose live members all complete (``num_accepted`` the popcount of
+    their union), or the one bitmask of the children φ kept on an
+    exhaustive run whose computation names that size as its last.
 
 Three steppers have the shape — :class:`ExhaustiveStepper` (extension
 mask, then Algorithm 2 over the whole pool),
@@ -37,9 +42,9 @@ Exhaustive exploration is mask algebra end to end: no Python call per
 candidate.  The pool, its canonical subset and the subset φ keeps
 (``Computation.filter_extensions``, where the computation offers it) are
 three bitsets; the two counters are popcounts; only the children that
-will be built are decoded.  The per-candidate ``check`` remains for the
-callers that meet candidates one at a time — step 0, ODAG prefix
-filtering, the ``incremental_canonicality=False`` ablation — and as the
+will be built are decoded — none at all on the last level of a
+computation with a ``terminal_size``.  The per-candidate ``check`` remains
+for step 0 and the ``incremental_canonicality=False`` ablation, and as the
 oracle ``tests/test_kernel_equivalence.py`` replays the masks against.
 """
 
@@ -54,7 +59,7 @@ from ..core.canonical import (
 )
 from ..core.extension import extension_mask, initial_candidates, word_row
 from ..graph import LabeledGraph
-from ..graph.bitset import from_bitset, to_bitset
+from ..graph.bitset import filter_bitset, from_bitset
 from .dag import DagStepper, PlanDAG, bound_stepper
 from .guided import PlanStepper
 
@@ -68,17 +73,23 @@ class ExhaustiveStepper:
     """Exhaustive exploration as a stepper: every incident word is a
     candidate, and the canonicality check (Algorithm 2) — incremental, or
     from scratch when ``incremental`` is off — is the acceptance test that
-    keeps one copy per automorphism class.  Never ``terminal``: there is
-    no plan whose last level could be aggregated.
+    keeps one copy per automorphism class.
 
     ``advance`` never looks at one candidate: the pool is the extension
     *mask* (phase G), the accepted words are its canonical sub-mask (phase
     C, one :func:`~repro.core.canonical.canonical_extension_mask` call per
     parent), both counted by popcount; ``pool_filter`` — the computation's
     ``filter_extensions`` — then drops the children φ rejects before
-    anything is decoded.  ``check`` keeps the per-candidate form."""
+    anything is decoded.  Children of ``terminal_size`` words (the size at
+    which the computation says every embedding terminates) are not decoded
+    at all when the caller batches.  ``accept`` is the same canonical
+    kernel, unwrapped, over a pool the caller brings; ``check`` keeps the
+    per-candidate form."""
 
-    __slots__ = ("graph", "mode", "check", "_row", "_canonical", "_pool_filter")
+    __slots__ = (
+        "graph", "mode", "check", "accept", "_row", "_canonical", "_pool_filter",
+        "_terminal_size",
+    )
 
     def __init__(
         self,
@@ -87,6 +98,7 @@ class ExhaustiveStepper:
         incremental: bool,
         wrap_check=None,
         pool_filter=None,
+        terminal_size: int | None = None,
     ) -> None:
         self.graph = graph
         self.mode = mode
@@ -99,14 +111,17 @@ class ExhaustiveStepper:
             self.check = check = lambda graph, parent_words, word: full(
                 graph, parent_words + (word,)
             )
-            canonical = lambda words, pool: to_bitset(
-                w for w in from_bitset(pool) if check(graph, words, w)
+            canonical = lambda words, pool: filter_bitset(
+                pool, partial(check, graph, words)
             )
+        self.accept = canonical
         # Generate and check are two separable phases here (G and C of the
         # paper's Figure 12), so ``advance`` reaches its canonical pass
-        # through a slot the caller may have wrapped; ``check`` stays raw.
+        # through a slot the caller may have wrapped; ``accept`` (part of
+        # the caller's read) and ``check`` stay raw.
         self._canonical = canonical if wrap_check is None else wrap_check(canonical)
         self._pool_filter = _keep_all if pool_filter is None else pool_filter
+        self._terminal_size = terminal_size
 
     def zero_pool(self) -> tuple[int, ...]:
         return tuple(initial_candidates(self.graph, self.mode))
@@ -114,8 +129,10 @@ class ExhaustiveStepper:
     def advance(self, words: tuple[int, ...], batch: bool):
         pool = extension_mask(self._row, words)
         accepted = self._canonical(words, pool)
-        found = from_bitset(self._pool_filter(words, accepted))
-        return pool.bit_count(), accepted.bit_count(), found, False
+        kept = self._pool_filter(words, accepted)
+        if batch and len(words) + 1 == self._terminal_size:
+            return pool.bit_count(), accepted.bit_count(), kept, kept.bit_count()
+        return pool.bit_count(), accepted.bit_count(), from_bitset(kept), None
 
 
 def make_stepper(
@@ -126,6 +143,7 @@ def make_stepper(
     computation=None,
     wrap_check=None,
     pool_filter=None,
+    terminal_size: int | None = None,
 ):
     """The stepper for ``plan`` (``None`` = exhaustive) on ``graph``.
 
@@ -137,11 +155,15 @@ def make_stepper(
     inside ``advance`` (exhaustive only — the runtime's phase timer); a
     fused kernel has no separate check to wrap.  ``pool_filter`` is the
     computation's ``filter_extensions`` when it may stand in for the
-    per-child φ (exhaustive only too: the hook is defined over extension
-    masks, and the runtime offers it for no plan-compatible computation).
+    per-child φ, and ``terminal_size`` its ``terminal_size`` when its
+    ``process_terminal`` may finish that level from the mask (exhaustive
+    only too: both are defined over extension masks, and a plan knows its
+    own last level).
     """
     if plan is None:
-        return ExhaustiveStepper(graph, mode, incremental, wrap_check, pool_filter)
+        return ExhaustiveStepper(
+            graph, mode, incremental, wrap_check, pool_filter, terminal_size
+        )
     if isinstance(plan, PlanDAG):
         if computation is None:
             return DagStepper(plan, graph)

@@ -32,9 +32,12 @@ guided plan's ordering restrictions already guarantee each occurrence is
 generated exactly once, so its check replaces canonicality; a DAG stores
 the extended embedding once no matter how many patterns it advances —
 emission happens once per accepting leaf inside the computation.  On a
-plan's *terminal level* (every live member completes at the next word)
-the survivor masks are never decoded: the computation's
-``process_terminal`` hook aggregates them by popcount.  Everything else
+*terminal level* (every live plan member completes at the next word, or
+an exhaustive computation names the children's size as its last) the
+survivor masks are never decoded: the computation's ``process_terminal``
+hook aggregates them by popcount.  The read is pool-level too: an ODAG
+hands each path prefix's successor set to one filter — the stepper's
+``accept`` mask, then φ — instead of testing paths one by one.  Everything else
 (stores, aggregation, deltas, backends) is the same for all three, which
 is what keeps guided runs byte-identical across backends and worker
 counts too.
@@ -68,6 +71,7 @@ from ..core.storage import (
     SPILL_STORAGE,
     make_store,
 )
+from ..graph.bitset import filter_bitset
 from ..plan.dag import PlanDAG
 from ..plan.planner import MatchingPlan
 from ..plan.stepper import make_stepper
@@ -219,11 +223,12 @@ def _trusted_hook(computation: Computation, hook: str, replaces: tuple[str, ...]
             return None
 
 
-def _terminal_hook(computation: Computation):
+def _terminal_hook(computation: Computation, pool_filter):
     """``process_terminal`` when it may replace the per-child loop: φ is
-    the base accept-all, and no subclass refines ``process``/
+    the base accept-all or is stood in for by ``pool_filter`` (a trusted
+    ``filter_extensions``), and no subclass refines ``process``/
     ``termination_filter`` below the class that wrote the hook."""
-    if type(computation).filter is not Computation.filter:
+    if type(computation).filter is not Computation.filter and pool_filter is None:
         return None
     return _trusted_hook(
         computation, "process_terminal", ("process", "termination_filter")
@@ -244,6 +249,29 @@ def _extension_filter(computation: Computation):
 def _accept_all(embedding) -> bool:
     """φ of children the stepper already filtered as a pool."""
     return True
+
+
+def _successor_filter(context: StepContext, computation, stepper, pool_filter):
+    """ODAG extraction's spurious-path filter (a
+    :data:`~repro.core.odag.PoolFilter`): of a path prefix's successor
+    pool, the words the stepper accepts (Algorithm 2 canonicality, or the
+    plan's constraint check in guided mode), then φ — the computation's
+    pool-level hook where trusted, else per child.  Both are anti-monotone,
+    so a dropped word prunes its whole subtree (section 5.2)."""
+    accept = stepper.accept
+    if pool_filter is not None:
+        return lambda prefix, pool: pool_filter(prefix, accept(prefix, pool))
+    graph = context.graph
+    mode = context.mode
+    keep = computation.filter
+
+    def children(prefix: tuple[int, ...], pool: int) -> int:
+        return filter_bitset(
+            accept(prefix, pool),
+            lambda word: keep(make_embedding(graph, mode, prefix + (word,))),
+        )
+
+    return children
 
 
 def _untimed(phase: str, call):
@@ -312,6 +340,16 @@ def run_step_task(context: StepContext, worker_id: int) -> WorkerDelta:
     # hooks (process/termination run on the same task copy): its
     # survivor-walk memo is private to this pure task.
     pool_filter = _extension_filter(computation)
+    # Terminal level: children that all finish reach the computation as
+    # undecoded masks, never materialised.  A plan knows its own last
+    # level; an exhaustive computation names its (``terminal_size``) —
+    # unless every embedding must be canonicalized on its own.
+    hook = _terminal_hook(computation, pool_filter)
+    terminal_size = (
+        computation.terminal_size
+        if hook is not None and context.two_level_aggregation
+        else None
+    )
     stepper = make_stepper(
         context.plan,
         context.graph,
@@ -320,6 +358,7 @@ def run_step_task(context: StepContext, worker_id: int) -> WorkerDelta:
         computation,
         wrap_check=partial(timed, "C"),
         pool_filter=pool_filter,
+        terminal_size=terminal_size,
     )
     # φ runs per child — except on an expansion's children when the
     # stepper applied it to their whole pool (step 0 has no pool hook).
@@ -335,8 +374,9 @@ def run_step_task(context: StepContext, worker_id: int) -> WorkerDelta:
             _initial_pass(context, worker_id, stepper, settle, delta)
         else:
             _expansion_pass(
-                context, worker_id, computation, canonicalizer, stepper, settle,
-                timed, delta,
+                context, worker_id, computation, canonicalizer, stepper,
+                _successor_filter(context, computation, stepper, pool_filter),
+                hook, settle, timed, delta,
             )
     finally:
         computation.bind_context(None)
@@ -431,21 +471,21 @@ def _expansion_pass(
     computation: Computation,
     canonicalizer: PatternCanonicalizer,
     stepper,
+    children,
+    hook,
     settle,
     timed,
     delta: WorkerDelta,
 ) -> None:
-    """Steps >= 1: read a share of set I, apply α/β, expand, φ/π, write."""
+    """Steps >= 1: read a share of set I, apply α/β, expand, φ/π, write.
+    ``children`` filters spurious ODAG paths during the read (charged to
+    R); ``hook`` is the terminal-level ``process_terminal`` or ``None``."""
     graph = context.graph
     mode = context.mode
-    # Terminal level: children completing every live plan member reach
-    # the computation as survivor masks, never materialised.
-    hook = _terminal_hook(computation)
     batch = hook is not None
     if batch:
         hook = timed("P", hook)
     advance = timed("G", stepper.advance)
-    check_extension = stepper.check
     # List-format stores (plain or spilled) hold exact embeddings under
     # their true canonical pattern; only ODAG paths can be spurious.
     verify_pattern = context.storage not in (LIST_STORAGE, SPILL_STORAGE)
@@ -453,22 +493,11 @@ def _expansion_pass(
     global_store = context.global_store
     assert global_store is not None, "expansion context must carry set I"
     work = 0
-
-    def prefix_ok(words: tuple[int, ...]) -> bool:
-        """Spurious-path filter for ODAG extraction: the incremental
-        acceptance check (Algorithm 2 canonicality, or the plan's
-        constraint check in guided mode) plus φ on the prefix (both
-        anti-monotone, so failing prefixes prune whole subtrees —
-        section 5.2).  Part of the read, so charged to R."""
-        if not check_extension(graph, words[:-1], words[-1]):
-            return False
-        return computation.filter(make_embedding(graph, mode, words))
-
     read = timed(
         "R",
         partial(
             next,
-            global_store.extract_partition(worker_id, context.num_workers, prefix_ok),
+            global_store.extract_partition(worker_id, context.num_workers, children),
             None,
         ),
     )
@@ -504,16 +533,16 @@ def _expansion_pass(
         # One expansion, whatever the stepper: the pool's size, how many
         # of it were accepted, and the accepted extensions — as words
         # (those a pool-level φ kept), settled one child at a time, or on
-        # a terminal level as undecoded member masks, which go to the
-        # hook whole.
+        # a terminal level as ``terminal`` children left in undecoded
+        # masks, which go to the hook whole.
         num_candidates, num_accepted, found, terminal = advance(words, batch)
         stats.candidates_generated += num_candidates
         stats.canonical_candidates += num_accepted
         work += num_candidates
-        if terminal:
+        if terminal is not None:
             if found:
-                stats.processed_embeddings += num_accepted
-                stats.batched_embeddings += num_accepted
+                stats.processed_embeddings += terminal
+                stats.batched_embeddings += terminal
                 hook(words, found)
             continue
         for word in found:

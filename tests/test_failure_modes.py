@@ -268,6 +268,22 @@ class TestCheckpointFailureModes:
         with pytest.raises(CheckpointError, match="format version 99"):
             read_snapshot(path)
 
+    def test_format_1_snapshot_is_refused(self, tmp_path):
+        """Version 1 pickled ODAGs as Python sets under other slot names;
+        a v1 file must stop at the version check, never reach unpickling."""
+        import struct
+
+        from repro.checkpoint import CheckpointError, read_snapshot
+        from repro.checkpoint.snapshot import FORMAT_VERSION, MAGIC
+
+        assert FORMAT_VERSION == 2
+        path = self._crashed_run_dir(tmp_path)
+        self._resign(path, MAGIC + struct.pack(">I", 1) + b"not even a pickle")
+        with pytest.raises(
+            CheckpointError, match="format version 1; this build reads version 2"
+        ):
+            read_snapshot(path)
+
     def test_empty_run_dir_has_nothing_to_resume(self, tmp_path):
         from repro.checkpoint import CheckpointError, resume_run
 

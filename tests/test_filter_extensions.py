@@ -12,9 +12,16 @@ builds only the children φ keeps.  Three things pin the contract:
   counters, outputs and signature, across backend × workers × storage.
 """
 
+import dataclasses
+
 import pytest
 
-from repro.apps import CliqueFinding, MaximalCliqueFinding, MotifCounting
+from repro.apps import (
+    CliqueFinding,
+    FrequentCliqueMining,
+    MaximalCliqueFinding,
+    MotifCounting,
+)
 from repro.core import ArabesqueConfig, make_embedding, run_computation
 from repro.core.extension import extension_mask, word_row
 from repro.graph import gnm_random_graph, strip_labels
@@ -26,6 +33,7 @@ HOOKED = [
     ("cliques", lambda: CliqueFinding(4)),
     ("cliques-uncapped", lambda: CliqueFinding()),
     ("maximal-cliques", lambda: MaximalCliqueFinding(3)),
+    ("frequent-cliques", lambda: FrequentCliqueMining(2, max_size=3)),
     ("motifs", lambda: MotifCounting(3)),
 ]
 IDS = [name for name, _ in HOOKED]
@@ -86,7 +94,7 @@ class TestHookEqualsPerChildFilter:
                         make_embedding(graph, "vertex", words + (w,))
                     )
                 ),
-                False,
+                None,
             )
 
 
@@ -141,7 +149,10 @@ class TestHookGuard:
 def observed(run):
     return (
         run.canonical_signature(ignore_output_order=True),
-        run.steps,  # every StepStats field, per step
+        # Every StepStats field, per step — except how many children were
+        # finished from masks: a trusted pool-level φ is what lets
+        # ``process_terminal`` run (tests/test_terminal_level.py).
+        [dataclasses.replace(step, batched_embeddings=0) for step in run.steps],
         run.num_outputs,
         (run.pattern_requests, run.quick_patterns, run.canonical_patterns),
     )

@@ -327,8 +327,18 @@ class TestStepperContract:
                 len(pool),
                 len(accepted),
                 accepted,
-                False,
+                None,
             ), f"{kind}: advance diverges from generate-then-check at {words}"
+            # ``accept`` is ``check`` over any pool the caller brings — the
+            # extension pool, or (as ODAG extraction does) something else:
+            # here every third word of the graph, members included.
+            assert from_bitset(stepper.accept(words, to_bitset(pool))) == tuple(
+                accepted
+            )
+            other = to_bitset(range(0, len(zero_pool), 3)) & ~to_bitset(words)
+            assert stepper.accept(words, other) == to_bitset(
+                w for w in from_bitset(other) if stepper.check(graph, words, w)
+            ), f"{kind}: accept diverges from check on a foreign pool at {words}"
             stack.extend(
                 words + (w,) for w in found if grows(words + (w,))
             )

@@ -34,6 +34,25 @@ class TestPatternBasics:
     def test_hashable(self):
         assert len({PATH_BYB, PATH_BYB_REVERSED, PATH_YBY}) == 2
 
+    def test_hash_is_memoized_and_never_pickled(self):
+        """The dataclass hash, computed once per object; equality, pickled
+        bytes and copies see the two fields only."""
+        import copy
+        import pickle
+
+        fresh = Pattern((1, 2, 1), ((0, 1, 0), (1, 2, 0)))
+        before = pickle.dumps(fresh)
+        assert "_hash" not in vars(fresh)
+        assert hash(fresh) == hash(((1, 2, 1), ((0, 1, 0), (1, 2, 0))))
+        assert vars(fresh)["_hash"] == hash(fresh) == hash(PATH_BYB)
+        assert pickle.dumps(fresh) == before
+        assert b"_hash" not in before
+        for clone in (pickle.loads(before), copy.copy(fresh), copy.deepcopy(fresh)):
+            assert "_hash" not in vars(clone)
+            assert clone == fresh and hash(clone) == hash(fresh)
+        assert fresh == PATH_BYB and fresh != PATH_YBY
+        assert repr(fresh) == repr(PATH_BYB)
+
 
 class TestCanonicalization:
     def test_blue_yellow_edge_example(self):

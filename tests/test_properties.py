@@ -215,15 +215,17 @@ def test_odag_store_roundtrip(seed):
         store.add(pattern, words)
         stored[words] = pattern
 
-    from repro.core.canonical import is_canonical_vertex_extension
+    from repro.core.canonical import canonical_extension_mask
 
-    def prefix_ok(words):
-        return is_canonical_vertex_extension(graph, words[:-1], words[-1])
+    def canonical_children(prefix, pool):
+        return canonical_extension_mask(graph.neighbor_bits, prefix, pool)
 
     workers = rng.randint(1, 4)
     extracted = {}
     for worker_id in range(workers):
-        for pattern, words in store.extract_partition(worker_id, workers, prefix_ok):
+        for pattern, words in store.extract_partition(
+            worker_id, workers, canonical_children
+        ):
             embedding = make_embedding(graph, VERTEX_EXPLORATION, words)
             actual_pattern, _ = canonicalizer.canonicalize(embedding.pattern())
             if actual_pattern != pattern:

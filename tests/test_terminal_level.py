@@ -16,7 +16,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.apps import fsm as fsm_app
+from repro.apps import CliqueFinding, MotifCounting, fsm as fsm_app
 from repro.apps.fsm import DagPatternDomains, run_guided_fsm
 from repro.apps.matching import GuidedMatching
 from repro.apps.motifs import DagMotifCounting, enumerate_motif_patterns
@@ -25,7 +25,9 @@ from repro.core import (
     ArabesqueConfig,
     BudgetExceeded,
     CancelFlag,
+    ComputationContext,
     RunCancelled,
+    make_embedding,
     run_computation,
 )
 from repro.core.budget import DEADLINE_CHECK_INTERVAL
@@ -41,15 +43,23 @@ from repro.graph import (
     LabeledGraph,
     assign_labels,
     gnm_random_graph,
+    graph_from_edges,
     star_graph,
     strip_labels,
 )
 from repro.graph.bitset import from_bitset
-from repro.plan import NAMED_SHAPES, build_plan_dag, compile_plan, restrict_dag
+from repro.plan import (
+    NAMED_SHAPES,
+    build_plan_dag,
+    compile_plan,
+    make_stepper,
+    restrict_dag,
+)
 from repro.plan.dag import DagStepper
 from repro.plan.fsm_guide import single_edge_candidates
 from repro.plan.guided import SMALL_POOL_DEGREE, PlanStepper, guided_survivors
 from repro.plan.planner import restrict_plan
+from repro.runtime.tasks import _extension_filter, _terminal_hook
 
 
 # Module-level so the process backend and snapshots can pickle them.
@@ -360,8 +370,10 @@ class TestPoolDegreeBoundary:
             rows = stepper.member_masks(words, "rows")
             assert rows == stepper.member_masks(words, "masks")
             num_candidates, masks = rows
-            _, num_accepted, _, finishes = stepper.advance(words, True)
+            _, num_accepted, _, finished = stepper.advance(words, True)
+            finishes = finished is not None
             assert finishes == (len(words) == 2)
+            assert finished in (None, num_accepted)
             union = 0
             for _, mask in masks:
                 union |= mask
@@ -382,12 +394,12 @@ class TestPoolDegreeBoundary:
                     expected = guided_survivors(plan, graph, words)
                     survivors = len(expected[1])
                     assert stepper.advance(words, False) == (
-                        expected[0], survivors, expected[1], False
+                        expected[0], survivors, expected[1], None
                     )
                     count, accepted, found, terminal = stepper.advance(words, True)
-                    assert terminal == (len(words) == 3)
+                    assert terminal == (survivors if len(words) == 3 else None)
                     assert (count, accepted) == (expected[0], survivors)
-                    if terminal:
+                    if terminal is not None:
                         bits = sum(1 << w for w in expected[1])
                         assert found == ([(0, bits)] if bits else [])
                     else:
@@ -548,3 +560,269 @@ def test_hook_equals_per_child_loop(
         expect_batched=False,
     )
     assert_same_run(*motif_pair(labeled, num_workers=workers), expect_batched=False)
+
+
+# ---------------------------------------------------------------------------
+# The exhaustive twin: a computation that names its last size
+# ---------------------------------------------------------------------------
+# An exhaustive run has no plan to say which level is the last; the
+# computation does (``terminal_size``), and its ``process_terminal`` takes
+# one bitmask — the canonical children φ kept — instead of member masks.
+class PerChildExhaustiveMotifs(MotifCounting):
+    process_terminal = None
+
+
+class PerChildCliques(CliqueFinding):
+    process_terminal = None
+
+
+class RecordingContext(ComputationContext):
+    """Keeps what a computation emits, in emission order."""
+
+    def __init__(self):
+        self.mapped = []
+        self.outputs = []
+
+    def map_output(self, key, value):
+        self.mapped.append((key, value))
+
+    def output(self, value):
+        self.outputs.append(value)
+
+    def output_batch(self, count, values):
+        emitted = list(values())
+        assert len(emitted) == count
+        self.outputs.extend(emitted)
+
+    def totals(self):
+        """Per-key sums, keys in first-emission order."""
+        sums = {}
+        for key, value in self.mapped:
+            sums[key] = sums.get(key, 0) + value
+        return list(sums.items())
+
+
+def multi_edge_label_graph():
+    base = gnm_random_graph(14, 40, seed=5)
+    edges = [base.edge_endpoints(eid) for eid in base.edges()]
+    graph = graph_from_edges(
+        edges,
+        vertex_labels=[v % 2 for v in base.vertices()],
+        edge_labels=[eid % 3 for eid in range(len(edges))],
+    )
+    assert graph.uniform_edge_label is None
+    return graph
+
+
+def last_level_states(graph, computation):
+    """``(words, accepted mask, φ-kept mask)`` of every canonical embedding
+    one word short of the computation's terminal size, by replay."""
+    computation.init(graph, ArabesqueConfig())
+    stepper = make_stepper(
+        None, graph, "vertex", pool_filter=_extension_filter(computation),
+        terminal_size=computation.terminal_size,
+    )
+    frontier = [(v,) for v in graph.vertices()]
+    while frontier:
+        words = frontier.pop()
+        candidates, accepted, found, terminal = stepper.advance(words, True)
+        if len(words) + 1 == computation.terminal_size:
+            assert terminal == found.bit_count() and accepted >= terminal
+            yield words, accepted, found
+        else:
+            assert terminal is None
+            frontier.extend(words + (w,) for w in found)
+
+
+TERMINAL_MOTIF_GRAPHS = [
+    ("labeled", lambda: assign_labels(gnm_random_graph(16, 44, seed=2), 3, seed=2)),
+    ("unlabeled", lambda: strip_labels(gnm_random_graph(16, 44, seed=2))),
+    ("multi-edge-label", multi_edge_label_graph),
+]
+
+
+class TestExhaustiveHookEqualsPerChild:
+    @pytest.mark.parametrize("min_size", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "name,factory", TERMINAL_MOTIF_GRAPHS,
+        ids=[name for name, _ in TERMINAL_MOTIF_GRAPHS],
+    )
+    def test_motifs_on_every_last_level_state(self, name, factory, min_size):
+        graph = factory()
+        computation = MotifCounting(3, min_size=min_size)
+        states = classes = children = 0
+        for words, _, mask in last_level_states(graph, computation):
+            batched, per_child = RecordingContext(), RecordingContext()
+            computation.bind_context(batched)
+            computation.process_terminal(words, mask)
+            computation.bind_context(per_child)
+            parent = make_embedding(graph, "vertex", words)
+            for word in from_bitset(mask):
+                child = parent.extend(word)
+                assert computation.filter(child)
+                computation.process(child)
+                assert computation.termination_filter(child)
+            # Same quick patterns, same counts, first met in the same order.
+            assert batched.totals() == per_child.totals()
+            states += 1
+            classes += len(batched.mapped)
+            children += len(per_child.mapped)
+        assert states > 20
+        # One map per class of children, unless edge labels split siblings.
+        assert (classes < children) == (graph.uniform_edge_label is not None)
+
+    @pytest.mark.parametrize("min_size", [1, 3, 4])
+    def test_cliques_on_every_last_level_state(self, min_size):
+        graph = gnm_random_graph(18, 90, seed=4)
+        computation = CliqueFinding(4, min_size=min_size)
+        states = rejected = 0
+        for words, accepted, mask in last_level_states(graph, computation):
+            batched, per_child = RecordingContext(), RecordingContext()
+            computation.bind_context(batched)
+            computation.process_terminal(words, mask)
+            computation.bind_context(per_child)
+            parent = make_embedding(graph, "vertex", words)
+            for word in from_bitset(mask):
+                child = parent.extend(word)
+                assert computation.filter(child)
+                computation.process(child)
+                assert computation.termination_filter(child)
+            assert batched.outputs == per_child.outputs  # emission order too
+            states += 1
+            rejected += accepted - mask.bit_count()
+        assert states > 20 and rejected > 0
+
+    def test_counters_keep_their_meaning(self):
+        """On the batched level ``canonical_candidates`` is still the mask
+        Algorithm 2 accepted and ``processed_embeddings`` the part of it φ
+        kept — all of which came from masks."""
+        graph = gnm_random_graph(18, 90, seed=4)
+        config = ArabesqueConfig(storage="odag", num_workers=2)
+        batched = run_computation(graph, CliqueFinding(4), config)
+        per_child = run_computation(graph, PerChildCliques(4), config)
+        assert_same_run(batched, per_child)
+        last = batched.steps[-1]
+        assert last.batched_embeddings == last.processed_embeddings
+        assert last.canonical_candidates > last.processed_embeddings > 0
+        assert [s.batched_embeddings for s in batched.steps[:-1]] == [0, 0, 0]
+
+
+class StrictMotifs(MotifCounting):
+    def process(self, embedding):
+        super().process(embedding)
+
+
+class EagerMotifs(MotifCounting):
+    def termination_filter(self, embedding):
+        return embedding.num_vertices >= self.max_size
+
+
+class TriangleFreeMotifs(MotifCounting):
+    """Refines φ below both hooks: neither may answer for it."""
+
+    def filter(self, embedding):
+        return super().filter(embedding) and embedding.num_edges < 3
+
+
+class TestExhaustiveHookGuard:
+    def test_bundled_hooks_are_honoured(self):
+        for computation in (MotifCounting(3), CliqueFinding(4)):
+            assert _terminal_hook(computation, _extension_filter(computation))
+
+    @pytest.mark.parametrize("klass", [StrictMotifs, EagerMotifs, TriangleFreeMotifs])
+    def test_refining_subclasses_fall_back(self, klass):
+        computation = klass(3)
+        assert _terminal_hook(computation, _extension_filter(computation)) is None
+        graph = small_labeled()
+        run = run_computation(graph, klass(3), ArabesqueConfig(storage="odag"))
+        assert run.total_batched == 0
+        if klass is not TriangleFreeMotifs:
+            plain = run_computation(
+                graph, MotifCounting(3), ArabesqueConfig(storage="odag")
+            )
+            assert run.canonical_signature() == plain.canonical_signature()
+            assert plain.total_batched > 0
+
+    def test_an_uncapped_clique_run_has_no_last_level(self):
+        assert CliqueFinding().terminal_size is None
+        graph = gnm_random_graph(14, 50, seed=1)
+        assert run_computation(graph, CliqueFinding()).total_batched == 0
+
+    def test_guided_hooks_resolve_as_before(self):
+        """The trust rule's new clause needs a pool-level φ, which no
+        plan-compatible computation is ever given."""
+        graph = small_labeled()
+        dag = build_plan_dag(enumerate_motif_patterns(graph, 3), induced=True)
+        plan = compile_plan(NAMED_SHAPES["wedge"].canonical())
+        for computation in (DagMotifCounting(dag), GuidedMatching(plan)):
+            assert _extension_filter(computation) is None
+            assert _terminal_hook(computation, None) == computation.process_terminal
+            assert computation.terminal_size is None
+
+        class Choosy(GuidedMatching):
+            def filter(self, embedding):
+                return True
+
+        assert _terminal_hook(Choosy(plan), None) is None
+
+
+def exhaustive_observed(run):
+    return (
+        run.canonical_signature(),
+        run.outputs,
+        [dataclasses.replace(step, batched_embeddings=0) for step in run.steps],
+        [step.work_units for step in run.metrics.supersteps],
+        (run.pattern_requests, run.quick_patterns, run.canonical_patterns),
+    )
+
+
+class TestExhaustiveRunsAreIdenticalWithoutTheHook:
+    @pytest.mark.parametrize("storage", ["list", "odag", "spill"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_across_backend_workers_storage(
+        self, backend, workers, storage, monkeypatch, tmp_path
+    ):
+        graphs = [small_labeled(), strip_labels(gnm_random_graph(20, 70, seed=3))]
+        cases = [
+            lambda: MotifCounting(3),
+            lambda: MotifCounting(3, min_size=1),
+            lambda: CliqueFinding(3, min_size=2),
+        ]
+        configs = [
+            ArabesqueConfig(
+                backend=backend, num_workers=workers, storage=storage,
+                spill_dir=str(tmp_path), two_level_aggregation=two_level,
+            )
+            for two_level in (True, False)
+        ]
+        runs = [
+            (graph, make, config)
+            for graph in graphs for make in cases for config in configs
+        ]
+        with_hook = [run_computation(g, make(), c) for g, make, c in runs]
+        for klass in (MotifCounting, CliqueFinding):
+            monkeypatch.setattr(klass, "process_terminal", None)
+        without = [run_computation(g, make(), c) for g, make, c in runs]
+        for (_, _, config), hooked, plain in zip(runs, with_hook, without):
+            assert exhaustive_observed(hooked) == exhaustive_observed(plain)
+            assert plain.total_batched == 0
+            # One canonicalization per embedding is what the ablation *is*.
+            assert (hooked.total_batched > 0) == config.two_level_aggregation
+
+    def test_resume_across_the_batched_step(self, tmp_path):
+        graph = small_labeled()
+        for storage in ("odag", "adaptive"):
+            config = ArabesqueConfig(storage=storage, num_workers=2)
+            uninterrupted = run_computation(graph, MotifCounting(3), config)
+            per_child = run_computation(graph, PerChildExhaustiveMotifs(3), config)
+            assert_same_run(uninterrupted, per_child)
+            for barrier in range(len(uninterrupted.steps) - 1):
+                run_dir = tmp_path / f"crash-{storage}-{barrier}"
+                crash_config = dataclasses.replace(
+                    config, checkpoint_dir=str(run_dir)
+                )
+                run_to_crash(graph, MotifCounting(3), crash_config, run_dir, barrier)
+                resumed = resume_run(str(run_dir), graph)
+                assert_same_run(resumed, per_child)
+                assert resumed.total_batched == uninterrupted.total_batched
