@@ -18,7 +18,7 @@ Reproduced here on the full-scale CiteSeer-like graph:
 Our synthetic labels are assigned without homophily, which softens the
 per-pattern cost skew relative to the real CiteSeer; the TLP curve is
 therefore above the paper's near-flat line but still clearly sub-linear
-(EXPERIMENTS.md discusses the gap).
+(docs/architecture.md, substitution 2).
 """
 
 import time

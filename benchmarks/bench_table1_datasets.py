@@ -2,8 +2,8 @@
 
 Regenerates the dataset-statistics table for the synthetic stand-ins and
 shows the paper's originals next to them.  The labeled generators must
-match label counts exactly and degree shape approximately (DESIGN.md,
-substitution 2).
+match label counts exactly and degree shape approximately
+(docs/architecture.md, substitution 2).
 """
 
 from repro.datasets import DATASETS, PAPER_TABLE1, dataset_statistics

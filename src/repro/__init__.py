@@ -17,7 +17,7 @@ front door::
         print(pattern, count)
     squares = miner.match("square").unlabeled().workers(4).run()
 
-Package map (see DESIGN.md for the full inventory):
+Package map (see docs/architecture.md for the full inventory):
 
 * :mod:`repro.session` — the fluent ``Miner`` facade (queries, typed
   results, per-session plan/universe caching);

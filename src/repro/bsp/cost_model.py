@@ -2,8 +2,8 @@
 
 The paper's scalability results (Figures 7 and 8, Table 3) were measured on
 20 servers with 32 threads and a 10 GbE network.  We do not have that
-testbed; per DESIGN.md (substitution 1) we recover *simulated* makespans
-from quantities the in-process engine measures exactly:
+testbed; per docs/architecture.md (substitution 1) we recover *simulated*
+makespans from quantities the in-process engine measures exactly:
 
 * per-worker **work units** — a superstep lasts as long as its busiest
   worker, so hotspots (the TLV/TLP failure mode) directly stretch the

@@ -16,8 +16,8 @@ engine with
 Workers run sequentially inside one Python process (deterministically, in
 worker-id order); distribution is *simulated*.  What would be parallel
 wall-clock on a cluster is recovered from the metered per-worker work and
-communication volume by :mod:`repro.bsp.cost_model` — see DESIGN.md
-(substitution 1) for why this preserves the paper's scalability phenomena.
+communication volume by :mod:`repro.bsp.cost_model` — docs/architecture.md
+(substitution 1) says why this preserves the paper's scalability phenomena.
 """
 
 from __future__ import annotations

@@ -239,8 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: serial)")
         sub.add_argument("--storage", choices=STORAGE_MODES, default=None,
                          help="embedding storage strategy (default: let "
-                              "the session pick — ODAG, except list for "
-                              "plan-guided matches); 'spill' streams "
+                              "the session pick — list for plan-guided "
+                              "runs, ODAG otherwise); 'spill' streams "
                               "embedding blocks to disk past a byte budget")
         sub.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                          help="snapshot the run into DIR at every BSP "

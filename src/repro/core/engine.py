@@ -31,9 +31,9 @@ worker-id order) keeps results byte-identical across backends and worker
 counts, a property the test suite checks explicitly.
 
 After all workers finish, the engine simulates the communication rounds of
-the real system and meters them (DESIGN.md, substitution 1): the
-aggregation shuffle (one message per reduced key), the per-array-entry ODAG
-merge shuffle, and the broadcast of the merged global store.  The run
+the real system and meters them (docs/architecture.md, substitution 1):
+the aggregation shuffle (one message per reduced key), the per-array-entry
+ODAG merge shuffle, and the broadcast of the merged global store.  The run
 terminates when a step stores nothing (set F empty).
 """
 
@@ -42,9 +42,7 @@ from __future__ import annotations
 import shutil
 import tempfile
 import time
-from typing import Any, Hashable
-
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Hashable
 
 from ..bsp.messages import estimate_size
 from ..bsp.metrics import RunMetrics, SuperstepMetrics

@@ -172,7 +172,7 @@ class RunResult:
         return [step.processed_embeddings for step in self.steps]
 
     def makespan(self, cost_model: CostModel | None = None) -> float:
-        """Simulated distributed execution time (DESIGN.md substitution 1)."""
+        """Simulated execution time (docs/architecture.md, substitution 1)."""
         if self.metrics is None:
             raise ValueError("run has no metrics")
         model = cost_model or CostModel()

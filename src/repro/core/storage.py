@@ -1,8 +1,8 @@
 """Inter-step embedding storage: per-pattern ODAGs or plain lists.
 
 After each exploration step Arabesque must persist the surviving embeddings
-(set ``F`` of Algorithm 1) so the next step can expand them.  Two strategies
-are implemented behind one interface:
+(set ``F`` of Algorithm 1) so the next step can expand them.  Three stores
+sit behind one interface (a fourth mode, ``adaptive``, picks one per step):
 
 * :class:`OdagStore` — the paper's design: one
   :class:`~repro.core.odag.Odag` per canonical pattern, merged globally and

@@ -2,9 +2,9 @@
 
 The paper's datasets are either too large for pure-Python enumeration
 (MiCo, Patents, Youtube, Instagram), proprietary (SN), or both; per
-DESIGN.md (substitution 2) each is replaced by a seeded generator matching
-its label count, density, and degree-distribution family, with a ``scale``
-knob.  CiteSeer is small enough to generate at full paper scale.
+docs/architecture.md (substitution 2) each is replaced by a seeded
+generator matching its label count, density, and degree-distribution family,
+with a ``scale`` knob.  CiteSeer is small enough to generate at full scale.
 
 | graph      | paper V / E / labels / avg deg | family      | default scale |
 |------------|--------------------------------|-------------|---------------|

@@ -30,8 +30,9 @@ session DAG cache, accumulating MNI domains demuxed per leaf
 (:func:`repro.apps.fsm.run_guided_fsm`).  Guided queries also default to
 list embedding storage — the plan's symmetry restrictions already make
 every stored path unique, so ODAG's spurious-path re-validation is pure
-overhead there (measured in ``benchmarks/bench_planner_speedup.py``); an
-explicit ``.storage()`` or ``.config()`` always wins.
+overhead there (the spine's ``core.store_extract_ns_per_row.list`` vs
+``.odag``: about 52 ns against 3.8-4.8 µs a row); an explicit
+``.storage()`` or ``.config()`` always wins.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ class Query:
         return self._set(workers=count)
 
     def storage(self, mode: str) -> "Query":
-        """Embedding storage strategy ("odag", "list", or "adaptive")."""
+        """Embedding storage strategy (one of ``STORAGE_MODES``)."""
         return self._set(storage=mode)
 
     def limit(self, count: int) -> "Query":
@@ -260,9 +261,9 @@ class Query:
             and self._base_config is None
         ):
             # Guided runs store only plan-accepted, symmetry-unique
-            # paths, so ODAG's spurious-path re-validation buys nothing;
-            # list storage measured faster in
-            # benchmarks/bench_planner_speedup.py.
+            # paths, so ODAG's spurious-path re-validation buys nothing
+            # (benchmarks/spine: core.store_extract_ns_per_row.list vs
+            # .odag, ~52 ns vs 3.8-4.8 µs a row).
             overrides["storage"] = LIST_STORAGE
         if self._cancel is not None:
             overrides["cancel"] = self._cancel

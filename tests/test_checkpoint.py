@@ -460,11 +460,13 @@ class TestFacade:
     def test_checkpoint_and_resume_round_trip(self, tmp_path):
         miner = Miner(mining_graph())
         run_dir = tmp_path / "run"
+        plain = miner.cliques(max_size=3, min_size=2).run()
         result = miner.cliques(max_size=3, min_size=2).checkpoint(run_dir).run()
         resumed = miner.resume(str(run_dir))
         assert (
             resumed.canonical_signature()
             == result.raw.canonical_signature()
+            == plain.raw.canonical_signature()  # snapshots change nothing
         )
 
     def test_resume_retries_the_stripped_variant(self, tmp_path):

@@ -1,4 +1,5 @@
-"""Unit tests for the simulated-cluster cost model (DESIGN.md sub. 1)."""
+"""Unit tests for the simulated-cluster cost model (docs/architecture.md,
+substitution 1)."""
 
 import pytest
 

@@ -32,7 +32,7 @@ from hypothesis import given, settings, strategies as st
 from repro.apps import GraphMatching
 from repro.core import ArabesqueConfig, Pattern, run_computation
 from repro.datasets import citeseer_like, skewed_label_graph
-from repro.graph import assign_labels, gnm_random_graph
+from repro.graph import assign_labels, gnm_random_graph, strip_labels
 from repro.plan import (
     build_catalog,
     build_plan_dag,
@@ -171,11 +171,16 @@ class TestOrderChoice:
         )
 
     def test_no_catalog_keeps_heuristic_order_exactly(self):
+        blind = build_catalog(strip_labels(gnm_random_graph(20, 40, seed=3)))
         for name in ("wedge", "triangle", "square", "star3"):
             from repro.plan import NAMED_SHAPES
 
             pattern = NAMED_SHAPES[name].canonical()
             assert compile_plan(pattern).order == _matching_order(pattern)
+            # A single-label catalog cannot tell pools apart: a tie, and a
+            # tie keeps the heuristic plan — so its exact candidate stream.
+            assert not choose_order(pattern, blind).cost_based
+            assert compile_plan(pattern, catalog=blind) == compile_plan(pattern)
 
     def test_estimates_cover_every_step_of_every_connected_order(self):
         catalog = build_catalog(skewed_label_graph())
@@ -229,7 +234,7 @@ class TestOracleEquivalence:
             == oracle.canonical_signature(ignore_output_order=True)
         )
 
-    @pytest.mark.parametrize("storage", ["list", "odag", "adaptive"])
+    @pytest.mark.parametrize("storage", ["list", "odag", "adaptive", "spill"])
     def test_skewed_guided_storage_invariant(self, skewed, storage):
         miner = Miner(skewed)
         baseline = miner.match(WEDGE_101).run()
@@ -286,8 +291,6 @@ class TestHarmonizedDag:
         """Single-label catalogs must not perturb the DAG: stripped-graph
         batches compile to the same orders with and without a catalog."""
         from repro.apps import enumerate_motif_patterns
-        from repro.graph.generators import strip_labels
-
         stripped = strip_labels(citeseer_small)
         catalog = build_catalog(stripped)
         batch = tuple(enumerate_motif_patterns(stripped, 4))

@@ -39,13 +39,21 @@ def mico():
     return strip_labels(mico_like(scale=0.004))
 
 
+@pytest.fixture(scope="module")
+def mico_motif_oracle(mico):
+    """The centralized ESU count, once for all eight matrix variants."""
+    return count_motifs_up_to(mico, 3)
+
+
 class TestConfigurationMatrix:
     """Every (storage, workers, two-level) combination agrees on results."""
 
     @pytest.mark.parametrize("storage", ["odag", LIST_STORAGE])
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("two_level", [True, False])
-    def test_motifs_agree(self, mico, storage, workers, two_level):
+    def test_motifs_agree(
+        self, mico, mico_motif_oracle, storage, workers, two_level
+    ):
         config = ArabesqueConfig(
             storage=storage,
             num_workers=workers,
@@ -53,8 +61,7 @@ class TestConfigurationMatrix:
             collect_outputs=False,
         )
         result = run_computation(mico, MotifCounting(3), config)
-        reference = count_motifs_up_to(mico, 3)
-        assert motif_counts(result) == reference
+        assert motif_counts(result) == mico_motif_oracle
 
     @pytest.mark.parametrize("storage", ["odag", LIST_STORAGE])
     def test_fsm_agrees(self, citeseer, storage):

@@ -155,6 +155,13 @@ def replay_tree(dag, graph, max_states=None):
     return num_states, num_survivors, emissions
 
 
+def degree_domain(graph, min_degree=2):
+    """The FSM-shaped whitelist: every vertex of degree >= ``min_degree``."""
+    return frozenset(
+        v for v in graph.vertices() if graph.degree(v) >= min_degree
+    )
+
+
 def fsm_style_dag(graph, max_patterns=6, min_degree=2):
     """A monomorphic, whitelist-restricted DAG — the guided-FSM shape.
 
@@ -168,9 +175,7 @@ def fsm_style_dag(graph, max_patterns=6, min_degree=2):
         batch.extend(one_edge_extensions(pattern, triples))
     batch = tuple(dict.fromkeys(batch))[:max_patterns]
     dag = build_plan_dag(batch, induced=False)
-    domain = frozenset(
-        v for v in graph.vertices() if graph.degree(v) >= min_degree
-    )
+    domain = degree_domain(graph, min_degree)
     return restrict_dag(
         dag,
         {
@@ -270,8 +275,11 @@ def stepper_case(kind, graph):
     on it, and the per-candidate reference ``advance`` is replayed
     against."""
     batch = enumerate_motif_patterns(graph, 3, min_size=2)
-    if kind == "plan":
+    if kind in ("plan", "plan-whitelisted"):
         plan = compile_plan(batch[-1], induced=True)
+        if kind == "plan-whitelisted":
+            domain = degree_domain(graph)
+            plan = restrict_plan(plan, {pv: domain for pv in plan.order})
         return (
             plan,
             lambda: GuidedMatching(plan),
@@ -302,7 +310,7 @@ CONTRACT_GRAPHS = [BUNDLED[0], BUNDLED[1]]  # sparse rows / dense masks
 
 
 class TestStepperContract:
-    @pytest.mark.parametrize("kind", STEPPER_KINDS)
+    @pytest.mark.parametrize("kind", STEPPER_KINDS + ("plan-whitelisted",))
     @pytest.mark.parametrize(
         "name,factory", CONTRACT_GRAPHS, ids=[name for name, _ in CONTRACT_GRAPHS]
     )

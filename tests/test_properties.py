@@ -1,5 +1,5 @@
 """Cross-cutting property-based tests (hypothesis) for the core invariants
-DESIGN.md section 4 commits to."""
+docs/architecture.md ("Invariants to keep") commits to."""
 
 import itertools
 import random
@@ -93,8 +93,9 @@ def test_engine_motif_census_matches_esu(seed):
 
 # ----------------------------------------------------------------------
 # Cross-backend determinism: every bundled application, every execution
-# backend, every worker count — one semantic result (DESIGN.md section 4's
-# worker-invariance property, extended to the pluggable runtime).
+# backend, every worker count — one semantic result (the first invariant
+# of docs/architecture.md, "identical across backends, worker counts, and
+# storage modes").
 # ----------------------------------------------------------------------
 def _determinism_graph():
     return assign_labels(gnm_random_graph(10, 22, seed=11), 2, seed=12)
