@@ -48,7 +48,6 @@ from ..core.pattern import Pattern
 from ..core.results import RunResult, StepStats
 from ..core.storage import LIST_STORAGE
 from ..graph import LabeledGraph
-from ..graph.bitset import from_bitset
 from ..plan.dag import PlanDAG, bound_stepper, restrict_dag
 from ..plan.fsm_guide import (
     DagProvider,
@@ -146,11 +145,12 @@ def _map_terminal_domain(
 ) -> None:
     """Map one parent's whole last level as ONE domain — positionwise the
     union of the singleton domains ``process`` maps child by child: parent
-    words are singletons, the last plan vertex holds the decoded mask."""
-    sets = [frozenset((word,)) for word in words]
-    sets.append(frozenset(from_bitset(mask)))
-    computation.note_domain_hits(len(sets) * mask.bit_count())
-    computation.map(plan.pattern, Domain(match_mapping(plan, sets)))
+    words are singletons, the last plan vertex holds the survivor mask as
+    it is."""
+    masks = [1 << word for word in words]
+    masks.append(mask)
+    computation.note_domain_hits(len(masks) * mask.bit_count())
+    computation.map(plan.pattern, Domain(match_mapping(plan, masks)))
 
 
 class DagPatternDomains(Computation):
@@ -340,13 +340,13 @@ def run_guided_fsm(
 
     def grow_level(
         frequent_now: list[tuple[Pattern, Domain]],
-    ) -> list[tuple[Pattern, dict[int, frozenset[int]]]]:
+    ) -> list[tuple[Pattern, dict[int, int]]]:
         """Next level's candidates with each parent's orbit-folded
-        domains pushed down onto the positions its vertices become in
-        the extension; a candidate reached through several parents (or
-        several maps) gets the intersection — every map is an
-        independent sound restriction."""
-        next_allowed: dict[Pattern, dict[int, frozenset[int]]] = {}
+        domain masks pushed down onto the positions its vertices become
+        in the extension; a candidate reached through several parents
+        (or several maps) gets the intersection (``&``) — every map is
+        an independent sound restriction."""
+        next_allowed: dict[Pattern, dict[int, int]] = {}
         for pattern, domain in frequent_now:
             folded = domain.orbit_folded(pattern.orbits())
             for extension, parent_map in one_edge_extensions_with_maps(
@@ -405,7 +405,7 @@ def run_guided_fsm(
             frequent_now = []
             level_candidates = 0
             pruned = 0
-            evaluated: list[tuple[Pattern, dict[int, frozenset[int]]]] = []
+            evaluated: list[tuple[Pattern, dict[int, int]]] = []
             for pattern, allowed in pending:
                 if any(not images for images in allowed.values()) or (
                     has_infrequent_subpattern(pattern, result.frequent)

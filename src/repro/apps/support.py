@@ -12,8 +12,13 @@ pattern whose support drops below the threshold can never become frequent
 again — the property that lets α prune whole exploration subtrees.
 
 :class:`Domain` is the aggregation value: ``process`` maps one embedding's
-single-vertex-per-position domains, ``reduce`` unions them.  Position
-bookkeeping has two stages (mirroring two-level aggregation):
+single-vertex-per-position domains, ``reduce`` unions them.  A position's
+domain is held as one big-int bitset over vertex ids
+(:mod:`repro.graph.bitset`), like every other hot set in the codebase:
+a singleton is ``1 << v``, union is ``|``, a size is a popcount, and the
+orbit-folded masks go straight into the next FSM level's plan whitelists
+(``&``) without ever becoming a Python set.  Position bookkeeping has two
+stages (mirroring two-level aggregation):
 
 * positions initially follow the *quick pattern* (embedding visit order);
 * :meth:`Domain.remap_positions` translates to canonical-pattern positions
@@ -30,22 +35,26 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from ..core.embedding import Embedding
+from ..graph.bitset import from_bitset, to_bitset
 
 
 class Domain:
-    """Per-pattern-position sets of matched input-graph vertices."""
+    """Per-pattern-position bitsets of matched input-graph vertices: bit
+    ``v`` of mask ``i`` is set iff vertex ``v`` is an image of position
+    ``i``.  :meth:`position_images` is the only place one is decoded."""
 
-    __slots__ = ("_sets",)
+    __slots__ = ("_masks",)
 
-    def __init__(self, sets: Sequence[frozenset[int]]) -> None:
-        # frozenset(s) is s itself for an exact frozenset: no re-freeze.
-        self._sets = tuple(map(frozenset, sets))
+    def __init__(self, sets: Sequence[Iterable[int] | int]) -> None:
+        # Same convention as ``restrict_plan``: a position is an iterable
+        # of vertex ids or an already-packed bitset.
+        self._masks = tuple(s if isinstance(s, int) else to_bitset(s) for s in sets)
 
     @classmethod
     def from_embedding(cls, embedding: Embedding) -> "Domain":
         """The singleton domain of one embedding: position i holds the
         vertex visited i-th (matching the quick pattern's positions)."""
-        return cls([frozenset((v,)) for v in embedding.vertices])
+        return cls([1 << v for v in embedding.vertices])
 
     @classmethod
     def from_mapping(cls, mapping: Sequence[int]) -> "Domain":
@@ -57,60 +66,59 @@ class Domain:
         follow the (canonical) candidate pattern — no quick-pattern
         remapping is pending, unlike :meth:`from_embedding`.
         """
-        return cls([frozenset((v,)) for v in mapping])
+        return cls([1 << v for v in mapping])
 
     @classmethod
     def merge_all(cls, domains: Iterable["Domain"]) -> "Domain":
         """Positionwise union — the FSM ``reduce`` function."""
         iterator = iter(domains)
         try:
-            first = next(iterator)
+            merged = next(iterator)._masks
         except StopIteration:
             raise ValueError("cannot merge zero domains") from None
-        merged = [set(s) for s in first._sets]
         for domain in iterator:
-            if len(domain._sets) != len(merged):
+            if len(domain._masks) != len(merged):
                 raise ValueError("cannot merge domains of different arity")
-            for position, members in enumerate(domain._sets):
-                merged[position] |= members
-        return cls([frozenset(s) for s in merged])
+            merged = [a | b for a, b in zip(merged, domain._masks)]
+        return cls(merged)
 
     def remap_positions(self, mapping: tuple[int, ...]) -> "Domain":
-        """Reorder positions: new position ``mapping[i]`` gets old set i."""
-        if len(mapping) != len(self._sets):
+        """Reorder positions: new position ``mapping[i]`` gets old mask i."""
+        if len(mapping) != len(self._masks):
             raise ValueError("mapping arity does not match domain arity")
-        reordered: list[frozenset[int]] = [frozenset()] * len(self._sets)
+        reordered = [0] * len(self._masks)
         for old_position, new_position in enumerate(mapping):
-            reordered[new_position] = self._sets[old_position]
+            reordered[new_position] = self._masks[old_position]
         return Domain(reordered)
 
     # ------------------------------------------------------------------
     @property
     def arity(self) -> int:
         """Number of pattern positions."""
-        return len(self._sets)
+        return len(self._masks)
 
     def position_images(self, position: int) -> frozenset[int]:
-        """Distinct vertices mapped to ``position`` (pre orbit folding)."""
-        return self._sets[position]
+        """Distinct vertices mapped to ``position`` (pre orbit folding) —
+        the one decode of a domain."""
+        return frozenset(from_bitset(self._masks[position]))
 
-    def orbit_folded(self, orbits: Sequence[int]) -> tuple[frozenset[int], ...]:
-        """Per-position image sets with automorphism orbits folded in.
+    def orbit_folded(self, orbits: Sequence[int]) -> tuple[int, ...]:
+        """Per-position image masks with automorphism orbits folded in.
 
-        Position ``i``'s result is the union of the raw sets over ``i``'s
+        Position ``i``'s result is the union of the raw masks over ``i``'s
         orbit — the *full* image set of that pattern vertex even when the
-        raw sets hold only symmetry-unique representatives (every
+        raw masks hold only symmetry-unique representatives (every
         isomorphism is a representative composed with an automorphism,
         and automorphisms permute positions within orbits).  This is the
         one home of the orbit fold: :meth:`support` reads off it, and
-        guided FSM pushes these sets down into extension plans.
+        guided FSM pushes these masks down into extension plans.
         """
-        if len(orbits) != len(self._sets):
+        if len(orbits) != len(self._masks):
             raise ValueError("orbit arity does not match domain arity")
-        folded: dict[int, set[int]] = {}
-        for position, orbit in enumerate(orbits):
-            folded.setdefault(orbit, set()).update(self._sets[position])
-        return tuple(frozenset(folded[orbit]) for orbit in orbits)
+        folded: dict[int, int] = {}
+        for orbit, mask in zip(orbits, self._masks):
+            folded[orbit] = folded.get(orbit, 0) | mask
+        return tuple(folded[orbit] for orbit in orbits)
 
     def support(self, orbits: Sequence[int] | None = None) -> int:
         """The MNI support: min over positions of the domain size.
@@ -119,29 +127,29 @@ class Domain:
         position's effective domain is the union over its orbit — required
         for correctness whenever the pattern has non-trivial symmetry.
         """
-        if not self._sets:
+        if not self._masks:
             return 0
-        if orbits is None:
-            return min(len(s) for s in self._sets)
-        # Positions in one orbit share their folded set, so the min over
+        # Positions in one orbit share their folded mask, so the min over
         # positions equals the min over orbits.
-        return min(len(s) for s in self.orbit_folded(orbits))
+        masks = self._masks if orbits is None else self.orbit_folded(orbits)
+        return min(mask.bit_count() for mask in masks)
 
     def wire_size(self) -> int:
         """Header plus per-position headers and 4 bytes per member vertex."""
-        return 4 + sum(4 + 4 * len(s) for s in self._sets)
+        return 4 + sum(4 + 4 * mask.bit_count() for mask in self._masks)
 
     # ------------------------------------------------------------------
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Domain):
             return NotImplemented
-        return self._sets == other._sets
+        return self._masks == other._masks
 
     def __hash__(self) -> int:
-        return hash(self._sets)
+        return hash(self._masks)
 
     def __repr__(self) -> str:
         rendered = ", ".join(
-            "{" + ",".join(map(str, sorted(s))) + "}" for s in self._sets
+            "{" + ",".join(map(str, sorted(self.position_images(i)))) + "}"
+            for i in range(len(self._masks))
         )
         return f"Domain([{rendered}])"

@@ -47,7 +47,9 @@ from ..graph import LabeledGraph
 MAGIC = b"ARBKCKPT"
 #: 2: a pickled ODAG holds its arrays and successor sets as big-int bitsets
 #: (version 1 pickled Python sets under different slot names).
-FORMAT_VERSION = 2
+#: 3: an FSM ``Domain`` aggregate pickles one bitset per pattern position
+#: (``_masks``; version 2 pickled frozensets as ``_sets``).
+FORMAT_VERSION = 3
 _CHECKSUM_NBYTES = 32
 
 #: Snapshot payloads produced by spill-mode runs store the rows themselves

@@ -38,14 +38,28 @@ def to_bitset(ids: Iterable[int]) -> int:
     return bits
 
 
+#: Where peeling low bits beats the byte table (measured crossover, see
+#: CHANGES.md PR 22): members at least this many bits apart on average,
+#: and few enough that per-member big-int arithmetic stays the cheap side
+#: however wide the mask is.
+_SPARSE_SPREAD = 24
+_SPARSE_MEMBERS = 32
+
+
 def from_bitset(bits: int) -> tuple[int, ...]:
     """Unpack a bitset into its member ids, ascending (== sorted).
 
     Decodes byte-at-a-time through a 256-entry table, so the cost is
-    O(universe/8 + members) rather than per-member big-int arithmetic.
+    O(universe/8 + members) rather than per-member big-int arithmetic —
+    except for a few members scattered over a wide mask (a tiny pool in
+    a large graph), where walking every zero byte is the waste and the
+    low bits are peeled instead.  The mask itself picks the path.
     """
     if not bits:
         return ()
+    members = bits.bit_count()
+    if members <= _SPARSE_MEMBERS and members * _SPARSE_SPREAD < bits.bit_length():
+        return tuple(iter_bitset(bits))
     out: list[int] = []
     append = out.append
     base = 0

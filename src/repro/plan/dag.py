@@ -44,7 +44,7 @@ import dataclasses
 import weakref
 from dataclasses import dataclass
 from functools import partial
-from typing import Sequence
+from typing import Collection, Sequence
 
 from ..core.pattern import Pattern
 from ..graph import LabeledGraph
@@ -594,7 +594,7 @@ def _pool_for_nodes(
     dag: PlanDAG,
     graph: LabeledGraph,
     words: tuple[int, ...],
-    live_nodes: Sequence[int],
+    live_nodes: Collection[int],
 ) -> Sequence[int]:
     """Merged sorted-unique candidate pool of the given trie nodes.
 
@@ -764,14 +764,15 @@ class DagStepper:
     """Per-task DAG execution helper with memoized survivor walks.
 
     The naive functions above re-walk the trie from the root on every
-    call, which turns the per-candidate acceptance check into an
-    O(depth × patterns) rescan of its parent prefix.  A stepper caches
-    ``survivors(prefix)`` per word tuple and derives each entry
-    incrementally from its parent's — grouping the surviving members by
-    their next trie node so the structural half of the step check
-    (label, injectivity, back-edges) runs once per *node* and only the
-    per-member residual (whitelist, induced non-edges, symmetry
-    restrictions) runs per member.
+    call — an O(depth × patterns) rescan per candidate check.  A stepper
+    caches each word tuple's surviving members, derived from the parent
+    prefix's entry and held **grouped** (:meth:`_entry`): the live members
+    by next trie node, plus those that finish there.  An entry is built
+    once per distinct member list (every prefix it fits shares it,
+    read-only), so the structural half of the step check (label, injectivity,
+    back-edges) runs once per *node*, only the residual (whitelist,
+    induced non-edges, symmetry restrictions) runs per member, and
+    ``accepting``/``extendable`` are reads; :meth:`survivors` is the flat view.
 
     :meth:`step` is the fused whole-pool kernel the runtime's expansion
     pass calls: per live trie node the structural half of the check —
@@ -794,7 +795,7 @@ class DagStepper:
     memory proportional to the working set, not the store.
     """
 
-    __slots__ = ("dag", "graph", "bundle", "_depths", "_cache")
+    __slots__ = ("dag", "graph", "bundle", "_depths", "_entries", "_cache")
 
     #: Cache-entry bound; on overflow the cache resets to the root entry.
     CACHE_LIMIT = 8192
@@ -805,20 +806,45 @@ class DagStepper:
         self.bundle = mask_bundle(dag, graph)
         #: Per-member plan lengths, hoisted off the ``num_steps`` property.
         self._depths = tuple(len(plan.steps) for plan in dag.plans)
-        self._cache: dict[tuple[int, ...], list[int]] = {
-            (): list(range(len(dag.plans)))
-        }
+        #: ``(prefix length, *members) -> entry``, shared by every prefix.
+        self._entries: dict[tuple[int, ...], tuple] = {}
+        self._cache = {(): self._entry(0, range(len(dag.plans)))}
 
-    def _live(self, words: tuple[int, ...]) -> dict[int, list[int]]:
-        """Members with a step beyond ``words``, by their next trie node."""
-        depth = len(words)
-        depths = self._depths
-        paths = self.dag.paths
-        by_node: dict[int, list[int]] = {}
-        for p in self.survivors(words):
-            if depths[p] > depth:
-                by_node.setdefault(paths[p][depth], []).append(p)
-        return by_node
+    def _entry(self, depth: int, members) -> tuple[dict[int, list[int]], list[int]]:
+        """The (shared, read-only) entry of ``depth``-word prefixes ``members``
+        (ascending) survive: ``(live ones by next trie node, finished ones)``."""
+        key = (depth, *members)
+        entry = self._entries.get(key)
+        if entry is None:
+            depths = self._depths
+            paths = self.dag.paths
+            live: dict[int, list[int]] = {}
+            finished: list[int] = []
+            for p in members:
+                if depths[p] > depth:
+                    live.setdefault(paths[p][depth], []).append(p)
+                else:
+                    finished.append(p)
+            entry = self._entries[key] = (live, finished)
+        return entry
+
+    def _grouped(self, words: tuple[int, ...]):
+        """``words``' cache entry, derived from its parent's on a miss."""
+        hit = self._cache.get(words)
+        if hit is None:
+            depth = len(words) - 1
+            accepted = sorted(self._members_accepting(words[:depth], words[depth]))
+            hit = self._cache_with_room()[words] = self._entry(depth + 1, accepted)
+        return hit
+
+    def _cache_with_room(self) -> dict:
+        """The survivor cache, reset to the root entry once past its bound."""
+        cache = self._cache
+        if len(cache) > self.CACHE_LIMIT:
+            cache.clear()
+            self._entries.clear()
+            cache[()] = self._entry(0, range(len(self.dag.plans)))
+        return cache
 
     def _members_accepting(self, prefix: tuple[int, ...], word: int):
         """Members surviving ``prefix`` that also accept ``word``, lazily:
@@ -827,31 +853,16 @@ class DagStepper:
         dag = self.dag
         graph = self.graph
         plans = dag.plans
-        for node_id, members in self._live(prefix).items():
+        for node_id, members in self._grouped(prefix)[0].items():
             if structural_ok(dag.nodes[node_id], graph, prefix, word):
                 for p in members:
                     if residual_ok(plans[p], depth, graph, prefix, word):
                         yield p
 
     def survivors(self, words: tuple[int, ...]) -> list[int]:
-        """Memoized :func:`dag_survivors` (derived from the parent's)."""
-        cache = self._cache
-        hit = cache.get(words)
-        if hit is not None:
-            return hit
-        depth = len(words) - 1
-        prefix = words[:depth]
-        result = sorted(self._members_accepting(prefix, words[depth]))
-        self._cache_with_room()[words] = result
-        return result
-
-    def _cache_with_room(self) -> dict[tuple[int, ...], list[int]]:
-        """The survivor cache, reset to the root entry once past its bound."""
-        cache = self._cache
-        if len(cache) > self.CACHE_LIMIT:
-            cache.clear()
-            cache[()] = list(range(len(self.dag.plans)))
-        return cache
+        """Memoized :func:`dag_survivors` — the flat view of the entry."""
+        live, finished = self._grouped(words)
+        return sorted(finished + [p for members in live.values() for p in members])
 
     def step(
         self, words: tuple[int, ...], strategy: str | None = None
@@ -898,7 +909,7 @@ class DagStepper:
         """The one kernel: ``(num_candidates, found, terminal)`` with
         ``found`` member masks (``terminal``) or decoded survivors;
         ``terminal=None`` asks whether every live member finishes here."""
-        by_node = self._live(words)
+        by_node = self._grouped(words)[0]
         if not by_node:
             return 0, (), bool(terminal)
         if terminal is None:
@@ -909,13 +920,12 @@ class DagStepper:
             )
         graph = self.graph
         nodes = self.dag.nodes
-        live_nodes = sorted(by_node)
         # Estimate each node's pool by its cheapest back-neighbor degree
         # (an upper bound on the closure-complete intersection — a
         # popcount the CSR offsets hand over for free); the sum drives
         # the hybrid decision.  Unrolled: no genexp frames on the hot path.
         estimate = 0
-        for node_id in live_nodes:
+        for node_id in by_node:
             back = nodes[node_id].back_edges
             if back:
                 degree = graph.degree(words[back[0][0]])
@@ -931,14 +941,9 @@ class DagStepper:
             strategy is None and prefers_row_iteration(estimate)
         ):
             # Sparse path: accepted members per ascending survivor word.
-            num_candidates, word_members = self._row_members(
-                words, by_node, live_nodes
-            )
+            num_candidates, word_members = self._row_members(words, by_node)
             if not terminal:
-                self._cache_with_room().update(
-                    (words + (word,), accepted)
-                    for word, accepted in word_members.items()
-                )
+                self._remember(words, word_members.items())
                 return num_candidates, tuple(word_members), False
             packed: dict[int, int] = {}
             for word, accepted in word_members.items():
@@ -947,38 +952,41 @@ class DagStepper:
                     packed[p] = packed.get(p, 0) | bit
             return num_candidates, sorted(packed.items()), True
         # Dense path: one survivor bitmask per member.
-        num_candidates, masks = self._masked_masks(words, by_node, live_nodes)
+        num_candidates, masks = self._masked_masks(words, by_node)
         if terminal:
             return num_candidates, masks, True
         union = 0
         for _, mask in masks:
             union |= mask
         survivors = from_bitset(union)
-        cache = self._cache_with_room()
         if len(masks) == 1:
-            # One accepting member: its children share one read-only list.
-            cache.update(dict.fromkeys((words + (w,) for w in survivors), [masks[0][0]]))
+            # One accepting member: its children share one entry.
+            entry = self._entry(len(words) + 1, (masks[0][0],))
+            self._cache_with_room().update(
+                dict.fromkeys((words + (w,) for w in survivors), entry)
+            )
         else:
-            for word in survivors:
-                bit = 1 << word
-                cache[words + (word,)] = [p for p, mask in masks if mask & bit]
+            accepted = ([p for p, mask in masks if mask >> w & 1] for w in survivors)
+            self._remember(words, zip(survivors, accepted))
         return num_candidates, survivors, False
 
-    def _row_members(
-        self,
-        words: tuple[int, ...],
-        by_node: dict[int, list[int]],
-        live_nodes: list[int],
-    ):
+    def _remember(self, words: tuple[int, ...], children) -> None:
+        """Cache the ``(word, accepted members)`` children of ``words``."""
+        entry = self._entry
+        depth = len(words) + 1
+        self._cache_with_room().update(
+            (words + (word,), entry(depth, accepted)) for word, accepted in children
+        )
+
+    def _row_members(self, words: tuple[int, ...], by_node: dict[int, list[int]]):
         """The hybrid's sparse path: per-candidate probes over the merged
         row pool, with the per-word node/member grouping hoisted out."""
         depth = len(words)
         dag = self.dag
         graph = self.graph
         plans = dag.plans
-        nodes = dag.nodes
-        pool = _pool_for_nodes(dag, graph, words, live_nodes)
-        grouped = [(nodes[node_id], by_node[node_id]) for node_id in live_nodes]
+        pool = _pool_for_nodes(dag, graph, words, by_node)
+        grouped = [(dag.nodes[n], members) for n, members in by_node.items()]
         word_members: dict[int, list[int]] = {}
         for word in pool:
             accepted: list[int] = []
@@ -993,12 +1001,7 @@ class DagStepper:
                 word_members[word] = accepted
         return len(pool), word_members
 
-    def _masked_masks(
-        self,
-        words: tuple[int, ...],
-        by_node: dict[int, list[int]],
-        live_nodes: list[int],
-    ):
+    def _masked_masks(self, words: tuple[int, ...], by_node: dict[int, list[int]]):
         """The dense path: one structural ``&`` chain per live node over
         the bundle's masks, one residual chain per member, nothing
         decoded.  The node pool is the closure-complete back-row
@@ -1014,7 +1017,7 @@ class DagStepper:
         exclude = ~to_bitset(words)
         merged_pool = 0
         masks: list[tuple[int, int]] = []
-        for node_id in live_nodes:
+        for node_id, members in by_node.items():
             node = nodes[node_id]
             back = node.back_edges
             if not back:
@@ -1038,7 +1041,7 @@ class DagStepper:
             merged_pool |= pool_bits
             if not struct:
                 continue
-            for p in by_node[node_id]:
+            for p in members:
                 plan = plans[p]
                 mask = residual_mask(
                     plan.steps[depth], plan.induced, struct, words, neighbor_bits
@@ -1067,7 +1070,7 @@ class DagStepper:
         members occupy next (:func:`_pool_for_nodes`), merged
         sorted-unique — a candidate proposed by several sibling patterns
         is generated (and counted) once."""
-        return _pool_for_nodes(self.dag, self.graph, words, sorted(self._live(words)))
+        return _pool_for_nodes(self.dag, self.graph, words, self._grouped(words)[0])
 
     def check(
         self, graph: LabeledGraph, parent_words: tuple[int, ...], word: int
@@ -1089,13 +1092,10 @@ class DagStepper:
         return filter_bitset(pool, partial(self.check, self.graph, words))
 
     def accepting(self, words: tuple[int, ...]) -> list[int]:
-        """Memoized-walk :func:`accepting_patterns` (emission hook)."""
-        size = len(words)
-        depths = self._depths
-        return [p for p in self.survivors(words) if depths[p] == size]
+        """Memoized-walk :func:`accepting_patterns` (emission hook); the
+        list is the entry's own — read it, never mutate it."""
+        return self._grouped(words)[1]
 
     def extendable(self, words: tuple[int, ...]) -> bool:
         """Memoized-walk :func:`dag_extendable` (termination hook)."""
-        size = len(words)
-        depths = self._depths
-        return any(depths[p] > size for p in self.survivors(words))
+        return bool(self._grouped(words)[0])

@@ -41,8 +41,8 @@ from typing import Callable, Iterable, Sequence
 
 from ..core.pattern import Pattern
 from ..graph import LabeledGraph
+from ..graph.bitset import to_bitset
 from .dag import PlanDAG, build_plan_dag
-from .guided import match_mapping
 from .planner import MatchingPlan, PlanError
 
 #: A plan-DAG source for a whole level's candidate batch (canonical
@@ -125,18 +125,18 @@ def single_edge_candidates(graph: LabeledGraph) -> list[Pattern]:
 
 def single_edge_domains(
     graph: LabeledGraph,
-) -> list[tuple[Pattern, list[set[int]]]]:
+) -> list[tuple[Pattern, list[int]]]:
     """Level-1 evaluation in closed form: one pass over the edges.
 
     A single-edge pattern's matches are exactly the edges of its label
-    triple class, so its *full* per-position image sets (both
+    triple class, so its *full* per-position image masks (both
     orientations — no symmetry restriction to fold back) fall out of one
     edge scan; running the guided engine per triple class would cost a
     step-0 pool scan plus a neighborhood walk per class for the same
-    answer.  Returns ``(canonical pattern, per-position image sets)``
+    answer.  Returns ``(canonical pattern, per-position image bitsets)``
     in deterministic candidate order.
     """
-    domains: dict[Pattern, list[set[int]]] = {}
+    domains: dict[Pattern, list[int]] = {}
     for eid, u, v in graph.edge_iter():
         le = graph.edge_label(eid)
         for a, b in ((u, v), (v, u)):
@@ -144,12 +144,12 @@ def single_edge_domains(
                 (graph.vertex_label(a), graph.vertex_label(b)), ((0, 1, le),)
             )
             canonical, mapping = quick.canonical_mapping()
-            sets = domains.get(canonical)
-            if sets is None:
-                sets = [set(), set()]
-                domains[canonical] = sets
-            sets[mapping[0]].add(a)
-            sets[mapping[1]].add(b)
+            masks = domains.get(canonical)
+            if masks is None:
+                masks = [0, 0]
+                domains[canonical] = masks
+            masks[mapping[0]] |= 1 << a
+            masks[mapping[1]] |= 1 << b
     return sorted(
         domains.items(), key=lambda item: (item[0].vertex_labels, item[0].edges)
     )
@@ -253,34 +253,36 @@ def has_infrequent_subpattern(
     )
 
 
-
-
 # ----------------------------------------------------------------------
 # MNI domain extraction from guided matches
 # ----------------------------------------------------------------------
 def domain_sets_from_matches(
     plan: MatchingPlan, matches: Iterable[tuple[int, ...]]
-) -> list[set[int]]:
-    """Per-pattern-position image sets from full guided word sequences.
+) -> list[int]:
+    """Per-pattern-position image bitsets from full guided word sequences.
 
     ``matches`` are plan-ordered words (what the guided runtime stores);
-    position ``i`` of the result is the set of graph vertices matched to
-    pattern vertex ``i`` of ``plan.pattern`` across the given matches.
-    This is the pure-function core the guided FSM computation applies
-    per match; tests use it as a micro-oracle.
+    position ``i`` of the result is the bitset of graph vertices matched
+    to pattern vertex ``i`` of ``plan.pattern`` across the given matches.
+    The guided FSM computation maps the same thing match by match
+    (:func:`repro.plan.guided.match_mapping`); tests use this as a
+    micro-oracle.  Transposed: one pack per plan position, not one
+    mapping per match.
     """
-    sets: list[set[int]] = [set() for _ in range(plan.num_steps)]
-    for words in matches:
-        mapping = match_mapping(plan, words)
-        for position, vertex in enumerate(mapping):
-            sets[position].add(vertex)
-    return sets
+    columns = tuple(zip(*matches, strict=True))
+    if columns and len(columns) != plan.num_steps:
+        raise ValueError(f"expected full matches of {plan.num_steps} words")
+    masks = [0] * plan.num_steps
+    for vertex, column in zip(plan.order, columns):
+        masks[vertex] = to_bitset(column)
+    return masks
 
 
 def mni_support_from_domains(
-    domain_sets: Sequence[Iterable[int]], orbits: Sequence[int]
+    domain_sets: Sequence[Iterable[int] | int], orbits: Sequence[int]
 ) -> int:
-    """MNI support of orbit-folded representative domains.
+    """MNI support of orbit-folded representative domains (bitsets, or
+    iterables of vertex ids).
 
     Guided matches are symmetry-unique representatives, so each orbit's
     effective domain is the union over its positions — exactly the
@@ -290,4 +292,4 @@ def mni_support_from_domains(
     """
     from ..apps.support import Domain
 
-    return Domain([frozenset(s) for s in domain_sets]).support(orbits)
+    return Domain(domain_sets).support(orbits)

@@ -21,9 +21,11 @@ The acceptance surface of the multi-query refactor:
   options are rejected loudly.
 """
 
+import copy
 import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps import (
     DagMotifCounting,
@@ -42,6 +44,7 @@ from repro.graph import (
     from_bitset,
     gnm_random_graph,
     strip_labels,
+    to_bitset,
 )
 from repro.isomorphism import SubgraphMatcher
 from repro.plan import (
@@ -231,6 +234,89 @@ class TestRestrictDag:
         )
         assert DagStepper(restricted, graph).zero_pool() == (0, 1)
         assert dag_survivors(restricted, graph, (2,)) == []
+
+
+# ---------------------------------------------------------------------------
+# The stepper's grouped survivor cache vs the naive root-to-leaf walk
+# ---------------------------------------------------------------------------
+class _TinyCacheStepper(DagStepper):
+    """Overflows its survivor cache every few prefixes."""
+
+    CACHE_LIMIT = 3
+
+
+class TestGroupedSurvivorCache:
+    @staticmethod
+    def restricted_labeled_dag(graph):
+        # Sizes 2 and 3 in one batch: members finish at different depths,
+        # so entries hold live and finished members side by side.
+        batch = enumerate_motif_patterns(graph, 3, min_size=2)
+        dag = build_plan_dag(batch, induced=True)
+        allowed = to_bitset(v for v in graph.vertices() if v % 3)
+        return restrict_dag(dag, {pattern: {0: allowed} for pattern in batch[::2]})
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_reads_equal_the_naive_walk_across_cache_resets(self, data):
+        graph = labeled_graph(2)
+        dag = self.restricted_labeled_dag(graph)
+        stepper = _TinyCacheStepper(dag, graph)
+        vertices = list(graph.vertices())
+        words = ()
+        for _ in range(data.draw(st.integers(1, 12))):
+            assert stepper.survivors(words) == dag_survivors(dag, graph, words)
+            assert stepper.accepting(words) == list(
+                accepting_patterns(dag, graph, words)
+            )
+            assert stepper.extendable(words) == dag_extendable(dag, graph, words)
+            expected = tuple(
+                w for w in vertices if dag_survivors(dag, graph, words + (w,))
+            )
+            assert stepper.step(words)[1] == expected
+            probe = data.draw(st.sampled_from(vertices))
+            assert stepper.check(graph, words, probe) == (probe in expected)
+            # Mostly walk down an accepted child; sometimes restart, or
+            # step onto a word nothing accepts.
+            move = data.draw(st.integers(0, 9))
+            if expected and move < 7:
+                words += (data.draw(st.sampled_from(expected)),)
+            else:
+                words = () if move < 9 or len(words) > 3 else words + (probe,)
+            assert stepper.survivors(()) == list(range(dag.num_patterns))
+
+    def test_overflow_resets_to_the_root_entry(self):
+        graph = labeled_graph(2)
+        stepper = _TinyCacheStepper(self.restricted_labeled_dag(graph), graph)
+        sizes = []
+        for root in stepper.zero_pool():
+            stepper.step((root,))
+            sizes.append(len(stepper._cache))
+        # One reset per overflowing call: never more than the limit plus
+        # what a single prefix and its children add.
+        assert max(sizes) <= _TinyCacheStepper.CACHE_LIMIT + 2 + graph.num_vertices
+        assert min(sizes[1:]) < max(sizes) and () in stepper._cache
+
+    @pytest.mark.parametrize("strategy", ["rows", "masks"])
+    def test_shared_entries_are_never_mutated_through_a_sharer(self, strategy):
+        graph = unlabeled_graph(4)
+        dag = build_plan_dag(shapes("wedge", "triangle", "square"), induced=True)
+        stepper = DagStepper(dag, graph)
+        root = max(graph.vertices(), key=graph.degree)
+        _, found = stepper.step((root,), strategy)
+        children = [(root, word) for word in found]
+        cache = stepper._cache
+        assert len({id(cache[child]) for child in children}) < len(children)
+        before = copy.deepcopy({child: cache[child] for child in children})
+        for child in children:
+            stepper.survivors(child).append(-1)  # the flat view is a copy
+            assert stepper.accepting(child) == list(
+                accepting_patterns(dag, graph, child)
+            )
+            stepper.extendable(child)
+            stepper.check(graph, child, root)
+            stepper.step(child, strategy)
+            stepper.advance(child, True)
+        assert {child: cache[child] for child in children} == before
 
 
 # ---------------------------------------------------------------------------

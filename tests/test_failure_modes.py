@@ -268,21 +268,49 @@ class TestCheckpointFailureModes:
         with pytest.raises(CheckpointError, match="format version 99"):
             read_snapshot(path)
 
-    def test_format_1_snapshot_is_refused(self, tmp_path):
-        """Version 1 pickled ODAGs as Python sets under other slot names;
-        a v1 file must stop at the version check, never reach unpickling."""
+    @pytest.mark.parametrize("old_version", [1, 2])
+    def test_older_format_snapshot_is_refused(self, tmp_path, old_version):
+        """Version 1 pickled ODAGs as Python sets under other slot names,
+        version 2 pickled FSM domains as frozensets (``Domain._sets``); an
+        older file must stop at the version check, never reach unpickling."""
         import struct
 
         from repro.checkpoint import CheckpointError, read_snapshot
         from repro.checkpoint.snapshot import FORMAT_VERSION, MAGIC
 
-        assert FORMAT_VERSION == 2
+        assert FORMAT_VERSION == 3
         path = self._crashed_run_dir(tmp_path)
-        self._resign(path, MAGIC + struct.pack(">I", 1) + b"not even a pickle")
+        self._resign(
+            path, MAGIC + struct.pack(">I", old_version) + b"not even a pickle"
+        )
         with pytest.raises(
-            CheckpointError, match="format version 1; this build reads version 2"
+            CheckpointError,
+            match=f"format version {old_version}; this build reads version 3",
         ):
             read_snapshot(path)
+
+    def test_format_2_fsm_snapshot_fails_at_the_version_check_on_resume(
+        self, tmp_path
+    ):
+        """A real FSM snapshot re-stamped as version 2 (whose ``Domain``
+        pickles would not load): resume raises the version error, not an
+        ``AttributeError`` from half-way through unpickling."""
+        import struct
+
+        from repro.apps import FrequentSubgraphMining
+        from repro.checkpoint import CheckpointError, resume_run, run_to_crash
+        from repro.checkpoint.snapshot import MAGIC, _CHECKSUM_NBYTES, list_snapshots
+
+        graph = complete_graph(6)
+        run_to_crash(
+            graph, FrequentSubgraphMining(2, max_edges=3), ArabesqueConfig(),
+            str(tmp_path), 1,
+        )
+        for _, path in list_snapshots(str(tmp_path)):
+            payload = open(path, "rb").read()[len(MAGIC) + 4 : -_CHECKSUM_NBYTES]
+            self._resign(path, MAGIC + struct.pack(">I", 2) + payload)
+        with pytest.raises(CheckpointError, match="format version 2; this build"):
+            resume_run(str(tmp_path), graph)
 
     def test_empty_run_dir_has_nothing_to_resume(self, tmp_path):
         from repro.checkpoint import CheckpointError, resume_run

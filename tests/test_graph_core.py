@@ -9,6 +9,8 @@ invariants for the bitset helpers themselves.
 
 import random
 
+import pytest
+
 from hypothesis import given, settings, strategies as st
 
 from repro.graph import (
@@ -136,6 +138,27 @@ def test_bitset_round_trip(ids):
     assert bitset_count(bits) == len(ids)
     # Idempotence: re-encoding the decoded tuple is the same bitset.
     assert to_bitset(decoded) == bits
+
+
+@given(universe=st.integers(1, 6000), population=st.integers(0, 80), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_from_bitset_picks_its_path_from_the_mask_and_decodes_alike(
+    universe, population, data
+):
+    """``from_bitset`` peels low bits off few-and-far-apart masks and walks
+    the byte table otherwise; both must be the ascending decode."""
+    size = min(population, universe)
+    ids = data.draw(st.sets(st.integers(0, universe - 1), min_size=size, max_size=size))
+    bits = to_bitset(ids)
+    assert from_bitset(bits) == tuple(iter_bitset(bits)) == tuple(sorted(ids))
+
+
+@pytest.mark.parametrize("members", [1, 2, 8, 31, 32, 33])
+def test_from_bitset_at_the_sparse_threshold(members):
+    # The top member sits just below / at / above ``members * 24`` bits.
+    for top in range(members * 24 - 3, members * 24 + 3):
+        ids = sorted({*range(members - 1), top})
+        assert from_bitset(to_bitset(ids)) == tuple(ids)
 
 
 @given(

@@ -197,12 +197,20 @@ def run_rows(graph):
     }
     rows = {}
     for name, query in queries.items():
-        run = query.run().raw
+        view = query.run()
+        run = view.raw
         rows[name] = {f: [getattr(s, f) for s in run.steps] for f in STEP_COUNTERS}
         rows[name]["num_outputs"] = run.num_outputs
         rows[name]["signature"] = hashlib.sha256(
             run.canonical_signature()
         ).hexdigest()
+        if name.startswith("fsm"):
+            # What the application observes, apart from how a domain is
+            # held: ``signature`` serialises ``Domain``'s slot, this does not.
+            table = sorted((repr(p), s) for p, s in view.patterns().items())
+            rows[name]["supports"] = hashlib.sha256(
+                repr(table).encode("utf-8")
+            ).hexdigest()
     return rows
 
 

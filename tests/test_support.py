@@ -1,10 +1,12 @@
 """Tests for MNI domains and support, cross-validated against VF2."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps import Domain
 from repro.core import EdgeInducedEmbedding, Pattern, VertexInducedEmbedding
 from repro.graph import assign_labels, gnm_random_graph, graph_from_edges, graph_from_string
+from repro.graph.bitset import from_bitset
 from repro.isomorphism import find_isomorphisms
 
 
@@ -149,3 +151,131 @@ class TestOrbitFolding:
             )
         merged = Domain.merge_all(domains)
         assert merged.support(pattern.orbits()) == brute_support
+
+
+class SetDomain:
+    """The frozenset ``Domain`` the bitset one replaced — kept here, and
+    only here, as the differential reference."""
+
+    def __init__(self, sets):
+        self.sets = tuple(map(frozenset, sets))
+
+    @classmethod
+    def merge_all(cls, domains):
+        domains = list(domains)
+        if not domains or len({len(d.sets) for d in domains}) != 1:
+            raise ValueError("cannot merge zero domains or different arities")
+        return cls(frozenset().union(*column) for column in zip(*(d.sets for d in domains)))
+
+    def remap_positions(self, mapping):
+        if len(mapping) != len(self.sets):
+            raise ValueError("mapping arity does not match domain arity")
+        reordered = [frozenset()] * len(self.sets)
+        for old_position, new_position in enumerate(mapping):
+            reordered[new_position] = self.sets[old_position]
+        return SetDomain(reordered)
+
+    def orbit_folded(self, orbits):
+        if len(orbits) != len(self.sets):
+            raise ValueError("orbit arity does not match domain arity")
+        folded = {}
+        for position, orbit in enumerate(orbits):
+            folded.setdefault(orbit, set()).update(self.sets[position])
+        return tuple(frozenset(folded[orbit]) for orbit in orbits)
+
+    def support(self, orbits=None):
+        if not self.sets:
+            return 0
+        return min(map(len, self.sets if orbits is None else self.orbit_folded(orbits)))
+
+    def wire_size(self):
+        return 4 + sum(4 + 4 * len(s) for s in self.sets)
+
+
+#: Vertex ids well past one machine word, so masks are real big ints.
+VERTICES = st.integers(0, 300)
+COMPLETE = graph_from_edges([(u, v) for u in range(8) for v in range(u + 1, 8)])
+
+
+def both(call):
+    """``call`` on each side: equal results, or ValueError on both."""
+    outcomes = []
+    for side in (0, 1):
+        try:
+            outcomes.append(call(side))
+        except ValueError:
+            outcomes.append(ValueError)
+    assert (outcomes[0] is ValueError) == (outcomes[1] is ValueError)
+    return None if outcomes[0] is ValueError else outcomes
+
+
+class TestMaskDomainAgainstFrozensetReference:
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_op_sequences_agree(self, data):
+        draw = data.draw
+        pool = []  # (Domain, SetDomain) pairs that must stay equal
+
+        def admit(pair):
+            mask_domain, set_domain = pair
+            assert mask_domain.arity == len(set_domain.sets)
+            for position, images in enumerate(set_domain.sets):
+                assert mask_domain.position_images(position) == images
+            assert mask_domain.wire_size() == set_domain.wire_size()
+            assert mask_domain.support() == set_domain.support()
+            pool.append(pair)
+
+        def pick():
+            return pool[draw(st.integers(0, len(pool) - 1))]
+
+        for _ in range(draw(st.integers(1, 10))):
+            op = draw(st.sampled_from(
+                ("sets", "embedding", "mapping", "merge", "remap", "fold")
+                if pool else ("sets", "embedding", "mapping")
+            ))
+            if op == "sets":
+                sets = draw(st.lists(st.frozensets(VERTICES, max_size=6), max_size=4))
+                # Ids and pre-packed masks are both accepted, position by position.
+                packed = [
+                    sum(1 << v for v in s) if draw(st.booleans()) else s for s in sets
+                ]
+                admit((Domain(packed), SetDomain(sets)))
+            elif op == "embedding":
+                words = tuple(draw(st.permutations(range(8)))[: draw(st.integers(1, 4))])
+                embedding = VertexInducedEmbedding(COMPLETE, words)
+                admit((
+                    Domain.from_embedding(embedding),
+                    SetDomain({v} for v in embedding.vertices),
+                ))
+            elif op == "mapping":
+                mapping = draw(st.lists(VERTICES, min_size=1, max_size=4))
+                admit((Domain.from_mapping(mapping), SetDomain({v} for v in mapping)))
+            elif op == "merge":
+                chosen = [pick() for _ in range(draw(st.integers(0, 4)))]
+                merged = both(lambda side: (Domain, SetDomain)[side].merge_all(
+                    pair[side] for pair in chosen))
+                if merged:
+                    admit(tuple(merged))
+            elif op == "remap":
+                pair = pick()
+                arity = pair[0].arity + draw(st.sampled_from((0, 0, 0, 1)))
+                mapping = tuple(draw(st.permutations(range(arity))))
+                remapped = both(lambda side: pair[side].remap_positions(mapping))
+                if remapped:
+                    admit(tuple(remapped))
+            else:
+                pair = pick()
+                arity = pair[0].arity + draw(st.sampled_from((0, 0, 0, 1)))
+                orbits = tuple(draw(st.lists(
+                    st.integers(0, 2), min_size=arity, max_size=arity)))
+                folded = both(lambda side: pair[side].orbit_folded(orbits))
+                if folded:
+                    masks, sets = folded
+                    assert [frozenset(from_bitset(m)) for m in masks] == list(sets)
+                supports = both(lambda side: pair[side].support(orbits))
+                assert supports is None or supports[0] == supports[1]
+        for mask_domain, set_domain in pool:
+            for other, other_sets in pool:
+                same = set_domain.sets == other_sets.sets
+                assert (mask_domain == other) == same
+                assert not same or hash(mask_domain) == hash(other)
