@@ -62,10 +62,9 @@ def test_fig10_no_odag_slowdown(benchmark):
                 )
                 result = run_computation(graph, make_app(), config)
                 measured[storage] = {
-                    "makespan": result.makespan(model),
+                    "makespan": model.makespan(result),
                     "wall": result.wall_seconds,
-                    "bytes": result.metrics.total_bytes
-                    + result.metrics.total_broadcast_bytes,
+                    "bytes": result.total_bytes + result.total_broadcast_bytes,
                 }
             rows[name] = measured
         return rows

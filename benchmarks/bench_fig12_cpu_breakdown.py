@@ -63,7 +63,7 @@ def run_fig12():
         config = ArabesqueConfig(profile_phases=True, collect_outputs=False)
         result = run_computation(make_graph(), make_app(), config)
         # Penultimate superstep, like the paper.
-        steps = result.metrics.supersteps
+        steps = result.steps
         step = steps[-2] if len(steps) >= 2 else steps[-1]
         rows[name] = dict(step.phase_seconds)
 

@@ -72,7 +72,7 @@ def test_fig7_tlv_tlp_scalability(benchmark):
             ArabesqueConfig(num_workers=5, collect_outputs=False),
         )
         data["tle_wall"] = time.perf_counter() - started
-        data["tle_messages"] = tle.metrics.total_messages
+        data["tle_messages"] = tle.total_messages
         data["tle_embeddings"] = tle.total_processed
         return data
 

@@ -18,6 +18,7 @@ job is "run" at several worker counts and the simulated makespans printed.
 import itertools
 import random
 
+from repro.bsp import CostModel
 from repro.graph import GraphBuilder
 from repro.session import Miner
 
@@ -107,8 +108,8 @@ def main() -> None:
             .workers(workers).collect(False).run()
         )
         print(f"  {workers:>2} workers: simulated makespan "
-              f"{run.makespan():.4f}s, "
-              f"{run.raw.metrics.total_messages:,} messages")
+              f"{CostModel().makespan(run.raw):.4f}s, "
+              f"{run.raw.total_messages:,} messages")
 
 
 if __name__ == "__main__":

@@ -23,8 +23,10 @@ Package map (see docs/architecture.md for the full inventory):
   results, per-session plan/universe caching);
 * :mod:`repro.graph` — immutable labeled graphs, generators, I/O;
 * :mod:`repro.isomorphism` — canonical labeling (bliss substitute), VF2;
-* :mod:`repro.bsp` — in-process BSP engine with metered communication;
 * :mod:`repro.core` — the filter-process model and execution techniques;
+  each run meters its own per-worker work and wire traffic;
+* :mod:`repro.bsp` — the simulated cluster: a cost model that reads those
+  meters, and the in-process BSP engine under the TLV baseline;
 * :mod:`repro.plan` — pattern-aware guided exploration planner;
 * :mod:`repro.apps` — FSM, motifs, cliques, maximal cliques, matching;
 * :mod:`repro.baselines` — TLV, TLP, GRAMI/G-Tries/Mace substitutes;

@@ -36,7 +36,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
-from ..bsp.metrics import RunMetrics
 from ..core.computation import Computation
 from ..core.config import ArabesqueConfig
 from ..core.embedding import (
@@ -230,7 +229,7 @@ class GuidedFSMResult:
     """Everything a plan-guided FSM run produces.
 
     ``combined`` is the engine-record view over the per-level batched
-    runs: steps and metrics concatenated, ``final_aggregates`` holding
+    runs: steps concatenated, ``final_aggregates`` holding
     each evaluated candidate's merged :class:`Domain` under its canonical
     pattern (demuxed by accepting leaf) — exactly the surface
     :func:`frequent_patterns` and
@@ -267,10 +266,6 @@ def _fold_run(combined: RunResult, run: RunResult) -> None:
         combined.steps.append(
             dataclasses.replace(stats, step=len(combined.steps))
         )
-    assert combined.metrics is not None and run.metrics is not None
-    for superstep in run.metrics.supersteps:
-        superstep.superstep = len(combined.metrics.supersteps)
-        combined.metrics.supersteps.append(superstep)
     combined.wall_seconds += run.wall_seconds
     combined.pattern_requests += run.pattern_requests
     combined.quick_patterns += run.quick_patterns
@@ -335,7 +330,6 @@ def run_guided_fsm(
     result = GuidedFSMResult(
         support_threshold=support_threshold, max_edges=max_edges
     )
-    result.combined.metrics = RunMetrics(num_workers=base.num_workers)
     triples = label_triples(graph, catalog=catalog)
 
     def grow_level(

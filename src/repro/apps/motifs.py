@@ -29,7 +29,6 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Callable
 
-from ..bsp.metrics import RunMetrics
 from ..core.computation import Computation
 from ..core.config import ArabesqueConfig
 from ..core.embedding import Embedding, VERTEX_EXPLORATION, VertexInducedEmbedding
@@ -290,9 +289,7 @@ def run_guided_motifs(
     batch = enumerate_motif_patterns(graph, max_size, min_size=min_size)
     base = config if config is not None else ArabesqueConfig(storage=LIST_STORAGE)
     if not batch:
-        empty = RunResult()
-        empty.metrics = RunMetrics(num_workers=base.num_workers)
-        return GuidedMotifsRun(run=empty, dag=None, batch=())
+        return GuidedMotifsRun(run=RunResult(), dag=None, batch=())
     provide = dag_provider if dag_provider is not None else (
         lambda patterns: build_plan_dag(patterns, induced=True)
     )

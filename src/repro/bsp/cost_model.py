@@ -1,9 +1,13 @@
-"""Deterministic cost model converting BSP metrics into simulated time.
+"""Deterministic cost model: a reader that prices a run's metered
+supersteps into simulated cluster time.
 
 The paper's scalability results (Figures 7 and 8, Table 3) were measured on
 20 servers with 32 threads and a 10 GbE network.  We do not have that
 testbed; per docs/architecture.md (substitution 1) we recover *simulated*
-makespans from quantities the in-process engine measures exactly:
+makespans from quantities the in-process engines meter exactly, one
+:class:`~repro.core.results.SuperstepRecord` per superstep — the Arabesque
+engine's :class:`~repro.core.results.RunResult` and the TLV/TLP baselines'
+:class:`~repro.bsp.metrics.RunMetrics` carry the same records:
 
 * per-worker **work units** — a superstep lasts as long as its busiest
   worker, so hotspots (the TLV/TLP failure mode) directly stretch the
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .metrics import RunMetrics, SuperstepMetrics
+from ..core.results import RunTotals, SuperstepRecord
 
 
 @dataclass(frozen=True)
@@ -46,7 +50,7 @@ class CostModel:
     seconds_per_broadcast_byte: float = 2e-8  # ~50 MB/s deserialization
     barrier_seconds: float = 0.002
 
-    def superstep_seconds(self, step: SuperstepMetrics, num_workers: int) -> float:
+    def superstep_seconds(self, step: SuperstepRecord, num_workers: int) -> float:
         """Simulated duration of one superstep on ``num_workers`` workers."""
         compute = step.max_work * self.seconds_per_work_unit
         p2p = (
@@ -62,10 +66,12 @@ class CostModel:
         deserialize = step.broadcast_bytes * fan_out * self.seconds_per_broadcast_byte
         return compute + p2p + broadcast + deserialize + self.barrier_seconds
 
-    def makespan(self, run: RunMetrics) -> float:
-        """Simulated end-to-end time of a run (sums its supersteps)."""
+    def makespan(self, run: RunTotals) -> float:
+        """Simulated end-to-end time of a run — an engine ``RunResult`` or a
+        baseline ``RunMetrics`` — each superstep priced on the workers it
+        ran on."""
         return sum(
-            self.superstep_seconds(step, run.num_workers) for step in run.supersteps
+            self.superstep_seconds(step, step.num_workers) for step in run.steps
         )
 
 

@@ -11,7 +11,7 @@ engine with
   with wire-size accounting (:mod:`.messages`),
 * **aggregators** with Giraph semantics (:mod:`.aggregator`),
 * Pregel-style **halting** (workers vote to halt; messages wake them), and
-* per-superstep :class:`~repro.bsp.metrics.SuperstepMetrics`.
+* one metered :class:`~repro.core.results.SuperstepRecord` per superstep.
 
 Workers run sequentially inside one Python process (deterministically, in
 worker-id order); distribution is *simulated*.  What would be parallel
@@ -25,9 +25,11 @@ from __future__ import annotations
 import time
 from typing import Any, Mapping, Sequence
 
+from ..core.results import SuperstepRecord
+from ..core.wire import estimate_size
 from .aggregator import Aggregator
-from .messages import Message, estimate_size
-from .metrics import RunMetrics, SuperstepMetrics
+from .messages import Message
+from .metrics import RunMetrics
 
 
 class BspError(RuntimeError):
@@ -49,7 +51,7 @@ class BspContext:
         superstep: int,
         outbox: list[Message],
         aggregators: Mapping[str, Aggregator],
-        metrics: SuperstepMetrics,
+        metrics: SuperstepRecord,
     ) -> None:
         self.worker_id = worker_id
         self.num_workers = num_workers

@@ -1,123 +1,33 @@
-"""Execution metrics collected by the BSP engine.
+"""The run container of the TLV/TLP baselines.
 
-These numbers feed the simulated-distribution cost model
-(:mod:`repro.bsp.cost_model`): per-worker *work units* capture compute load
-(and therefore imbalance/hotspots), message and byte counters capture
-communication volume.  Workers report work units through
-``BspContext.add_work``; message sizes are metered automatically.
+A baseline run is a list of the same per-superstep
+:class:`~repro.core.results.SuperstepRecord` the Arabesque engine fills
+(per-worker work units, message and byte counters), so one cost model
+(:mod:`repro.bsp.cost_model`) prices both.  Workers report work units
+through ``BspContext.add_work``; message sizes are metered automatically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-
-@dataclass
-class SuperstepMetrics:
-    """Everything measured during one superstep."""
-
-    superstep: int
-    work_units: dict[int, float] = field(default_factory=dict)
-    messages_sent: int = 0
-    bytes_sent: int = 0
-    broadcast_messages: int = 0
-    broadcast_bytes: int = 0
-    wall_seconds: float = 0.0
-    #: Free-form per-phase timing breakdown (used for the Figure 12 bench).
-    phase_seconds: dict[str, float] = field(default_factory=dict)
-
-    def add_work(self, worker_id: int, units: float) -> None:
-        """Accumulate compute work units for ``worker_id``."""
-        self.work_units[worker_id] = self.work_units.get(worker_id, 0.0) + units
-
-    def add_phase_time(self, phase: str, seconds: float) -> None:
-        """Accumulate wall time attributed to a named phase."""
-        self.phase_seconds[phase] = self.phase_seconds.get(phase, 0.0) + seconds
-
-    def absorb_worker(
-        self,
-        worker_id: int,
-        work_units: float,
-        phase_seconds: dict[str, float] | None = None,
-    ) -> None:
-        """Fold one worker task's metering delta into this superstep.
-
-        Worker tasks (see :mod:`repro.runtime.tasks`) meter themselves into
-        plain numbers and dicts; the engine calls this at the step barrier.
-        Phase times sum across workers, i.e. they are aggregate CPU seconds
-        spent in each phase, not critical-path time.
-        """
-        self.add_work(worker_id, work_units)
-        if phase_seconds:
-            for phase, seconds in phase_seconds.items():
-                self.add_phase_time(phase, seconds)
-
-    @property
-    def total_work(self) -> float:
-        """Sum of work units across workers."""
-        return sum(self.work_units.values())
-
-    @property
-    def max_work(self) -> float:
-        """The busiest worker's load — the superstep's critical path."""
-        return max(self.work_units.values(), default=0.0)
-
-    def imbalance(self) -> float:
-        """max/mean work ratio: 1.0 is perfect balance."""
-        if not self.work_units:
-            return 1.0
-        mean = self.total_work / len(self.work_units)
-        if mean == 0.0:
-            return 1.0
-        return self.max_work / mean
+from ..core.results import RunTotals, SuperstepRecord
 
 
 @dataclass
-class RunMetrics:
-    """Metrics for a whole BSP run (one exploration job)."""
+class RunMetrics(RunTotals):
+    """Metrics for a whole BSP run (one baseline job)."""
 
+    #: The cluster size: every superstep is priced on this many workers.
     num_workers: int
-    supersteps: list[SuperstepMetrics] = field(default_factory=list)
+    steps: list[SuperstepRecord] = field(default_factory=list)
 
-    def new_superstep(self) -> SuperstepMetrics:
-        """Open metrics for the next superstep and return them."""
-        metrics = SuperstepMetrics(superstep=len(self.supersteps))
-        self.supersteps.append(metrics)
-        return metrics
+    def new_superstep(self) -> SuperstepRecord:
+        """Open the record for the next superstep and return it."""
+        record = SuperstepRecord(step=len(self.steps), num_workers=self.num_workers)
+        self.steps.append(record)
+        return record
 
     @property
     def num_supersteps(self) -> int:
-        return len(self.supersteps)
-
-    @property
-    def total_messages(self) -> int:
-        """All point-to-point messages across the run."""
-        return sum(step.messages_sent for step in self.supersteps)
-
-    @property
-    def total_bytes(self) -> int:
-        """All point-to-point bytes across the run."""
-        return sum(step.bytes_sent for step in self.supersteps)
-
-    @property
-    def total_broadcast_bytes(self) -> int:
-        """All broadcast bytes across the run."""
-        return sum(step.broadcast_bytes for step in self.supersteps)
-
-    @property
-    def total_work(self) -> float:
-        """All compute work units across the run."""
-        return sum(step.total_work for step in self.supersteps)
-
-    @property
-    def total_wall_seconds(self) -> float:
-        """Measured wall-clock across supersteps (sequential execution)."""
-        return sum(step.wall_seconds for step in self.supersteps)
-
-    def phase_totals(self) -> dict[str, float]:
-        """Per-phase wall time summed over all supersteps."""
-        totals: dict[str, float] = {}
-        for step in self.supersteps:
-            for phase, seconds in step.phase_seconds.items():
-                totals[phase] = totals.get(phase, 0.0) + seconds
-        return totals
+        return len(self.steps)

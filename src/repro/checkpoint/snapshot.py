@@ -49,7 +49,10 @@ MAGIC = b"ARBKCKPT"
 #: (version 1 pickled Python sets under different slot names).
 #: 3: an FSM ``Domain`` aggregate pickles one bitset per pattern position
 #: (``_masks``; version 2 pickled frozensets as ``_sets``).
-FORMAT_VERSION = 3
+#: 4: the pickled ``RunResult`` holds one per-superstep list, ``steps``,
+#: whose records carry the work units and wire counters (version 3 kept
+#: them in a second list on a ``bsp.metrics.RunMetrics``).
+FORMAT_VERSION = 4
 _CHECKSUM_NBYTES = 32
 
 #: Snapshot payloads produced by spill-mode runs store the rows themselves

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..bsp.cost_model import CostModel
 from .budget import CancelFlag
 from .storage import DEFAULT_SPILL_BUDGET_NBYTES, ODAG_STORAGE, STORAGE_MODES
 
@@ -119,8 +118,6 @@ class ArabesqueConfig:
     #: Record per-phase wall-clock (Figure 12); off by default because the
     #: fine-grained timers roughly double candidate cost.
     profile_phases: bool = False
-    #: Simulated-cluster constants used when reporting makespans.
-    cost_model: CostModel = field(default_factory=CostModel)
 
     def __post_init__(self) -> None:
         if self.num_workers < 1:

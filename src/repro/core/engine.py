@@ -31,9 +31,11 @@ worker-id order) keeps results byte-identical across backends and worker
 counts, a property the test suite checks explicitly.
 
 After all workers finish, the engine simulates the communication rounds of
-the real system and meters them (docs/architecture.md, substitution 1):
-the aggregation shuffle (one message per reduced key), the per-array-entry
-ODAG merge shuffle, and the broadcast of the merged global store.  The run
+the real system and meters them onto the step's one
+:class:`~repro.core.results.StepStats` (docs/architecture.md, substitution
+1; pricing the meters is a reader's job, :mod:`repro.bsp.cost_model`): the
+aggregation shuffle (one message per reduced key), the per-array-entry ODAG
+merge shuffle, and the broadcast of the merged global store.  The run
 terminates when a step stores nothing (set F empty).
 """
 
@@ -44,8 +46,6 @@ import tempfile
 import time
 from typing import TYPE_CHECKING, Any, Hashable
 
-from ..bsp.messages import estimate_size
-from ..bsp.metrics import RunMetrics, SuperstepMetrics
 from ..graph import LabeledGraph
 from .aggregation import AggregationChannel, merge_partials
 from .budget import (
@@ -67,6 +67,7 @@ from .storage import (
     SpillListStore,
     make_store,
 )
+from .wire import estimate_size
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard; see run()
     from ..checkpoint.snapshot import CheckpointWriter, ResumeState
@@ -227,7 +228,6 @@ class ArabesqueEngine:
         delta: WorkerDelta,
         result: RunResult,
         stats: StepStats,
-        step_metrics: SuperstepMetrics,
         canonicalizer: PatternCanonicalizer,
     ) -> None:
         """Fold one worker's delta into run state (call in worker-id order)."""
@@ -242,9 +242,6 @@ class ArabesqueEngine:
                 if room > 0:
                     result.outputs.extend(delta.outputs[:room])
         stats.absorb(delta.counters)
-        step_metrics.absorb_worker(
-            delta.worker_id, delta.work_units, delta.phase_seconds
-        )
         canonicalizer.absorb(
             delta.new_pattern_entries,
             delta.pattern_requests,
@@ -265,14 +262,11 @@ class ArabesqueEngine:
         """
         config = self.config
         computation = self.computation
-        num_workers = config.num_workers
         cancel = config.cancel
 
         if resume_state is None:
             canonicalizer = PatternCanonicalizer(config.two_level_aggregation)
             result = RunResult()
-            metrics = RunMetrics(num_workers=num_workers)
-            result.metrics = metrics
             processed_total = 0
             start_step = 0
             global_store = None
@@ -280,10 +274,6 @@ class ArabesqueEngine:
         else:
             canonicalizer = resume_state.canonicalizer
             result = resume_state.result
-            metrics = result.metrics
-            if metrics is None:
-                metrics = RunMetrics(num_workers=num_workers)
-                result.metrics = metrics
             processed_total = resume_state.processed_total
             start_step = resume_state.step + 1
             global_store = resume_state.store
@@ -336,8 +326,7 @@ class ArabesqueEngine:
                     raise RunCancelled(
                         f"run cancelled at the step-{step} barrier"
                     )
-                stats = StepStats(step=step)
-                step_metrics = metrics.new_superstep()
+                stats = StepStats(step=step, num_workers=config.num_workers)
                 step_started = time.perf_counter()
 
                 context = self._step_context(
@@ -359,21 +348,19 @@ class ArabesqueEngine:
                         + max(0.0, now - self._deadline_at),
                     ) from exc
                 for delta in deltas:
-                    self._merge_delta(
-                        delta, result, stats, step_metrics, canonicalizer
-                    )
+                    self._merge_delta(delta, result, stats, canonicalizer)
                 local_stores = [delta.local_store for delta in deltas]
                 agg_partials = [delta.agg_partials for delta in deltas]
                 out_partials = [delta.out_partials for delta in deltas]
 
-                self._meter_aggregation(agg_partials, step_metrics)
-                self._meter_aggregation(out_partials, step_metrics)
+                self._meter_aggregation(agg_partials, stats)
+                self._meter_aggregation(out_partials, stats)
                 agg_channel.step_barrier(merge_partials(agg_channel, agg_partials))
                 out_channel.step_barrier(merge_partials(out_channel, out_partials))
 
                 prev_store = global_store
                 global_store = self._merge_stores(
-                    local_stores, step_metrics, stats, embedding_size=step + 1
+                    local_stores, stats, embedding_size=step + 1
                 )
                 if isinstance(prev_store, SpillListStore):
                     # The previous step's segments were fully read by this
@@ -386,7 +373,7 @@ class ArabesqueEngine:
                 result.peak_storage_bytes = max(
                     result.peak_storage_bytes, stats.storage_bytes
                 )
-                step_metrics.wall_seconds = time.perf_counter() - step_started
+                stats.wall_seconds = time.perf_counter() - step_started
                 result.steps.append(stats)
                 processed_total += stats.processed_embeddings
                 if global_store.is_empty():
@@ -472,18 +459,17 @@ class ArabesqueEngine:
     def _meter_aggregation(
         self,
         per_worker_partials: list[dict[Hashable, Any]],
-        step_metrics: SuperstepMetrics,
+        stats: StepStats,
     ) -> None:
         """One message per (worker, reduced key): the aggregation shuffle."""
         for partials in per_worker_partials:
             for key, value in partials.items():
-                step_metrics.messages_sent += 1
-                step_metrics.bytes_sent += 8 + estimate_size(key) + estimate_size(value)
+                stats.messages_sent += 1
+                stats.bytes_sent += 8 + estimate_size(key) + estimate_size(value)
 
     def _merge_stores(
         self,
         local_stores,
-        step_metrics: SuperstepMetrics,
         stats: StepStats,
         embedding_size: int,
     ):
@@ -513,8 +499,8 @@ class ArabesqueEngine:
                 if isinstance(store, SpillListStore):
                     store.dispose()
             merged.sort()
-            step_metrics.messages_sent += merged.num_embeddings
-            step_metrics.bytes_sent += merged.wire_size()
+            stats.messages_sent += merged.num_embeddings
+            stats.bytes_sent += merged.wire_size()
             stats.shipped_format = LIST_STORAGE
             return merged
 
@@ -539,15 +525,15 @@ class ArabesqueEngine:
             and list_bytes < shuffle_bytes + odag_bytes
         )
         if ship_as_list:
-            step_metrics.messages_sent += merged.num_embeddings
-            step_metrics.bytes_sent += list_bytes
+            stats.messages_sent += merged.num_embeddings
+            stats.bytes_sent += list_bytes
             stats.shipped_format = LIST_STORAGE
             return merged
-        step_metrics.messages_sent += shuffle_messages
-        step_metrics.bytes_sent += shuffle_bytes
+        stats.messages_sent += shuffle_messages
+        stats.bytes_sent += shuffle_bytes
         if not merged.is_empty():
-            step_metrics.broadcast_messages += 1
-            step_metrics.broadcast_bytes += odag_bytes
+            stats.broadcast_messages += 1
+            stats.broadcast_bytes += odag_bytes
         stats.shipped_format = ODAG_STORAGE
         return merged
 

@@ -141,7 +141,7 @@ class Odag:
         )
 
     def wire_size(self) -> int:
-        """Serialized size under the wire model of :mod:`repro.bsp.messages`.
+        """Serialized size under the wire model of :mod:`repro.core.wire`.
 
         Each array: a 4-byte length header plus, per entry, the 4-byte word
         and a header plus 4 bytes per outgoing edge.  This is what makes an

@@ -1,10 +1,12 @@
-"""Run results and per-step statistics.
+"""Run results: one record per superstep, one list of them per run.
 
 Everything the evaluation section reports is derived from these records:
 candidate/embedding counts (Figure 1, Tables 4-5), storage sizes under both
 strategies (Figure 9), communication volumes and per-worker work (Figures
-7-8 via the cost model), phase timings (Figure 12), and pattern statistics
-(Table 4, Figure 11).
+7-8, priced by a reader of these records, :mod:`repro.bsp.cost_model`),
+phase timings (Figure 12), and pattern statistics (Table 4, Figure 11).
+The metered half (:class:`SuperstepRecord`, :class:`RunTotals`) is written
+once here; the TLV/TLP baselines' run container holds the same records.
 """
 
 from __future__ import annotations
@@ -13,15 +15,87 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Hashable
 
-from ..bsp.cost_model import CostModel
-from ..bsp.metrics import RunMetrics
+
+@dataclass
+class SuperstepRecord:
+    """What one superstep cost to distribute: per-worker compute load (and
+    therefore imbalance/hotspots), communication volume, measured time."""
+
+    step: int
+    #: Logical workers the superstep ran on — what the cost model divides
+    #: its traffic by.  ``work_units`` may list fewer (TLP: active ones).
+    num_workers: int = 1
+    #: Compute work units per worker id (load-balance metering).
+    work_units: dict[int, float] = field(default_factory=dict)
+    messages_sent: int = 0
+    bytes_sent: int = 0
+    broadcast_messages: int = 0
+    broadcast_bytes: int = 0
+    #: Measured time is left out of record equality (``compare=False``).
+    wall_seconds: float = field(default=0.0, compare=False)
+    #: Per-phase wall-clock (W/R/G/C/P, Figure 12), when profiling is on.
+    #: Summed across workers: aggregate CPU seconds, not critical path.
+    phase_seconds: dict[str, float] = field(default_factory=dict, compare=False)
+
+    def add_work(self, worker_id: int, units: float) -> None:
+        """Accumulate compute work units for ``worker_id``."""
+        self.work_units[worker_id] = self.work_units.get(worker_id, 0.0) + units
+
+    def add_phase_time(self, phase: str, seconds: float) -> None:
+        """Accumulate wall time attributed to a named phase."""
+        self.phase_seconds[phase] = self.phase_seconds.get(phase, 0.0) + seconds
+
+    @property
+    def total_work(self) -> float:
+        """Sum of work units across workers."""
+        return sum(self.work_units.values())
+
+    @property
+    def max_work(self) -> float:
+        """The busiest worker's load — the superstep's critical path."""
+        return max(self.work_units.values(), default=0.0)
+
+    def imbalance(self) -> float:
+        """max/mean work ratio: 1.0 is perfect balance."""
+        if not self.work_units:
+            return 1.0
+        mean = self.total_work / len(self.work_units)
+        if mean == 0.0:
+            return 1.0
+        return self.max_work / mean
+
+
+class RunTotals:
+    """Run-level sums over ``self.steps``, a list of :class:`SuperstepRecord`."""
+
+    @property
+    def total_messages(self) -> int:
+        """All point-to-point messages across the run."""
+        return sum(step.messages_sent for step in self.steps)
+
+    @property
+    def total_bytes(self) -> int:
+        """All point-to-point bytes across the run."""
+        return sum(step.bytes_sent for step in self.steps)
+
+    @property
+    def total_broadcast_bytes(self) -> int:
+        """All broadcast bytes across the run."""
+        return sum(step.broadcast_bytes for step in self.steps)
+
+    def phase_totals(self) -> dict[str, float]:
+        """W/R/G/C/P phase breakdown (Figure 12), if profiling was on."""
+        totals: dict[str, float] = {}
+        for step in self.steps:
+            for phase, seconds in step.phase_seconds.items():
+                totals[phase] = totals.get(phase, 0.0) + seconds
+        return totals
 
 
 @dataclass
-class StepStats:
-    """Counters for one exploration step."""
+class StepStats(SuperstepRecord):
+    """One exploration step: its metered cost plus the exploration counters."""
 
-    step: int
     #: Embeddings read back from the previous step's store (set I).
     expanded_embeddings: int = 0
     #: Embeddings discarded by the aggregation filter α at read time.
@@ -69,9 +143,17 @@ class StepStats:
     )
 
     def absorb(self, other: "StepStats") -> None:
-        """Sum another worker's counters into this step's totals."""
+        """Sum another worker's counters, work units and phase seconds
+        into this step's totals."""
         for name in self.MERGEABLE_COUNTERS:
             setattr(self, name, getattr(self, name) + getattr(other, name))
+        for worker_id, units in other.work_units.items():
+            self.add_work(worker_id, units)
+        for phase, seconds in other.phase_seconds.items():
+            self.add_phase_time(phase, seconds)
+
+    #: The frozen spine's name for ``step`` (see ``RunResult.metrics``).
+    superstep = property(lambda self: self.step)
 
 
 @dataclass
@@ -96,12 +178,9 @@ class WorkerDelta:
     outputs: list = field(default_factory=list)
     #: Exact number of ``output`` calls (never truncated).
     num_outputs: int = 0
-    #: Per-step counters (only the MERGEABLE_COUNTERS fields are used).
+    #: This worker's slice of the step record: the MERGEABLE_COUNTERS, its
+    #: own ``work_units`` entry, and ``phase_seconds`` when profiling is on.
     counters: StepStats = field(default_factory=lambda: StepStats(step=0))
-    #: Compute work units (load-balance metering).
-    work_units: float = 0.0
-    #: Per-phase wall-clock, when profiling is on.
-    phase_seconds: dict[str, float] = field(default_factory=dict)
     # -- pattern canonicalization delta (two-level aggregation) --------
     pattern_requests: int = 0
     isomorphism_runs: int = 0
@@ -109,7 +188,7 @@ class WorkerDelta:
 
 
 @dataclass
-class RunResult:
+class RunResult(RunTotals):
     """Everything a finished exploration returns."""
 
     #: Values emitted via ``output`` (possibly truncated to output_limit).
@@ -122,7 +201,6 @@ class RunResult:
     #: for apps whose final answer lives in the aggregation state (FSM).
     final_aggregates: dict[Hashable, Any] = field(default_factory=dict)
     steps: list[StepStats] = field(default_factory=list)
-    metrics: RunMetrics | None = None
     #: Measured wall-clock of the (sequential, in-process) run.
     wall_seconds: float = 0.0
     # -- two-level pattern aggregation statistics (Table 4 / Figure 11) --
@@ -171,18 +249,13 @@ class RunResult:
         """Processed embeddings per step — Figure 1's growth series."""
         return [step.processed_embeddings for step in self.steps]
 
-    def makespan(self, cost_model: CostModel | None = None) -> float:
-        """Simulated execution time (docs/architecture.md, substitution 1)."""
-        if self.metrics is None:
-            raise ValueError("run has no metrics")
-        model = cost_model or CostModel()
-        return model.makespan(self.metrics)
-
-    def phase_totals(self) -> dict[str, float]:
-        """W/R/G/C/P phase breakdown (Figure 12), if profiling was on."""
-        if self.metrics is None:
-            return {}
-        return self.metrics.phase_totals()
+    # -- read-only aliases: the frozen ``benchmarks/spine`` reads steps as
+    # ``.metrics.supersteps``; they go with the next ``[benchmark]`` PR.
+    metrics = property(lambda self: self)
+    supersteps = property(lambda self: self.steps)
+    num_workers = property(
+        lambda self: self.steps[-1].num_workers if self.steps else 0
+    )
 
     def pattern_reduction_factor(self) -> float:
         """Embeddings-to-quick-patterns ratio (Table 4's headline number)."""

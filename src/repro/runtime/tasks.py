@@ -335,7 +335,8 @@ def run_step_task(context: StepContext, worker_id: int) -> WorkerDelta:
     )
     # The one place phase timing is decided: every phase callable below is
     # passed through ``timed`` once, before any loop runs.
-    timed = _phase_timer(delta.phase_seconds) if context.profile_phases else _untimed
+    phases = delta.counters.phase_seconds
+    timed = _phase_timer(phases) if context.profile_phases else _untimed
     # One stepper per task.  A DAG's is shared with the computation's own
     # hooks (process/termination run on the same task copy): its
     # survivor-walk memo is private to this pure task.
@@ -462,7 +463,7 @@ def _initial_pass(
         stats.canonical_candidates += 1
         work += 1
         settle(make_embedding(graph, mode, (word,)))
-    delta.work_units += work
+    stats.add_work(worker_id, work)
 
 
 def _expansion_pass(
@@ -547,4 +548,4 @@ def _expansion_pass(
             continue
         for word in found:
             settle(embedding.extend(word))
-    delta.work_units += work
+    stats.add_work(worker_id, work)

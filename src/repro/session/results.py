@@ -1,7 +1,7 @@
 """Typed per-workload result views over :class:`~repro.core.results.RunResult`.
 
 Every facade query returns one of these instead of the raw engine record:
-the raw result stays reachable as ``.raw`` (with its full metrics surface),
+the raw result stays reachable as ``.raw`` (with its per-step records),
 while the view adds the accessors that workload's consumers actually want —
 ``MotifResult.counts()``, ``MatchResult.vertex_sets()``,
 ``FSMResult.patterns()``, ``CliqueResult.by_size()`` — so callers stop
@@ -49,7 +49,7 @@ def _label_text(pattern: Pattern) -> str:
 class MiningResult:
     """Base view: one finished facade run wrapping the engine's record."""
 
-    #: The untouched engine result — metrics, per-step stats, aggregates.
+    #: The untouched engine result — per-step records, aggregates.
     raw: RunResult
 
     #: Workload name the payload reports.
@@ -106,9 +106,6 @@ class MiningResult:
     def total_processed(self) -> int:
         return self.raw.total_processed
 
-    def makespan(self) -> float:
-        return self.raw.makespan()
-
     def signature(self, ignore_output_order: bool = False) -> bytes:
         """The run's :meth:`~repro.core.results.RunResult.canonical_signature`
         — the byte-identity the facade is validated against."""
@@ -120,8 +117,8 @@ class MiningResult:
         return (
             f"# steps={raw.num_steps} processed={raw.total_processed:,} "
             f"batched={raw.total_batched:,} "
-            f"makespan={raw.makespan():.4f}s "
-            f"messages={raw.metrics.total_messages:,}"
+            f"wall={raw.wall_seconds:.4f}s "
+            f"messages={raw.total_messages:,}"
         )
 
 
@@ -234,7 +231,7 @@ class FSMResult(MiningResult):
     engine record directly, the plan-guided path wraps the combined
     record of its per-candidate runs (same ``final_aggregates`` surface:
     canonical pattern -> merged :class:`~repro.apps.support.Domain`), so
-    ``patterns()`` and ``.raw`` metrics work identically for both.
+    ``patterns()`` and ``.raw`` records work identically for both.
     """
 
     #: The θ threshold the query mined with.

@@ -56,7 +56,7 @@ class TestAdaptiveStorage:
             config = ArabesqueConfig(storage=storage, collect_outputs=False)
             result = run_computation(g, MotifCounting(3), config)
             totals[storage] = (
-                result.metrics.total_bytes + result.metrics.total_broadcast_bytes
+                result.total_bytes + result.total_broadcast_bytes
             )
         # Adaptive picks the cheaper *store payload* per step; the fixed
         # per-entry overheads differ slightly between representations, so

@@ -232,7 +232,7 @@ class TestTlp:
         result = run_tlp_fsm(g, 3, max_edges=2, num_workers=64)
         ceiling = max(result.candidates_per_level)
         busiest_step = max(
-            result.metrics.supersteps, key=lambda s: len(s.work_units)
+            result.metrics.steps, key=lambda s: len(s.work_units)
         )
         assert len(busiest_step.work_units) <= ceiling
 
@@ -243,11 +243,11 @@ class TestTlp:
         few = run_tlp_fsm(g, 8, max_edges=2, num_workers=2)
         many = run_tlp_fsm(g, 8, max_edges=2, num_workers=32)
         max_single_pattern_work = max(
-            step.max_work for step in many.metrics.supersteps
+            step.max_work for step in many.metrics.steps
         )
         assert max_single_pattern_work > 0
         # Critical path with many workers >= the heaviest single pattern.
-        assert sum(s.max_work for s in many.metrics.supersteps) >= max_single_pattern_work
+        assert sum(s.max_work for s in many.metrics.steps) >= max_single_pattern_work
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -304,13 +304,13 @@ class TestTlv:
         # The gap widens with depth and graph size (the paper reports three
         # orders of magnitude on CiteSeer FSM); at this miniature scale one
         # order of magnitude is already clear.
-        assert tlv.metrics.total_messages > 10 * tle.metrics.total_messages
+        assert tlv.metrics.total_messages > 10 * tle.total_messages
 
     def test_hotspot_imbalance(self):
         """A star graph concentrates expansion work on the hub's worker."""
         g = star_graph(30)
         result = run_tlv_fsm(g, threshold=1, max_size=3, num_workers=4)
-        worst = max(step.imbalance() for step in result.metrics.supersteps
+        worst = max(step.imbalance() for step in result.metrics.steps
                     if step.work_units)
         assert worst > 2.0
 

@@ -11,13 +11,13 @@ from repro.bsp import (
     Message,
     Worker,
     dict_merge_aggregator,
-    estimate_size,
     list_aggregator,
     max_aggregator,
     min_aggregator,
     speedup_curve,
     sum_aggregator,
 )
+from repro.core.wire import estimate_size
 
 
 class TestEstimateSize:
@@ -162,10 +162,10 @@ class TestBroadcast:
 
         engine = BspEngine([Caster(), Caster(), Caster(), Caster()])
         metrics = engine.run()
-        assert metrics.supersteps[0].broadcast_messages == 1
-        assert metrics.supersteps[0].broadcast_bytes == 4
+        assert metrics.steps[0].broadcast_messages == 1
+        assert metrics.steps[0].broadcast_bytes == 4
         # Broadcasts do not inflate the p2p counters.
-        assert metrics.supersteps[0].messages_sent == 0
+        assert metrics.steps[0].messages_sent == 0
 
 
 class TestAggregators:
@@ -257,13 +257,13 @@ class TestMetricsAndCostModel:
 
     def test_work_units_recorded(self):
         metrics = self._run_star(10)
-        step = metrics.supersteps[0]
+        step = metrics.steps[0]
         assert step.max_work == 10
         assert step.total_work == 13
 
     def test_imbalance(self):
         metrics = self._run_star(10)
-        assert metrics.supersteps[0].imbalance() == pytest.approx(10 / (13 / 4))
+        assert metrics.steps[0].imbalance() == pytest.approx(10 / (13 / 4))
 
     def test_imbalance_of_empty_step(self):
         class Idle(Worker):
@@ -271,7 +271,7 @@ class TestMetricsAndCostModel:
                 ctx.vote_to_halt()
 
         metrics = BspEngine([Idle()]).run()
-        assert metrics.supersteps[0].imbalance() == 1.0
+        assert metrics.steps[0].imbalance() == 1.0
 
     def test_cost_model_compute_dominates_hotspot(self):
         model = CostModel(barrier_seconds=0.0)

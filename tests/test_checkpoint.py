@@ -31,6 +31,7 @@ import signal
 import pytest
 
 from repro.apps import CliqueFinding, FrequentSubgraphMining, MotifCounting
+from repro.bsp import CostModel
 from repro.checkpoint import (
     CheckpointWriter,
     CrashingWriter,
@@ -288,6 +289,26 @@ class TestCrashResume:
         assert resumed.canonical_signature(
             ignore_output_order=True
         ) == reference.canonical_signature(ignore_output_order=True)
+
+    def test_resumed_steps_are_priced_on_the_workers_they_ran_on(self, tmp_path):
+        """Snapshotted at 2 workers, resumed at 4: each superstep's record
+        names its own worker count, and the cost model prices it on that
+        (the split record reported 2 for the whole run)."""
+        graph = mining_graph()
+        before = ArabesqueConfig(num_workers=2)
+        run_to_crash(graph, MotifCounting(3), before, str(tmp_path), 0)
+        resumed = resume_run(
+            str(tmp_path), graph, config=dataclasses.replace(before, num_workers=4)
+        )
+        assert [step.num_workers for step in resumed.steps] == [2, 4, 4]
+        assert [len(step.work_units) for step in resumed.steps] == [2, 4, 4]
+        model = CostModel()
+        assert model.makespan(resumed) == pytest.approx(sum(
+            model.superstep_seconds(step, workers)
+            for step, workers in zip(resumed.steps, (2, 4, 4))
+        ))
+        as_if_2 = sum(model.superstep_seconds(step, 2) for step in resumed.steps)
+        assert model.makespan(resumed) != pytest.approx(as_if_2)
 
     def test_aggregating_workload_resumes_byte_identically(self, tmp_path):
         graph = mining_graph()

@@ -3,11 +3,12 @@ substitution 1)."""
 
 import pytest
 
-from repro.bsp import CostModel, RunMetrics, SuperstepMetrics
+from repro.bsp import CostModel, RunMetrics
+from repro.core.results import RunResult, StepStats, SuperstepRecord
 
 
-def step_with(**kwargs) -> SuperstepMetrics:
-    step = SuperstepMetrics(superstep=0)
+def step_with(**kwargs) -> SuperstepRecord:
+    step = SuperstepRecord(step=0)
     for key, value in kwargs.items():
         setattr(step, key, value)
     return step
@@ -95,6 +96,36 @@ class TestMakespan:
 
     def test_empty_run(self):
         assert CostModel().makespan(RunMetrics(num_workers=1)) == 0.0
+        assert CostModel().makespan(RunResult()) == 0.0
+
+    def test_engine_result_and_baseline_run_price_alike(self):
+        """One reader for both producers: equal records, equal price."""
+        meters = [
+            dict(work_units={0: 40.0, 1: 90.0, 2: 10.0}, messages_sent=700,
+                 bytes_sent=9_000, broadcast_bytes=4_096),
+            dict(work_units={0: 5.0, 1: 5.0, 2: 6.0}, messages_sent=12),
+        ]
+        baseline = RunMetrics(num_workers=3)
+        engine = RunResult()
+        for index, fields in enumerate(meters):
+            record = baseline.new_superstep()
+            for key, value in fields.items():
+                setattr(record, key, value)
+            engine.steps.append(StepStats(step=index, num_workers=3, **fields))
+        model = CostModel()
+        assert model.makespan(engine) == model.makespan(baseline) > 0.0
+
+    def test_each_step_priced_on_its_own_workers(self):
+        model = CostModel(
+            seconds_per_work_unit=0.0, seconds_per_message=1.0,
+            bytes_per_second=1e12, seconds_per_broadcast_byte=0.0,
+            barrier_seconds=0.0,
+        )
+        run = RunResult(steps=[
+            StepStats(step=0, num_workers=2, messages_sent=100),
+            StepStats(step=1, num_workers=4, messages_sent=100),
+        ])
+        assert model.makespan(run) == pytest.approx(50.0 + 25.0)
 
 
 class TestDefaults:

@@ -10,6 +10,7 @@ import itertools
 import pytest
 
 from repro.apps import CliqueFinding, MotifCounting, motif_counts
+from repro.bsp import CostModel
 from repro.core import (
     ArabesqueConfig,
     ArabesqueEngine,
@@ -177,7 +178,7 @@ class TestWorkerInvariance:
         g = gnm_random_graph(40, 120, seed=8)
         config = ArabesqueConfig(num_workers=4)
         result = run_computation(g, CollectEverything(max_size=3), config)
-        deepest = result.metrics.supersteps[-2]
+        deepest = result.steps[-2]
         assert len(deepest.work_units) == 4
         assert deepest.imbalance() < 2.0
 
@@ -277,12 +278,12 @@ class TestStatistics:
         g = gnm_random_graph(12, 24, seed=2)
         config = ArabesqueConfig(num_workers=3)
         result = run_computation(g, CollectEverything(3), config)
-        assert result.metrics.total_messages > 0
-        assert result.metrics.total_broadcast_bytes > 0
+        assert result.total_messages > 0
+        assert result.total_broadcast_bytes > 0
 
     def test_makespan_positive(self):
         result = run_computation(cycle_graph(8), CollectEverything(3))
-        assert result.makespan() > 0.0
+        assert CostModel().makespan(result) > 0.0
 
     def test_phase_profiling(self):
         config = ArabesqueConfig(profile_phases=True)

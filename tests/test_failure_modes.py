@@ -268,33 +268,38 @@ class TestCheckpointFailureModes:
         with pytest.raises(CheckpointError, match="format version 99"):
             read_snapshot(path)
 
-    @pytest.mark.parametrize("old_version", [1, 2])
+    @pytest.mark.parametrize("old_version", [1, 2, 3])
     def test_older_format_snapshot_is_refused(self, tmp_path, old_version):
         """Version 1 pickled ODAGs as Python sets under other slot names,
-        version 2 pickled FSM domains as frozensets (``Domain._sets``); an
-        older file must stop at the version check, never reach unpickling."""
+        version 2 pickled FSM domains as frozensets (``Domain._sets``),
+        version 3 a ``RunResult`` with a second per-step list on a
+        ``bsp.metrics.RunMetrics``; an older file must stop at the version
+        check, never reach unpickling."""
         import struct
 
         from repro.checkpoint import CheckpointError, read_snapshot
         from repro.checkpoint.snapshot import FORMAT_VERSION, MAGIC
 
-        assert FORMAT_VERSION == 3
+        assert FORMAT_VERSION == 4
         path = self._crashed_run_dir(tmp_path)
         self._resign(
             path, MAGIC + struct.pack(">I", old_version) + b"not even a pickle"
         )
         with pytest.raises(
             CheckpointError,
-            match=f"format version {old_version}; this build reads version 3",
+            match=f"format version {old_version}; this build reads version 4",
         ):
             read_snapshot(path)
 
-    def test_format_2_fsm_snapshot_fails_at_the_version_check_on_resume(
-        self, tmp_path
+    @pytest.mark.parametrize("old_version", [2, 3])
+    def test_older_fsm_snapshot_fails_at_the_version_check_on_resume(
+        self, tmp_path, old_version
     ):
         """A real FSM snapshot re-stamped as version 2 (whose ``Domain``
-        pickles would not load): resume raises the version error, not an
-        ``AttributeError`` from half-way through unpickling."""
+        pickles would not load) or 3 (whose ``RunResult`` carried a
+        ``metrics`` object this build's has no slot for): resume raises
+        the version error, not an ``AttributeError`` from half-way through
+        unpickling or resuming."""
         import struct
 
         from repro.apps import FrequentSubgraphMining
@@ -308,8 +313,10 @@ class TestCheckpointFailureModes:
         )
         for _, path in list_snapshots(str(tmp_path)):
             payload = open(path, "rb").read()[len(MAGIC) + 4 : -_CHECKSUM_NBYTES]
-            self._resign(path, MAGIC + struct.pack(">I", 2) + payload)
-        with pytest.raises(CheckpointError, match="format version 2; this build"):
+            self._resign(path, MAGIC + struct.pack(">I", old_version) + payload)
+        with pytest.raises(
+            CheckpointError, match=f"format version {old_version}; this build"
+        ):
             resume_run(str(tmp_path), graph)
 
     def test_empty_run_dir_has_nothing_to_resume(self, tmp_path):

@@ -211,6 +211,40 @@ class TestSessionIntegration:
         assert details.engine_runs == levels_with_runs
         assert any(level.candidates - level.pruned > 1 for level in details.levels)
 
+    def test_combined_record_is_the_level_runs_laid_end_to_end(self, monkeypatch):
+        """One per-step list: the edge scan's synthetic step, then every
+        level run's steps in order, renumbered, metering intact."""
+        from repro.core import engine
+
+        level_runs = []
+        run_computation = engine.run_computation
+
+        def recording(*args, **kwargs):
+            level_runs.append(run_computation(*args, **kwargs))
+            return level_runs[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "run_computation", recording)
+            # run_guided_fsm imports the name at call time.
+            combined = run_guided_fsm(
+                labeled_graph(5), 3, max_edges=3,
+                config=ArabesqueConfig(
+                    storage="list", num_workers=2, profile_phases=True
+                ),
+            ).combined
+        folded = [step for run in level_runs for step in run.steps]
+        assert len(level_runs) > 1
+        assert len(combined.steps) == 1 + len(folded)
+        assert [step.step for step in combined.steps] == list(
+            range(len(combined.steps))
+        )
+        for ours, theirs in zip(combined.steps[1:], folded):
+            assert ours.work_units == theirs.work_units
+            assert ours.phase_seconds == theirs.phase_seconds != {}
+            assert ours.messages_sent == theirs.messages_sent
+        assert combined.total_bytes == sum(run.total_bytes for run in level_runs)
+        assert combined.phase_totals().keys() >= {"G", "P"}
+
     def test_collect_limit_count_require_exhaustive(self):
         miner = Miner(labeled_graph(5))
         with pytest.raises(SessionError, match="exhaustive"):

@@ -143,7 +143,7 @@ class TestDatasetPipelines:
         frequent = frequent_patterns(result, 300)
         assert frequent  # CiteSeer-like has frequent single edges at S=300
         assert all(support >= 300 for support in frequent.values())
-        assert result.metrics.total_messages > 0
+        assert result.total_messages > 0
 
     def test_mico_cliques_smoke(self, mico):
         result = run_computation(

@@ -390,11 +390,11 @@ class TestStepperContract:
         # Phase seconds are summed over workers, which a process backend
         # may run side by side.
         overlap = 2 if backend == "process" else 1
-        for superstep in timed.metrics.supersteps:
+        for superstep in timed.steps:
             phases = superstep.phase_seconds
             assert phases.keys() <= set("WRGCP")
             assert sum(phases.values()) <= superstep.wall_seconds * overlap
-        assert timed.metrics.supersteps[0].phase_seconds["P"] > 0
+        assert timed.steps[0].phase_seconds["P"] > 0
 
     def test_step_zero_charges_canonicalization_to_P(self, monkeypatch):
         # Paper Figure 12: P = pattern aggregation, W = the store write.
@@ -414,7 +414,7 @@ class TestStepperContract:
             graph, CliqueFinding(3), ArabesqueConfig(profile_phases=True)
         )
         slept = nap * run.steps[0].stored_embeddings
-        step0 = run.metrics.supersteps[0].phase_seconds
+        step0 = run.steps[0].phase_seconds
         assert step0["P"] >= slept > step0["W"]
 
 

@@ -12,6 +12,10 @@ diff, so the drift is what the reviewer reads:
 ``PYTHONPATH=src python tests/test_pinned_counters.py`` prints a fresh
 table.  There is no update mode.
 
+The ``meters`` rows hold the other exact numbers: what the engine meters
+for the simulated cluster (wire totals, what each step shipped as, each
+step's per-worker work units) — the inputs of Figures 7, 8 and 10.
+
 Graphs: ``tiny`` is G(40, 100) seed 7 unlabeled, ``tiny3`` the same edges
 under 3 labels, ``dense2`` G(40, 200) under 2 labels — dense enough that
 the ODAG read really discards spurious paths.
@@ -214,6 +218,40 @@ def run_rows(graph):
     return rows
 
 
+def meter_rows(graph):
+    """The simulated cluster's inputs, per store and worker count.  Work
+    units are pinned as each step's sorted values: the split's shape, not
+    which worker id drew which rank block."""
+    miner = Miner(graph)
+    queries = {
+        "cliques(4)": lambda: miner.cliques(4),
+        "motifs(3) exhaustive": lambda: miner.motifs(3).exhaustive(),
+        "fsm(3, max_edges=2) exhaustive":
+            lambda: miner.fsm(3, max_edges=2).exhaustive(),
+    }
+    runs = {
+        f"{name} {storage} w{workers}": query().storage(storage).workers(workers)
+        for name, query in queries.items()
+        for storage in ("odag", "list", "adaptive")
+        for workers in (1, 3)
+    }
+    # The level runs folded into one record (``apps.fsm._fold_run``).
+    runs["fsm(3, max_edges=2) guided combined w3"] = (
+        miner.fsm(3, max_edges=2).workers(3)
+    )
+    return {name: meter_row(query.run().raw) for name, query in runs.items()}
+
+
+def meter_row(run):
+    return {
+        "total_messages": run.total_messages,
+        "total_bytes": run.total_bytes,
+        "total_broadcast_bytes": run.total_broadcast_bytes,
+        "shipped_format": [step.shipped_format for step in run.steps],
+        "work_units": [sorted(step.work_units.values()) for step in run.steps],
+    }
+
+
 def compute_table():
     edges = gnm_random_graph(40, 100, seed=7)
     tiny = strip_labels(edges)
@@ -227,6 +265,8 @@ def compute_table():
         "fsm": fsm_rows(citeseer_like(scale=0.05)),
         "run tiny3": run_rows(tiny3),
         "run dense2": run_rows(dense2),
+        "meters tiny3": meter_rows(tiny3),
+        "meters dense2": meter_rows(dense2),
     }
     return {
         f"{section} {name}": row

@@ -165,7 +165,7 @@ class TestBackendEquivalence:
         graph = gnm_random_graph(20, 60, seed=5)
         config = ArabesqueConfig(num_workers=4, backend=backend)
         result = run_computation(graph, CollectSets(3), config)
-        deepest = result.metrics.supersteps[-2]
+        deepest = result.steps[-2]
         assert len(deepest.work_units) == 4
 
     def test_engine_accepts_injected_backend(self):

@@ -34,6 +34,7 @@ from repro.core import (
     ArabesqueConfig,
     Computation,
     Pattern,
+    RunResult,
     run_computation,
 )
 from repro.graph import assign_labels, gnm_random_graph, strip_labels
@@ -490,6 +491,16 @@ class TestResultViews:
     def test_summary_is_one_line(self, miner):
         summary = miner.cliques(3).run().summary()
         assert summary.startswith("#") and "\n" not in summary
+
+    def test_summary_reports_measured_wall_on_any_record(self, miner):
+        """The footer reads the one record: what the user waited and what
+        the run shipped — also on a run that never stepped."""
+        for raw in (RunResult(), miner.cliques(3).run().raw):
+            summary = MiningResult(raw).summary()
+            assert summary.startswith("#") and "\n" not in summary
+            assert f"wall={raw.wall_seconds:.4f}s" in summary
+            assert f"messages={raw.total_messages:,}" in summary
+            assert "makespan" not in summary
 
     def test_match_stream_yields_sorted_vertex_sets(self, miner):
         result = miner.match("wedge").unlabeled().run()

@@ -88,7 +88,7 @@ def assert_same_run(batched, per_child, expect_batched=True):
         assert dataclasses.replace(ours, batched_embeddings=0) == theirs
         assert ours.batched_embeddings <= ours.processed_embeddings
     for ours, theirs in zip(
-        batched.metrics.supersteps, per_child.metrics.supersteps
+        batched.steps, per_child.steps
     ):
         assert ours.work_units == theirs.work_units
         assert ours.messages_sent == theirs.messages_sent
@@ -419,10 +419,10 @@ class TestEngineKnobs:
         assert_same_run(batched, per_child)
         assert batched.phase_totals().keys() == per_child.phase_totals().keys()
         for ours, theirs in zip(
-            batched.metrics.supersteps, per_child.metrics.supersteps
+            batched.steps, per_child.steps
         ):
             assert ours.phase_seconds.keys() == theirs.phase_seconds.keys()
-        assert {"G", "P"} <= batched.metrics.supersteps[-1].phase_seconds.keys()
+        assert {"G", "P"} <= batched.steps[-1].phase_seconds.keys()
 
     def test_overridden_filter_or_process_falls_back(self):
         graph = strip_labels(small_labeled())
@@ -771,7 +771,7 @@ def exhaustive_observed(run):
         run.canonical_signature(),
         run.outputs,
         [dataclasses.replace(step, batched_embeddings=0) for step in run.steps],
-        [step.work_units for step in run.metrics.supersteps],
+        [step.work_units for step in run.steps],
         (run.pattern_requests, run.quick_patterns, run.canonical_patterns),
     )
 
