@@ -110,7 +110,7 @@ class ProcessBackend(ExecutionBackend):
                     _FORK_CONTEXT = None
             with pool:
                 per_chunk = pool.map(_fork_chunk, chunks)
-        else:  # pragma: no cover - exercised only on spawn-only platforms
+        else:
             context_bytes = pickle.dumps(context)
             with self._mp.Pool(
                 processes=len(chunks),

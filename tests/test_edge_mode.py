@@ -14,7 +14,6 @@ from repro.core import (
     Computation,
     EDGE_EXPLORATION,
     EdgeInducedEmbedding,
-    LIST_STORAGE,
     run_computation,
 )
 from repro.core.canonical import canonicalize_edge_set
@@ -23,7 +22,6 @@ from repro.graph import (
     complete_graph,
     cycle_graph,
     gnm_random_graph,
-    graph_from_edges,
     path_graph,
     star_graph,
 )
@@ -99,13 +97,6 @@ class TestEdgeModeCompleteness:
         result = run_computation(g, CollectEdgeSubgraphs(2))
         # 5 single edges + 5 adjacent pairs.
         assert result.num_outputs == 10
-
-    @pytest.mark.parametrize("storage", ["odag", LIST_STORAGE, "adaptive"])
-    def test_storage_modes_agree(self, storage):
-        g = gnm_random_graph(10, 18, seed=3)
-        config = ArabesqueConfig(storage=storage)
-        result = run_computation(g, CollectEdgeSubgraphs(3), config)
-        assert set(result.outputs) == connected_edge_sets(g, 3)
 
 
 class TestEdgeExtensions:

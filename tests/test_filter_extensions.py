@@ -9,10 +9,9 @@ builds only the children φ keeps.  Three things pin the contract:
 * it stands in for φ only while it is trustworthy — a subclass that
   refines ``filter`` silently gets the per-child loop back;
 * a run is indistinguishable with the hook and with it taken away:
-  counters, outputs and signature, across backend × workers × storage.
+  counters, outputs and signature, across backend × workers × storage —
+  the hook-stripped twin rows of tests/test_equivalence_matrix.py.
 """
-
-import dataclasses
 
 import pytest
 
@@ -24,7 +23,7 @@ from repro.apps import (
 )
 from repro.core import ArabesqueConfig, make_embedding, run_computation
 from repro.core.extension import extension_mask, word_row
-from repro.graph import gnm_random_graph, strip_labels
+from repro.graph import gnm_random_graph
 from repro.graph.bitset import from_bitset
 from repro.plan import make_stepper
 from repro.runtime.tasks import _extension_filter
@@ -146,49 +145,7 @@ class TestHookGuard:
         assert _extension_filter(Computation()) is None
 
 
-def observed(run):
-    return (
-        run.canonical_signature(ignore_output_order=True),
-        # Every StepStats field, per step — except how many children were
-        # finished from masks: a trusted pool-level φ is what lets
-        # ``process_terminal`` run (tests/test_terminal_level.py).
-        [dataclasses.replace(step, batched_embeddings=0) for step in run.steps],
-        run.num_outputs,
-        (run.pattern_requests, run.quick_patterns, run.canonical_patterns),
-    )
-
-
 class TestRunsAreIdenticalWithoutTheHook:
-    @pytest.mark.parametrize("storage", ["list", "odag", "spill"])
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_across_backend_workers_storage(
-        self, backend, workers, storage, monkeypatch, tmp_path
-    ):
-        graph = strip_labels(gnm_random_graph(20, 70, seed=3))
-        cases = [
-            lambda: CliqueFinding(4),
-            lambda: MaximalCliqueFinding(4),
-            lambda: MotifCounting(3),
-        ]
-        config = ArabesqueConfig(
-            backend=backend,
-            num_workers=workers,
-            storage=storage,
-            spill_dir=str(tmp_path),
-        )
-        with_hook = [observed(run_computation(graph, make(), config)) for make in cases]
-        for klass in (CliqueFinding, MaximalCliqueFinding, MotifCounting):
-            monkeypatch.setattr(klass, "filter_extensions", None)
-            assert _extension_filter(klass(3)) is None
-        without = [observed(run_computation(graph, make(), config)) for make in cases]
-        assert with_hook == without
-        # ... and the hook had work to do: φ rejected canonical candidates.
-        steps = with_hook[0][1]
-        assert sum(s.canonical_candidates for s in steps) > sum(
-            s.processed_embeddings for s in steps
-        )
-
     def test_emission_order_is_identical_too(self, monkeypatch):
         graph = dense_graph()
         config = ArabesqueConfig(num_workers=2, storage="odag")

@@ -6,7 +6,9 @@ The acceptance surface of the guided strategy:
   supports to the exhaustive edge-exploration oracle and (pattern-set)
   to the GraMi baseline, on labeled random graphs and bundled datasets;
 * **byte-identity** — the combined guided record's canonical signature
-  is identical across serial/thread/process backends and worker counts;
+  is identical across serial/thread/process backends, worker counts and
+  storage modes (the ``guided-fsm`` and ``costed-fsm`` rows of
+  tests/test_equivalence_matrix.py);
 * **session integration** — `.fsm()` runs guided by default, reuses the
   plan cache across candidate generations *and* across repeated runs
   (recompilation count stays flat), and validates options loudly;
@@ -54,8 +56,6 @@ from repro.plan.fsm_guide import (
 )
 from repro.plan.planner import PlanError, restrict_plan
 from repro.session import Miner, SessionError
-
-BACKENDS = ("serial", "thread", "process")
 
 
 def labeled_graph(seed: int, n: int = 24, m: int = 60, labels: int = 3):
@@ -132,40 +132,6 @@ class TestEquivalence:
             run_guided_fsm(g, 0)
         with pytest.raises(ValueError, match="max_edges"):
             run_guided_fsm(g, 2, max_edges=0)
-
-
-# ---------------------------------------------------------------------------
-# Determinism across backends and worker counts
-# ---------------------------------------------------------------------------
-class TestDeterminism:
-    def test_byte_identical_across_backends(self):
-        g = labeled_graph(6)
-        reference = None
-        for backend in BACKENDS:
-            result = (
-                Miner(g).fsm(3, max_edges=3).backend(backend).workers(3).run()
-            )
-            signature = result.signature()
-            if reference is None:
-                reference = (signature, result.patterns())
-            assert signature == reference[0], backend
-            assert result.patterns() == reference[1], backend
-
-    def test_byte_identical_across_worker_counts(self):
-        g = labeled_graph(8)
-        signatures = {
-            workers: Miner(g).fsm(3, max_edges=2).workers(workers).run().signature()
-            for workers in (1, 2, 5)
-        }
-        assert len(set(signatures.values())) == 1
-
-    def test_byte_identical_across_storage_modes(self):
-        g = labeled_graph(10)
-        signatures = {
-            mode: Miner(g).fsm(3, max_edges=2).storage(mode).run().signature()
-            for mode in ("odag", "list", "adaptive")
-        }
-        assert len(set(signatures.values())) == 1
 
 
 # ---------------------------------------------------------------------------

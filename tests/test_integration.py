@@ -1,5 +1,6 @@
-"""End-to-end integration tests: the full pipeline on realistic datasets,
-configuration matrices, and cross-application consistency."""
+"""End-to-end integration tests: the full pipeline on realistic datasets
+and cross-application consistency.  Configuration invariance (storage,
+workers, two-level aggregation) lives in tests/test_equivalence_matrix.py."""
 
 import pytest
 
@@ -17,12 +18,10 @@ from repro.apps import (
 )
 from repro.baselines import (
     count_cliques_by_size,
-    count_motifs_up_to,
     enumerate_maximal_cliques,
-    run_grami,
     run_tlp_fsm,
 )
-from repro.core import ArabesqueConfig, LIST_STORAGE, Pattern, run_computation
+from repro.core import ArabesqueConfig, Pattern, run_computation
 from repro.datasets import citeseer_like, mico_like
 from repro.graph import strip_labels
 
@@ -37,41 +36,6 @@ def citeseer():
 @pytest.fixture(scope="module")
 def mico():
     return strip_labels(mico_like(scale=0.004))
-
-
-@pytest.fixture(scope="module")
-def mico_motif_oracle(mico):
-    """The centralized ESU count, once for all eight matrix variants."""
-    return count_motifs_up_to(mico, 3)
-
-
-class TestConfigurationMatrix:
-    """Every (storage, workers, two-level) combination agrees on results."""
-
-    @pytest.mark.parametrize("storage", ["odag", LIST_STORAGE])
-    @pytest.mark.parametrize("workers", [1, 3])
-    @pytest.mark.parametrize("two_level", [True, False])
-    def test_motifs_agree(
-        self, mico, mico_motif_oracle, storage, workers, two_level
-    ):
-        config = ArabesqueConfig(
-            storage=storage,
-            num_workers=workers,
-            two_level_aggregation=two_level,
-            collect_outputs=False,
-        )
-        result = run_computation(mico, MotifCounting(3), config)
-        assert motif_counts(result) == mico_motif_oracle
-
-    @pytest.mark.parametrize("storage", ["odag", LIST_STORAGE])
-    def test_fsm_agrees(self, citeseer, storage):
-        threshold = 40
-        config = ArabesqueConfig(storage=storage, collect_outputs=False)
-        result = run_computation(
-            citeseer, FrequentSubgraphMining(threshold, max_edges=2), config
-        )
-        grami = run_grami(citeseer, threshold, max_edges=2)
-        assert set(frequent_patterns(result, threshold)) == set(grami.frequent)
 
 
 class TestCrossApplicationConsistency:
@@ -91,24 +55,13 @@ class TestCrossApplicationConsistency:
         motifs = motif_counts(run_computation(mico, MotifCounting(3)))
         assert matches.num_outputs == motifs.get(TRIANGLE.canonical(), 0)
 
-    def test_maximal_cliques_subset_of_cliques(self, mico):
-        maximal = set(run_computation(mico, MaximalCliqueFinding(max_size=4)).outputs)
-        all_cliques = set()
-        for size, cliques in cliques_by_size(
-            run_computation(mico, CliqueFinding(max_size=4))
-        ).items():
-            all_cliques.update(cliques)
-        assert maximal <= all_cliques
-        # And they agree with Bron-Kerbosch where sizes permit.
-        bk = {
-            tuple(sorted(c))
-            for c in enumerate_maximal_cliques(mico)
-            if len(c) <= 4
-        }
-        bk_capped = {c for c in bk if len(c) <= 4}
-        assert maximal <= bk_capped | {
-            c for c in maximal
-        }  # maximal-with-cap semantics checked in unit tests
+    def test_maximal_cliques_equal_bron_kerbosch(self, mico):
+        """With a size cap, the maximal cliques of size <= cap: the larger
+        maximal cliques' capped subsets are not maximal, so none appear."""
+        maximal = run_computation(mico, MaximalCliqueFinding(max_size=4)).outputs
+        assert sorted(maximal) == sorted(
+            tuple(sorted(c)) for c in enumerate_maximal_cliques(mico) if len(c) <= 4
+        )
 
     def test_frequent_cliques_subset_of_fsm_like_threshold(self, mico):
         """Every frequent clique pattern must be a clique and meet the
@@ -162,15 +115,3 @@ class TestDatasetPipelines:
         for stats in result.steps:
             assert 0 <= stats.canonical_candidates <= stats.candidates_generated
             assert stats.stored_embeddings <= stats.processed_embeddings
-
-    def test_spurious_discards_counted_on_labeled_graph(self):
-        """Labeled graphs with many per-pattern ODAGs are exactly where
-        cross-pattern spurious paths appear; the stat must record them."""
-        graph = mico_like(scale=0.004)  # labeled
-        result = run_computation(
-            graph, MotifCounting(3), ArabesqueConfig(collect_outputs=False)
-        )
-        total_spurious = sum(s.spurious_discarded for s in result.steps)
-        assert total_spurious >= 0  # counted (may be zero on tiny graphs)
-        # The census still matches the oracle regardless of discards.
-        assert motif_counts(result) == count_motifs_up_to(graph, 3)

@@ -13,7 +13,8 @@ Four layers of validation:
   oracle, on every bundled dataset and on a hypothesis random sweep,
   under both induced and monomorphic semantics;
 * **determinism** — guided runs are byte-identical across backends,
-  worker counts, and storage modes, like exhaustive ones.
+  worker counts, and storage modes, like exhaustive ones: the guided
+  match rows of tests/test_equivalence_matrix.py.
 """
 
 import pickle
@@ -334,46 +335,6 @@ class TestCrossValidation:
             match = Miner(graph).match
             assert match(NAMED_SHAPES[name]).count() == expected
             assert match(NAMED_SHAPES[name]).exhaustive().count() == expected
-
-
-# ----------------------------------------------------------------------
-# Determinism across backends / workers / storage
-# ----------------------------------------------------------------------
-class TestGuidedDeterminism:
-    def test_byte_identical_across_backends_and_workers(self):
-        graph = strip_labels(gnm_random_graph(35, 90, seed=23))
-        query = NAMED_SHAPES["square"]
-        cross_everything = set()
-        for backend in ("serial", "thread"):
-            per_worker = {}
-            for workers in (1, 2, 5):
-                config = ArabesqueConfig(num_workers=workers, backend=backend)
-                result = Miner(graph).match(query).config(config).run().raw
-                per_worker[workers] = result.canonical_signature()
-                cross_everything.add(
-                    result.canonical_signature(ignore_output_order=True)
-                )
-            assert len(set(per_worker.values())) >= 1
-        assert len(cross_everything) == 1
-
-    def test_process_backend_matches_serial(self):
-        graph = strip_labels(gnm_random_graph(30, 70, seed=29))
-        query = NAMED_SHAPES["triangle"]
-        serial, process = (
-            Miner(graph).match(query)
-            .config(ArabesqueConfig(num_workers=2, backend=backend)).run().raw
-            for backend in ("serial", "process")
-        )
-        assert serial.canonical_signature() == process.canonical_signature()
-
-    @pytest.mark.parametrize("storage", ["odag", "list", "adaptive"])
-    def test_storage_modes_agree(self, storage):
-        graph = strip_labels(gnm_random_graph(30, 80, seed=31))
-        query = NAMED_SHAPES["diamond"]
-        request = Miner(graph).match(query, induced=False)
-        result = request.config(ArabesqueConfig(storage=storage)).run().raw
-        oracle = Miner(graph).match(query, induced=False).exhaustive().run().raw
-        assert match_vertex_sets(result) == match_vertex_sets(oracle)
 
 
 # ----------------------------------------------------------------------

@@ -1,25 +1,15 @@
 """Cross-cutting property-based tests (hypothesis) for the core invariants
-docs/architecture.md ("Invariants to keep") commits to."""
+docs/architecture.md ("Invariants to keep") commits to.  The first of them,
+identical results across backends, worker counts and storage modes, is
+tests/test_equivalence_matrix.py."""
 
 import itertools
 import random
 
 import networkx as nx
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.apps import (
-    CliqueFinding,
-    FrequentCliqueMining,
-    FrequentSubgraphMining,
-    GraphCollection,
-    GraphMatching,
-    InexactMatching,
-    MaximalCliqueFinding,
-    MotifCounting,
-    TransactionalFSM,
-    motif_counts,
-)
+from repro.apps import MotifCounting, motif_counts
 from repro.baselines import count_motifs, exact_mni_support, extend_pattern, graph_label_triples
 from repro.core import (
     ArabesqueConfig,
@@ -89,85 +79,6 @@ def test_engine_motif_census_matches_esu(seed):
         if p.num_vertices == 3
     }
     assert engine_counts == count_motifs(graph, 3)
-
-
-# ----------------------------------------------------------------------
-# Cross-backend determinism: every bundled application, every execution
-# backend, every worker count — one semantic result (the first invariant
-# of docs/architecture.md, "identical across backends, worker counts, and
-# storage modes").
-# ----------------------------------------------------------------------
-def _determinism_graph():
-    return assign_labels(gnm_random_graph(10, 22, seed=11), 2, seed=12)
-
-
-def _transactional_workload():
-    graphs = [
-        assign_labels(gnm_random_graph(5, 7, seed=s), 2, seed=s + 50)
-        for s in (1, 2, 3)
-    ]
-    collection = GraphCollection(graphs)
-    return collection.union_graph, TransactionalFSM(
-        collection, support_threshold=2, max_edges=2
-    )
-
-
-def _query_pattern():
-    # A labeled path of 3 vertices — present in most small random graphs.
-    return Pattern((0, 1, 0), ((0, 1, 0), (1, 2, 0)))
-
-
-APP_WORKLOADS = [
-    ("motifs", lambda: (_determinism_graph(), MotifCounting(3))),
-    ("cliques", lambda: (_determinism_graph(), CliqueFinding(max_size=3, min_size=2))),
-    ("maximal-cliques", lambda: (_determinism_graph(), MaximalCliqueFinding(3))),
-    (
-        "frequent-cliques",
-        lambda: (_determinism_graph(), FrequentCliqueMining(2, max_size=3)),
-    ),
-    ("fsm", lambda: (_determinism_graph(), FrequentSubgraphMining(2, max_edges=2))),
-    ("transactional-fsm", _transactional_workload),
-    ("matching", lambda: (_determinism_graph(), GraphMatching(_query_pattern()))),
-    (
-        "inexact-matching",
-        lambda: (_determinism_graph(), InexactMatching(_query_pattern(), budget=1.0)),
-    ),
-]
-
-
-@pytest.mark.parametrize(
-    "workload", [factory for _, factory in APP_WORKLOADS],
-    ids=[name for name, _ in APP_WORKLOADS],
-)
-def test_every_app_deterministic_across_backends_and_workers(workload):
-    """serial/thread/process × num_workers ∈ {1, 2, 4} yield byte-identical
-    results for every application shipped in repro.apps.
-
-    Two levels of strictness: at a fixed worker count the full signature
-    (including output emission ORDER) must match the serial reference
-    byte for byte; across worker counts the partition reorders emissions,
-    so the order-normalized signature must match.
-    """
-    graph, reference_app = workload()
-    reference = run_computation(graph, reference_app)
-    reference_unordered = reference.canonical_signature(ignore_output_order=True)
-    for workers in (1, 2, 4):
-        _, serial_app = workload()
-        serial = run_computation(
-            graph, serial_app, ArabesqueConfig(num_workers=workers)
-        )
-        serial_ordered = serial.canonical_signature()
-        for backend in ("thread", "process"):
-            _, app = workload()
-            config = ArabesqueConfig(num_workers=workers, backend=backend)
-            result = run_computation(graph, app, config)
-            assert result.canonical_signature() == serial_ordered, (
-                f"{backend} x {workers} workers diverged from serial"
-            )
-        assert (
-            serial.canonical_signature(ignore_output_order=True)
-            == reference_unordered
-        ), f"worker count {workers} changed the semantic result"
 
 
 @given(seed=st.integers(0, 3000), workers=st.integers(1, 5))

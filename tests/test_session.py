@@ -6,15 +6,13 @@ Four concerns:
   build time; conflicting combinations raise `SessionError` before
   anything runs;
 * **equivalence** — each facade query is byte-identical
-  (`canonical_signature`) to the legacy wiring it replaced, across
-  serial/thread/process backends;
+  (`canonical_signature`) to the legacy wiring it replaced (that
+  backends change nothing is tests/test_equivalence_matrix.py's);
 * **session caching** — a reused `Miner` demonstrably skips plan
   recompilation and step-0 universe re-setup;
 * **result views / streaming** — typed accessors agree with the legacy
   post-processing helpers, and `.stream()` iterates the right items.
 """
-
-import dataclasses
 
 import pytest
 
@@ -27,12 +25,10 @@ from repro.apps import (
     MotifCounting,
     cliques_by_size,
     frequent_patterns,
-    match_vertex_sets,
     motif_counts,
 )
 from repro.core import (
     ArabesqueConfig,
-    Computation,
     Pattern,
     RunResult,
     run_computation,
@@ -48,8 +44,6 @@ from repro.session import (
     MotifResult,
     SessionError,
 )
-
-BACKENDS = ("serial", "thread", "process")
 
 
 @pytest.fixture
@@ -224,43 +218,35 @@ class TestStreamValidation:
 # Equivalence with the legacy wiring (byte-identical signatures)
 # ---------------------------------------------------------------------------
 class TestLegacyEquivalence:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_motifs_match_direct_engine_run(self, graph, backend):
-        config = ArabesqueConfig(
-            num_workers=2, backend=backend, collect_outputs=False
-        )
+    # Facade == engine wiring; backend invariance is the equivalence matrix's.
+    def test_motifs_match_direct_engine_run(self, graph):
+        config = ArabesqueConfig(num_workers=2, collect_outputs=False)
         legacy = run_computation(strip_labels(graph), MotifCounting(3), config)
         facade = (
             Miner(graph).motifs(3).unlabeled()
-            .workers(2).backend(backend).collect(False).run()
+            .workers(2).collect(False).run()
         )
         assert facade.signature() == legacy.canonical_signature()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_guided_match_chained_options_equal_explicit_config(self, graph, backend):
+    def test_guided_match_chained_options_equal_explicit_config(self, graph):
         # Storage pinned to the facade's guided default (list): output
         # *order* at multi-worker runs is only guaranteed byte-identical
         # at a fixed storage mode (the multiset always agrees).
-        config = ArabesqueConfig(num_workers=2, backend=backend, storage="list")
+        config = ArabesqueConfig(num_workers=2, storage="list")
         query = NAMED_SHAPES["square"]
         explicit = Miner(strip_labels(graph)).match(query).config(config).run()
-        facade = (
-            Miner(graph).match(query).unlabeled()
-            .workers(2).backend(backend).run()
-        )
+        facade = Miner(graph).match(query).unlabeled().workers(2).run()
         assert facade.signature() == explicit.signature()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_exhaustive_match_chained_options_equal_explicit_config(self, graph, backend):
-        config = ArabesqueConfig(num_workers=2, backend=backend)
+    def test_exhaustive_match_chained_options_equal_explicit_config(self, graph):
+        config = ArabesqueConfig(num_workers=2)
         query = NAMED_SHAPES["triangle"]
         explicit = (
             Miner(strip_labels(graph)).match(query).config(config)
             .exhaustive().run()
         )
         facade = (
-            Miner(graph).match(query).unlabeled().exhaustive()
-            .workers(2).backend(backend).run()
+            Miner(graph).match(query).unlabeled().exhaustive().workers(2).run()
         )
         assert facade.signature() == explicit.signature()
 
