@@ -23,8 +23,10 @@ Two concrete classes mirror the two exploration modes of section 3.1:
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from ..graph import LabeledGraph
-from .pattern import Pattern
+from .pattern import _TABLE_BOUND, Pattern
 
 #: Exploration-mode constants (paper: "edge-based or vertex-based
 #: exploration mode", section 3.1).
@@ -107,35 +109,45 @@ class Embedding:
         return f"{type(self).__name__}{self.words!r}"
 
     def __reduce__(self):
-        # Identity only: a subclass's derived-state slots (the quick-pattern
-        # caches below) never cross a process boundary.
         return type(self), (self.graph, self.words)
+
+
+@lru_cache(maxsize=_TABLE_BOUND)
+def _quick_pattern(
+    vertex_labels: tuple[int, ...],
+    adjacency: int,
+    edge_labels: int | tuple[int, ...],
+) -> Pattern:
+    """The interned quick pattern of a structural key (paper, section 5.4).
+
+    Bit ``n`` of ``adjacency`` marks the ``n``-th position pair as an edge,
+    pairs counted ``(0, 1), (0, 2), (1, 2), (0, 3), ...``; ``edge_labels``
+    is the one label all edges carry, or one label per edge in pair order.
+    Equal keys return the same object, whose memoized hash then serves
+    every canonicalizer and aggregation dict it keys.
+    """
+    pairs = [(i, j) for j in range(len(vertex_labels)) for i in range(j)]
+    present = [pair for n, pair in enumerate(pairs) if adjacency >> n & 1]
+    if isinstance(edge_labels, int):
+        edge_labels = (edge_labels,) * len(present)
+    return Pattern(
+        vertex_labels,
+        tuple(sorted((i, j, label) for (i, j), label in zip(present, edge_labels))),
+    )
 
 
 class VertexInducedEmbedding(Embedding):
     """Embedding defined by a vertex set; edges are induced (section 2).
 
-    ``extend`` children remember their parent, so ``pattern()`` derives a
-    child's quick pattern from the parent's plus the newest vertex — the
-    extended report's incremental construction — instead of re-deriving
-    all O(k²) position pairs.  The three cache slots are derived state:
-    they take no part in equality, hashing, ``repr`` or pickling."""
+    Its quick pattern is a pure function of a structural key — the labels
+    row, which position pairs are adjacent, and their edge labels — so
+    ``pattern()`` builds that key and looks it up in one interned table
+    (:func:`_quick_pattern`): embeddings with equal keys share one
+    ``Pattern`` object, and its memoized hash."""
 
-    __slots__ = ("_parent", "_quick", "_child_quicks")
+    __slots__ = ()
 
     mode = VERTEX_EXPLORATION
-
-    def __init__(self, graph: LabeledGraph, words: tuple[int, ...] = ()) -> None:
-        self.graph = graph
-        self.words = tuple(words)
-        #: The embedding ``extend`` built this one from (``None``: a root,
-        #: or decoded from a store).
-        self._parent: VertexInducedEmbedding | None = None
-        #: This embedding's quick pattern, once asked for.
-        self._quick: Pattern | None = None
-        #: Quick patterns of this embedding's children by what the newest
-        #: vertex adds — siblings that add the same share one ``Pattern``.
-        self._child_quicks: dict[tuple, Pattern] | None = None
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -145,28 +157,38 @@ class VertexInducedEmbedding(Embedding):
     def num_vertices(self) -> int:
         return len(self.words)
 
-    def extend(self, word: int) -> "VertexInducedEmbedding":
-        child = type(self)(self.graph, self.words + (word,))
-        child._parent = self
-        return child
-
     @property
     def edges(self) -> tuple[int, ...]:
         # The graph's bitset pass returns induced edge ids sorted already.
         return tuple(self.graph.induced_edge_ids(self.words))
 
     def pattern(self) -> Pattern:
-        quick = self._quick
-        if quick is None:
-            parent = self._parent
-            if parent is None:
-                quick = self._pattern_from_scratch()
-            else:
-                quick = parent._child_pattern(self.words[-1])
-            self._quick = quick
-        return quick
+        # The key :func:`_quick_pattern` reads.  On a uniform-label graph
+        # the bit tests alone decide: no edge lookup.
+        graph = self.graph
+        words = self.words
+        uniform = graph.uniform_edge_label
+        edge_labels = []
+        adjacency = 0
+        bit = 1
+        for j in range(1, len(words)):
+            v = words[j]
+            row = graph.neighbor_bits(v)
+            for u in words[:j]:
+                if (row >> u) & 1:
+                    adjacency |= bit
+                    if uniform is None:
+                        edge_labels.append(graph.edge_label(graph.edge_between(u, v)))
+                bit <<= 1
+        return _quick_pattern(
+            tuple(map(graph.vertex_label, words)),
+            adjacency,
+            uniform if uniform is not None else tuple(edge_labels),
+        )
 
     def _pattern_from_scratch(self) -> Pattern:
+        """The quick pattern built directly, without the interned table:
+        the reference :meth:`pattern` is tested against."""
         graph = self.graph
         words = self.words
         vertex_labels = tuple(graph.vertex_label(v) for v in words)
@@ -181,37 +203,6 @@ class VertexInducedEmbedding(Embedding):
                     )
         pattern_edges.sort()
         return Pattern(vertex_labels, tuple(pattern_edges))
-
-    def _child_pattern(self, v: int) -> Pattern:
-        """Quick pattern of the child ``self.words + (v,)``: this
-        embedding's, plus ``v``'s label and one edge per adjacent position.
-        What ``v`` adds — label, adjacency-to-positions bits, and the edge
-        labels where the graph's are not uniform — keys the sibling memo."""
-        graph = self.graph
-        words = self.words
-        neighbor_bits = graph.neighbor_bits(v)
-        positions = [i for i, u in enumerate(words) if (neighbor_bits >> u) & 1]
-        edge_label = graph.uniform_edge_label
-        if edge_label is None:
-            edge_labels = [
-                graph.edge_label(graph.edge_between(words[i], v)) for i in positions
-            ]
-        else:
-            edge_labels = [edge_label] * len(positions)
-        label = graph.vertex_label(v)
-        key = (label, *positions, *edge_labels)
-        memo = self._child_quicks
-        if memo is None:
-            memo = self._child_quicks = {}
-        quick = memo.get(key)
-        if quick is None:
-            base = self.pattern()
-            newest = len(words)
-            added = [(i, newest, l) for i, l in zip(positions, edge_labels)]
-            quick = memo[key] = Pattern(
-                base.vertex_labels + (label,), tuple(sorted([*base.edges, *added]))
-            )
-        return quick
 
     def is_clique(self) -> bool:
         """Whether the newest vertex connects to all previous ones.

@@ -8,9 +8,10 @@ Arabesque does with bliss; here the substitute is
 
 The classes below distinguish the two roles a pattern plays:
 
-* **quick pattern** — built in linear time from an embedding's visit order
-  (:meth:`repro.core.embedding.Embedding.pattern`); different visit orders
-  of automorphic embeddings give different quick patterns;
+* **quick pattern** — read off an embedding's visit order
+  (:meth:`repro.core.embedding.Embedding.pattern`, interned by structural
+  key); different visit orders of automorphic embeddings give different
+  quick patterns;
 * **canonical pattern** — the unique representative of the isomorphism
   class, computed once per distinct quick pattern and cached
   (:func:`canonicalize_pattern`).  This caching IS the second level of
@@ -116,7 +117,12 @@ class Pattern:
         return f"Pattern(labels={self.vertex_labels}, edges={self.edges})"
 
 
-@lru_cache(maxsize=65536)
+#: Entries each interned table keeps: the two below and the quick-pattern
+#: table in :mod:`repro.core.embedding`.
+_TABLE_BOUND = 65536
+
+
+@lru_cache(maxsize=_TABLE_BOUND)
 def canonicalize_pattern(pattern: Pattern) -> tuple[Pattern, tuple[int, ...]]:
     """Canonical pattern and position mapping for ``pattern`` (cached).
 
@@ -135,7 +141,11 @@ def canonicalize_pattern(pattern: Pattern) -> tuple[Pattern, tuple[int, ...]]:
     return canonical, tuple(mapping)
 
 
-@lru_cache(maxsize=65536)
+#: The full isomorphism-based canonicalization, bypassing the cache.
+_uncached_canonicalize = canonicalize_pattern.__wrapped__
+
+
+@lru_cache(maxsize=_TABLE_BOUND)
 def pattern_orbits(pattern: Pattern) -> tuple[int, ...]:
     """Cached automorphism orbits of ``pattern``."""
     return tuple(
@@ -239,16 +249,3 @@ class PatternCanonicalizer:
         self._cache.update(new_entries)
         self.requests += requests
         self.isomorphism_runs += isomorphism_runs
-
-
-def _uncached_canonicalize(pattern: Pattern) -> tuple[Pattern, tuple[int, ...]]:
-    """Run the full isomorphism-based canonicalization, bypassing caches."""
-    certificate, ordering = canonical_form(
-        pattern.num_vertices, pattern.vertex_labels, pattern.edge_dict()
-    )
-    num, labels_row, edge_rows = certificate
-    canonical = Pattern(tuple(labels_row), tuple(edge_rows))
-    mapping = [0] * pattern.num_vertices
-    for position, vertex in enumerate(ordering):
-        mapping[vertex] = position
-    return canonical, tuple(mapping)

@@ -15,7 +15,7 @@ Select one via ``ArabesqueConfig(backend="serial"|"thread"|"process")`` or
 the CLI's ``--backend`` flag.  The determinism invariant — identical
 explored set, outputs, and aggregates across all backends and worker
 counts — is enforced by construction (pure tasks, worker-id-ordered delta
-merge) and checked by ``tests/test_properties.py``.
+merge) and checked by ``tests/test_equivalence_matrix.py``.
 """
 
 from .base import ExecutionBackend, make_backend

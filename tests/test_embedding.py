@@ -97,14 +97,10 @@ class TestVertexInduced:
         assert v != e
 
 
-def from_scratch(embedding):
-    """The twin ``extend`` never saw: same words, no parent to derive from."""
-    return VertexInducedEmbedding(embedding.graph, embedding.words)
-
-
-class TestIncrementalQuickPattern:
-    """``extend`` children derive ``pattern()`` from the parent's; the
-    result must be the from-scratch quick pattern, object for object."""
+class TestKeyedQuickPattern:
+    """``pattern()`` looks a structural key up in one interned table; the
+    result must be the from-scratch quick pattern, and equal keys must
+    share one object."""
 
     def chains(self, graph, depth):
         """Every ``extend`` chain of ``depth`` words over adjacent or
@@ -123,7 +119,7 @@ class TestIncrementalQuickPattern:
         assert labeled_square.uniform_edge_label is None
         for depth in (2, 3, 4):
             for child in self.chains(labeled_square, depth):
-                assert child.pattern() == from_scratch(child).pattern()
+                assert child.pattern() == child._pattern_from_scratch()
 
     @pytest.mark.parametrize("labeled", [True, False], ids=["labeled", "unlabeled"])
     def test_deep_chains_on_a_random_graph(self, labeled):
@@ -133,15 +129,16 @@ class TestIncrementalQuickPattern:
         deep = self.chains(graph, 5)
         assert deep and all(len(e) == 5 for e in deep)
         for child in deep:
-            assert child.pattern() == from_scratch(child).pattern()
+            assert child.pattern() == child._pattern_from_scratch()
 
-    def test_asking_the_child_before_the_parent(self, labeled_square):
-        # pattern() on a depth-4 child whose ancestors were never asked.
+    def test_one_object_per_key(self, labeled_square):
+        # However the embedding was built, and however often asked.
         child = VertexInducedEmbedding(labeled_square, (3,))
         for w in (0, 2, 1):
             child = child.extend(w)
-        assert child.pattern() == from_scratch(child).pattern()
-        assert child.pattern() is child.pattern()
+        twin = VertexInducedEmbedding(labeled_square, (3, 0, 2, 1))
+        assert child.pattern() == child._pattern_from_scratch()
+        assert child.pattern() is child.pattern() is twin.pattern()
 
     def test_siblings_adding_the_same_share_one_pattern(self):
         star = graph_from_edges([(0, 1), (0, 2), (0, 3), (1, 2)])
@@ -160,12 +157,10 @@ class TestIncrementalQuickPattern:
         assert parent.extend(1).pattern() != parent.extend(3).pattern()
 
     @pytest.mark.parametrize("storage", ["odag", "list"])
-    def test_store_extracted_embeddings_are_parentless(self, storage):
-        # What the expansion pass reads back has no parent: from-scratch
-        # there, incremental for its children — same run either way.
+    def test_keyed_and_from_scratch_runs_agree(self, storage):
         graph = assign_labels(gnm_random_graph(14, 30, seed=5), 2, seed=0)
         config = ArabesqueConfig(storage=storage, num_workers=2)
-        incremental = run_computation(graph, MotifCounting(4), config)
+        keyed = run_computation(graph, MotifCounting(4), config)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(
                 VertexInducedEmbedding,
@@ -173,8 +168,8 @@ class TestIncrementalQuickPattern:
                 VertexInducedEmbedding._pattern_from_scratch,
             )
             scratch = run_computation(graph, MotifCounting(4), config)
-        assert incremental.canonical_signature() == scratch.canonical_signature()
-        assert incremental.steps == scratch.steps
+        assert keyed.canonical_signature() == scratch.canonical_signature()
+        assert keyed.steps == scratch.steps
 
     @pytest.mark.parametrize(
         "make_graph",
@@ -197,47 +192,49 @@ class TestIncrementalQuickPattern:
             run = run_computation(graph, MotifCounting(3), ArabesqueConfig())
             return run.pattern_requests, run.quick_patterns, run.canonical_patterns
 
-        incremental = table4()
+        keyed = table4()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(
                 VertexInducedEmbedding,
                 "pattern",
                 VertexInducedEmbedding._pattern_from_scratch,
             )
-            assert table4() == incremental
-        assert incremental[0] > incremental[1] >= incremental[2] > 0
+            assert table4() == keyed
+        assert keyed[0] > keyed[1] >= keyed[2] > 0
 
 
-class TestCacheSlotsAreNotIdentity:
-    def test_eq_hash_repr_ignore_the_caches(self, labeled_square):
+class TestIdentityIsGraphAndWords:
+    """An embedding holds its graph and words and nothing else: no derived
+    state to compare, hash, print or pickle."""
+
+    def test_eq_hash_repr_after_pattern(self, labeled_square):
         child = VertexInducedEmbedding(labeled_square, (0, 1)).extend(2)
         child.pattern()
-        twin = from_scratch(child)
+        twin = VertexInducedEmbedding(labeled_square, (0, 1, 2))
         assert child == twin and hash(child) == hash(twin)
         assert repr(child) == repr(twin) == "VertexInducedEmbedding(0, 1, 2)"
 
     def test_pickle_ships_graph_and_words_only(self, labeled_square):
         child = VertexInducedEmbedding(labeled_square, (0,))
         for w in (1, 2, 3):
-            sibling = child.extend(w)
-            sibling.pattern()  # fill the parent's sibling memo too
-            child = sibling
-        twin = from_scratch(child)
+            child = child.extend(w)
+            child.pattern()
+        twin = VertexInducedEmbedding(labeled_square, child.words)
         assert len(pickle.dumps(child)) == len(pickle.dumps(twin))
         restored = pickle.loads(pickle.dumps(child))
         assert restored == child and restored.graph == labeled_square
-        assert restored._parent is None and restored._child_quicks is None
-        assert restored.pattern() == child.pattern()
+        assert restored.pattern() is child.pattern()
 
     def test_process_backend_outputs_embeddings(self):
-        # A computation that output()s the embeddings themselves: what
-        # crosses the pipe must not drag parents or memos along.
+        # A computation that output()s the embeddings themselves, after
+        # asking their patterns: no slot beyond graph and words exists for
+        # anything to ride the pipe in.
         graph = gnm_random_graph(12, 24, seed=4)
         config = ArabesqueConfig(backend="process", num_workers=2)
         run = run_computation(graph, EmbeddingEmitter(), config)
         assert run.outputs
         for embedding in run.outputs:
-            assert embedding._parent is None and embedding._quick is None
+            assert not hasattr(embedding, "__dict__")
         serial = run_computation(graph, EmbeddingEmitter(), ArabesqueConfig(num_workers=2))
         assert run.outputs == serial.outputs
 

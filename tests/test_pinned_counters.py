@@ -16,9 +16,13 @@ The ``meters`` rows hold the other exact numbers: what the engine meters
 for the simulated cluster (wire totals, what each step shipped as, each
 step's per-worker work units) — the inputs of Figures 7, 8 and 10.
 
+The ``table4`` rows hold two-level pattern aggregation's own counters
+(Table 4): pattern requests, quick and canonical patterns, isomorphism runs.
+
 Graphs: ``tiny`` is G(40, 100) seed 7 unlabeled, ``tiny3`` the same edges
-under 3 labels, ``dense2`` G(40, 200) under 2 labels — dense enough that
-the ODAG read really discards spurious paths.
+under 3 labels, ``tiny5e`` the same edges under 5 vertex labels and two
+alternating edge labels, ``dense2`` G(40, 200) under 2 labels — dense
+enough that the ODAG read really discards spurious paths.
 """
 
 import hashlib
@@ -31,7 +35,7 @@ import pytest
 from repro.apps import enumerate_motif_patterns
 from repro.core import Pattern
 from repro.datasets import citeseer_like, skewed_label_graph
-from repro.graph import assign_labels, gnm_random_graph, strip_labels
+from repro.graph import LabeledGraph, assign_labels, gnm_random_graph, strip_labels
 from repro.plan import (
     NAMED_SHAPES,
     build_catalog,
@@ -218,6 +222,30 @@ def run_rows(graph):
     return rows
 
 
+#: Paper Table 4: embeddings that asked for a pattern, the distinct quick
+#: patterns they map to, the canonical patterns those collapse to, and the
+#: isomorphism runs actually performed (which 2 workers may repeat).
+TABLE4_COUNTERS = (
+    "pattern_requests",
+    "quick_patterns",
+    "canonical_patterns",
+    "isomorphism_runs",
+)
+
+
+def table4_rows(graph):
+    miner = Miner(graph)
+    queries = {
+        "motifs(3) exhaustive odag w2":
+            miner.motifs(3).exhaustive().storage("odag").workers(2),
+        "cliques(4) odag w2": miner.cliques(4).storage("odag").workers(2),
+    }
+    return {
+        name: {f: getattr(query.run().raw, f) for f in TABLE4_COUNTERS}
+        for name, query in queries.items()
+    }
+
+
 def meter_rows(graph):
     """The simulated cluster's inputs, per store and worker count.  Work
     units are pinned as each step's sorted values: the split's shape, not
@@ -257,6 +285,13 @@ def compute_table():
     tiny = strip_labels(edges)
     tiny3 = assign_labels(edges, 3, seed=7)
     dense2 = assign_labels(gnm_random_graph(40, 200, seed=7), 2, seed=7)
+    # Per-edge labels (no uniform label) under 5 vertex labels, so some
+    # 3- and 4-vertex patterns carry all-distinct labels.
+    tiny5e = LabeledGraph(
+        assign_labels(edges, 5, seed=7).vertex_labels,
+        [edges.edge_endpoints(eid) for eid in edges.edges()],
+        [eid % 2 for eid in edges.edges()],
+    )
     sections = {
         "match tiny": match_rows(tiny),
         "replay": replay_rows(tiny, tiny3),
@@ -267,6 +302,8 @@ def compute_table():
         "run dense2": run_rows(dense2),
         "meters tiny3": meter_rows(tiny3),
         "meters dense2": meter_rows(dense2),
+        "table4 tiny3": table4_rows(tiny3),
+        "table4 tiny5e": table4_rows(tiny5e),
     }
     return {
         f"{section} {name}": row
