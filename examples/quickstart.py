@@ -87,9 +87,9 @@ def main() -> None:
           f"(1 worker; chain .workers(n) to partition)")
     info = miner.cache_info()
     print(f"  session cache:         {info.runs} runs, "
-          f"{info.universe_builds} universe builds "
-          f"({info.universe_hits} hits), "
-          f"{info.plan_compilations} plan compilations")
+          f"{info.plan_compilations} plan compilations, "
+          f"{info.dag_compilations} DAG compilations "
+          f"({info.dag_hits} hits)")
 
 
 if __name__ == "__main__":

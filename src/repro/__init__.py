@@ -20,7 +20,7 @@ front door::
 Package map (see docs/architecture.md for the full inventory):
 
 * :mod:`repro.session` — the fluent ``Miner`` facade (queries, typed
-  results, per-session plan/universe caching);
+  results, per-session plan/DAG/catalog caching);
 * :mod:`repro.graph` — immutable labeled graphs, generators, I/O;
 * :mod:`repro.isomorphism` — canonical labeling (bliss substitute), VF2;
 * :mod:`repro.core` — the filter-process model and execution techniques;

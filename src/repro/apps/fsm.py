@@ -307,12 +307,11 @@ def run_guided_fsm(
     batches (a session passes its cross-query DAG cache; default
     compiles with a run-local memo) — whitelists are overlaid per run on
     top of the cached structure, so caching never recompiles orders or
-    symmetry.  No step-0 universe is involved: every level run draws its
-    step 0 from the DAG's own root pools (label indexes or pushed-down
-    whitelists).  ``catalog`` (a :class:`~repro.plan.stats.GraphCatalog`
-    of ``graph``) supplies the level-1 label-triple alphabet from cached
-    statistics instead of an edge-list rescan; sessions pass their
-    cached catalog.
+    symmetry.  Every level run draws its step 0 from the DAG's own root
+    pools (label indexes or pushed-down whitelists).  ``catalog`` (a
+    :class:`~repro.plan.stats.GraphCatalog` of ``graph``) supplies the
+    level-1 label-triple alphabet from cached statistics instead of an
+    edge-list rescan; sessions pass their cached catalog.
     """
     if support_threshold < 1:
         raise ValueError("support_threshold must be >= 1")
@@ -414,8 +413,8 @@ def run_guided_fsm(
                 # sibling prefixes, the per-leaf whitelists push each
                 # candidate's parent domains down, and the aggregation
                 # channel demuxes the merged MNI domains by leaf pattern.
-                # The restricted DAG is new per level; the engine warms its
-                # fused-kernel mask bundle with the step-0 pool, pre-fork.
+                # The restricted DAG is new per level; each worker task's
+                # stepper builds its mask bundle and step-0 pool.
                 dag = restrict_dag(
                     provide(tuple(pattern for pattern, _ in evaluated)),
                     dict(evaluated),

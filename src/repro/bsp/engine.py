@@ -155,10 +155,6 @@ class BspEngine:
     def num_workers(self) -> int:
         return len(self._workers)
 
-    def add_aggregator(self, name: str, aggregator: Aggregator) -> None:
-        """Register an aggregator before :meth:`run`."""
-        self._aggregators[name] = aggregator
-
     def run(self) -> RunMetrics:
         """Execute supersteps until all workers halt with no mail in flight."""
         num_workers = self.num_workers

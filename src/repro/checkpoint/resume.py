@@ -128,7 +128,6 @@ def resume_run(
     graph: LabeledGraph,
     *,
     config: ArabesqueConfig | None = None,
-    universe: tuple[int, ...] | None = None,
 ) -> RunResult:
     """Resume the run checkpointed in ``run_dir`` on ``graph``.
 
@@ -152,7 +151,6 @@ def resume_run(
         graph,
         payload["computation"],
         run_config,
-        universe=universe,
         checkpointer=checkpointer,
     )
     return engine.run(resume_state=state)

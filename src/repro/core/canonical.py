@@ -99,12 +99,6 @@ def canonicalize_vertex_set(
 # ----------------------------------------------------------------------
 # Edge-based exploration
 # ----------------------------------------------------------------------
-def _edges_share_endpoint(graph: LabeledGraph, e1: int, e2: int) -> bool:
-    u1, v1 = graph.edge_endpoints(e1)
-    u2, v2 = graph.edge_endpoints(e2)
-    return u1 == u2 or u1 == v2 or v1 == u2 or v1 == v2
-
-
 def is_canonical_edge_extension(
     graph: LabeledGraph, parent_words: tuple[int, ...], eid: int
 ) -> bool:

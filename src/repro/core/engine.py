@@ -87,11 +87,6 @@ class ArabesqueEngine:
     ``backend`` overrides the backend that ``config.backend`` would select
     (useful for injecting a tuned/instrumented backend); when the engine
     builds the backend itself it also closes it when the run finishes.
-
-    ``universe`` injects a precomputed step-0 candidate set (every vertex
-    or every edge, depending on the computation's exploration mode).  A
-    session running many queries against one graph (:class:`repro.session.Miner`)
-    computes it once and reuses it; ``None`` (default) computes it here.
     """
 
     def __init__(
@@ -100,7 +95,6 @@ class ArabesqueEngine:
         computation: Computation,
         config: ArabesqueConfig | None = None,
         backend: ExecutionBackend | None = None,
-        universe: tuple[int, ...] | None = None,
         checkpointer: "CheckpointWriter | None" = None,
     ) -> None:
         self.graph = graph
@@ -144,50 +138,8 @@ class ArabesqueEngine:
         #: Spill-mode only: the run's private segment directory, created
         #: per run and removed when the run finishes.
         self._spill_root: str | None = None
-        #: The step-0 candidate pool, computed once per engine by
-        #: :meth:`_zero_pool` (step 0 used to rebuild it per worker; see
-        #: bench note in benchmarks/_harness.py) — or, for exhaustive runs,
-        #: injected by a session that already computed it for this graph
-        #: and mode (a guided run's pool is its plan's own).
-        if universe is not None:
-            expected = (
-                graph.num_vertices
-                if self._mode == VERTEX_EXPLORATION
-                else graph.num_edges
-            )
-            if len(universe) != expected:
-                raise ValueError(
-                    f"injected universe has {len(universe)} candidates but "
-                    f"{self._mode} exploration of this graph needs {expected}"
-                )
-        self._universe = (
-            tuple(universe)
-            if universe is not None and self.config.plan is None
-            else None
-        )
 
     # ------------------------------------------------------------------
-    def _zero_pool(self) -> tuple[int, ...]:
-        """The step-0 candidate pool, computed once per run: every vertex
-        or edge (exhaustive), a plan's first-step label index or
-        whitelist, or the sorted-unique union of a DAG's root pools — the
-        stepper knows which (:func:`repro.plan.stepper.make_stepper`).
-
-        Computing it here — in the parent process, before any step task
-        runs — avoids repeating a DAG's union merge in every worker, and
-        building a DAG's stepper prewarms its structural mask bundle
-        (:func:`repro.plan.dag.mask_bundle`), so the process backend's
-        forks inherit the prebuilt masks copy-on-write instead of
-        rebuilding them per fork.
-        """
-        if self._universe is None:
-            # Imported lazily like the runtime (core.config <- plan).
-            from ..plan.stepper import make_stepper
-
-            stepper = make_stepper(self.config.plan, self.graph, self._mode)
-            self._universe = tuple(stepper.zero_pool())
-        return self._universe
-
     def _step_context(
         self,
         step: int,
@@ -215,7 +167,6 @@ class ArabesqueEngine:
             plan=config.plan,
             pattern_cache=canonicalizer.cache_snapshot(),
             published_aggregates=agg_channel.published(),
-            universe=self._zero_pool() if step == 0 else None,
             global_store=global_store if step > 0 else None,
             deadline_at=self._deadline_at,
             spill_dir=self._spill_root,
@@ -548,9 +499,6 @@ def run_computation(
     computation: Computation,
     config: ArabesqueConfig | None = None,
     backend: ExecutionBackend | None = None,
-    universe: tuple[int, ...] | None = None,
 ) -> RunResult:
     """One-call convenience wrapper: build an engine and run it."""
-    return ArabesqueEngine(
-        graph, computation, config, backend=backend, universe=universe
-    ).run()
+    return ArabesqueEngine(graph, computation, config, backend=backend).run()

@@ -12,8 +12,6 @@ canonicality check, not of this module.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from ..graph import LabeledGraph
 from ..graph.bitset import from_bitset
 from .embedding import EDGE_EXPLORATION, VERTEX_EXPLORATION
@@ -69,7 +67,7 @@ def edge_extensions(graph: LabeledGraph, words: tuple[int, ...]) -> list[int]:
     return extensions(graph, EDGE_EXPLORATION, words)
 
 
-def initial_candidates(graph: LabeledGraph, mode: str) -> Iterable[int]:
+def initial_candidates(graph: LabeledGraph, mode: str) -> range:
     """Expansion of the "undefined" embedding: all vertices or all edges."""
     if mode == VERTEX_EXPLORATION:
         return graph.vertices()

@@ -81,10 +81,6 @@ class OrderEstimate:
     def total_candidates(self) -> float:
         return sum(step.candidates for step in self.steps)
 
-    @property
-    def expected_matches(self) -> float:
-        return self.steps[-1].matches if self.steps else 0.0
-
     def describe(self) -> str:
         """One line per step: pool, cumulative candidates, survivors."""
         lines = []

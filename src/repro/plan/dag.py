@@ -41,7 +41,6 @@ a single plan is: ``ArabesqueConfig.plan``, the runtime's
 from __future__ import annotations
 
 import dataclasses
-import weakref
 from dataclasses import dataclass
 from functools import partial
 from typing import Collection, Sequence
@@ -658,12 +657,10 @@ class DagMaskBundle:
       pool bitset (:func:`repro.plan.guided.root_pool_bits` over the
       node's union whitelist).
 
-    Bundles are plain derived data — rebuilding one from scratch always
-    reproduces it (the ``restrict_dag`` property tests pin this), so the
-    memo (:func:`mask_bundle`) is a pure cache: the engine prewarms it
-    per compiled DAG along with the step-0 pool, worker tasks read it,
-    and a fork-based process backend inherits the prewarmed masks
-    through copy-on-write instead of rebuilding them per process.
+    Bundles are plain derived data, built fresh by every
+    :class:`DagStepper` (one per worker step task): a build is a few
+    lookups per trie node (the spine times it as ``plan.mask_bundle_s``),
+    so nothing caches them.
     """
 
     __slots__ = ("dag", "graph", "label_masks", "edge_label_ok", "root_pools")
@@ -694,52 +691,10 @@ class DagMaskBundle:
         self.root_pools = tuple(root_pools)
 
 
-#: One bundle per live DAG (weak — dropping the DAG drops its masks).
-#: Keyed by the DAG; the bundle pins which graph it was built for, so a
-#: different graph (never the case inside one run) rebuilds.
-#: Identity-keyed weak memo: ``id(dag) -> (weakref-to-dag, bundle)``.
-#: Keyed by object identity, NOT value equality — PlanDAG is a frozen
-#: dataclass, so a ``WeakKeyDictionary`` would fold value-equal DAGs
-#: (the same batch compiled twice) into one slot, and the weakref
-#: callback of whichever copy dies first would evict the survivor's
-#: warm entry.  The weakref finalizer removes the entry when its own
-#: DAG is collected, never a look-alike's.
-_MASK_BUNDLES: dict[int, tuple["weakref.ref[PlanDAG]", DagMaskBundle]] = {}
-
-
 def mask_bundle(dag: PlanDAG, graph: LabeledGraph) -> DagMaskBundle:
-    """The memoized :class:`DagMaskBundle` for ``(dag, graph)``.
-
-    Cheap to call anywhere a DAG meets its graph: the engine prewarms it
-    once per run (building the step-0 stepper does it, before the process
-    backend forks), and every :class:`DagStepper` resolves through it —
-    so the masks are computed once per compiled DAG per process, not
-    once per worker task.
-    """
-    key = id(dag)
-    if has_mask_bundle(dag, graph):
-        return _MASK_BUNDLES[key][1]
-    bundle = DagMaskBundle(dag, graph)
-    # Bind the memo as a default so the finalizer survives interpreter
-    # shutdown (module globals are cleared before late GC runs).
-    _MASK_BUNDLES[key] = (
-        weakref.ref(
-            dag,
-            lambda _ref, _key=key, _memo=_MASK_BUNDLES: _memo.pop(_key, None),
-        ),
-        bundle,
-    )
-    return bundle
-
-
-def has_mask_bundle(dag: PlanDAG, graph: LabeledGraph) -> bool:
-    """Whether the memo already holds ``(dag, graph)``'s bundle (session
-    cache accounting; never builds)."""
-    entry = _MASK_BUNDLES.get(id(dag))
-    if entry is None:
-        return False
-    ref, bundle = entry
-    return ref() is dag and bundle.graph is graph
+    """The structural :class:`DagMaskBundle` of ``dag`` on ``graph``,
+    computed from scratch on every call."""
+    return DagMaskBundle(dag, graph)
 
 
 def bound_stepper(computation, dag: PlanDAG, graph: LabeledGraph) -> "DagStepper":

@@ -29,8 +29,7 @@ against:
 A catalog is **plain derived data**: building it twice from the same
 graph yields equal catalogs (pinned by the determinism tests), it is
 pickle-safe for the process backend, and sessions cache one per graph
-variant exactly like the step-0 universe
-(``Miner.cache_info().catalog_builds/catalog_hits``).
+variant (``Miner.cache_info().catalog_builds/catalog_hits``).
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ A *stepper* is that difference, behind four methods:
 
 ``zero_pool()``
     the sorted step-0 candidate words (the expansion of the "undefined"
-    embedding), computed once per run by the engine;
+    embedding), which each step-0 task slices to its own rank range;
 ``check(graph, parent_words, word)``
     the per-candidate acceptance test: what step 0 applies to its pool;
 ``accept(words, pool) -> mask``
@@ -123,8 +123,8 @@ class ExhaustiveStepper:
         self._pool_filter = _keep_all if pool_filter is None else pool_filter
         self._terminal_size = terminal_size
 
-    def zero_pool(self) -> tuple[int, ...]:
-        return tuple(initial_candidates(self.graph, self.mode))
+    def zero_pool(self) -> range:
+        return initial_candidates(self.graph, self.mode)
 
     def advance(self, words: tuple[int, ...], batch: bool):
         pool = extension_mask(self._row, words)

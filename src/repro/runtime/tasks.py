@@ -109,11 +109,6 @@ class StepContext:
     )
     #: Previous step's published aggregates (``readAggregate`` source).
     published_aggregates: dict[Hashable, Any] = field(default_factory=dict)
-    #: Step 0 only: the step-0 candidate pool, computed once by the
-    #: engine — the expansion of the "undefined" embedding (exhaustive),
-    #: or the plan's own pool (label index / whitelist / DAG root-pool
-    #: union) on guided runs.
-    universe: tuple[int, ...] | None = None
     #: Steps >= 1: the merged global store of the previous step (set I).
     global_store: EmbeddingStore | None = None
     #: Monotonic instant the run's deadline budget expires (``None`` = no
@@ -438,16 +433,14 @@ def _initial_pass(
 ) -> None:
     """Step 0: expand the "undefined" embedding — this worker's rank range
     of the stepper's step-0 pool (all vertices/edges, or a plan's own
-    pool).  The engine computes the pool once per run and ships it through
-    the universe channel, sorted and identical for every worker, so the
-    partition stays deterministic."""
+    pool).  Every worker builds the same sorted pool from its own stepper,
+    so the partition stays deterministic with no coordination."""
     graph = context.graph
     mode = context.mode
     stats = delta.counters
-    universe = context.universe
-    assert universe is not None, "step-0 context must carry the universe"
+    pool = stepper.zero_pool()
     check = stepper.check
-    total = len(universe)
+    total = len(pool)
     num_workers = context.num_workers
     start = total * worker_id // num_workers
     end = total * (worker_id + 1) // num_workers
@@ -456,7 +449,7 @@ def _initial_pass(
     work = 0
     for index in range(start, end):
         _probe_interrupts(deadline_at, cancel, index - start)
-        word = universe[index]
+        word = pool[index]
         stats.candidates_generated += 1
         if not check(graph, (), word):
             continue

@@ -2,7 +2,7 @@
 
 The registry is the serving story's stateful core.  Loading a graph under
 a name builds (and keeps) a ``Miner`` for it, so every compiled plan,
-plan DAG, step-0 universe, and stripped variant stays warm across
+plan DAG, catalog, and stripped variant stays warm across
 requests — the whole point of the session caches built in earlier PRs.
 On top of the miner pool sits a **whole-result cache** keyed by
 ``(graph name, query signature, config signature)``: loaded graphs are

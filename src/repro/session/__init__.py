@@ -9,8 +9,8 @@ validated loudly at build time; ``.run()`` yields typed result views and
 ``.stream()`` an iterator.  Plan-capable queries (``match``, ``fsm``)
 compile :class:`~repro.plan.MatchingPlan` objects transparently (guided
 execution is the default, ``.exhaustive()`` opts out) and the session
-caches plans — including guided FSM's per-candidate plans — the step-0
-universe, and the stripped graph variant across queries.
+caches plans — including guided FSM's per-candidate plans — plan DAGs,
+catalogs and the stripped graph variant across queries.
 
 The CLI (:mod:`repro.cli`) and every bundled example are built on this
 facade.

@@ -16,10 +16,10 @@ workloads (Figure 3); this module is that API for the reproduction.  A
 Besides the fluent surface, the session caches everything that is
 per-graph rather than per-query, so repeated queries skip re-setup:
 
-* the **step-0 universe** (all vertices / all edges), computed once per
-  exploration mode and injected into every engine run;
 * the **label-stripped graph variant**, built once for the first
   ``.unlabeled()`` query;
+* the **statistics catalog** per graph variant, the cost-based planner's
+  input;
 * **compiled matching plans**, keyed by ``(canonical pattern, induced)``
   so re-matching a pattern never recompiles it;
 * **compiled multi-query plan DAGs**, keyed by ``(canonical pattern
@@ -31,7 +31,8 @@ per-graph rather than per-query, so repeated queries skip re-setup:
 
 :meth:`Miner.cache_info` exposes hit/build counters; the test suite
 asserts that a reused session demonstrably skips plan and DAG
-recompilation and step-0 re-setup.
+recompilation.  Step-0 pools and DAG mask bundles are not cached: each
+worker task builds its own from its stepper.
 
 The session is **thread-safe**: every cache's check-and-set (and every
 counter bump) happens under one session lock, so concurrent queries
@@ -52,12 +53,11 @@ from dataclasses import dataclass
 from ..core.computation import Computation
 from ..core.config import ArabesqueConfig
 from ..core.engine import run_computation
-from ..core.extension import initial_candidates
 from ..core.pattern import Pattern
 from ..core.results import RunResult
 from ..graph import LabeledGraph
 from ..graph.generators import strip_labels
-from ..plan.dag import PlanDAG, build_plan_dag, has_mask_bundle
+from ..plan.dag import PlanDAG, build_plan_dag
 from ..plan.planner import MatchingPlan, compile_plan
 from ..plan.shapes import resolve_query
 from ..plan.stats import GraphCatalog, build_catalog
@@ -88,9 +88,8 @@ class SessionCacheInfo:
 
     #: Engine runs executed through this session.
     runs: int = 0
-    #: Step-0 universes computed (at most one per exploration mode).
-    universe_builds: int = 0
-    #: Runs that reused an already-computed universe.
+    #: Always 0: step-0 pools are built by each worker task, not cached.
+    #: Kept only because the benchmark spine reads it by name.
     universe_hits: int = 0
     #: Matching plans compiled (one per distinct (pattern, semantics)).
     plan_compilations: int = 0
@@ -101,18 +100,10 @@ class SessionCacheInfo:
     dag_compilations: int = 0
     #: DAG lookups served from the session cache.
     dag_hits: int = 0
-    #: Cached DAGs whose fused-kernel structural mask bundle
-    #: (:func:`repro.plan.dag.mask_bundle`) is currently warm for one of
-    #: the session's graph variants — i.e. a repeated query's worker
-    #: steppers will read precomputed masks instead of rebuilding them.
-    #: Computed at snapshot time (bundles are a process-wide weak memo,
-    #: not session state).
-    warm_mask_bundles: int = 0
     #: Label-stripped graph variants built (0 or 1).
     strip_builds: int = 0
     #: Statistics catalogs built (at most one per graph variant) — the
-    #: cost-based planner's per-graph input, cached like the step-0
-    #: universe.
+    #: cost-based planner's per-graph input.
     catalog_builds: int = 0
     #: Catalog lookups served from the session cache.
     catalog_hits: int = 0
@@ -136,7 +127,6 @@ class Miner:
             )
         self.graph = graph
         self._unlabeled: LabeledGraph | None = None
-        self._universes: dict[str, tuple[int, ...]] = {}
         #: Plan/DAG caches key on the graph variant too (the ``labeled``
         #: flag): the cost-based order choice reads the variant's
         #: statistics catalog, so the same pattern may compile to
@@ -314,17 +304,7 @@ class Miner:
     def cache_info(self) -> SessionCacheInfo:
         """A snapshot of the session's cache counters."""
         with self._lock:
-            info = SessionCacheInfo(**vars(self._info))
-            info.warm_mask_bundles = sum(
-                1
-                for dag in self._dags.values()
-                if has_mask_bundle(dag, self.graph)
-                or (
-                    self._unlabeled is not None
-                    and has_mask_bundle(dag, self._unlabeled)
-                )
-            )
-            return info
+            return SessionCacheInfo(**vars(self._info))
 
     def _graph_variant(self, labeled: bool) -> LabeledGraph:
         if labeled:
@@ -337,8 +317,7 @@ class Miner:
 
     def _catalog_for(self, labeled: bool = True) -> GraphCatalog:
         """Build (or fetch) the graph variant's statistics catalog —
-        the cost-based planner's input, cached like the step-0
-        universe."""
+        the cost-based planner's input."""
         graph = self._graph_variant(labeled)
         with self._lock:
             catalog = self._catalogs.get(labeled)
@@ -403,39 +382,18 @@ class Miner:
                 self._info.dag_hits += 1
             return dag
 
-    def _universe_for(self, mode: str) -> tuple[int, ...]:
-        """Step-0 candidates for ``mode`` — label-independent, so the
-        labeled and stripped variants share one entry per mode."""
-        with self._lock:
-            universe = self._universes.get(mode)
-            if universe is None:
-                universe = tuple(initial_candidates(self.graph, mode))
-                self._universes[mode] = universe
-                self._info.universe_builds += 1
-            else:
-                self._info.universe_hits += 1
-            return universe
-
     def _run(
         self,
         graph: LabeledGraph,
         computation: Computation,
         config: ArabesqueConfig,
     ) -> RunResult:
-        """Execute one engine run with the session's cached universe.
-
-        Guided runs (``config.plan`` set) draw step 0 from the plan's
-        own pool, so no universe is built or counted for them.  The run
-        itself happens outside the session lock so concurrent queries
-        overlap; only the cache lookups and counters serialize."""
+        """Execute one engine run and count it.  The run itself happens
+        outside the session lock so concurrent queries overlap; only the
+        counter serializes."""
         with self._lock:
             self._info.runs += 1
-        universe = (
-            None
-            if config.plan is not None
-            else self._universe_for(computation.exploration_mode)
-        )
-        return run_computation(graph, computation, config, universe=universe)
+        return run_computation(graph, computation, config)
 
     def _run_guided(
         self, driver, graph: LabeledGraph, *args, induced: bool, **options
@@ -443,8 +401,7 @@ class Miner:
         """Run a guided driver (``run_guided_motifs``/``run_guided_fsm``)
         with the session's caches wired in: the DAG cache serves (and
         counts) every batch compilation, and the run counter meters each
-        engine run.  No universe is involved — guided runs draw step 0
-        from each DAG's own root pools."""
+        engine run."""
         labeled = graph is self.graph
         result = driver(
             graph,

@@ -174,8 +174,9 @@ def test_bitset_algebra_matches_set_algebra(a, b):
 
 
 def test_step_zero_pool_is_always_a_tuple():
-    """Satellite: the old all-one-label fallback returned a ``range``;
-    pools are now one sequence type (tuple) regardless of label layout."""
+    """The old all-one-label fallback returned a ``range``; a plan's or
+    DAG's pool is now one sequence type (tuple) regardless of label
+    layout.  Only the exhaustive pool is the graph's id ``range``."""
     from repro.core import Pattern
     from repro.plan import build_plan_dag, compile_plan, make_stepper
     from repro.plan.planner import restrict_plan
@@ -201,6 +202,19 @@ def test_step_zero_pool_is_always_a_tuple():
     wpool = zero_pool(whitelisted)
     assert isinstance(wpool, tuple)
     assert wpool == (1, 3)
+
+
+@pytest.mark.parametrize("mode", ["vertex", "edge"])
+def test_exhaustive_zero_pool_is_the_id_range(mode):
+    """An exhaustive run's step-0 pool is every vertex (edge) id, as a
+    ``range``: each step-0 task slices its share without a copy."""
+    from repro.plan import make_stepper
+
+    graph = LabeledGraph([0, 1, 0, 1], [(0, 1), (1, 2), (2, 3)])
+    pool = make_stepper(None, graph, mode).zero_pool()
+    size = graph.num_vertices if mode == "vertex" else graph.num_edges
+    assert pool == range(size)
+    assert pool[1:3] == range(1, 3)
 
 
 def test_constructor_rejections_unchanged():

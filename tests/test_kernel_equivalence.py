@@ -20,9 +20,9 @@ order included — on every path through it:
 * **property tests** (hypothesis) — random graphs × random pattern
   batches: the fused DAG-guided engine's per-leaf counts equal the
   per-pattern guided counts equal the exhaustive filter-process oracle,
-  and a :class:`~repro.plan.dag.DagMaskBundle` rebuilt from scratch
-  after :func:`~repro.plan.dag.restrict_dag` is identical to the
-  memoized one;
+  and after :func:`~repro.plan.dag.restrict_dag` the
+  :class:`~repro.plan.dag.DagMaskBundle`'s root pools stay inside the
+  whitelist;
 * **restriction composition** — ``restrict_plan``/``restrict_dag``
   applied twice compose by intersection (never a silent overwrite) and
   are idempotent, at the step level and in end-to-end counts;
@@ -74,7 +74,7 @@ from repro.plan import (
     make_stepper,
     restrict_dag,
 )
-from repro.plan.dag import DagMaskBundle, DagStepper, has_mask_bundle, mask_bundle
+from repro.plan.dag import DagStepper, mask_bundle
 from repro.plan.fsm_guide import (
     label_triples,
     one_edge_extensions,
@@ -363,6 +363,37 @@ class TestStepperContract:
             assert step0.candidates_generated == len(zero_pool)
             assert step0.canonical_candidates == len(roots)
 
+    @pytest.mark.parametrize("kind", STEPPER_KINDS)
+    def test_step0_work_units_are_each_workers_rank_range(self, kind):
+        # Each step-0 task slices its own rank range of the stepper's
+        # zero_pool(): worker w's work is the roots among positions
+        # [total * w // n, total * (w + 1) // n).
+        graph = citeseer_like(scale=0.06)
+        plan, make_computation, mode, _, _ = stepper_case(kind, graph)
+        stepper = make_stepper(plan, graph, mode)
+        zero_pool = stepper.zero_pool()
+        total = len(zero_pool)
+        workers = 3
+        expected = {
+            worker: float(
+                sum(
+                    stepper.check(graph, (), zero_pool[index])
+                    for index in range(
+                        total * worker // workers,
+                        total * (worker + 1) // workers,
+                    )
+                )
+            )
+            for worker in range(workers)
+        }
+        assert sum(expected.values()) > 0
+        step0 = run_computation(
+            graph,
+            make_computation(),
+            ArabesqueConfig(plan=plan, num_workers=workers, collect_outputs=False),
+        ).steps[0]
+        assert step0.work_units == expected
+
     @pytest.mark.parametrize("backend", ["serial", "process"])
     @pytest.mark.parametrize("storage", ["list", "odag"])
     @pytest.mark.parametrize("kind", STEPPER_KINDS)
@@ -637,43 +668,30 @@ class TestHybridFallback:
 # ---------------------------------------------------------------------------
 # Mask-bundle invariants
 # ---------------------------------------------------------------------------
-def bundles_equal(a: DagMaskBundle, b: DagMaskBundle) -> bool:
-    return (
-        a.label_masks == b.label_masks
-        and a.edge_label_ok == b.edge_label_ok
-        and a.root_pools == b.root_pools
-    )
+def root_pools(dag, graph) -> list[int]:
+    """The step-0 pool bitsets of ``dag``'s root nodes on ``graph``."""
+    return [pool for pool in mask_bundle(dag, graph).root_pools if pool is not None]
 
 
 class TestMaskBundle:
-    def test_memoized_bundle_is_reused_and_observable(self):
-        graph = strip_labels(gnm_random_graph(20, 50, seed=3))
-        dag = build_plan_dag(shapes("wedge", "triangle"), induced=True)
-        first = mask_bundle(dag, graph)
-        assert mask_bundle(dag, graph) is first
-        assert has_mask_bundle(dag, graph)
-        assert DagStepper(dag, graph).bundle is first
-
     def test_bundle_tracks_graph_identity(self):
+        # The same DAG on two graphs of different sizes: each bundle is
+        # built for the graph it is asked for, whichever came first.
         g1 = strip_labels(gnm_random_graph(20, 50, seed=3))
-        g2 = strip_labels(gnm_random_graph(20, 50, seed=4))
+        g2 = strip_labels(gnm_random_graph(30, 50, seed=4))
         dag = build_plan_dag(shapes("wedge", "triangle"), induced=True)
         b1 = mask_bundle(dag, g1)
         b2 = mask_bundle(dag, g2)
-        assert b1 is not b2 and b2.graph is g2
-        assert not has_mask_bundle(dag, g1)
+        assert b1.graph is g1 and b2.graph is g2
+        assert root_pools(dag, g2) == [(1 << 30) - 1]
+        assert root_pools(dag, g1) == [(1 << 20) - 1]
+        assert DagStepper(dag, g1).bundle.graph is g1
+        assert DagStepper(dag, g1).zero_pool() == tuple(range(20))
 
-    def test_restricted_dag_bundle_equals_recomputed_from_scratch(self):
+    def test_restricted_dag_root_pools_exclude_vertices_outside_domain(self):
         graph = citeseer_like(scale=0.08)
         base = fsm_style_dag(graph)
-        memoized = mask_bundle(base, graph)
-        assert bundles_equal(memoized, DagMaskBundle(base, graph))
-        # Restricting again produces a NEW DAG whose bundle must also be
-        # pure derived data — rebuild == memo, and root pools reflect
-        # the tightened whitelists.
-        domain = frozenset(
-            v for v in graph.vertices() if graph.degree(v) >= 3
-        )
+        domain = degree_domain(graph, min_degree=3)
         tighter = restrict_dag(
             base,
             {
@@ -683,18 +701,12 @@ class TestMaskBundle:
                 for plan in base.plans
             },
         )
-        assert bundles_equal(
-            mask_bundle(tighter, graph), DagMaskBundle(tighter, graph)
-        )
-
-    def test_session_reports_warm_bundles(self):
-        graph = strip_labels(gnm_random_graph(25, 60, seed=2))
-        miner = Miner(graph)
-        assert miner.cache_info().warm_mask_bundles == 0
-        miner.motifs(3).run()
-        info = miner.cache_info()
-        assert info.dag_compilations == 1
-        assert info.warm_mask_bundles == 1
+        outside = ~to_bitset(domain)
+        # The base DAG's (degree >= 2) roots do reach outside the tighter
+        # domain, so the check below can fail.
+        assert any(pool & outside for pool in root_pools(base, graph))
+        assert not any(pool & outside for pool in root_pools(tighter, graph))
+        assert set(DagStepper(tighter, graph).zero_pool()) <= domain
 
 
 # ---------------------------------------------------------------------------
@@ -742,7 +754,7 @@ class TestKernelProperties:
 
     @given(data=st.data())
     @settings(max_examples=15, deadline=None)
-    def test_mask_bundle_equals_recomputed_after_restrict_dag(self, data):
+    def test_restricted_dag_root_pools_stay_inside_whitelist(self, data):
         seed = data.draw(st.integers(0, 2**20), label="seed")
         n = data.draw(st.integers(8, 14), label="vertices")
         m = data.draw(st.integers(n, 3 * n), label="edges")
@@ -768,9 +780,8 @@ class TestKernelProperties:
                 for pattern in batch
             },
         )
-        assert bundles_equal(
-            mask_bundle(restricted, graph), DagMaskBundle(restricted, graph)
-        )
+        outside = ~to_bitset(whitelist)
+        assert not any(pool & outside for pool in root_pools(restricted, graph))
         replay_tree(restricted, graph, max_states=600)
 
 

@@ -9,7 +9,7 @@ Four concerns:
   (`canonical_signature`) to the legacy wiring it replaced (that
   backends change nothing is tests/test_equivalence_matrix.py's);
 * **session caching** — a reused `Miner` demonstrably skips plan
-  recompilation and step-0 universe re-setup;
+  recompilation, and still builds each run's step-0 pool afresh;
 * **result views / streaming** — typed accessors agree with the legacy
   post-processing helpers, and `.stream()` iterates the right items.
 """
@@ -342,7 +342,7 @@ class TestLegacyEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# Session caching: reuse skips plan recompilation and step-0 setup
+# Session caching: reuse skips plan recompilation
 # ---------------------------------------------------------------------------
 class TestSessionCaching:
     def test_repeated_pattern_query_skips_plan_compilation(
@@ -371,69 +371,42 @@ class TestSessionCaching:
         miner.match("wedge", induced=False).unlabeled().run()
         assert miner.cache_info().plan_compilations == 2
 
-    def test_reused_session_skips_step0_setup(self, miner, monkeypatch):
-        # Engine-built step-0 pools come from the exhaustive stepper.
-        import repro.plan.stepper as stepper_module
-
-        calls = []
-        real_initial = stepper_module.initial_candidates
-
-        def counting_initial(graph, mode):
-            calls.append(mode)
-            return real_initial(graph, mode)
-
-        monkeypatch.setattr(
-            stepper_module, "initial_candidates", counting_initial
-        )
-        # Session-path universes come from repro.session.miner's import.
-        import repro.session.miner as miner_module
-
-        monkeypatch.setattr(
-            miner_module, "initial_candidates", counting_initial
-        )
-        # Guided motif and match queries bring their own step-0 pools
-        # (the DAG root pools / the plan's label index), so they neither
-        # build nor hit the universe; cliques build it once.
-        miner.motifs(3).unlabeled().collect(False).run()
-        miner.cliques(3, min_size=3).run()
-        miner.match("triangle").unlabeled().run()
-        assert calls == ["vertex"]  # one vertex universe, built once
-        info = miner.cache_info()
-        assert info.universe_builds == 1
-        assert info.universe_hits == 0
-        assert info.runs == 3
-        miner.motifs(3).unlabeled().exhaustive().collect(False).run()
-        assert miner.cache_info().universe_hits == 1
-        miner.match("triangle").unlabeled().exhaustive().run()
-        assert miner.cache_info().universe_hits == 2
-
-    def test_universe_cached_per_exploration_mode(self, miner):
-        # Exhaustive motifs build the vertex universe; exhaustive FSM is
-        # the one edge-exploration workload.
-        miner.motifs(3).unlabeled().exhaustive().collect(False).run()
-        miner.fsm(3, max_edges=2).exhaustive().collect(False).run()
-        miner.cliques(3, min_size=3).run()                 # vertex again
-        info = miner.cache_info()
-        assert info.universe_builds == 2
-        assert info.universe_hits == 1
-        # Guided FSM and guided motifs need no universe at all: DAG root
-        # pools (label indexes / domain whitelists) are their step 0.
-        miner.fsm(3, max_edges=2).run()
-        miner.motifs(3).unlabeled().collect(False).run()
-        info = miner.cache_info()
-        assert info.universe_builds == 2
-        assert info.universe_hits == 1
-
     def test_stripped_variant_built_once(self, miner):
         miner.motifs(3).unlabeled().collect(False).run()
         miner.match("triangle").unlabeled().run()
         assert miner.cache_info().strip_builds == 1
 
+    def test_alternating_exploration_modes_match_fresh_sessions(
+        self, miner, graph
+    ):
+        # Vertex, edge, then vertex again on one session: every step-0
+        # pool is built by the run that uses it, so each result equals
+        # the same query on a session of its own.
+        queries = [
+            lambda m: m.motifs(3).unlabeled().exhaustive(),
+            lambda m: m.fsm(3, max_edges=2).exhaustive(),
+            lambda m: m.cliques(3, min_size=3),
+        ]
+        for make in queries:
+            reused = make(miner).run()
+            fresh = make(Miner(graph)).run()
+            assert reused.signature() == fresh.signature()
+            assert reused.raw.steps[0].work_units == fresh.raw.steps[0].work_units
+        info = miner.cache_info()
+        assert info.runs == 3
+        assert info.universe_hits == 0
+
     def test_cache_info_is_a_snapshot(self, miner):
         before = miner.cache_info()
-        miner.cliques(3).run()
+        # A guided DAG run, an exhaustive run and a guided plan run each
+        # count once.
+        miner.motifs(3).unlabeled().collect(False).run()
+        miner.cliques(3, min_size=3).run()
+        miner.match("triangle").unlabeled().run()
         assert before.runs == 0
-        assert miner.cache_info().runs == 1
+        info = miner.cache_info()
+        assert info.runs == 3
+        assert info.universe_hits == 0  # step-0 pools are never cached
 
 
 # ---------------------------------------------------------------------------
@@ -533,21 +506,13 @@ class TestResultViews:
 # ---------------------------------------------------------------------------
 class TestUniverseInjection:
     def test_wrong_universe_rejected(self, graph):
-        with pytest.raises(ValueError, match="universe"):
+        # Every step-0 task builds its pool from its own stepper, so the
+        # engine takes no injected universe at all.
+        with pytest.raises(TypeError, match="universe"):
             run_computation(
                 graph, CliqueFinding(max_size=3), ArabesqueConfig(),
                 universe=(0, 1, 2),  # not every vertex
             )
-
-    def test_injected_universe_matches_default(self, graph):
-        default = run_computation(
-            graph, CliqueFinding(max_size=3), ArabesqueConfig()
-        )
-        injected = run_computation(
-            graph, CliqueFinding(max_size=3), ArabesqueConfig(),
-            universe=tuple(graph.vertices()),
-        )
-        assert injected.canonical_signature() == default.canonical_signature()
 
 
 # ---------------------------------------------------------------------------
