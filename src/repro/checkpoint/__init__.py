@@ -25,7 +25,6 @@ from .snapshot import (
     CheckpointWriter,
     FORMAT_VERSION,
     SEMANTIC_CONFIG_FIELDS,
-    config_fingerprint,
     graph_fingerprint,
     latest_snapshot_path,
     list_snapshots,
@@ -45,7 +44,6 @@ __all__ = [
     "InjectedCrash",
     "SEMANTIC_CONFIG_FIELDS",
     "build_resume_config",
-    "config_fingerprint",
     "graph_fingerprint",
     "latest_snapshot_path",
     "list_snapshots",

@@ -46,11 +46,10 @@ class CrashingWriter(CheckpointWriter):
         self,
         run_dir: str,
         crash_after_step: int,
-        keep: int = 2,
         fresh: bool = True,
         action: Any = None,
     ) -> None:
-        super().__init__(run_dir, keep=keep, fresh=fresh)
+        super().__init__(run_dir, fresh=fresh)
         self.crash_after_step = crash_after_step
         self.action = action
 
@@ -83,11 +82,7 @@ def run_to_crash(
     a completed run.
     """
     writer = CrashingWriter(
-        str(run_dir),
-        crash_after_step,
-        keep=config.checkpoint_keep,
-        fresh=True,
-        action=action,
+        str(run_dir), crash_after_step, fresh=True, action=action
     )
     engine = ArabesqueEngine(graph, computation, config, checkpointer=writer)
     try:

@@ -9,8 +9,8 @@ mismatched field — then restarts the BSP loop at the snapshotted step + 1.
 The resumed run's :meth:`~repro.core.results.RunResult.canonical_signature`
 is byte-identical to an uninterrupted run: everything a later step reads
 was captured at the barrier, and the caller is free to change *execution*
-knobs (backend, worker count, process pool size, deadline) across the
-crash because results are invariant to them by construction.
+knobs (backend, worker count, deadline, spill budget, phase profiling)
+across the crash because results are invariant to them by construction.
 
 By default the resumed run keeps checkpointing into the same directory
 (``fresh=False`` — the snapshot sequence extends instead of resetting), so
@@ -37,19 +37,13 @@ from .snapshot import (
     payload_resume_state,
 )
 
-#: Config fields a resume caller may override without touching semantics.
-EXECUTION_CONFIG_FIELDS = (
-    "backend",
-    "num_workers",
-    "backend_processes",
-    "deadline_seconds",
-    "cancel",
-    "checkpoint_dir",
-    "checkpoint_keep",
-    "checkpoint_every",
-    "spill_budget_nbytes",
-    "spill_dir",
-    "profile_phases",
+#: Config fields a resume caller may override without touching semantics:
+#: every field but the semantic ones and the plan (which always comes
+#: from the snapshot).
+EXECUTION_CONFIG_FIELDS = tuple(
+    field.name
+    for field in dataclasses.fields(ArabesqueConfig)
+    if field.name not in SEMANTIC_CONFIG_FIELDS and field.name != "plan"
 )
 
 
@@ -95,8 +89,8 @@ def validate_payload(
             "the offered config changes what this run computes — resume "
             "must keep the snapshot's semantics ("
             + details
-            + "); only execution knobs (backend, num_workers, deadline, "
-            "spill budget, checkpoint cadence) may differ"
+            + "); only execution knobs (" + ", ".join(EXECUTION_CONFIG_FIELDS)
+            + ") may differ"
         )
 
 
@@ -142,11 +136,7 @@ def resume_run(
     validate_payload(payload, graph, config)
     run_config = build_resume_config(payload, run_dir, config)
     state = payload_resume_state(payload)
-    checkpointer = CheckpointWriter(
-        run_config.checkpoint_dir,
-        keep=run_config.checkpoint_keep,
-        fresh=False,
-    )
+    checkpointer = CheckpointWriter(run_config.checkpoint_dir, fresh=False)
     engine = ArabesqueEngine(
         graph,
         payload["computation"],

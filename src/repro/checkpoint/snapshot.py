@@ -6,8 +6,8 @@ reads is in a handful of engine-owned objects — the merged
 :class:`~repro.core.storage.EmbeddingStore`, the aggregation channels'
 barrier state, the master pattern-canonicalizer cache, and the run's
 accumulated counters/outputs.  A snapshot pickles exactly that state (plus
-graph/config fingerprints so a resume against the wrong inputs fails
-loudly) into one self-validating file:
+the graph's fingerprint and the run's config, so a resume against the
+wrong inputs fails loudly) into one self-validating file:
 
 ``MAGIC (8 bytes) | version (4 bytes, big-endian) | pickled payload |
 sha256 of everything before it (32 bytes)``
@@ -94,9 +94,8 @@ def graph_fingerprint(graph: LabeledGraph) -> str:
 
 #: Config fields that change *what a run computes* — a resumed run must
 #: agree with the snapshot on all of them.  Execution knobs (backend,
-#: num_workers, backend_processes, deadline, spill budget, checkpoint
-#: cadence...) are free to differ: results are invariant across them by
-#: construction.
+#: num_workers, deadline, spill budget...) are free to differ: results are
+#: invariant across them by construction.
 SEMANTIC_CONFIG_FIELDS = (
     "storage",
     "two_level_aggregation",
@@ -106,14 +105,6 @@ SEMANTIC_CONFIG_FIELDS = (
     "max_exploration_steps",
     "max_embeddings",
 )
-
-
-def config_fingerprint(config: ArabesqueConfig) -> str:
-    """Hash of the semantic config fields (plus plan presence)."""
-    fields = tuple(
-        getattr(config, name) for name in SEMANTIC_CONFIG_FIELDS
-    ) + (config.plan is not None,)
-    return hashlib.sha256(repr(fields).encode()).hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -193,7 +184,6 @@ def build_payload(
         "config": dataclasses.replace(config, cancel=None),
         "wall_seconds": wall_seconds,
         "graph_fingerprint": graph_fingerprint(graph),
-        "config_fingerprint": config_fingerprint(config),
     }
 
 
@@ -356,11 +346,12 @@ class CheckpointWriter:
     so the continued run extends the existing sequence.
     """
 
-    def __init__(self, run_dir: str, keep: int = 2, fresh: bool = True) -> None:
-        if keep < 1:
-            raise ValueError("checkpoint keep must be >= 1")
+    #: Snapshots retained in the run directory; older ones are deleted
+    #: after each successful write.
+    keep = 2
+
+    def __init__(self, run_dir: str, fresh: bool = True) -> None:
         self.run_dir = str(run_dir)
-        self.keep = keep
         self._cleared = not fresh
         os.makedirs(self.run_dir, exist_ok=True)
 
@@ -395,7 +386,6 @@ __all__ = [
     "ResumeState",
     "SEMANTIC_CONFIG_FIELDS",
     "build_payload",
-    "config_fingerprint",
     "graph_fingerprint",
     "latest_snapshot_path",
     "list_snapshots",

@@ -40,15 +40,11 @@ class ArabesqueConfig:
     #: multi-core speedup; requires a picklable Computation).  Results are
     #: identical across backends by construction.
     backend: str = SERIAL_BACKEND
-    #: Process-backend pool size; ``None`` means
-    #: ``min(num_workers, max(cpu_count, 2))`` — capped at the CPU count,
-    #: but never below 2 processes so multi-worker runs overlap compute
-    #: with the engine-side merge even on small machines.
-    backend_processes: int | None = None
-    #: ``"odag"`` (paper default), ``"list"`` (Figure 10 ablation), or
+    #: ``"odag"`` (paper default), ``"list"`` (Figure 10 ablation),
     #: ``"adaptive"`` — ship whichever format is smaller per step
     #: (section 6.3's sparse-graph fallback, used by the paper's
-    #: Instagram runs).
+    #: Instagram runs) — or ``"spill"``: list semantics under a byte
+    #: budget, past which sorted segments go to disk.
     storage: str = ODAG_STORAGE
     #: Two-level pattern aggregation (section 5.4); False canonicalizes
     #: every mapped pattern individually (Figure 11 ablation).
@@ -95,14 +91,9 @@ class ArabesqueConfig:
     #: When set, the engine writes a versioned, checksummed snapshot of the
     #: run's barrier state after each store merge, atomically
     #: (write-then-rename), so a killed run resumes from its last barrier
-    #: instead of restarting.  ``None`` (default) = no checkpointing.
+    #: instead of restarting; the newest two snapshots are kept.  ``None``
+    #: (default) = no checkpointing.
     checkpoint_dir: str | None = None
-    #: Snapshots retained in ``checkpoint_dir`` (older ones are deleted
-    #: after each successful write).
-    checkpoint_keep: int = 2
-    #: Snapshot every Nth barrier (1 = every barrier).  Coarser cadence
-    #: trades re-execution distance for snapshot overhead.
-    checkpoint_every: int = 1
     #: In-memory byte budget of ``"spill"`` storage before a worker's (or
     #: the merged global) store spills a sorted segment to disk; measured
     #: under the list wire model so it is comparable to reported
@@ -131,8 +122,6 @@ class ArabesqueConfig:
             raise ValueError(
                 f"unknown backend {self.backend!r} (choose from {BACKENDS})"
             )
-        if self.backend_processes is not None and self.backend_processes < 1:
-            raise ValueError("backend_processes must be >= 1 when given")
         if self.plan is not None:
             from ..plan.dag import PlanDAG
             from ..plan.planner import MatchingPlan
@@ -160,9 +149,10 @@ class ArabesqueConfig:
                 "cancel must be a repro.core.budget.CancelFlag "
                 f"(got {type(self.cancel).__name__})"
             )
-        if self.checkpoint_keep < 1:
-            raise ValueError("checkpoint_keep must be >= 1")
-        if self.checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
+        if self.output_limit is not None and self.output_limit < 0:
+            raise ValueError(
+                f"output_limit must be >= 0 when given "
+                f"(got {self.output_limit!r})"
+            )
         if self.spill_budget_nbytes < 1:
             raise ValueError("spill_budget_nbytes must be >= 1")

@@ -151,27 +151,17 @@ class ArabesqueEngine:
         # repro.core.config, so a module-level import would be circular.
         from ..runtime.tasks import StepContext
 
-        config = self.config
         return StepContext(
             step=step,
             graph=self.graph,
             computation=self.computation,
             mode=self._mode,
-            num_workers=config.num_workers,
-            storage=config.storage,
-            incremental_canonicality=config.incremental_canonicality,
-            profile_phases=config.profile_phases,
-            collect_outputs=config.collect_outputs,
-            output_limit=config.output_limit,
-            two_level_aggregation=config.two_level_aggregation,
-            plan=config.plan,
+            config=self.config,
             pattern_cache=canonicalizer.cache_snapshot(),
             published_aggregates=agg_channel.published(),
             global_store=global_store if step > 0 else None,
             deadline_at=self._deadline_at,
             spill_dir=self._spill_root,
-            spill_budget_nbytes=config.spill_budget_nbytes,
-            cancel=config.cancel,
         )
 
     def _merge_delta(
@@ -256,9 +246,7 @@ class ArabesqueEngine:
             from ..checkpoint.snapshot import CheckpointWriter
 
             checkpointer = CheckpointWriter(
-                config.checkpoint_dir,
-                keep=config.checkpoint_keep,
-                fresh=resume_state is None,
+                config.checkpoint_dir, fresh=resume_state is None
             )
         if checkpointer is not None:
             from ..checkpoint.snapshot import build_payload
@@ -335,10 +323,7 @@ class ArabesqueEngine:
                 # here, before the budget checks below so a budget-tripped
                 # run can be resumed with a larger allowance.  The final
                 # empty barrier is never snapshotted — the run is done.
-                if (
-                    checkpointer is not None
-                    and (step + 1) % config.checkpoint_every == 0
-                ):
+                if checkpointer is not None:
                     checkpointer.write(
                         step,
                         build_payload(

@@ -64,7 +64,9 @@ def _pattern_sort_key(pattern: Pattern) -> tuple:
 
 
 class EmbeddingStore:
-    """Interface shared by both storage strategies."""
+    """Interface shared by the three stores: :class:`ListStore`,
+    :class:`SpillListStore` and :class:`OdagStore` (which also serves
+    ``"adaptive"`` storage)."""
 
     def add(self, pattern: Pattern, words: tuple[int, ...]) -> None:
         """Store one embedding under its (canonical) pattern."""

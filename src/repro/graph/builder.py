@@ -62,17 +62,6 @@ class GraphBuilder:
             self._labels[vid] = int(label)
         return vid
 
-    def has_vertex(self, key: Hashable) -> bool:
-        """Whether ``key`` has been registered."""
-        return key in self._ids
-
-    def vertex_id(self, key: Hashable) -> int:
-        """Dense id previously assigned to ``key``."""
-        try:
-            return self._ids[key]
-        except KeyError:
-            raise GraphError(f"unknown vertex key: {key!r}") from None
-
     def add_edge(self, u: Hashable, v: Hashable, label: int = 0) -> int:
         """Add an undirected edge, creating endpoints (label 0) on demand.
 
@@ -95,14 +84,6 @@ class GraphBuilder:
             self._edges.append(key)
             self._edge_labels.append(int(label))
         return eid
-
-    def has_edge(self, u: Hashable, v: Hashable) -> bool:
-        """Whether an edge between ``u`` and ``v`` was added."""
-        if u not in self._ids or v not in self._ids:
-            return False
-        uid, vid = self._ids[u], self._ids[v]
-        key = (uid, vid) if uid < vid else (vid, uid)
-        return key in self._edge_keys
 
     def build(self, name: str = "graph") -> LabeledGraph:
         """Freeze into an immutable :class:`LabeledGraph`."""

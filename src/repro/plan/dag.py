@@ -23,8 +23,8 @@ one structure instead:
   :func:`dag_survivors` tracks which member patterns still accept the
   word sequence, candidate pools are generated once per distinct trie
   node of the surviving patterns and deduplicated
-  (:meth:`DagStepper.candidates`), a candidate is kept if *any* survivor
-  accepts it (:meth:`DagStepper.check`), and a full-size embedding is
+  (:func:`_pool_for_nodes`), a candidate is kept if *any* survivor
+  accepts it (:meth:`DagStepper.accept`), and a full-size embedding is
   emitted once per accepting leaf (:func:`accepting_patterns`).
 
 Correctness is independent of how much sharing the order search finds:
@@ -42,12 +42,11 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from functools import partial
 from typing import Collection, Sequence
 
 from ..core.pattern import Pattern
 from ..graph import LabeledGraph
-from ..graph.bitset import filter_bitset, from_bitset, to_bitset
+from ..graph.bitset import from_bitset, to_bitset
 from .guided import (
     confirm_edge_labels,
     guided_extension_check,
@@ -824,10 +823,11 @@ class DagStepper:
     ) -> tuple[int, tuple[int, ...]]:
         """Fused one-step kernel: ``(num_candidates, survivors)``.
 
-        Equivalent to filtering :meth:`candidates` through :meth:`check`
-        word by word — ``num_candidates`` is the deduplicated union
-        pool's size, ``survivors`` the ascending words at least one live
-        member accepts.  ``strategy`` pins a path (``"rows"`` /
+        Equivalent to filtering the merged node pool
+        (:func:`_pool_for_nodes`) word by word through the live members'
+        plan checks — ``num_candidates`` is the deduplicated union pool's
+        size, ``survivors`` the ascending words at least one live member
+        accepts.  ``strategy`` pins a path (``"rows"`` /
         ``"masks"``) for tests and benchmarks; ``None`` selects
         adaptively.  Accepted children's survivor lists are cached as a
         byproduct, exactly as on-demand derivation would compute them.
@@ -1016,35 +1016,16 @@ class DagStepper:
             merged |= self.bundle.root_pools[node_id]
         return from_bitset(merged)
 
-    # ``candidates`` + ``check`` are the per-candidate formulation of
-    # ``step``: the reference the equivalence tests replay, what step 0
-    # calls, and what ``accept`` folds over an ODAG successor pool.
-    def candidates(self, words: tuple[int, ...]) -> Sequence[int]:
-        """Candidate pool for extending ``words`` by one step, batch-wide:
-        one closure-complete pool per distinct trie node the surviving
-        members occupy next (:func:`_pool_for_nodes`), merged
-        sorted-unique — a candidate proposed by several sibling patterns
-        is generated (and counted) once."""
-        return _pool_for_nodes(self.dag, self.graph, words, self._grouped(words)[0])
-
-    def check(
-        self, graph: LabeledGraph, parent_words: tuple[int, ...], word: int
-    ) -> bool:
-        """Whether ``parent_words + (word,)`` advances at least one member.
-
-        The DAG counterpart of the single plan's per-step check: a
-        candidate is kept (and the extended embedding stored once) iff
-        some member surviving the parent prefix accepts it at the next
-        step.  Like the single-plan check it is anti-monotone — survivors
-        only shrink — so ODAG extraction can apply it prefix by prefix.
-        (``graph`` is the extension-checker call signature; a stepper
-        only ever answers for the graph it was built on.)
-        """
-        return next(self._members_accepting(parent_words, word), None) is not None
-
     def accept(self, words: tuple[int, ...], pool: int) -> int:
-        """The members of ``pool`` that :meth:`check` accepts after ``words``."""
-        return filter_bitset(pool, partial(self.check, self.graph, words))
+        """The members of ``pool`` that advance at least one member
+        surviving ``words``: every such word lies in the kernel's candidate
+        pool, so this is ``pool`` & the union of :meth:`member_masks`.
+        Anti-monotone like the single-plan check — survivors only shrink —
+        so ODAG extraction can apply it prefix by prefix."""
+        union = 0
+        for _, mask in self._run(words, None, True)[1]:
+            union |= mask
+        return pool & union
 
     def accepting(self, words: tuple[int, ...]) -> list[int]:
         """Memoized-walk :func:`accepting_patterns` (emission hook); the

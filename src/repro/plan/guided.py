@@ -22,15 +22,16 @@ check.  The guided path replaces both:
   one chain of big-int ``&`` ops over the graph's bitsets, decoded to
   sorted vertex order once per embedding;
 * :class:`PlanStepper` puts one plan behind the stepper shape the runtime
-  drives (``zero_pool`` / ``check`` / ``accept`` / ``advance`` — see
+  drives (``zero_pool`` / ``accept`` / ``advance`` — see
   :mod:`repro.plan.stepper`).
 
 All of it is pure in ``(plan, graph, words)``, so the runtime's step
-tasks can call it from any backend.  The check, folded over a successor
-pool (``accept``), is also ODAG extraction's spurious-path filter: a path
-through the overapproximated ODAG is a genuine partial match iff every
-prefix extension passes the plan check, mirroring how the exhaustive path
-re-applies canonicality plus the user filter (engine section 5.2).
+tasks can call it from any backend.  The kernel, intersected with a
+successor pool (``accept``), is also ODAG extraction's spurious-path
+filter: a path through the overapproximated ODAG is a genuine partial
+match iff every prefix extension passes the plan check, mirroring how the
+exhaustive path re-applies canonicality plus the user filter (engine
+section 5.2).
 
 Completeness note: every valid extension of a valid partial match is
 adjacent to *all* of the next step's back-neighbors, in particular to the
@@ -40,11 +41,10 @@ misses a match.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Sequence
 
 from ..graph import LabeledGraph
-from ..graph.bitset import filter_bitset, from_bitset, to_bitset
+from ..graph.bitset import from_bitset, to_bitset
 from .planner import MatchingPlan
 
 #: Candidate-pool size below which the fused bitset kernels fall back to
@@ -263,7 +263,7 @@ def _survivor_kernel(
 ) -> tuple[int, int, tuple[int, ...] | None]:
     """``(num_candidates, bits, rows)``: the survivors as a bitmask (mask
     path; ``rows`` is ``None``) or already decoded ascending (row path,
-    label-index step 0, mixed edge labels)."""
+    mixed edge labels)."""
     position = len(words)
     if position >= len(plan.steps):
         return 0, 0, ()
@@ -271,11 +271,10 @@ def _survivor_kernel(
     if not step.back_edges:
         # Step 0: the pool is the whitelist or the label index; only the
         # label constraint can reject (no earlier positions exist yet).
+        bits = graph.label_bits(step.vertex_label)
         if step.allowed is None:
-            pool = graph.vertices_with_label(step.vertex_label)
-            return len(pool), 0, pool
-        bits = step.allowed & graph.label_bits(step.vertex_label)
-        return step.allowed.bit_count(), bits, None
+            return bits.bit_count(), bits, None
+        return step.allowed.bit_count(), step.allowed & bits, None
     # Anchor = lowest-(degree, id) matched back-neighbor, unrolled: a
     # one-back-edge step (most steps on sparse plans) resolves without
     # a genexp/min frame, and the degree doubles as the pool estimate.
@@ -428,22 +427,22 @@ class PlanStepper:
     there is no survivor walk to memoize.
     """
 
-    __slots__ = ("plan", "graph", "check")
+    __slots__ = ("plan", "graph")
 
     def __init__(self, plan: MatchingPlan, graph: LabeledGraph) -> None:
         self.plan = plan
         self.graph = graph
-        #: :func:`guided_extension_check` with the extension-checker call
-        #: signature ``(graph, parent_words, word)``.
-        self.check = partial(guided_extension_check, plan)
 
     def zero_pool(self) -> tuple[int, ...]:
         """The plan's step-0 candidate pool, sorted ascending."""
         return from_bitset(root_pool_bits(self.plan.steps[0], self.graph))
 
     def accept(self, words: tuple[int, ...], pool: int) -> int:
-        """The members of ``pool`` that ``check`` accepts after ``words``."""
-        return filter_bitset(pool, partial(self.check, self.graph, words))
+        """The members of ``pool`` that :func:`guided_extension_check`
+        accepts after ``words``: every such word lies in the kernel's
+        candidate pool, so this is ``pool`` & the kernel's survivors."""
+        _, bits, rows = _survivor_kernel(self.plan, self.graph, words, None)
+        return pool & (bits if rows is None else to_bitset(rows))
 
     def advance(self, words: tuple[int, ...], batch: bool):
         """``(num_candidates, num_accepted, found, terminal)`` — on the

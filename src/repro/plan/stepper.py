@@ -4,22 +4,21 @@ Algorithm 1 is one loop — read set I, expand, filter, process, write set
 F — and what differs between an exhaustive run, a guided
 :class:`~repro.plan.planner.MatchingPlan` and a multi-query
 :class:`~repro.plan.dag.PlanDAG` is only how an embedding is expanded.
-A *stepper* is that difference, behind four methods:
+A *stepper* is that difference, behind three methods:
 
 ``zero_pool()``
     the sorted step-0 candidate words (the expansion of the "undefined"
     embedding), which each step-0 task slices to its own rank range;
-``check(graph, parent_words, word)``
-    the per-candidate acceptance test: what step 0 applies to its pool;
 ``accept(words, pool) -> mask``
-    ``check`` over a whole bitset pool — ``{w in pool : check(graph,
-    words, w)}`` for *any* pool, not just the extension pool.  ODAG
-    extraction re-applies it to a path prefix's successor set to discard
-    spurious paths;
+    the acceptance test over a whole bitset pool — the ``w in pool`` for
+    which ``words + (w,)`` is accepted, for *any* pool, not just the
+    extension pool.  Step 0 applies it to a worker's rank-range window
+    of ``zero_pool()``, and ODAG extraction re-applies it to a path
+    prefix's successor set to discard spurious paths;
 ``advance(words, batch) -> (num_candidates, num_accepted, found, terminal)``
     one expansion: the size of the candidate pool, how many of its words
-    ``check`` accepts, and those words ascending — ``[w for w in pool if
-    check(graph, words, w)]``, less any a pool-level φ rejected (below) —
+    ``accept`` keeps, and those words ascending — ``from_bitset(
+    accept(words, pool))``, less any a pool-level φ rejected (below) —
     with ``terminal`` ``None``.  When ``batch`` is set and every child
     finishes at the next word, ``found`` is instead left undecoded for
     ``Computation.process_terminal`` and ``terminal`` is the number of
@@ -27,6 +26,13 @@ A *stepper* is that difference, behind four methods:
     whose live members all complete (``num_accepted`` the popcount of
     their union), or the one bitmask of the children φ kept on an
     exhaustive run whose computation names that size as its last.
+
+What each stepper accepts is defined by a per-candidate function outside
+it — Algorithm 2 (:func:`~repro.core.canonical.extension_checker`), the
+plan check (:func:`~repro.plan.guided.guided_extension_check`) and, for a
+DAG, "some member of :func:`~repro.plan.dag.dag_survivors` accepts" —
+which ``tests/test_kernel_equivalence.py`` replays the kernels against;
+no stepper calls them per candidate.
 
 Three steppers have the shape — :class:`ExhaustiveStepper` (extension
 mask, then Algorithm 2 over the whole pool),
@@ -43,20 +49,15 @@ candidate.  The pool, its canonical subset and the subset φ keeps
 (``Computation.filter_extensions``, where the computation offers it) are
 three bitsets; the two counters are popcounts; only the children that
 will be built are decoded — none at all on the last level of a
-computation with a ``terminal_size``.  The per-candidate ``check`` remains
-for step 0 and the ``incremental_canonicality=False`` ablation, and as the
-oracle ``tests/test_kernel_equivalence.py`` replays the masks against.
+computation with a ``terminal_size``.  Only the
+``incremental_canonicality=False`` ablation checks candidates one by one.
 """
 
 from __future__ import annotations
 
 from functools import partial
 
-from ..core.canonical import (
-    canonical_extension_mask,
-    extension_checker,
-    full_checker,
-)
+from ..core.canonical import canonical_extension_mask, full_checker
 from ..core.extension import extension_mask, initial_candidates, word_row
 from ..graph import LabeledGraph
 from ..graph.bitset import filter_bitset, from_bitset
@@ -83,11 +84,10 @@ class ExhaustiveStepper:
     anything is decoded.  Children of ``terminal_size`` words (the size at
     which the computation says every embedding terminates) are not decoded
     at all when the caller batches.  ``accept`` is the same canonical
-    kernel, unwrapped, over a pool the caller brings; ``check`` keeps the
-    per-candidate form."""
+    kernel, unwrapped, over a pool the caller brings."""
 
     __slots__ = (
-        "graph", "mode", "check", "accept", "_row", "_canonical", "_pool_filter",
+        "graph", "mode", "accept", "_row", "_canonical", "_pool_filter",
         "_terminal_size",
     )
 
@@ -104,21 +104,17 @@ class ExhaustiveStepper:
         self.mode = mode
         self._row = word_row(graph, mode)
         if incremental:
-            self.check = extension_checker(mode)
             canonical = partial(canonical_extension_mask, self._row)
         else:
             full = full_checker(mode)
-            self.check = check = lambda graph, parent_words, word: full(
-                graph, parent_words + (word,)
-            )
             canonical = lambda words, pool: filter_bitset(
-                pool, partial(check, graph, words)
+                pool, lambda word: full(graph, words + (word,))
             )
         self.accept = canonical
         # Generate and check are two separable phases here (G and C of the
         # paper's Figure 12), so ``advance`` reaches its canonical pass
-        # through a slot the caller may have wrapped; ``accept`` (part of
-        # the caller's read) and ``check`` stay raw.
+        # through a slot the caller may have wrapped; ``accept`` (step 0's
+        # filter and part of the caller's read) stays raw.
         self._canonical = canonical if wrap_check is None else wrap_check(canonical)
         self._pool_filter = _keep_all if pool_filter is None else pool_filter
         self._terminal_size = terminal_size

@@ -36,7 +36,7 @@ class ExecutionBackend:
     def run_step(self, context: StepContext) -> list[WorkerDelta]:
         """Execute ``run_step_task(context, w)`` for every worker ``w``.
 
-        Must return exactly ``context.num_workers`` deltas sorted by
+        Must return exactly ``context.config.num_workers`` deltas sorted by
         ``worker_id`` — the engine merges them in that order to reproduce
         the serial schedule.
         """
@@ -56,7 +56,7 @@ class ExecutionBackend:
     def _run_serially(context: StepContext) -> list[WorkerDelta]:
         return [
             run_step_task(context, worker_id)
-            for worker_id in range(context.num_workers)
+            for worker_id in range(context.config.num_workers)
         ]
 
 
@@ -71,7 +71,7 @@ def make_backend(config: ArabesqueConfig) -> ExecutionBackend:
     if config.backend == THREAD_BACKEND:
         return ThreadBackend()
     if config.backend == PROCESS_BACKEND:
-        return ProcessBackend(processes=config.backend_processes)
+        return ProcessBackend()
     raise ValueError(
         f"unknown backend {config.backend!r} (choose from {BACKENDS})"
     )

@@ -77,23 +77,22 @@ class ProcessBackend(ExecutionBackend):
 
     name = PROCESS_BACKEND
 
-    def __init__(self, processes: int | None = None) -> None:
-        #: Pool size; ``None`` = min(num_workers, CPU count), at least 2 so
-        #: a 4-worker run on a small machine still overlaps with the merge.
-        self.processes = processes
+    def __init__(self) -> None:
         self._mp = multiprocessing.get_context(
             "fork" if "fork" in multiprocessing.get_all_start_methods() else None
         )
 
-    def _pool_size(self, num_workers: int) -> int:
-        if self.processes is not None:
-            return min(self.processes, num_workers)
+    @staticmethod
+    def _pool_size(num_workers: int) -> int:
+        """``min(num_workers, max(cpu_count, 2))``: capped at the CPU count,
+        but never below 2 processes, so a multi-worker run on a small
+        machine still overlaps compute with the engine-side merge."""
         cpus = os.cpu_count() or 1
         return min(num_workers, max(cpus, 2))
 
     def run_step(self, context: StepContext) -> list[WorkerDelta]:
         global _FORK_CONTEXT
-        num_workers = context.num_workers
+        num_workers = context.config.num_workers
         processes = self._pool_size(num_workers)
         if num_workers == 1 or processes == 1:
             return self._run_serially(context)

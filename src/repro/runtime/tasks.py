@@ -24,20 +24,23 @@ processes while producing byte-identical results:
 
 How an embedding is expanded — exhaustive extension and canonicality
 masks (with the computation's pool-level φ, ``filter_extensions``, where
-it has one), a guided :class:`~repro.plan.MatchingPlan`'s fused bitset kernel, or a
-multi-query :class:`~repro.plan.PlanDAG`'s set-of-active-nodes kernel —
-is the *stepper's* business (:mod:`repro.plan.stepper`): the passes below
-call ``zero_pool``/``check``/``advance`` and never look at the plan.  A
-guided plan's ordering restrictions already guarantee each occurrence is
+it has one), a guided :class:`~repro.plan.MatchingPlan`'s fused bitset
+kernel, or a multi-query :class:`~repro.plan.PlanDAG`'s set-of-active-nodes
+kernel — is the *stepper's* business (:mod:`repro.plan.stepper`): the
+passes below call ``zero_pool``/``accept``/``advance`` and never look at
+the plan (they read it, like every other knob, from the run's
+:class:`~repro.core.config.ArabesqueConfig` on the context).  A guided
+plan's ordering restrictions already guarantee each occurrence is
 generated exactly once, so its check replaces canonicality; a DAG stores
 the extended embedding once no matter how many patterns it advances —
 emission happens once per accepting leaf inside the computation.  On a
 *terminal level* (every live plan member completes at the next word, or
 an exhaustive computation names the children's size as its last) the
 survivor masks are never decoded: the computation's ``process_terminal``
-hook aggregates them by popcount.  The read is pool-level too: an ODAG
-hands each path prefix's successor set to one filter — the stepper's
-``accept`` mask, then φ — instead of testing paths one by one.  Everything else
+hook aggregates them by popcount.  Every filter runs on pools, not on
+one candidate at a time: step 0 hands a worker's rank range of the
+step-0 pool to ``accept`` as one window mask, and an ODAG read hands each
+path prefix's successor set to ``accept``, then φ.  Everything else
 (stores, aggregation, deltas, backends) is the same for all three, which
 is what keeps guided runs byte-identical across backends and worker
 counts too.
@@ -61,19 +64,17 @@ from ..core.budget import (
     RunCancelled,
 )
 from ..core.computation import Computation, ComputationContext
+from ..core.config import ArabesqueConfig
 from ..core.embedding import make_embedding
 from ..core.pattern import Pattern, PatternCanonicalizer
 from ..core.results import StepStats, WorkerDelta
 from ..core.storage import (
-    DEFAULT_SPILL_BUDGET_NBYTES,
     EmbeddingStore,
     LIST_STORAGE,
     SPILL_STORAGE,
     make_store,
 )
-from ..graph.bitset import filter_bitset
-from ..plan.dag import PlanDAG
-from ..plan.planner import MatchingPlan
+from ..graph.bitset import filter_bitset, from_bitset
 from ..plan.stepper import make_stepper
 
 
@@ -93,16 +94,13 @@ class StepContext:
     #: per-task context, so the original is never written to.
     computation: Computation
     mode: str
-    num_workers: int
-    storage: str
-    incremental_canonicality: bool
-    profile_phases: bool
-    collect_outputs: bool
-    output_limit: int | None
-    two_level_aggregation: bool
-    #: Guided exploration plan — a single :class:`MatchingPlan` or a
-    #: multi-query :class:`PlanDAG`; ``None`` selects the exhaustive path.
-    plan: MatchingPlan | PlanDAG | None = None
+    #: The run's configuration, read-only: worker count, storage mode,
+    #: plan (``None`` selects the exhaustive path), output collection,
+    #: phase profiling, spill budget and the cancellation flag — shared
+    #: with serial/thread workers; the process backend's pickled copies
+    #: are inert (barrier-granularity cancel there — see
+    #: :class:`~repro.core.budget.CancelFlag`).
+    config: ArabesqueConfig
     #: Master quick-pattern -> (canonical, mapping) cache snapshot.
     pattern_cache: dict[Pattern, tuple[Pattern, tuple[int, ...]]] = field(
         default_factory=dict
@@ -119,15 +117,10 @@ class StepContext:
     #: on Linux, so the instant is comparable inside the process
     #: backend's forked workers too.
     deadline_at: float | None = None
-    #: Spill-mode only: the run's spill root where this step's worker
-    #: stores write their segments, and the per-store byte budget.
+    #: Spill-mode only: the run's private spill root, where this step's
+    #: worker stores write their segments (not ``config.spill_dir``, the
+    #: parent directory the engine created it under).
     spill_dir: str | None = None
-    spill_budget_nbytes: int = DEFAULT_SPILL_BUDGET_NBYTES
-    #: Cooperative cancellation flag, probed alongside the deadline.
-    #: Shared with serial/thread workers; the process backend's pickled
-    #: copies are inert (barrier-granularity cancel there — see
-    #: :class:`~repro.core.budget.CancelFlag`).
-    cancel: CancelFlag | None = None
 
 
 class WorkerTaskContext(ComputationContext):
@@ -153,16 +146,18 @@ class WorkerTaskContext(ComputationContext):
 
     def output(self, value: Any) -> None:
         self._delta.num_outputs += 1
-        if self._context.collect_outputs:
-            limit = self._context.output_limit
+        config = self._context.config
+        if config.collect_outputs:
+            limit = config.output_limit
             if limit is None or len(self._delta.outputs) < limit:
                 self._delta.outputs.append(value)
 
     def output_batch(self, count: int, values) -> None:
         self._delta.num_outputs += count
-        if self._context.collect_outputs:
+        config = self._context.config
+        if config.collect_outputs:
             outputs = self._delta.outputs
-            limit = self._context.output_limit
+            limit = config.output_limit
             room = count if limit is None else limit - len(outputs)
             if room > 0:
                 outputs.extend(islice(values(), room))
@@ -306,18 +301,19 @@ def run_step_task(context: StepContext, worker_id: int) -> WorkerDelta:
     Pure: same ``(context, worker_id)`` always yields the same delta, and
     nothing outside the returned delta is modified.
     """
+    config = context.config
     computation = copy.copy(context.computation)
     canonicalizer = PatternCanonicalizer(
-        context.two_level_aggregation, seed_cache=context.pattern_cache
+        config.two_level_aggregation, seed_cache=context.pattern_cache
     )
     local_agg = LocalAggregation(computation.reduce, canonicalizer)
     local_out = LocalAggregation(computation.reduce_output, canonicalizer)
     # Per-(step, worker) segment tag so every task in the step can share
     # the run's spill root without filename collisions.
     store = make_store(
-        context.storage,
+        config.storage,
         spill_dir=context.spill_dir,
-        spill_budget_nbytes=context.spill_budget_nbytes,
+        spill_budget_nbytes=config.spill_budget_nbytes,
         spill_tag=f"s{context.step}w{worker_id}",
     )
     delta = WorkerDelta(
@@ -331,7 +327,7 @@ def run_step_task(context: StepContext, worker_id: int) -> WorkerDelta:
     # The one place phase timing is decided: every phase callable below is
     # passed through ``timed`` once, before any loop runs.
     phases = delta.counters.phase_seconds
-    timed = _phase_timer(phases) if context.profile_phases else _untimed
+    timed = _phase_timer(phases) if config.profile_phases else _untimed
     # One stepper per task.  A DAG's is shared with the computation's own
     # hooks (process/termination run on the same task copy): its
     # survivor-walk memo is private to this pure task.
@@ -343,14 +339,14 @@ def run_step_task(context: StepContext, worker_id: int) -> WorkerDelta:
     hook = _terminal_hook(computation, pool_filter)
     terminal_size = (
         computation.terminal_size
-        if hook is not None and context.two_level_aggregation
+        if hook is not None and config.two_level_aggregation
         else None
     )
     stepper = make_stepper(
-        context.plan,
+        config.plan,
         context.graph,
         context.mode,
-        context.incremental_canonicality,
+        config.incremental_canonicality,
         computation,
         wrap_check=partial(timed, "C"),
         pool_filter=pool_filter,
@@ -434,29 +430,27 @@ def _initial_pass(
     """Step 0: expand the "undefined" embedding — this worker's rank range
     of the stepper's step-0 pool (all vertices/edges, or a plan's own
     pool).  Every worker builds the same sorted pool from its own stepper,
-    so the partition stays deterministic with no coordination."""
+    so the partition stays deterministic with no coordination.  The range
+    is one window mask from its first to its last word, which holds no
+    other pool word, and the stepper's ``accept`` filters it whole."""
     graph = context.graph
     mode = context.mode
     stats = delta.counters
     pool = stepper.zero_pool()
-    check = stepper.check
     total = len(pool)
-    num_workers = context.num_workers
+    num_workers = context.config.num_workers
     start = total * worker_id // num_workers
     end = total * (worker_id + 1) // num_workers
+    window = (1 << (pool[end - 1] + 1)) - (1 << pool[start]) if end > start else 0
+    roots = from_bitset(stepper.accept((), window))
+    stats.candidates_generated += end - start
+    stats.canonical_candidates += len(roots)
     deadline_at = context.deadline_at
-    cancel = context.cancel
-    work = 0
-    for index in range(start, end):
-        _probe_interrupts(deadline_at, cancel, index - start)
-        word = pool[index]
-        stats.candidates_generated += 1
-        if not check(graph, (), word):
-            continue
-        stats.canonical_candidates += 1
-        work += 1
+    cancel = context.config.cancel
+    for count, word in enumerate(roots):
+        _probe_interrupts(deadline_at, cancel, count)
         settle(make_embedding(graph, mode, (word,)))
-    stats.add_work(worker_id, work)
+    stats.add_work(worker_id, len(roots))
 
 
 def _expansion_pass(
@@ -482,7 +476,7 @@ def _expansion_pass(
     advance = timed("G", stepper.advance)
     # List-format stores (plain or spilled) hold exact embeddings under
     # their true canonical pattern; only ODAG paths can be spurious.
-    verify_pattern = context.storage not in (LIST_STORAGE, SPILL_STORAGE)
+    verify_pattern = context.config.storage not in (LIST_STORAGE, SPILL_STORAGE)
     stats = delta.counters
     global_store = context.global_store
     assert global_store is not None, "expansion context must carry set I"
@@ -491,12 +485,14 @@ def _expansion_pass(
         "R",
         partial(
             next,
-            global_store.extract_partition(worker_id, context.num_workers, children),
+            global_store.extract_partition(
+                worker_id, context.config.num_workers, children
+            ),
             None,
         ),
     )
     deadline_at = context.deadline_at
-    cancel = context.cancel
+    cancel = context.config.cancel
     probe_count = 0
     while True:
         _probe_interrupts(deadline_at, cancel, probe_count)

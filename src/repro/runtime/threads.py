@@ -25,17 +25,16 @@ class ThreadBackend(ExecutionBackend):
 
     name = THREAD_BACKEND
 
-    def __init__(self, max_threads: int | None = None) -> None:
-        self._max_threads = max_threads
+    def __init__(self) -> None:
         self._pool: ThreadPoolExecutor | None = None
 
     def run_step(self, context: StepContext) -> list[WorkerDelta]:
-        num_workers = context.num_workers
+        num_workers = context.config.num_workers
         if num_workers == 1:
             return self._run_serially(context)
         if self._pool is None:
             self._pool = ThreadPoolExecutor(
-                max_workers=self._max_threads or num_workers,
+                max_workers=num_workers,
                 thread_name_prefix="repro-worker",
             )
         # Executor.map preserves submission order, so deltas come back

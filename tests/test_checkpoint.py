@@ -33,6 +33,8 @@ import pytest
 from repro.apps import CliqueFinding, FrequentSubgraphMining, MotifCounting
 from repro.bsp import CostModel
 from repro.checkpoint import (
+    EXECUTION_CONFIG_FIELDS,
+    SEMANTIC_CONFIG_FIELDS,
     CheckpointWriter,
     CrashingWriter,
     InjectedCrash,
@@ -185,31 +187,23 @@ class TestSpillListStore:
 # Snapshot writer
 # ---------------------------------------------------------------------------
 class TestCheckpointWriter:
-    def _run(self, run_dir, keep=2, every=1):
-        config = ArabesqueConfig(
-            checkpoint_dir=str(run_dir),
-            checkpoint_keep=keep,
-            checkpoint_every=every,
-        )
+    def _run(self, run_dir):
+        config = ArabesqueConfig(checkpoint_dir=str(run_dir))
         return run_computation(
             crash_graph(), CliqueFinding(max_size=4, min_size=2), config
         )
 
     def test_retains_only_the_newest_keep_snapshots(self, tmp_path):
-        self._run(tmp_path, keep=2)
+        self._run(tmp_path)
         steps = [step for step, _ in list_snapshots(str(tmp_path))]
+        assert CheckpointWriter.keep == 2
         assert steps == [1, 2]  # barriers 0..2 written, oldest pruned
 
-    def test_checkpoint_every_skips_barriers(self, tmp_path):
-        self._run(tmp_path, keep=10, every=2)
-        steps = [step for step, _ in list_snapshots(str(tmp_path))]
-        assert steps == [1]  # only (step + 1) % 2 == 0 barriers
-
     def test_fresh_run_clears_stale_snapshots_lazily(self, tmp_path):
-        self._run(tmp_path, keep=10)
+        self._run(tmp_path)
         stale = [path for _, path in list_snapshots(str(tmp_path))]
         assert stale
-        writer = CheckpointWriter(str(tmp_path), keep=10, fresh=True)
+        writer = CheckpointWriter(str(tmp_path), fresh=True)
         # Nothing destroyed until the new run actually writes...
         assert [path for _, path in list_snapshots(str(tmp_path))] == stale
         writer.write(0, load_latest(str(tmp_path)))
@@ -219,10 +213,6 @@ class TestCheckpointWriter:
     def test_no_tmp_files_left_behind(self, tmp_path):
         self._run(tmp_path)
         assert not [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
-
-    def test_keep_must_be_positive(self, tmp_path):
-        with pytest.raises(ValueError, match="keep"):
-            CheckpointWriter(str(tmp_path), keep=0)
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +231,7 @@ class TestCrashResume:
         self, tmp_path, storage, crash_after
     ):
         graph = crash_graph()
-        config = ArabesqueConfig(
-            storage=storage, spill_budget_nbytes=256, checkpoint_keep=2
-        )
+        config = ArabesqueConfig(storage=storage, spill_budget_nbytes=256)
         run_to_crash(
             graph,
             CliqueFinding(max_size=4, min_size=2),
@@ -278,8 +266,15 @@ class TestCrashResume:
             graph, CliqueFinding(max_size=4, min_size=2), before, str(tmp_path), 1
         )
         after = dataclasses.replace(
-            before, backend="thread", num_workers=3, checkpoint_every=2
+            before, backend="thread", num_workers=3, profile_phases=True
         )
+        changed = {
+            field.name
+            for field in dataclasses.fields(ArabesqueConfig)
+            if getattr(after, field.name) != getattr(before, field.name)
+        }
+        assert changed == {"backend", "num_workers", "profile_phases"}
+        assert changed <= set(EXECUTION_CONFIG_FIELDS)
         resumed = resume_run(str(tmp_path), graph, config=after)
         reference = run_computation(
             graph, CliqueFinding(max_size=4, min_size=2), before
@@ -289,6 +284,15 @@ class TestCrashResume:
         assert resumed.canonical_signature(
             ignore_output_order=True
         ) == reference.canonical_signature(ignore_output_order=True)
+
+    def test_execution_fields_are_every_non_semantic_field_but_the_plan(self):
+        names = {field.name for field in dataclasses.fields(ArabesqueConfig)}
+        assert set(SEMANTIC_CONFIG_FIELDS) <= names
+        assert not set(EXECUTION_CONFIG_FIELDS) & set(SEMANTIC_CONFIG_FIELDS)
+        assert "plan" not in EXECUTION_CONFIG_FIELDS
+        assert set(EXECUTION_CONFIG_FIELDS) == (
+            names - set(SEMANTIC_CONFIG_FIELDS) - {"plan"}
+        )
 
     def test_resumed_steps_are_priced_on_the_workers_they_ran_on(self, tmp_path):
         """Snapshotted at 2 workers, resumed at 4: each superstep's record

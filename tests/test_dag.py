@@ -270,8 +270,11 @@ class TestGroupedSurvivorCache:
                 w for w in vertices if dag_survivors(dag, graph, words + (w,))
             )
             assert stepper.step(words)[1] == expected
+            assert stepper.accept(words, to_bitset(vertices)) == to_bitset(expected)
             probe = data.draw(st.sampled_from(vertices))
-            assert stepper.check(graph, words, probe) == (probe in expected)
+            assert stepper.accept(words, 1 << probe) == (
+                1 << probe if probe in expected else 0
+            )
             # Mostly walk down an accepted child; sometimes restart, or
             # step onto a word nothing accepts.
             move = data.draw(st.integers(0, 9))
@@ -310,7 +313,7 @@ class TestGroupedSurvivorCache:
                 accepting_patterns(dag, graph, child)
             )
             stepper.extendable(child)
-            stepper.check(graph, child, root)
+            stepper.accept(child, 1 << root)
             stepper.step(child, strategy)
             stepper.advance(child, True)
         assert {child: cache[child] for child in children} == before

@@ -1,16 +1,17 @@
 """Differential kernel-test harness for the fused DAG stepper.
 
 The fused multi-query kernel (:meth:`repro.plan.dag.DagStepper.step`)
-must be *indistinguishable* from the legacy per-candidate stepper it
+must be *indistinguishable* from the per-candidate formulation it
 replaced — candidate-for-candidate, survivor-for-survivor, emission
 order included — on every path through it:
 
 * **differential replay** — the full exploration tree of every bundled
   dataset × motif/FSM-style batch is replayed through the fused stepper
-  (adaptive, forced-rows, forced-masks) AND the legacy
-  ``candidates()``+``check()`` pair, hard-asserting pool-size and
-  survivor-stream equality at every state and accepting-leaf equality
-  at every emission point;
+  (adaptive, forced-rows, forced-masks) AND the free per-candidate
+  references (the merged node pool, each member's
+  ``guided_extension_check`` and ``dag_survivors``), hard-asserting
+  pool-size and survivor-stream equality at every state and
+  accepting-leaf equality at every emission point;
 * **hybrid fallback regression** — the degree-adaptive decision
   (:func:`repro.plan.guided.prefers_row_iteration`) is pinned: sparse
   low-degree pools (the citeseer triangle case, by name) take the
@@ -28,9 +29,11 @@ order included — on every path through it:
   are idempotent, at the step level and in end-to-end counts;
 * **the stepper contract** — the three steppers the runtime drives
   (exhaustive in both exploration modes, single plan, DAG) are one
-  parametrised axis: ``advance`` equals generate-then-``check`` at every
-  replayed state, ``zero_pool`` is what step 0 partitions, and turning
-  ``profile_phases`` on changes nothing but the clock;
+  parametrised axis: ``advance`` and ``accept`` equal generate-then-check
+  at every replayed state, with the check taken from the free reference
+  of each kind (Algorithm 2, the plan check, a ``dag_survivors`` check),
+  ``zero_pool`` is what step 0 partitions, and turning ``profile_phases``
+  on changes nothing but the clock;
 * **the canonicality kernel** — Algorithm 2 as one mask per parent
   (:func:`repro.core.canonical.canonical_extension_mask`) equals the
   per-candidate ``is_canonical_*_extension`` oracle on every bundled
@@ -74,7 +77,13 @@ from repro.plan import (
     make_stepper,
     restrict_dag,
 )
-from repro.plan.dag import DagStepper, mask_bundle
+from repro.plan.dag import (
+    DagStepper,
+    _pool_for_nodes,
+    dag_extendable,
+    dag_survivors,
+    mask_bundle,
+)
 from repro.plan.fsm_guide import (
     label_triples,
     one_edge_extensions,
@@ -82,6 +91,7 @@ from repro.plan.fsm_guide import (
 )
 from repro.plan.guided import (
     SMALL_POOL_DEGREE,
+    guided_extension_check,
     guided_survivors,
     prefers_row_iteration,
 )
@@ -96,21 +106,63 @@ def shapes(*names):
 # ---------------------------------------------------------------------------
 # The differential replay core
 # ---------------------------------------------------------------------------
-def replay_tree(dag, graph, max_states=None):
-    """Replay the whole DAG exploration tree through four steppers.
+def live_members(dag, graph, words):
+    """Members surviving ``words`` (:func:`dag_survivors`) with a step left."""
+    depth = len(words)
+    return [
+        p
+        for p in dag_survivors(dag, graph, words)
+        if dag.plans[p].num_steps > depth
+    ]
 
-    At every surviving state the fused kernel (adaptive), the fused
-    kernel pinned to each hybrid path, and the legacy per-candidate
-    stepper (memoized ``candidates()`` + ``check()`` — exactly what the
-    runtime ran before the fusion) must agree on the candidate pool
-    size, the survivor stream (ascending — the emission order), the
-    accepting leaves, and extendability.  Returns
-    ``(num_states, num_survivors, emissions)``.
+
+def dag_reference(dag, graph, words):
+    """The free per-candidate DAG reference at ``words``, independent of
+    any :class:`DagStepper`: the merged pool of the trie nodes the live
+    members occupy next, and for each pool word the members whose own
+    plan check accepts it, ascending."""
+    live = live_members(dag, graph, words)
+    nodes = {dag.paths[p][len(words)] for p in live}
+    return {
+        word: [
+            p
+            for p in live
+            if guided_extension_check(dag.plans[p], graph, words, word)
+        ]
+        for word in _pool_for_nodes(dag, graph, words, nodes)
+    }
+
+
+def dag_check(dag):
+    """The DAG's per-candidate check, built on :func:`dag_survivors`: a
+    word is kept iff it advances some member surviving the parent (the
+    parent's survivors are walked once per parent)."""
+    live = {}
+
+    def check(graph, words, word):
+        if words not in live:
+            live[words] = live_members(dag, graph, words)
+        return any(
+            guided_extension_check(dag.plans[p], graph, words, word)
+            for p in live[words]
+        )
+
+    return check
+
+
+def replay_tree(dag, graph, max_states=None):
+    """Replay the whole DAG exploration tree through three steppers.
+
+    At every surviving state the fused kernel (adaptive) and the fused
+    kernel pinned to each hybrid path must agree with the per-candidate
+    reference (:func:`dag_reference` — the member plans' own checks over
+    the merged node pool) on the candidate pool size, the survivor stream
+    (ascending — the emission order), the accepting leaves, and
+    extendability.  Returns ``(num_states, num_survivors, emissions)``.
     """
     fused = DagStepper(dag, graph)
     forced_rows = DagStepper(dag, graph)
     forced_masks = DagStepper(dag, graph)
-    legacy = DagStepper(dag, graph)
     emissions = []
     stack = [()]
     num_states = 0
@@ -125,31 +177,32 @@ def replay_tree(dag, graph, max_states=None):
         masks_candidates, masks_survivors = forced_masks.step(
             words, strategy="masks"
         )
-        pool = legacy.candidates(words)
-        legacy_survivors = tuple(
-            word for word in pool if legacy.check(graph, words, word)
+        reference = dag_reference(dag, graph, words)
+        reference_survivors = tuple(
+            word for word, members in reference.items() if members
         )
         assert (
             num_candidates
             == rows_candidates
             == masks_candidates
-            == len(pool)
+            == len(reference)
         ), f"pool sizes diverge at {words}"
         assert (
-            survivors == rows_survivors == masks_survivors == legacy_survivors
+            survivors == rows_survivors == masks_survivors == reference_survivors
         ), f"survivor streams diverge at {words}"
         num_survivors += len(survivors)
         for word in survivors:
             child = words + (word,)
+            members = reference[word]
             accepting = fused.accepting(child)
-            assert accepting == legacy.accepting(child), (
-                f"accepting leaves diverge at {child}"
-            )
+            assert accepting == [
+                p for p in members if dag.plans[p].num_steps == len(child)
+            ], f"accepting leaves diverge at {child}"
             emissions.extend((child, member) for member in accepting)
             extendable = fused.extendable(child)
-            assert extendable == legacy.extendable(child), (
-                f"extendability diverges at {child}"
-            )
+            assert extendable == any(
+                dag.plans[p].num_steps > len(child) for p in members
+            ), f"extendability diverges at {child}"
             if extendable:
                 stack.append(child)
     return num_states, num_survivors, emissions
@@ -270,10 +323,10 @@ STEPPER_KINDS = ("exhaustive-vertex", "exhaustive-edge", "plan", "dag")
 
 
 def stepper_case(kind, graph):
-    """``(plan, make_computation, mode, reference pool, grows)`` of one
-    stepper kind: what ``config.plan`` carries, a computation that runs
-    on it, and the per-candidate reference ``advance`` is replayed
-    against."""
+    """``(plan, make_computation, mode, reference pool, grows, check)`` of
+    one stepper kind: what ``config.plan`` carries, a computation that
+    runs on it, and the per-candidate reference ``advance`` is replayed
+    against — none of it built from the stepper under test."""
     batch = enumerate_motif_patterns(graph, 3, min_size=2)
     if kind in ("plan", "plan-whitelisted"):
         plan = compile_plan(batch[-1], induced=True)
@@ -286,16 +339,23 @@ def stepper_case(kind, graph):
             "vertex",
             partial(guided_candidates, plan, graph),
             lambda words: len(words) < plan.num_steps,
+            partial(guided_extension_check, plan),
         )
-    if kind == "dag":
+    if kind in ("dag", "dag-whitelisted"):
         dag = build_plan_dag(batch, induced=True)
-        reference = DagStepper(dag, graph)
+        if kind == "dag-whitelisted":
+            domain = degree_domain(graph)
+            dag = restrict_dag(
+                dag,
+                {p: {v: domain for v in range(p.num_vertices)} for p in batch},
+            )
         return (
             dag,
             lambda: DagMotifCounting(dag),
             "vertex",
-            reference.candidates,
-            reference.extendable,
+            lambda words: tuple(dag_reference(dag, graph, words)),
+            partial(dag_extendable, dag, graph),
+            dag_check(dag),
         )
     mode = kind.split("-")[1]
     make = (
@@ -303,23 +363,38 @@ def stepper_case(kind, graph):
         if mode == "vertex"
         else (lambda: GraphMatching(batch[-1], induced=False))
     )
-    return None, make, mode, partial(extensions, graph, mode), lambda words: len(words) < 3
+    return (
+        None,
+        make,
+        mode,
+        partial(extensions, graph, mode),
+        lambda words: len(words) < 3,
+        extension_checker(mode),
+    )
 
 
 CONTRACT_GRAPHS = [BUNDLED[0], BUNDLED[1]]  # sparse rows / dense masks
 
 
 class TestStepperContract:
-    @pytest.mark.parametrize("kind", STEPPER_KINDS + ("plan-whitelisted",))
+    @pytest.mark.parametrize(
+        "kind", STEPPER_KINDS + ("plan-whitelisted", "dag-whitelisted")
+    )
     @pytest.mark.parametrize(
         "name,factory", CONTRACT_GRAPHS, ids=[name for name, _ in CONTRACT_GRAPHS]
     )
     def test_advance_is_generate_then_check(self, name, factory, kind):
         graph = factory()
-        plan, make_computation, mode, pool_of, grows = stepper_case(kind, graph)
+        plan, make_computation, mode, pool_of, grows, check = stepper_case(
+            kind, graph
+        )
         stepper = make_stepper(plan, graph, mode)
         zero_pool = stepper.zero_pool()
-        roots = [w for w in zero_pool if stepper.check(graph, (), w)]
+        roots = [w for w in zero_pool if check(graph, (), w)]
+        # Step 0 hands ``accept`` a window that may hold words outside
+        # ``zero_pool()``: over every word of the mode it keeps the roots.
+        num_words = graph.num_vertices if mode == "vertex" else graph.num_edges
+        assert from_bitset(stepper.accept((), (1 << num_words) - 1)) == tuple(roots)
         stack = [(word,) for word in roots]
         states = deepest = 0
         while stack and states < 1500:
@@ -327,7 +402,7 @@ class TestStepperContract:
             states += 1
             deepest = max(deepest, len(words))
             pool = pool_of(words)
-            accepted = [w for w in pool if stepper.check(graph, words, w)]
+            accepted = [w for w in pool if check(graph, words, w)]
             num_candidates, num_accepted, found, terminal = stepper.advance(
                 words, False
             )
@@ -337,7 +412,7 @@ class TestStepperContract:
                 accepted,
                 None,
             ), f"{kind}: advance diverges from generate-then-check at {words}"
-            # ``accept`` is ``check`` over any pool the caller brings — the
+            # ``accept`` is the check over any pool the caller brings — the
             # extension pool, or (as ODAG extraction does) something else:
             # here every third word of the graph, members included.
             assert from_bitset(stepper.accept(words, to_bitset(pool))) == tuple(
@@ -345,7 +420,7 @@ class TestStepperContract:
             )
             other = to_bitset(range(0, len(zero_pool), 3)) & ~to_bitset(words)
             assert stepper.accept(words, other) == to_bitset(
-                w for w in from_bitset(other) if stepper.check(graph, words, w)
+                w for w in from_bitset(other) if check(graph, words, w)
             ), f"{kind}: accept diverges from check on a foreign pool at {words}"
             stack.extend(
                 words + (w,) for w in found if grows(words + (w,))
@@ -369,15 +444,14 @@ class TestStepperContract:
         # zero_pool(): worker w's work is the roots among positions
         # [total * w // n, total * (w + 1) // n).
         graph = citeseer_like(scale=0.06)
-        plan, make_computation, mode, _, _ = stepper_case(kind, graph)
-        stepper = make_stepper(plan, graph, mode)
-        zero_pool = stepper.zero_pool()
+        plan, make_computation, mode, _, _, check = stepper_case(kind, graph)
+        zero_pool = make_stepper(plan, graph, mode).zero_pool()
         total = len(zero_pool)
         workers = 3
         expected = {
             worker: float(
                 sum(
-                    stepper.check(graph, (), zero_pool[index])
+                    check(graph, (), zero_pool[index])
                     for index in range(
                         total * worker // workers,
                         total * (worker + 1) // workers,
@@ -401,7 +475,7 @@ class TestStepperContract:
         self, kind, storage, backend
     ):
         graph = _bounded_labels(mico_like(scale=0.001))
-        plan, make_computation, _, _, _ = stepper_case(kind, graph)
+        plan, make_computation, _, _, _, _ = stepper_case(kind, graph)
 
         def run(profile):
             config = ArabesqueConfig(

@@ -65,10 +65,6 @@ class TestBackendSelection:
         with pytest.raises(ValueError, match="unknown backend"):
             ArabesqueConfig(backend="gpu")
 
-    def test_bad_backend_processes(self):
-        with pytest.raises(ValueError, match="backend_processes"):
-            ArabesqueConfig(backend_processes=0)
-
     def test_backend_is_context_manager(self):
         with make_backend(ArabesqueConfig(backend="thread")) as backend:
             assert isinstance(backend, ExecutionBackend)
@@ -144,6 +140,18 @@ class TestBackendEquivalence:
         assert len(result.outputs) == 5
         assert result.num_outputs == reference.num_outputs == 7 + 21 + 35
 
+    def test_negative_output_limit_rejected(self):
+        # A negative cap used to be accepted: no worker kept an output and
+        # the merge's room went negative, while num_outputs still counted.
+        with pytest.raises(ValueError, match="output_limit"):
+            ArabesqueConfig(output_limit=-1)
+        graph = complete_graph(5)
+        capped = run_computation(
+            graph, CollectSets(3), ArabesqueConfig(output_limit=0)
+        )
+        assert capped.outputs == []
+        assert capped.num_outputs == 5 + 10 + 10
+
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_metrics_cover_all_workers(self, backend):
         graph = gnm_random_graph(20, 60, seed=5)
@@ -154,7 +162,7 @@ class TestBackendEquivalence:
 
     def test_engine_accepts_injected_backend(self):
         graph = gnm_random_graph(10, 20, seed=1)
-        backend = ThreadBackend(max_threads=2)
+        backend = ThreadBackend()
         try:
             config = ArabesqueConfig(num_workers=2, backend="thread")
             result = run_computation(graph, CollectSets(3), config, backend=backend)
@@ -179,16 +187,22 @@ class TestProcessBackend:
         run_computation(graph, CollectSets(3), config, backend=backend)
         backend._mp.Pool.assert_not_called()
 
-    def test_explicit_pool_size(self):
-        graph = gnm_random_graph(10, 18, seed=2)
-        config = ArabesqueConfig(
-            num_workers=4, backend="process", backend_processes=2
-        )
-        result = run_computation(graph, CollectSets(3), config)
-        reference = run_computation(
-            graph, CollectSets(3), ArabesqueConfig(num_workers=4)
-        )
-        assert result.canonical_signature() == reference.canonical_signature()
+    def test_pool_size_is_capped_at_cpus_but_never_below_two(self, monkeypatch):
+        from repro.runtime.process import _chunk_worker_ids, os
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert ProcessBackend._pool_size(1) == 1
+        assert ProcessBackend._pool_size(4) == 2
+        assert _chunk_worker_ids(4, 2) == [[0, 1], [2, 3]]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert ProcessBackend._pool_size(4) == 2
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert ProcessBackend._pool_size(4) == 4
+        assert ProcessBackend._pool_size(20) == 8
+        assert _chunk_worker_ids(20, 8) == [
+            [0, 1], [2, 3, 4], [5, 6], [7, 8, 9],
+            [10, 11], [12, 13, 14], [15, 16], [17, 18, 19],
+        ]
 
     def test_chunking_covers_every_worker(self):
         from repro.runtime.process import _chunk_worker_ids

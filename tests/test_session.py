@@ -84,6 +84,11 @@ class TestFluentOptions:
         with pytest.raises(SessionError, match="limit"):
             miner.cliques(3).limit(-1)
 
+    def test_negative_output_limit_in_base_config_rejected(self, miner):
+        # limit() refuses a negative cap; a base config cannot carry one in.
+        with pytest.raises(ValueError, match="output_limit"):
+            miner.cliques(3).config(ArabesqueConfig(output_limit=-1)).run()
+
     def test_limit_conflicts_with_collect_false(self, miner):
         with pytest.raises(SessionError, match="collect"):
             miner.cliques(3).collect(False).limit(10)
