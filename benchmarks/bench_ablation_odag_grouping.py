@@ -38,7 +38,7 @@ def test_ablation_odag_grouping(benchmark):
         data["per_pattern_paths"] = per_pattern.total_paths()
         data["single_bytes"] = single.wire_size()
         data["single_paths"] = single.total_paths()
-        data["patterns"] = per_pattern.num_odags
+        data["patterns"] = per_pattern.num_patterns
         return data
 
     benchmark.pedantic(run_all, rounds=1, iterations=1)

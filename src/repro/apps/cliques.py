@@ -14,7 +14,6 @@ from ..core.computation import Computation
 from ..core.embedding import Embedding, VERTEX_EXPLORATION, VertexInducedEmbedding
 from ..core.results import RunResult
 from ..graph import LabeledGraph
-from ..graph.bitset import from_bitset
 
 
 class CliqueFinding(Computation):
@@ -59,10 +58,7 @@ class CliqueFinding(Computation):
 
     def process_terminal(self, words: tuple[int, ...], mask: int) -> None:
         if len(words) + 1 >= self.min_size:
-            self.output_batch(
-                mask.bit_count(),
-                lambda: (tuple(sorted(words + (w,))) for w in from_bitset(mask)),
-            )
+            self.output_batch(words, mask)
 
 
 def clique_extensions(

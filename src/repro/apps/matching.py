@@ -38,7 +38,6 @@ from ..core.embedding import (
 from ..core.pattern import Pattern
 from ..core.results import RunResult
 from ..graph import LabeledGraph
-from ..graph.bitset import from_bitset
 from ..isomorphism import SubgraphMatcher
 from ..plan.planner import MatchingPlan
 
@@ -161,12 +160,8 @@ class GuidedMatching(Computation):
             self.output(tuple(sorted(embedding.words)))
 
     def process_terminal(self, words, member_masks) -> None:
-        # Count matches by popcount; decode only when outputs are kept.
         ((_, mask),) = member_masks  # a single plan is its only member
-        self.output_batch(
-            mask.bit_count(),
-            lambda: (tuple(sorted(words + (w,))) for w in from_bitset(mask)),
-        )
+        self.output_batch(words, mask)
 
     def termination_filter(self, embedding: Embedding) -> bool:
         return len(embedding.words) >= self._size

@@ -52,7 +52,10 @@ MAGIC = b"ARBKCKPT"
 #: 4: the pickled ``RunResult`` holds one per-superstep list, ``steps``,
 #: whose records carry the work units and wire counters (version 3 kept
 #: them in a second list on a ``bsp.metrics.RunMetrics``).
-FORMAT_VERSION = 4
+#: 5: the pickled ``RunResult`` holds its undecoded ``output_log`` of
+#: ``(words, mask, take)`` records (version 4 pickled the decoded
+#: ``outputs`` list, a name that is now a read-only property).
+FORMAT_VERSION = 5
 _CHECKSUM_NBYTES = 32
 
 #: Snapshot payloads produced by spill-mode runs store the rows themselves
@@ -153,7 +156,7 @@ def restore_store(stored: Any) -> EmbeddingStore:
 
 def build_payload(
     *,
-    graph: LabeledGraph,
+    graph_fingerprint: str,
     config: ArabesqueConfig,
     mode: str,
     step: int,
@@ -183,7 +186,7 @@ def build_payload(
         # snapshot; a resumed run arms its own.
         "config": dataclasses.replace(config, cancel=None),
         "wall_seconds": wall_seconds,
-        "graph_fingerprint": graph_fingerprint(graph),
+        "graph_fingerprint": graph_fingerprint,
     }
 
 

@@ -46,7 +46,7 @@ class ComputationContext:
     def output(self, value: Any) -> None:
         raise NotImplementedError
 
-    def output_batch(self, count: int, values) -> None:
+    def output_batch(self, words: tuple[int, ...], mask: int) -> None:
         raise NotImplementedError
 
     def map(self, key: Hashable, value: Any) -> None:
@@ -88,7 +88,8 @@ class Computation:
     #: ``termination_filter`` per child, when every child is known to
     #: terminate; it must be equivalent to calling ``process`` on every
     #: decoded child in ascending word order, and the children are never
-    #: built or stored.  ``found`` has one of two shapes, by how the
+    #: built or stored (``output_batch`` emits them from the mask).
+    #: ``found`` has one of two shapes, by how the
     #: computation runs:
     #:
     #: * plan-compatible (guided): every plan member still alive for
@@ -190,10 +191,11 @@ class Computation:
         """Emit a result to the run's output collection."""
         self._require_context().output(value)
 
-    def output_batch(self, count: int, values) -> None:
-        """Emit ``count`` results at once; ``values()`` yields them in
-        emission order and is only called when outputs are collected."""
-        self._require_context().output_batch(count, values)
+    def output_batch(self, words: tuple[int, ...], mask: int) -> None:
+        """Emit ``tuple(sorted(words + (w,)))`` for each set bit ``w`` of
+        ``mask``, ascending, as that many ``output`` calls would; the run
+        decodes them only when its ``outputs`` are first read."""
+        self._require_context().output_batch(words, mask)
 
     def map(self, key: Hashable, value: Any) -> None:
         """Send ``value`` to the reducer for ``key`` (pattern keys get

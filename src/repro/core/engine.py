@@ -58,7 +58,7 @@ from .computation import Computation
 from .config import ArabesqueConfig
 from .embedding import EDGE_EXPLORATION, VERTEX_EXPLORATION
 from .pattern import PatternCanonicalizer
-from .results import RunResult, StepStats, WorkerDelta
+from .results import RunResult, StepStats, WorkerDelta, extend_output_log
 from .storage import (
     ADAPTIVE_STORAGE,
     LIST_STORAGE,
@@ -172,16 +172,10 @@ class ArabesqueEngine:
         canonicalizer: PatternCanonicalizer,
     ) -> None:
         """Fold one worker's delta into run state (call in worker-id order)."""
-        config = self.config
         result.num_outputs += delta.num_outputs
-        if config.collect_outputs and delta.outputs:
-            limit = config.output_limit
-            if limit is None:
-                result.outputs.extend(delta.outputs)
-            else:
-                room = limit - len(result.outputs)
-                if room > 0:
-                    result.outputs.extend(delta.outputs[:room])
+        extend_output_log(
+            result.output_log, delta.output_log, self.config.output_limit
+        )
         stats.absorb(delta.counters)
         canonicalizer.absorb(
             delta.new_pattern_entries,
@@ -249,7 +243,9 @@ class ArabesqueEngine:
                 config.checkpoint_dir, fresh=resume_state is None
             )
         if checkpointer is not None:
-            from ..checkpoint.snapshot import build_payload
+            from ..checkpoint.snapshot import build_payload, graph_fingerprint
+
+            fingerprint = graph_fingerprint(self.graph)
 
         from ..runtime.base import make_backend
 
@@ -306,9 +302,7 @@ class ArabesqueEngine:
                     # step's extraction passes; reclaim the disk now.
                     prev_store.dispose()
                 stats.stored_embeddings = global_store.num_embeddings
-                stats.storage_bytes = global_store.wire_size()
-                stats.list_bytes = self._list_equivalent_bytes(global_store, step + 1)
-                stats.num_patterns = len(global_store.patterns())
+                stats.num_patterns = global_store.num_patterns
                 result.peak_storage_bytes = max(
                     result.peak_storage_bytes, stats.storage_bytes
                 )
@@ -327,7 +321,7 @@ class ArabesqueEngine:
                     checkpointer.write(
                         step,
                         build_payload(
-                            graph=self.graph,
+                            graph_fingerprint=fingerprint,
                             config=config,
                             mode=self._mode,
                             step=step,
@@ -417,7 +411,8 @@ class ArabesqueEngine:
         ships each embedding once to the worker that will expand it.
         Adaptive mode builds ODAGs but ships whichever format is smaller
         this step — the paper's sparse-graph fallback (section 6.3); the
-        in-process representation stays an ODAG either way.
+        in-process representation stays an ODAG either way.  Sets the
+        step's ``storage_bytes`` and ``list_bytes`` on the way.
         """
         config = self.config
         merged = make_store(
@@ -426,57 +421,45 @@ class ArabesqueEngine:
             spill_budget_nbytes=config.spill_budget_nbytes,
             spill_tag=f"s{stats.step}m",
         )
-        if config.storage in (LIST_STORAGE, SPILL_STORAGE):
-            # Spill has list mode's wire semantics (each embedding ships
-            # once to its expander), but the merged store — like the worker
-            # locals — spills past the byte budget instead of growing.
-            for store in local_stores:
-                merged.merge(store)
-                if isinstance(store, SpillListStore):
-                    store.dispose()
-            merged.sort()
-            stats.messages_sent += merged.num_embeddings
-            stats.bytes_sent += merged.wire_size()
-            stats.shipped_format = LIST_STORAGE
-            return merged
-
-        shuffle_messages = 0
-        shuffle_bytes = 0
+        # Spill has list mode's wire semantics (each embedding ships once
+        # to its expander), but the merged store — like the worker locals
+        # — spills past the byte budget instead of growing.
+        as_lists = config.storage in (LIST_STORAGE, SPILL_STORAGE)
+        shuffle_messages = shuffle_bytes = 0
         for store in local_stores:
             # One message per array entry: its word and level, plus 4 bytes
             # per outgoing edge — read off the bitsets by popcount.
-            for pattern in store.patterns():
+            for pattern in () if as_lists else store.patterns():
                 odag = store.odag_for(pattern)
                 entries = odag.num_entries()
                 shuffle_messages += entries
                 shuffle_bytes += 20 * entries + 4 * odag.num_edges()
             merged.merge(store)
-        odag_bytes = merged.wire_size()
-        list_bytes = self._list_equivalent_bytes(merged, embedding_size)
+            if isinstance(store, SpillListStore):
+                store.dispose()
+        if as_lists:
+            merged.sort()
+        stored_bytes = merged.wire_size()
+        list_bytes = merged.num_embeddings * (4 + 4 * embedding_size)
+        stats.storage_bytes, stats.list_bytes = stored_bytes, list_bytes
         # Adaptive: compare the *total* shipping cost of the two formats —
         # ODAGs pay the per-entry merge shuffle plus the broadcast; lists
         # ship each embedding once to its expander.
-        ship_as_list = (
+        if as_lists or (
             config.storage == ADAPTIVE_STORAGE
-            and list_bytes < shuffle_bytes + odag_bytes
-        )
-        if ship_as_list:
+            and list_bytes < shuffle_bytes + stored_bytes
+        ):
             stats.messages_sent += merged.num_embeddings
-            stats.bytes_sent += list_bytes
+            stats.bytes_sent += stored_bytes if as_lists else list_bytes
             stats.shipped_format = LIST_STORAGE
             return merged
         stats.messages_sent += shuffle_messages
         stats.bytes_sent += shuffle_bytes
         if not merged.is_empty():
             stats.broadcast_messages += 1
-            stats.broadcast_bytes += odag_bytes
+            stats.broadcast_bytes += stored_bytes
         stats.shipped_format = ODAG_STORAGE
         return merged
-
-    @staticmethod
-    def _list_equivalent_bytes(global_store, embedding_size: int) -> int:
-        """Bytes the stored set would occupy as plain word lists (Figure 9)."""
-        return global_store.num_embeddings * (4 + 4 * embedding_size)
 
 
 def run_computation(

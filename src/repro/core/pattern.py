@@ -109,9 +109,9 @@ class Pattern:
             object.__setattr__(self, "_hash", value)
             return value
 
-    def __getstate__(self) -> dict:
-        # Fields only: the memoized hash never reaches a pickle.
-        return {"vertex_labels": self.vertex_labels, "edges": self.edges}
+    def __reduce__(self):
+        # Constructor arguments only: the memoized hash never reaches a pickle.
+        return Pattern, (self.vertex_labels, self.edges)
 
     def __repr__(self) -> str:
         return f"Pattern(labels={self.vertex_labels}, edges={self.edges})"

@@ -12,8 +12,14 @@ once here; the TLV/TLP baselines' run container holds the same records.
 from __future__ import annotations
 
 import dataclasses
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Hashable
+
+from ..graph.bitset import from_bitset
+
+#: Serializes first reads of :attr:`RunResult.outputs` (the decode consumes the log).
+_DECODE_LOCK = threading.Lock()
 
 
 @dataclass
@@ -174,9 +180,10 @@ class WorkerDelta:
     #: Level-1-reduced aggregation partials, per channel.
     agg_partials: dict[Hashable, Any] = field(default_factory=dict)
     out_partials: dict[Hashable, Any] = field(default_factory=dict)
-    #: Values emitted via ``output`` (truncated to the per-run limit).
-    outputs: list = field(default_factory=list)
-    #: Exact number of ``output`` calls (never truncated).
+    #: Emitted values as an undecoded output log (see
+    #: :func:`decode_output_log`), already cut to the per-run limit.
+    output_log: list = field(default_factory=list)
+    #: Exact number of values emitted (never truncated).
     num_outputs: int = 0
     #: This worker's slice of the step record: the MERGEABLE_COUNTERS, its
     #: own ``work_units`` entry, and ``phase_seconds`` when profiling is on.
@@ -191,9 +198,10 @@ class WorkerDelta:
 class RunResult(RunTotals):
     """Everything a finished exploration returns."""
 
-    #: Values emitted via ``output`` (possibly truncated to output_limit).
-    outputs: list = field(default_factory=list)
-    #: Exact number of ``output`` calls (never truncated).
+    #: The workers' output logs in worker-id order, cut at output_limit;
+    #: decoded into :attr:`outputs` on first read, then dropped.
+    output_log: list | None = field(default_factory=list, repr=False)
+    #: Exact number of values emitted (never truncated).
     num_outputs: int = 0
     #: Final values of output aggregation (mapOutput/reduceOutput).
     output_aggregates: dict[Hashable, Any] = field(default_factory=dict)
@@ -217,6 +225,18 @@ class RunResult(RunTotals):
     isomorphism_runs: int = 0
     #: Peak resident-set style estimate: max over steps of store wire size.
     peak_storage_bytes: int = 0
+    _outputs: list | None = field(default=None, init=False, compare=False)
+
+    @property
+    def outputs(self) -> list:
+        """Values emitted via ``output``/``output_batch`` (possibly
+        truncated to output_limit), decoded from the log once."""
+        if self._outputs is None:
+            with _DECODE_LOCK:
+                if self._outputs is None:
+                    log, self.output_log = self.output_log, None
+                    self._outputs = decode_output_log(log)
+        return self._outputs
 
     # ------------------------------------------------------------------
     @property
@@ -289,6 +309,58 @@ class RunResult(RunTotals):
             _normalize(self.final_aggregates),
         )
         return repr(payload).encode("utf-8")
+
+
+def decode_output_log(log: list) -> list:
+    """The values an output log spells, in emission order; consumes it.
+
+    A list record is a run of ``output(value)`` calls, their values as
+    emitted; a ``(words, mask, take)`` record is one ``output_batch``
+    call cut to the first ``take`` set bits of ``mask``, ascending."""
+    outputs: list = []
+    log.reverse()
+    while log:
+        record = log.pop()
+        if type(record) is list:
+            outputs.extend(record)
+        else:
+            words, mask, take = record
+            outputs.extend(
+                [tuple(sorted(words + (w,))) for w in from_bitset(mask)[:take]]
+            )
+    return outputs
+
+
+def _log_size(record) -> int:
+    return len(record) if type(record) is list else record[2]
+
+
+def log_outputs(log: list, record, room: int | None) -> int | None:
+    """Append one record to an output log, cut to ``room`` values
+    (``None``: no limit); return the room left.  A list record joins a
+    list record just before it: one run of ``output`` values."""
+    single = type(record) is list
+    if room is not None:
+        if room <= 0:
+            return room
+        record = record[:room] if single else (*record[:2], min(record[2], room))
+        room -= _log_size(record)
+    if single and log and type(log[-1]) is list:
+        log[-1].extend(record)
+    else:
+        log.append(record)
+    return room
+
+
+def extend_output_log(log: list, records: list, limit: int | None) -> None:
+    """Append ``records`` to ``log``, cut where the log would spell more
+    than ``limit`` values (``None``: no limit)."""
+    if limit is None:
+        log.extend(records)
+        return
+    room = limit - sum(map(_log_size, log))
+    for record in records:
+        room = log_outputs(log, record, room)
 
 
 def _normalize(value: Any) -> Any:

@@ -84,6 +84,11 @@ class EmbeddingStore:
         """Stored patterns in deterministic (sorted) order."""
         raise NotImplementedError
 
+    @property
+    def num_patterns(self) -> int:
+        """Distinct stored patterns (``len(patterns())`` without the sort)."""
+        raise NotImplementedError
+
     def wire_size(self) -> int:
         """Bytes to ship this store under the wire model."""
         raise NotImplementedError
@@ -127,7 +132,7 @@ class OdagStore(EmbeddingStore):
         return sum(odag.num_added for odag in self._odags.values())
 
     @property
-    def num_odags(self) -> int:
+    def num_patterns(self) -> int:
         """Distinct patterns — "as the number of patterns grows, so does the
         number of ODAGs" (section 6.3)."""
         return len(self._odags)
@@ -216,14 +221,16 @@ class ListStore(EmbeddingStore):
     def patterns(self) -> list[Pattern]:
         return sorted(self._lists, key=_pattern_sort_key)
 
+    @property
+    def num_patterns(self) -> int:
+        return len(self._lists)
+
     def wire_size(self) -> int:
         """Header + 4 bytes per word of every stored embedding."""
-        total = 0
-        for pattern, words_list in self._lists.items():
-            total += pattern.wire_size() + 4
-            for words in words_list:
-                total += 4 + 4 * len(words)
-        return total
+        return sum(
+            pattern.wire_size() + 4 * (1 + len(rows) + sum(map(len, rows)))
+            for pattern, rows in self._lists.items()
+        )
 
     def merge(self, other: "ListStore") -> None:
         for pattern, words_list in other._lists.items():
@@ -376,6 +383,10 @@ class SpillListStore(EmbeddingStore):
 
     def patterns(self) -> list[Pattern]:
         return sorted(self._counts, key=_pattern_sort_key)
+
+    @property
+    def num_patterns(self) -> int:
+        return len(self._counts)
 
     def wire_size(self) -> int:
         """Same wire model as :meth:`ListStore.wire_size`, tracked

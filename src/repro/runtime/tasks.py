@@ -51,7 +51,6 @@ from __future__ import annotations
 import copy
 import time
 from functools import partial
-from itertools import islice
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Sequence
 
@@ -67,7 +66,7 @@ from ..core.computation import Computation, ComputationContext
 from ..core.config import ArabesqueConfig
 from ..core.embedding import make_embedding
 from ..core.pattern import Pattern, PatternCanonicalizer
-from ..core.results import StepStats, WorkerDelta
+from ..core.results import StepStats, WorkerDelta, log_outputs
 from ..core.storage import (
     EmbeddingStore,
     LIST_STORAGE,
@@ -143,24 +142,19 @@ class WorkerTaskContext(ComputationContext):
         self._local_agg = local_agg
         self._local_out = local_out
         self._canonicalizer = canonicalizer
+        config = context.config
+        #: Outputs this task may still log (``None``: no limit).
+        self._room = config.output_limit if config.collect_outputs else 0
 
     def output(self, value: Any) -> None:
         self._delta.num_outputs += 1
-        config = self._context.config
-        if config.collect_outputs:
-            limit = config.output_limit
-            if limit is None or len(self._delta.outputs) < limit:
-                self._delta.outputs.append(value)
+        self._room = log_outputs(self._delta.output_log, [value], self._room)
 
-    def output_batch(self, count: int, values) -> None:
+    def output_batch(self, words: tuple[int, ...], mask: int) -> None:
+        count = mask.bit_count()
         self._delta.num_outputs += count
-        config = self._context.config
-        if config.collect_outputs:
-            outputs = self._delta.outputs
-            limit = config.output_limit
-            room = count if limit is None else limit - len(outputs)
-            if room > 0:
-                outputs.extend(islice(values(), room))
+        record = (words, mask, count)
+        self._room = log_outputs(self._delta.output_log, record, self._room)
 
     def map(self, key: Hashable, value: Any) -> None:
         self._local_agg.map(key, value)

@@ -268,28 +268,58 @@ class TestCheckpointFailureModes:
         with pytest.raises(CheckpointError, match="format version 99"):
             read_snapshot(path)
 
-    @pytest.mark.parametrize("old_version", [1, 2, 3])
+    @pytest.mark.parametrize("old_version", [1, 2, 3, 4])
     def test_older_format_snapshot_is_refused(self, tmp_path, old_version):
         """Version 1 pickled ODAGs as Python sets under other slot names,
         version 2 pickled FSM domains as frozensets (``Domain._sets``),
         version 3 a ``RunResult`` with a second per-step list on a
-        ``bsp.metrics.RunMetrics``; an older file must stop at the version
-        check, never reach unpickling."""
+        ``bsp.metrics.RunMetrics``, version 4 a decoded ``outputs`` list
+        where ``RunResult`` now holds an ``output_log``; an older file
+        must stop at the version check, never reach unpickling."""
         import struct
 
         from repro.checkpoint import CheckpointError, read_snapshot
         from repro.checkpoint.snapshot import FORMAT_VERSION, MAGIC
 
-        assert FORMAT_VERSION == 4
+        assert FORMAT_VERSION == 5
         path = self._crashed_run_dir(tmp_path)
         self._resign(
             path, MAGIC + struct.pack(">I", old_version) + b"not even a pickle"
         )
         with pytest.raises(
             CheckpointError,
-            match=f"format version {old_version}; this build reads version 4",
+            match=f"format version {old_version}; this build reads version 5",
         ):
             read_snapshot(path)
+
+    def test_snapshot_outputs_resume_intact_or_not_at_all(self, tmp_path):
+        """A snapshot taken after outputs were emitted resumes with every
+        one of them; the same bytes stamped as version 4 (a decoded
+        ``outputs`` list, which this build's ``RunResult`` would silently
+        ignore) are refused at the version check instead."""
+        import shutil
+        import struct
+
+        from repro.apps import CliqueFinding
+        from repro.checkpoint import CheckpointError, resume_run, run_to_crash
+        from repro.checkpoint.snapshot import MAGIC, _CHECKSUM_NBYTES, list_snapshots
+
+        graph = complete_graph(6)
+        config = ArabesqueConfig(output_limit=40)
+        full = run_computation(graph, CliqueFinding(4), config)
+        assert full.num_outputs > 40 == len(full.outputs)
+        written, old = tmp_path / "v5", tmp_path / "v4"
+        run_to_crash(graph, CliqueFinding(4), config, str(written), 1)
+        shutil.copytree(written, old)
+        for _, path in list_snapshots(str(old)):
+            payload = open(path, "rb").read()[len(MAGIC) + 4 : -_CHECKSUM_NBYTES]
+            self._resign(path, MAGIC + struct.pack(">I", 4) + payload)
+        with pytest.raises(CheckpointError, match="format version 4; this build"):
+            resume_run(str(old), graph)
+        resumed = resume_run(str(written), graph)
+        assert resumed.outputs == full.outputs
+        assert resumed.num_outputs == full.num_outputs
+        assert resumed.canonical_signature() == full.canonical_signature()
 
     @pytest.mark.parametrize("old_version", [2, 3])
     def test_older_fsm_snapshot_fails_at_the_version_check_on_resume(

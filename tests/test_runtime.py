@@ -16,6 +16,7 @@ from repro.core import (
     VERTEX_EXPLORATION,
     run_computation,
 )
+from repro.core.results import decode_output_log
 from repro.graph import complete_graph, gnm_random_graph
 from repro.runtime import (
     ExecutionBackend,
@@ -92,7 +93,7 @@ class TestPureStepTasks:
         context = self._context(workers=2)
         first = run_step_task(context, 0)
         second = run_step_task(context, 0)
-        assert first.outputs == second.outputs
+        assert first.output_log == second.output_log
         assert first.num_outputs == second.num_outputs
         assert first.agg_partials == second.agg_partials
         assert first.counters.processed_embeddings == (
@@ -109,11 +110,10 @@ class TestPureStepTasks:
 
     def test_workers_partition_the_universe(self):
         context = self._context(workers=2)
-        left = run_step_task(context, 0)
-        right = run_step_task(context, 1)
-        seen = {words for s in left.outputs for words in [tuple(sorted(s))]}
-        seen |= {tuple(sorted(s)) for s in right.outputs}
-        assert len(seen) == len(left.outputs) + len(right.outputs) == 10
+        left = decode_output_log(run_step_task(context, 0).output_log)
+        right = decode_output_log(run_step_task(context, 1).output_log)
+        seen = {tuple(sorted(s)) for s in left + right}
+        assert len(seen) == len(left) + len(right) == 10
 
     def test_deltas_are_picklable(self):
         import pickle
@@ -121,7 +121,7 @@ class TestPureStepTasks:
         context = self._context(workers=2)
         delta = run_step_task(context, 0)
         clone = pickle.loads(pickle.dumps(delta))
-        assert clone.outputs == delta.outputs
+        assert clone.output_log == delta.output_log
         assert clone.local_store.num_embeddings == delta.local_store.num_embeddings
 
 

@@ -22,7 +22,7 @@ class TestOdagStore:
         store.add(P_EDGE, (2, 3))
         store.add(P_PATH, (0, 1, 2))
         assert store.num_embeddings == 3
-        assert store.num_odags == 2
+        assert store.num_patterns == 2
         assert not store.is_empty()
 
     def test_patterns_sorted_deterministically(self):
@@ -41,7 +41,7 @@ class TestOdagStore:
         b.add(P_PATH, (0, 1, 2))
         a.merge(b)
         assert a.num_embeddings == 3
-        assert a.num_odags == 2
+        assert a.num_patterns == 2
         # b unchanged
         assert b.num_embeddings == 2
 
@@ -136,8 +136,12 @@ class TestSpillStoreSurface:
             reference.add(pattern, words)
         reference.sort()
         assert spill.num_embeddings == reference.num_embeddings
-        assert spill.wire_size() == reference.wire_size()
+        assert spill.wire_size() == reference.wire_size() == (
+            P_PATH.wire_size() + 4 + (4 + 12)
+            + P_EDGE.wire_size() + 4 + 2 * (4 + 8)
+        )
         assert spill.patterns() == reference.patterns()
+        assert spill.num_patterns == reference.num_patterns == 2
         assert list(spill.extract_partition(0, 1)) == list(
             reference.extract_partition(0, 1)
         )

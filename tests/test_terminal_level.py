@@ -183,42 +183,145 @@ class TestFamilies:
 
 
 # ---------------------------------------------------------------------------
-# Output collection: order and an output_limit landing mid-batch
+# Output collection: decode-on-read, order, and output_limit cuts
 # ---------------------------------------------------------------------------
+class Interleaving(GuidedMatching):
+    """Brackets every batch with two plain ``output`` calls."""
+
+    def process_terminal(self, words, member_masks):
+        self.output(("before", words))
+        super().process_terminal(words, member_masks)
+        self.output(("after", len(words)))
+
+
+def expected_outputs(graph, plan, computation_cls):
+    """What a serial one-worker run emits, call by call, decoded here:
+    ``(batch sizes, values)``."""
+    sizes, values = [], []
+
+    class Expecting(computation_cls):
+        def output(self, value):
+            values.append(value)
+            super().output(value)
+
+        def output_batch(self, words, mask):
+            sizes.append(mask.bit_count())
+            values.extend(tuple(sorted(words + (w,))) for w in from_bitset(mask))
+            super().output_batch(words, mask)
+
+    full = run_computation(graph, Expecting(plan), config_for(plan))
+    assert full.outputs == values and full.num_outputs == len(values)
+    return sizes, values
+
+
 class TestOutputs:
-    def test_limit_sweeps_through_a_batch(self):
+    def test_limit_cuts_inside_at_and_before_a_batch(self):
+        """``output_limit`` inside a batch, on a batch boundary and at 0,
+        at 1-3 workers on every backend: the hooked run equals the
+        per-child loop, and at one worker it is the full emission's
+        prefix."""
         graph = strip_labels(small_labeled(seed=8, vertices=16, edges=40))
         plan = compile_plan(NAMED_SHAPES["wedge"].canonical())
-        batch_sizes = []
+        sizes, values = expected_outputs(graph, plan, GuidedMatching)
+        boundaries = [sum(sizes[: i + 1]) for i in range(len(sizes))]
+        inside = next(b - 1 for b, n in zip(boundaries, sizes) if n > 1)
+        limits = (0, 1, inside, boundaries[3], len(values) - 1, len(values) + 5)
+        assert inside not in boundaries and boundaries[3] in boundaries
+        for backend in ("serial", "thread", "process"):
+            for workers in (1, 2, 3):
+                for limit in limits:
+                    batched, per_child = match_pair(
+                        graph, "wedge", output_limit=limit,
+                        num_workers=workers, backend=backend,
+                    )
+                    assert_same_run(batched, per_child)
+                    assert len(batched.outputs) == min(limit, len(values))
+                    assert batched.num_outputs == len(values)
+                    if workers == 1:
+                        assert batched.outputs == values[:limit]
 
-        class Recording(GuidedMatching):
-            def process_terminal(self, words, member_masks):
-                batch_sizes.extend(mask.bit_count() for _, mask in member_masks)
-                super().process_terminal(words, member_masks)
+    def test_interleaved_output_and_output_batch_keep_emission_order(self):
+        graph = strip_labels(small_labeled(seed=8, vertices=16, edges=40))
+        plan = compile_plan(NAMED_SHAPES["wedge"].canonical())
+        sizes, values = expected_outputs(graph, plan, Interleaving)
+        assert len(values) == sum(sizes) + 2 * len(sizes)
+        for limit in (None, 1, 2, 3, len(values) // 2):
+            config = config_for(plan, output_limit=limit)
+            run = run_computation(graph, Interleaving(plan), config)
+            assert run.outputs == values[:limit]
+            assert run.num_outputs == len(values)
+        for workers in (2, 3):
+            runs = [
+                run_computation(graph, Interleaving(plan), config_for(
+                    plan, num_workers=workers, backend=backend, output_limit=limit
+                ))
+                for backend in ("serial", "thread", "process")
+                for limit in (None, len(values) // 2)
+            ]
+            full, cut = runs[0].outputs, runs[1].outputs
+            assert sorted(full, key=repr) == sorted(values, key=repr)
+            assert cut == full[: len(values) // 2]
+            assert [run.outputs for run in runs] == [full, cut] * 3
 
-        full = run_computation(graph, Recording(plan), config_for(plan))
-        assert full.total_batched == sum(batch_sizes) == full.num_outputs
-        boundaries = {sum(batch_sizes[:i]) for i in range(len(batch_sizes) + 1)}
-        limits = range(1, 13)
-        assert any(limit not in boundaries for limit in limits), "no mid-batch cut"
-        for workers in (1, 2):
-            for limit in limits:
-                batched, per_child = match_pair(
-                    graph, "wedge", output_limit=limit, num_workers=workers
-                )
-                assert_same_run(batched, per_child)
-                assert batched.outputs == full.outputs[:limit] or workers > 1
-                assert len(batched.outputs) == limit
-                assert batched.num_outputs == full.num_outputs
+    def test_count_only_reads_leave_the_log_undecoded(self, monkeypatch):
+        """``num_matches``/``num_outputs`` are exact from the log alone;
+        the first ``outputs`` read decodes once, the second reuses it."""
+        from repro.core import results
+        from repro.session import Miner
 
-    def test_not_collecting_never_decodes(self, monkeypatch):
+        decoded = []
+        real = results.decode_output_log
+        monkeypatch.setattr(
+            results, "decode_output_log", lambda log: decoded.append(log) or real(log)
+        )
         graph = strip_labels(small_labeled())
-        from repro.apps import matching
+        view = Miner(graph).match("square").unlabeled().run()
+        raw = view.raw
+        assert view.num_matches == view.num_outputs == raw.num_outputs > 0
+        assert raw.total_batched == raw.num_outputs
+        assert decoded == [] and raw.output_log
+        assert sum(take for _, _, take in raw.output_log) == raw.num_outputs
+        outputs = view.outputs
+        assert len(decoded) == 1 and raw.output_log is None
+        assert len(outputs) == raw.num_outputs
+        assert view.outputs is outputs and raw.outputs is outputs
+        assert view.vertex_sets() == sorted(outputs) and len(decoded) == 1
 
-        def boom(bits):
-            raise AssertionError("decoded a mask although outputs are off")
+    def test_concurrent_first_reads_decode_once(self, monkeypatch):
+        import threading
+        import time
 
-        monkeypatch.setattr(matching, "from_bitset", boom)
+        from repro.core import results
+
+        decoded = []
+        real = results.decode_output_log
+
+        def slow_decode(log):
+            decoded.append(log)
+            time.sleep(0.05)
+            return real(log)
+
+        monkeypatch.setattr(results, "decode_output_log", slow_decode)
+        graph = strip_labels(small_labeled())
+        plan = compile_plan(NAMED_SHAPES["wedge"].canonical())
+        run = run_computation(graph, GuidedMatching(plan), config_for(plan))
+        start, seen = threading.Barrier(4), []
+
+        def read():
+            start.wait()
+            seen.append(run.outputs)
+
+        readers = [threading.Thread(target=read) for _ in range(4)]
+        for reader in readers:
+            reader.start()
+        for reader in readers:
+            reader.join()
+        assert len(decoded) == 1 and len(seen) == 4
+        assert all(outputs is seen[0] for outputs in seen)
+        assert len(seen[0]) == run.num_outputs
+
+    def test_not_collecting_logs_nothing(self):
+        graph = strip_labels(small_labeled())
         batched, per_child = match_pair(graph, "wedge", collect_outputs=False)
         assert_same_run(batched, per_child)
         assert batched.outputs == [] and batched.num_outputs > 0
@@ -558,10 +661,8 @@ class RecordingContext(ComputationContext):
     def output(self, value):
         self.outputs.append(value)
 
-    def output_batch(self, count, values):
-        emitted = list(values())
-        assert len(emitted) == count
-        self.outputs.extend(emitted)
+    def output_batch(self, words, mask):
+        self.outputs.extend(tuple(sorted(words + (w,))) for w in from_bitset(mask))
 
     def totals(self):
         """Per-key sums, keys in first-emission order."""
