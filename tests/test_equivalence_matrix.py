@@ -369,6 +369,11 @@ REFERENCE = {row: min(cells, key=lambda c: (c.backend != "serial", c.checkpoint,
 RUNS_PER_ROW = max((1 + len(ROWS[row].twins)) * len(cells) for row, cells in CELLS.items())
 
 
+#: The byte budget of every ``spill`` cell: below the rows each spill cell
+#: stores, so spill cells write segments and merge them back.
+SPILL_BUDGET_NBYTES = 256
+
+
 @functools.lru_cache(maxsize=RUNS_PER_ROW)
 def run_cell(row, cell, strip):
     workload = ROWS[row]
@@ -382,8 +387,12 @@ def run_cell(row, cell, strip):
             backend="process" if cell.backend == "spawn" else cell.backend,
             num_workers=cell.workers, storage=cell.storage,
             two_level_aggregation=cell.two_level, checkpoint_dir=checkpoint_dir,
+            spill_budget_nbytes=SPILL_BUDGET_NBYTES,
         )
-        return workload.run(graph(workload.graph), config, backend, strip)
+        run = workload.run(graph(workload.graph), config, backend, strip)
+    if cell.storage == "spill":
+        assert max(step.storage_bytes for step in run.steps) > SPILL_BUDGET_NBYTES
+    return run
 
 
 # -- the record and the one equality -----------------------------------------
