@@ -41,7 +41,7 @@ from ..core.computation import Computation
 from ..core.config import ArabesqueConfig
 from ..core.pattern import PatternCanonicalizer
 from ..core.results import RunResult
-from ..core.storage import EmbeddingStore, ListStore, SpillListStore
+from ..core.storage import EmbeddingStore, ListStore
 from ..graph import LabeledGraph
 
 MAGIC = b"ARBKCKPT"
@@ -55,12 +55,11 @@ MAGIC = b"ARBKCKPT"
 #: 5: the pickled ``RunResult`` holds its undecoded ``output_log`` of
 #: ``(words, mask, take)`` records (version 4 pickled the decoded
 #: ``outputs`` list, a name that is now a read-only property).
-FORMAT_VERSION = 5
+#: 6: a pickled ``ListStore`` carries its byte budget and segment fields,
+#: and a spilled store is saved as a plain ``ListStore`` of its rows
+#: (version 5 saved it as a tagged ``("spill-rows", rows)`` pair).
+FORMAT_VERSION = 6
 _CHECKSUM_NBYTES = 32
-
-#: Snapshot payloads produced by spill-mode runs store the rows themselves
-#: (segment files do not outlive the run), tagged with this marker.
-_SPILL_ROWS = "spill-rows"
 
 
 class CheckpointError(RuntimeError):
@@ -127,31 +126,19 @@ def _strip_computation(computation: Computation) -> Computation:
     return stripped
 
 
-def _portable_store(store: EmbeddingStore) -> Any:
-    """The store as snapshot content.  ODAG/list stores pickle directly
-    (the process backend already proves them picklable); a spill store's
-    segment files die with the run, so its rows are materialized into the
-    payload in global sorted order (the one memory-heavy moment of spill
-    checkpointing — documented in docs/checkpoint.md)."""
-    if isinstance(store, SpillListStore):
-        return (_SPILL_ROWS, list(store._iter_all()))
+def _portable_store(store: EmbeddingStore) -> EmbeddingStore:
+    """The store as snapshot content.  Stores pickle directly (the process
+    backend already proves them picklable), but a spilled list store's
+    segment files die with the run, so it is saved as a plain sorted
+    :class:`ListStore` of its rows (the one memory-heavy moment of spill
+    checkpointing — documented in docs/checkpoint.md).  Extraction from
+    it is identical, and the resumed run's new stores spill as usual."""
+    if isinstance(store, ListStore) and store.num_segments:
+        plain = ListStore()
+        plain.merge(store)
+        plain.sort()
+        return plain
     return store
-
-
-def restore_store(stored: Any) -> EmbeddingStore:
-    """Rebuild the engine-facing store from snapshot content.
-
-    Spill rows come back as a sorted :class:`ListStore` — extraction
-    semantics (global sorted order, contiguous per-pattern rank ranges)
-    are identical, and the resumed run's *new* stores spill as usual.
-    """
-    if isinstance(stored, tuple) and len(stored) == 2 and stored[0] == _SPILL_ROWS:
-        rebuilt = ListStore()
-        for pattern, words in stored[1]:
-            rebuilt.add(pattern, words)
-        rebuilt.sort()
-        return rebuilt
-    return stored
 
 
 def build_payload(
@@ -211,7 +198,7 @@ def payload_resume_state(payload: dict[str, Any]) -> ResumeState:
         step=payload["step"],
         processed_total=payload["processed_total"],
         result=payload["result"],
-        store=restore_store(payload["store"]),
+        store=payload["store"],
         canonicalizer=payload["canonicalizer"],
         agg_published=payload["agg_published"],
         agg_latest=payload["agg_latest"],
@@ -395,6 +382,5 @@ __all__ = [
     "load_latest",
     "payload_resume_state",
     "read_snapshot",
-    "restore_store",
     "write_snapshot",
 ]

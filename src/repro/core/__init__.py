@@ -48,7 +48,6 @@ from .storage import (
     EmbeddingStore,
     ListStore,
     OdagStore,
-    SpillListStore,
 )
 
 __all__ = [
@@ -84,7 +83,6 @@ __all__ = [
     "SERIAL_BACKEND",
     "SPILL_STORAGE",
     "STORAGE_MODES",
-    "SpillListStore",
     "StepStats",
     "THREAD_BACKEND",
     "VERTEX_EXPLORATION",

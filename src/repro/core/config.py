@@ -100,8 +100,9 @@ class ArabesqueConfig:
     #: ``storage_bytes``.
     spill_budget_nbytes: int = DEFAULT_SPILL_BUDGET_NBYTES
     #: Parent directory for the run's spill root (``None`` = system temp).
-    #: The engine creates a private subdirectory per run and removes it
-    #: when the run finishes.
+    #: The engine names a private subdirectory per run, the first store
+    #: that spills makes it, and the engine removes it when the run
+    #: finishes.
     spill_dir: str | None = None
     #: Keep outputs in memory.  Large runs can set a cap (counts stay exact).
     collect_outputs: bool = True

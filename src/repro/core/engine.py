@@ -41,6 +41,7 @@ terminates when a step stores nothing (set F empty).
 
 from __future__ import annotations
 
+import os
 import shutil
 import tempfile
 import time
@@ -63,8 +64,7 @@ from .storage import (
     ADAPTIVE_STORAGE,
     LIST_STORAGE,
     ODAG_STORAGE,
-    SPILL_STORAGE,
-    SpillListStore,
+    ListStore,
     make_store,
 )
 from .wire import estimate_size
@@ -135,8 +135,8 @@ class ArabesqueEngine:
         #: Barrier-snapshot writer.  Injected (fault-injection harness,
         #: resume) or built lazily from ``config.checkpoint_dir``.
         self._checkpointer = checkpointer
-        #: Spill-mode only: the run's private segment directory, created
-        #: per run and removed when the run finishes.
+        #: The run's private segment directory, named per run, made by the
+        #: first store that spills and removed when the run finishes.
         self._spill_root: str | None = None
 
     # ------------------------------------------------------------------
@@ -251,10 +251,10 @@ class ArabesqueEngine:
 
         backend = self._backend or make_backend(config)
         owns_backend = self._backend is None
-        if config.storage == SPILL_STORAGE:
-            self._spill_root = tempfile.mkdtemp(
-                prefix="arabesque-spill-", dir=config.spill_dir
-            )
+        self._spill_root = os.path.join(
+            config.spill_dir or tempfile.gettempdir(),
+            f"arabesque-spill-{os.urandom(8).hex()}",
+        )
         try:
             for step in range(start_step, config.max_exploration_steps):
                 if cancel is not None and cancel.is_set():
@@ -297,9 +297,9 @@ class ArabesqueEngine:
                 global_store = self._merge_stores(
                     local_stores, stats, embedding_size=step + 1
                 )
-                if isinstance(prev_store, SpillListStore):
-                    # The previous step's segments were fully read by this
-                    # step's extraction passes; reclaim the disk now.
+                if prev_store is not None:
+                    # This step's extraction passes were the previous
+                    # store's last readers; reclaim its disk now.
                     prev_store.dispose()
                 stats.stored_embeddings = global_store.num_embeddings
                 stats.num_patterns = global_store.num_patterns
@@ -368,11 +368,10 @@ class ArabesqueEngine:
         finally:
             if owns_backend:
                 backend.close()
-            if self._spill_root is not None:
-                # Barrier snapshots carry the store's rows, so spilled
-                # segments never need to outlive the run.
-                shutil.rmtree(self._spill_root, ignore_errors=True)
-                self._spill_root = None
+            # Barrier snapshots carry the store's rows, so spilled
+            # segments never need to outlive the run.
+            shutil.rmtree(self._spill_root, ignore_errors=True)
+            self._spill_root = None
 
         result.wall_seconds = prior_wall + (time.perf_counter() - started)
         result.output_aggregates = out_channel.finalize()
@@ -421,10 +420,10 @@ class ArabesqueEngine:
             spill_budget_nbytes=config.spill_budget_nbytes,
             spill_tag=f"s{stats.step}m",
         )
-        # Spill has list mode's wire semantics (each embedding ships once
-        # to its expander), but the merged store — like the worker locals
-        # — spills past the byte budget instead of growing.
-        as_lists = config.storage in (LIST_STORAGE, SPILL_STORAGE)
+        # Spill storage is a list store: each embedding ships once to its
+        # expander, though the merged store — like the worker locals —
+        # spills past the byte budget instead of growing.
+        as_lists = isinstance(merged, ListStore)
         shuffle_messages = shuffle_bytes = 0
         for store in local_stores:
             # One message per array entry: its word and level, plus 4 bytes
@@ -435,8 +434,7 @@ class ArabesqueEngine:
                 shuffle_messages += entries
                 shuffle_bytes += 20 * entries + 4 * odag.num_edges()
             merged.merge(store)
-            if isinstance(store, SpillListStore):
-                store.dispose()
+            store.dispose()
         if as_lists:
             merged.sort()
         stored_bytes = merged.wire_size()

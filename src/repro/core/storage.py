@@ -1,23 +1,22 @@
 """Inter-step embedding storage: per-pattern ODAGs or plain lists.
 
 After each exploration step Arabesque must persist the surviving embeddings
-(set ``F`` of Algorithm 1) so the next step can expand them.  Three stores
-sit behind one interface (a fourth mode, ``adaptive``, picks one per step):
+(set ``F`` of Algorithm 1) so the next step can expand them.  Two stores
+sit behind one interface (``adaptive`` storage picks a wire format per
+step, ``spill`` is a list store under a byte budget):
 
 * :class:`OdagStore` — the paper's design: one
   :class:`~repro.core.odag.Odag` per canonical pattern, merged globally and
   broadcast (sections 5.2-5.3);
 * :class:`ListStore` — explicit word lists, the "No ODAGs" configuration of
   Figure 10 (also what the real system falls back to when ODAGs compress
-  poorly, e.g. the Instagram runs of Table 5);
-* :class:`SpillListStore` — list semantics with out-of-core backing: past a
-  configurable in-memory byte budget, embedding blocks are sorted and
-  spilled to disk segments, then streamed back in global order for
-  extraction — step state is no longer bounded by RAM (the ASYMP /
-  G-thinker direction named in the ROADMAP).
+  poorly, e.g. the Instagram runs of Table 5).  Given a byte budget it
+  spills sorted rows to disk segments and merges them back at extraction,
+  so step state is no longer bounded by RAM (the ASYMP / G-thinker
+  direction named in the ROADMAP); without one it never touches disk.
 
-All report wire sizes so the Figure 9 compression experiment can compare
-them on identical embedding sets, and all support deterministic rank-range
+Both report wire sizes so the Figure 9 compression experiment can compare
+them on identical embedding sets, and both support deterministic rank-range
 partitioning so worker counts do not change what is explored.
 """
 
@@ -28,7 +27,9 @@ import os
 import pickle
 import shutil
 import tempfile
-from typing import Callable, Iterator
+from itertools import groupby, islice
+from operator import itemgetter
+from typing import Iterator
 
 from .odag import Odag, PoolFilter
 from .pattern import Pattern
@@ -40,17 +41,18 @@ LIST_STORAGE = "list"
 #: exploration steps with very large and sparse graphs ... we can revert to
 #: using embedding lists").
 ADAPTIVE_STORAGE = "adaptive"
-#: List-format storage that spills sorted embedding segments to disk past
-#: an in-memory byte budget (see :class:`SpillListStore`).
+#: List storage under a byte budget: a :class:`ListStore` that spills
+#: sorted embedding segments to disk past ``spill_budget_nbytes``.
 SPILL_STORAGE = "spill"
 #: Every valid ``ArabesqueConfig.storage`` value — the single source of
 #: truth shared by config validation, the CLI's ``--storage`` choices, and
 #: the session facade's ``.storage()`` option.
 STORAGE_MODES = (ODAG_STORAGE, LIST_STORAGE, ADAPTIVE_STORAGE, SPILL_STORAGE)
 
-#: Default in-memory byte allowance of a :class:`SpillListStore` before it
-#: spills a segment (under the same wire model :meth:`ListStore.wire_size`
-#: reports, so budgets and Figure 9 numbers are directly comparable).
+#: Default in-memory byte allowance of a ``spill`` :class:`ListStore`
+#: before it spills a segment (under the wire model
+#: :meth:`ListStore.wire_size` reports, so budgets and Figure 9 numbers are
+#: directly comparable).
 DEFAULT_SPILL_BUDGET_NBYTES = 4 << 20
 
 #: Rows per pickle record inside a spilled segment file — segments are
@@ -64,8 +66,8 @@ def _pattern_sort_key(pattern: Pattern) -> tuple:
 
 
 class EmbeddingStore:
-    """Interface shared by the three stores: :class:`ListStore`,
-    :class:`SpillListStore` and :class:`OdagStore` (which also serves
+    """Interface shared by :class:`ListStore` (which also serves
+    ``"spill"`` storage) and :class:`OdagStore` (which also serves
     ``"adaptive"`` storage)."""
 
     def add(self, pattern: Pattern, words: tuple[int, ...]) -> None:
@@ -105,6 +107,10 @@ class EmbeddingStore:
         overapproximate (:data:`~repro.core.odag.PoolFilter`; ``None``
         accepts every path); exact stores never consult it."""
         raise NotImplementedError
+
+    def dispose(self) -> None:
+        """Release what the store keeps outside memory (a spilled list
+        store's segment files); it must not be read afterwards."""
 
 
 class OdagStore(EmbeddingStore):
@@ -203,38 +209,133 @@ class OdagStore(EmbeddingStore):
 
 
 class ListStore(EmbeddingStore):
-    """Explicit embedding lists — the Figure 10 "No ODAGs" ablation."""
+    """Explicit embedding lists — the Figure 10 "No ODAGs" ablation.
 
-    def __init__(self) -> None:
+    Without a budget every row stays in memory.  With ``budget_nbytes``
+    (``"spill"`` storage) the store also accounts the resident rows under
+    the list wire model; once they pass the budget it sorts them into
+    ``(pattern, words)`` order and appends them to a segment file under
+    ``directory`` (``None``: a private temp directory, made on the first
+    spill), named with ``tag`` so many stores can share one directory.
+    :meth:`sort` sorts the resident rows once; extraction then merges the
+    sorted segments with them, in the order and per-pattern rank ranges a
+    store that never spilled would use — which is what keeps spill runs
+    byte-identical to list runs.  The store pickles with its segment paths
+    (the process backend ships paths, not spilled bytes);
+    :meth:`dispose` deletes the segments once the rows live elsewhere.
+    """
+
+    def __init__(
+        self,
+        budget_nbytes: int | None = None,
+        directory: str | None = None,
+        tag: str = "seg",
+    ) -> None:
+        if budget_nbytes is not None and budget_nbytes < 1:
+            raise ValueError("spill budget_nbytes must be >= 1")
         self._lists: dict[Pattern, list[tuple[int, ...]]] = {}
+        self._budget_nbytes = budget_nbytes
+        self._directory = directory
+        self._owns_directory = False
+        self._tag = tag
+        #: List-wire bytes of the in-memory rows, accounted only under a
+        #: budget (which they never exceed after an :meth:`add`).
+        self._resident_nbytes = 0
+        self._segments: list[str] = []
+        #: Rows per pattern, and their list-wire bytes, held in segments.
+        self._spilled: dict[Pattern, int] = {}
+        self._spilled_nbytes = 0
+
+    @property
+    def num_segments(self) -> int:
+        return len(self._segments)
 
     def add(self, pattern: Pattern, words: tuple[int, ...]) -> None:
         self._lists.setdefault(pattern, []).append(words)
+        if self._budget_nbytes is not None:
+            self._resident_nbytes += 4 + 4 * len(words)
+            if self._resident_nbytes > self._budget_nbytes:
+                self._spill()
+
+    def _spill(self) -> None:
+        """Append the sorted resident rows to a new segment file."""
+        if self._directory is None:
+            self._directory = tempfile.mkdtemp(prefix="arabesque-spill-")
+            self._owns_directory = True
+        else:
+            os.makedirs(self._directory, mode=0o700, exist_ok=True)
+        self.sort()
+        rows = list(self._resident_rows())
+        path = os.path.join(
+            self._directory, f"{self._tag}-{len(self._segments):05d}.seg"
+        )
+        with open(path, "wb") as handle:
+            for start in range(0, len(rows), _SEGMENT_CHUNK_ROWS):
+                pickle.dump(
+                    rows[start : start + _SEGMENT_CHUNK_ROWS],
+                    handle,
+                    protocol=pickle.HIGHEST_PROTOCOL,
+                )
+        self._segments.append(path)
+        for pattern, words_list in self._lists.items():
+            spilled = self._spilled.get(pattern, 0)
+            self._spilled[pattern] = spilled + len(words_list)
+        self._spilled_nbytes += self._resident_nbytes
+        self._lists.clear()
+        self._resident_nbytes = 0
+
+    def _resident_rows(self) -> Iterator[tuple[Pattern, tuple[int, ...]]]:
+        """The in-memory rows, in global order once :meth:`sort` ran."""
+        for pattern in sorted(self._lists, key=_pattern_sort_key):
+            for words in self._lists[pattern]:
+                yield pattern, words
+
+    def _counts(self) -> dict[Pattern, int]:
+        """Stored rows per pattern, resident and spilled."""
+        counts = dict(self._spilled)
+        for pattern, words_list in self._lists.items():
+            counts[pattern] = counts.get(pattern, 0) + len(words_list)
+        return counts
 
     def is_empty(self) -> bool:
-        return not self._lists
+        return not self._lists and not self._spilled
 
     @property
     def num_embeddings(self) -> int:
-        return sum(len(words_list) for words_list in self._lists.values())
+        return sum(map(len, self._lists.values())) + sum(self._spilled.values())
 
     def patterns(self) -> list[Pattern]:
-        return sorted(self._lists, key=_pattern_sort_key)
+        return sorted(self._counts(), key=_pattern_sort_key)
 
     @property
     def num_patterns(self) -> int:
-        return len(self._lists)
+        return len(self._counts())
 
     def wire_size(self) -> int:
         """Header + 4 bytes per word of every stored embedding."""
-        return sum(
-            pattern.wire_size() + 4 * (1 + len(rows) + sum(map(len, rows)))
-            for pattern, rows in self._lists.items()
+        resident = sum(
+            4 * (len(rows) + sum(map(len, rows))) for rows in self._lists.values()
         )
+        headers = sum(pattern.wire_size() + 4 for pattern in self._counts())
+        return headers + resident + self._spilled_nbytes
 
     def merge(self, other: "ListStore") -> None:
+        """Add another list store's rows, spilling as this store's budget
+        demands: after each spilled row, and after each pattern's resident
+        rows (already in memory, in ``other``)."""
+        if not isinstance(other, ListStore):
+            raise TypeError(f"cannot merge {type(other).__name__} into ListStore")
+        for path in other._segments:
+            for pattern, words in _read_segment(path):
+                self.add(pattern, words)
         for pattern, words_list in other._lists.items():
             self._lists.setdefault(pattern, []).extend(words_list)
+            if self._budget_nbytes is not None:
+                self._resident_nbytes += 4 * (
+                    len(words_list) + sum(map(len, words_list))
+                )
+                if self._resident_nbytes > self._budget_nbytes:
+                    self._spill()
 
     def sort(self) -> None:
         """Make extraction order deterministic after merging."""
@@ -249,217 +350,28 @@ class ListStore(EmbeddingStore):
     ) -> Iterator[tuple[Pattern, tuple[int, ...]]]:
         """Contiguous per-pattern slices; stored embeddings are exact, so
         ``children`` is not consulted (nothing spurious to discard)."""
-        for pattern in self.patterns():
-            words_list = self._lists[pattern]
-            total = len(words_list)
+        counts = self._counts()
+        if self._segments:
+            rows = heapq.merge(
+                *map(_read_segment, self._segments),
+                self._resident_rows(),
+                key=_row_key,
+            )
+            groups = (
+                (pattern, map(itemgetter(1), group))
+                for pattern, group in groupby(rows, key=itemgetter(0))
+            )
+        else:
+            groups = (
+                (pattern, self._lists[pattern])
+                for pattern in sorted(counts, key=_pattern_sort_key)
+            )
+        for pattern, words_list in groups:
+            total = counts[pattern]
             start = total * worker_id // num_workers
             end = total * (worker_id + 1) // num_workers
-            for words in words_list[start:end]:
+            for words in islice(words_list, start, end):
                 yield pattern, words
-
-
-def _spill_row_key(row: tuple[Pattern, tuple[int, ...]]) -> tuple:
-    """Global sort key of one ``(pattern, words)`` row — patterns in
-    :func:`_pattern_sort_key` order, words ascending within a pattern,
-    exactly the order :meth:`ListStore.extract_partition` walks."""
-    return (_pattern_sort_key(row[0]), row[1])
-
-
-class SpillListStore(EmbeddingStore):
-    """List-format storage with spill-to-disk past an in-memory byte budget.
-
-    Semantically identical to :class:`ListStore` — exact embeddings, no
-    spurious paths, contiguous per-pattern rank-range partitioning — but
-    the resident set is bounded: once the in-memory tail exceeds
-    ``budget_nbytes`` (measured under the list wire model, so budgets are
-    comparable to :meth:`ListStore.wire_size`), the tail is sorted into
-    ``(pattern, words)`` row order and appended to a segment file.
-    Extraction streams a ``heapq.merge`` over the sorted segments plus the
-    sorted tail, reproducing the *global* sorted order a merged-and-sorted
-    ``ListStore`` would extract — which is what keeps spill runs
-    byte-identical to list runs across backends and worker counts.
-
-    ``directory`` is where segment files land; ``None`` creates (and owns)
-    a private temp directory on first spill.  ``tag`` prefixes this store's
-    segment filenames so many stores (per step × worker) can share one
-    spill root.  The store is picklable — the process backend ships only
-    segment *paths* and the in-memory tail back to the engine, not the
-    spilled bytes.  :meth:`dispose` deletes the segment files once the
-    store's rows have been merged elsewhere.
-    """
-
-    def __init__(
-        self,
-        directory: str | None = None,
-        budget_nbytes: int = DEFAULT_SPILL_BUDGET_NBYTES,
-        tag: str = "seg",
-    ) -> None:
-        if budget_nbytes < 1:
-            raise ValueError("spill budget_nbytes must be >= 1")
-        self._directory = directory
-        self._owns_directory = False
-        self._budget_nbytes = int(budget_nbytes)
-        self._tag = tag
-        self._mem: dict[Pattern, list[tuple[int, ...]]] = {}
-        self._mem_nbytes = 0
-        self._segments: list[str] = []
-        self._counts: dict[Pattern, int] = {}
-        self._wire_nbytes = 0
-        #: High-water mark of the accounted in-memory tail — what the
-        #: spill benchmark compares against ``ListStore.wire_size()``.
-        self.peak_memory_nbytes = 0
-        #: Segments written so far (observability + tests).
-        self.spill_count = 0
-
-    @property
-    def budget_nbytes(self) -> int:
-        return self._budget_nbytes
-
-    def memory_nbytes(self) -> int:
-        """Accounted bytes of the resident (unspilled) tail."""
-        return self._mem_nbytes
-
-    @property
-    def num_segments(self) -> int:
-        return len(self._segments)
-
-    def add(self, pattern: Pattern, words: tuple[int, ...]) -> None:
-        if pattern in self._counts:
-            self._counts[pattern] += 1
-        else:
-            self._counts[pattern] = 1
-            header = pattern.wire_size() + 4
-            self._wire_nbytes += header
-            self._mem_nbytes += header
-        row_nbytes = 4 + 4 * len(words)
-        self._wire_nbytes += row_nbytes
-        self._mem_nbytes += row_nbytes
-        self._mem.setdefault(pattern, []).append(words)
-        if self._mem_nbytes > self.peak_memory_nbytes:
-            self.peak_memory_nbytes = self._mem_nbytes
-        if self._mem_nbytes > self._budget_nbytes:
-            self._spill()
-
-    def _ensure_directory(self) -> str:
-        if self._directory is None:
-            self._directory = tempfile.mkdtemp(prefix="arabesque-spill-")
-            self._owns_directory = True
-        else:
-            os.makedirs(self._directory, exist_ok=True)
-        return self._directory
-
-    def _spill(self) -> None:
-        """Sort the in-memory tail into row order and append a segment."""
-        if not self._mem:
-            return
-        rows = [
-            (pattern, words)
-            for pattern, words_list in self._mem.items()
-            for words in words_list
-        ]
-        rows.sort(key=_spill_row_key)
-        path = os.path.join(
-            self._ensure_directory(),
-            f"{self._tag}-{len(self._segments):05d}.seg",
-        )
-        with open(path, "wb") as handle:
-            for start in range(0, len(rows), _SEGMENT_CHUNK_ROWS):
-                pickle.dump(
-                    rows[start : start + _SEGMENT_CHUNK_ROWS],
-                    handle,
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-        self._segments.append(path)
-        self.spill_count += 1
-        self._mem.clear()
-        self._mem_nbytes = 0
-
-    def is_empty(self) -> bool:
-        return not self._counts
-
-    @property
-    def num_embeddings(self) -> int:
-        return sum(self._counts.values())
-
-    def patterns(self) -> list[Pattern]:
-        return sorted(self._counts, key=_pattern_sort_key)
-
-    @property
-    def num_patterns(self) -> int:
-        return len(self._counts)
-
-    def wire_size(self) -> int:
-        """Same wire model as :meth:`ListStore.wire_size`, tracked
-        incrementally (content-only, so identical for identical rows no
-        matter how they were segmented)."""
-        return self._wire_nbytes
-
-    def merge(self, other: "SpillListStore | ListStore") -> None:
-        """Stream another list-format store's rows through :meth:`add`
-        (spilling as the budget demands)."""
-        if isinstance(other, SpillListStore):
-            rows: Iterator[tuple[Pattern, tuple[int, ...]]] = other._iter_all()
-        elif isinstance(other, ListStore):
-            rows = (
-                (pattern, words)
-                for pattern, words_list in other._lists.items()
-                for words in words_list
-            )
-        else:
-            raise TypeError(
-                f"cannot merge {type(other).__name__} into SpillListStore"
-            )
-        for pattern, words in rows:
-            self.add(pattern, words)
-
-    def sort(self) -> None:
-        """No-op for interface parity with :class:`ListStore`: extraction
-        always streams the globally sorted merge of segments + tail."""
-
-    @staticmethod
-    def _iter_segment(path: str) -> Iterator[tuple[Pattern, tuple[int, ...]]]:
-        with open(path, "rb") as handle:
-            while True:
-                try:
-                    chunk = pickle.load(handle)
-                except EOFError:
-                    return
-                yield from chunk
-
-    def _iter_all(self) -> Iterator[tuple[Pattern, tuple[int, ...]]]:
-        """Every stored row in global sorted order, streamed."""
-        iterators = [self._iter_segment(path) for path in self._segments]
-        mem_rows = [
-            (pattern, words)
-            for pattern, words_list in self._mem.items()
-            for words in words_list
-        ]
-        mem_rows.sort(key=_spill_row_key)
-        iterators.append(iter(mem_rows))
-        return heapq.merge(*iterators, key=_spill_row_key)
-
-    def extract_partition(
-        self,
-        worker_id: int,
-        num_workers: int,
-        children: PoolFilter | None = None,
-    ) -> Iterator[tuple[Pattern, tuple[int, ...]]]:
-        """Contiguous per-pattern rank-range slices of the sorted stream —
-        the exact slices :meth:`ListStore.extract_partition` yields for the
-        same content.  Stored rows are exact, so ``children`` is not
-        consulted (nothing spurious to discard)."""
-        current: Pattern | None = None
-        index = start = end = 0
-        for pattern, words in self._iter_all():
-            if pattern != current:
-                current = pattern
-                total = self._counts[pattern]
-                start = total * worker_id // num_workers
-                end = total * (worker_id + 1) // num_workers
-                index = 0
-            if start <= index < end:
-                yield pattern, words
-            index += 1
 
     def dispose(self) -> None:
         """Delete this store's segment files (idempotent).  Call once the
@@ -471,9 +383,25 @@ class SpillListStore(EmbeddingStore):
             except OSError:
                 pass
         self._segments.clear()
-        if self._owns_directory and self._directory is not None:
+        if self._owns_directory:
             shutil.rmtree(self._directory, ignore_errors=True)
             self._owns_directory = False
+
+
+def _row_key(row: tuple[Pattern, tuple[int, ...]]) -> tuple:
+    """Global order of ``(pattern, words)`` rows: patterns in
+    :func:`_pattern_sort_key` order, words ascending within a pattern."""
+    return (_pattern_sort_key(row[0]), row[1])
+
+
+def _read_segment(path: str) -> Iterator[tuple[Pattern, tuple[int, ...]]]:
+    with open(path, "rb") as handle:
+        while True:
+            try:
+                chunk = pickle.load(handle)
+            except EOFError:
+                return
+            yield from chunk
 
 
 def make_store(
@@ -491,9 +419,5 @@ def make_store(
     if storage_mode == LIST_STORAGE:
         return ListStore()
     if storage_mode == SPILL_STORAGE:
-        return SpillListStore(
-            directory=spill_dir,
-            budget_nbytes=spill_budget_nbytes,
-            tag=spill_tag,
-        )
+        return ListStore(spill_budget_nbytes, spill_dir, spill_tag)
     raise ValueError(f"unknown storage mode {storage_mode!r}")

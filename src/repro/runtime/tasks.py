@@ -67,12 +67,7 @@ from ..core.config import ArabesqueConfig
 from ..core.embedding import make_embedding
 from ..core.pattern import Pattern, PatternCanonicalizer
 from ..core.results import StepStats, WorkerDelta, log_outputs
-from ..core.storage import (
-    EmbeddingStore,
-    LIST_STORAGE,
-    SPILL_STORAGE,
-    make_store,
-)
+from ..core.storage import EmbeddingStore, ListStore, make_store
 from ..graph.bitset import filter_bitset, from_bitset
 from ..plan.stepper import make_stepper
 
@@ -116,9 +111,9 @@ class StepContext:
     #: on Linux, so the instant is comparable inside the process
     #: backend's forked workers too.
     deadline_at: float | None = None
-    #: Spill-mode only: the run's private spill root, where this step's
-    #: worker stores write their segments (not ``config.spill_dir``, the
-    #: parent directory the engine created it under).
+    #: The run's private spill root, where this step's worker stores write
+    #: their segments if they spill (not ``config.spill_dir``, the parent
+    #: directory the engine names it under).
     spill_dir: str | None = None
 
 
@@ -468,11 +463,11 @@ def _expansion_pass(
     if batch:
         hook = timed("P", hook)
     advance = timed("G", stepper.advance)
-    # List-format stores (plain or spilled) hold exact embeddings under
-    # their true canonical pattern; only ODAG paths can be spurious.
-    verify_pattern = context.config.storage not in (LIST_STORAGE, SPILL_STORAGE)
-    stats = delta.counters
     global_store = context.global_store
+    # List stores (spilled or not) hold exact embeddings under their true
+    # canonical pattern; only ODAG paths can be spurious.
+    verify_pattern = not isinstance(global_store, ListStore)
+    stats = delta.counters
     assert global_store is not None, "expansion context must carry set I"
     work = 0
     read = timed(

@@ -2,9 +2,9 @@
 
 Four concerns:
 
-* **spill store** — :class:`SpillListStore` stays under its byte budget
-  by writing sorted segment files, and its streamed extraction is
-  byte-identical to a merged-and-sorted :class:`ListStore`;
+* **spill storage** — a run whose list stores spill to segment files
+  under a tiny byte budget matches ``list`` storage and removes its
+  segment root;
 * **snapshot writer** — versioned checksummed files, atomic naming,
   retain-last-K, fresh-run clearing;
 * **crash-resume** — a run killed at *any* barrier (in-process raise or
@@ -25,7 +25,6 @@ fresh run at the SAME (storage, backend, workers) combination.
 
 import dataclasses
 import os
-import pickle
 import signal
 
 import pytest
@@ -48,12 +47,9 @@ from repro.core import (
     ArabesqueConfig,
     CancelFlag,
     LIST_STORAGE,
-    ListStore,
-    Pattern,
     RunCancelled,
     SPILL_STORAGE,
     STORAGE_MODES,
-    SpillListStore,
     run_computation,
 )
 from repro.graph import assign_labels, complete_graph, gnm_random_graph, strip_labels
@@ -70,93 +66,10 @@ def mining_graph():
     return assign_labels(gnm_random_graph(10, 22, seed=11), 2, seed=12)
 
 
-P_EDGE = Pattern((1, 2), ((0, 1, 0),))
-P_PATH = Pattern((1, 2, 1), ((0, 1, 0), (1, 2, 0)))
-
-
 # ---------------------------------------------------------------------------
-# SpillListStore
+# Spill storage in the engine (the store's own cases: tests/test_storage.py)
 # ---------------------------------------------------------------------------
-class TestSpillListStore:
-    def _fill(self, store, n=200, width=3):
-        for i in range(n):
-            store.add(P_PATH, (i, i + 1, i + 2))
-            if width > 2:
-                store.add(P_EDGE, (n - i, n - i + 1))
-
-    def test_spills_past_budget_and_tracks_peak(self, tmp_path):
-        store = SpillListStore(directory=str(tmp_path), budget_nbytes=512)
-        self._fill(store)
-        assert store.spill_count > 0
-        assert store.num_segments > 0
-        assert store.peak_memory_nbytes <= 512 + 4 + 4 * 3  # one-row slack
-        segments = [n for n in os.listdir(tmp_path) if n.endswith(".seg")]
-        assert len(segments) == store.num_segments
-
-    def test_extraction_matches_sorted_list_store(self, tmp_path):
-        spill = SpillListStore(directory=str(tmp_path), budget_nbytes=256)
-        reference = ListStore()
-        rows = [(P_PATH, (9 - i, i, i + 1)) for i in range(10)] + [
-            (P_EDGE, (i % 5, i)) for i in range(1, 11)
-        ]
-        for pattern, words in rows:
-            spill.add(pattern, words)
-            reference.add(pattern, words)
-        reference.sort()
-        for workers in (1, 2, 3, 7):
-            for worker in range(workers):
-                assert list(spill.extract_partition(worker, workers)) == list(
-                    reference.extract_partition(worker, workers)
-                )
-
-    def test_wire_size_and_counts_match_list_store(self, tmp_path):
-        spill = SpillListStore(directory=str(tmp_path), budget_nbytes=128)
-        reference = ListStore()
-        self._fill(spill, n=50)
-        self._fill(reference, n=50)
-        assert spill.wire_size() == reference.wire_size()
-        assert spill.num_embeddings == reference.num_embeddings
-        assert spill.patterns() == reference.patterns()
-
-    def test_merge_accepts_spill_and_list_sources(self, tmp_path):
-        merged = SpillListStore(directory=str(tmp_path), budget_nbytes=256, tag="m")
-        other_spill = SpillListStore(
-            directory=str(tmp_path), budget_nbytes=128, tag="a"
-        )
-        other_list = ListStore()
-        self._fill(other_spill, n=40)
-        other_list.add(P_EDGE, (900, 901))
-        merged.merge(other_spill)
-        merged.merge(other_list)
-        assert merged.num_embeddings == other_spill.num_embeddings + 1
-        with pytest.raises(TypeError):
-            merged.merge(object())
-
-    def test_dispose_removes_segments(self, tmp_path):
-        store = SpillListStore(directory=str(tmp_path), budget_nbytes=64)
-        self._fill(store, n=60)
-        assert any(name.endswith(".seg") for name in os.listdir(tmp_path))
-        store.dispose()
-        assert not any(name.endswith(".seg") for name in os.listdir(tmp_path))
-
-    def test_owned_directory_is_created_and_disposed(self):
-        store = SpillListStore(budget_nbytes=64)
-        self._fill(store, n=60)
-        directory = store._directory
-        assert directory is not None and os.path.isdir(directory)
-        store.dispose()
-        assert not os.path.exists(directory)
-
-    def test_survives_pickling_with_segments_on_disk(self, tmp_path):
-        """The process backend ships worker deltas by pickling; a spill
-        store's segment paths must stay valid across the round-trip."""
-        store = SpillListStore(directory=str(tmp_path), budget_nbytes=128)
-        self._fill(store, n=40)
-        clone = pickle.loads(pickle.dumps(store))
-        assert list(clone.extract_partition(0, 1)) == list(
-            store.extract_partition(0, 1)
-        )
-
+class TestSpillStorage:
     def test_engine_spill_results_match_list_storage(self):
         graph = mining_graph()
         reference = run_computation(
