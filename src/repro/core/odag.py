@@ -29,7 +29,9 @@ path counts, so the subtree of successor ``w`` of a word with successor set
 ``succ`` starts ``offsets[(succ & ((1 << w) - 1)).bit_count()]`` ranks after
 the word's own subtree — rank ranges stay exact without walking siblings.
 :meth:`Odag.extract` is that recursive split as one rank-windowed DFS over
-any number of ranges.
+any number of ranges: the part of a worker's blocks of a step's single
+rank space (:meth:`~repro.core.storage.OdagStore.extract_partition`) that
+meets this ODAG.
 """
 
 from __future__ import annotations

@@ -27,6 +27,7 @@ import os
 import pickle
 import shutil
 import tempfile
+from bisect import bisect_left, bisect_right
 from itertools import groupby, islice
 from operator import itemgetter
 from typing import Iterator
@@ -167,10 +168,11 @@ class OdagStore(EmbeddingStore):
             else:
                 mine.merge(odag)
 
-    #: Rank blocks each worker receives per pattern ODAG.  Interleaving
-    #: blocks round-robin (rather than one contiguous range per worker)
-    #: spreads hub-heavy rank regions across workers — the paper's "round
-    #: robin on large blocks of b embeddings" (section 5.3).
+    #: Rank blocks per worker in a step's single rank space (every
+    #: pattern ODAG laid end to end).  Interleaving blocks round-robin
+    #: (rather than one contiguous range per worker) spreads hub-heavy rank
+    #: regions across workers — the paper's "round robin on large blocks
+    #: of b embeddings" (section 5.3).
     blocks_per_worker: int = 32
 
     def extract_partition(
@@ -179,30 +181,41 @@ class OdagStore(EmbeddingStore):
         num_workers: int,
         children: PoolFilter | None = None,
     ) -> Iterator[tuple[Pattern, tuple[int, ...]]]:
-        """Block round-robin share of each pattern's ODAG (section 5.3).
+        """Block round-robin share of one rank space per step (section 5.3).
 
-        The overapproximated path space of every pattern ODAG is cut into
-        equal rank blocks (per-element path counts are the cost estimate)
-        and dealt round-robin.  The deal is rotated by the pattern's index
-        so that workloads with many small per-pattern ODAGs (e.g. labeled
-        cliques, where most patterns hold a handful of embeddings and form
-        a single block) spread across workers instead of all landing on
-        worker 0.  All workers see the same global structure, so the split
-        needs no coordination.
+        The pattern ODAGs lie end to end in :meth:`patterns` order (an
+        ODAG's offset is the sum of the overapproximated path counts
+        before it); that whole space is cut into equal rank blocks dealt
+        round-robin.  An ODAG no block of this worker meets is not read,
+        one a single block covers is read whole (no rank tests), so many
+        small ODAGs (labeled cliques) are split between workers instead of
+        each worker walking every pattern for a path or two.  All workers
+        see the same global structure, so the split needs no coordination.
         """
-        for pattern_index, pattern in enumerate(self.patterns()):
+        patterns = self.patterns()
+        grand_total = sum(self._odags[pattern].total_paths() for pattern in patterns)
+        # One worker gets one block, so it reads every ODAG whole.
+        per_worker = self.blocks_per_worker if num_workers > 1 else 1
+        num_blocks = min(grand_total, num_workers * per_worker)
+        blocks = [
+            (grand_total * block // num_blocks, grand_total * (block + 1) // num_blocks)
+            for block in range(worker_id, num_blocks, num_workers)
+        ]
+        starts = [start for start, _ in blocks]
+        ends = [end for _, end in blocks]
+        end = 0
+        for pattern in patterns:
             odag = self._odags[pattern]
-            total = odag.total_paths()
-            if total == 0:
+            offset, end = end, end + odag.total_paths()
+            first, last = bisect_right(ends, offset), bisect_left(starts, end)
+            if first >= last:
                 continue
-            if num_workers == 1:
-                ranges = None  # every block: the whole path space
+            if starts[first] <= offset and end <= ends[first]:
+                ranges = None  # one block covers the whole ODAG
             else:
-                num_blocks = min(total, num_workers * self.blocks_per_worker)
-                first = (worker_id + pattern_index) % num_workers
                 ranges = [
-                    (total * block // num_blocks, total * (block + 1) // num_blocks)
-                    for block in range(first, num_blocks, num_workers)
+                    (max(start, offset) - offset, min(stop, end) - offset)
+                    for start, stop in blocks[first:last]
                 ]
             for words in odag.extract(children, ranges):
                 yield pattern, words

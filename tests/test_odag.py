@@ -393,8 +393,9 @@ def test_bitset_odag_equals_reference_on_a_wide_odag():
 @given(seed=st.integers(0, 100_000), workers=st.integers(1, 4))
 @settings(max_examples=60, deadline=None)
 def test_store_partitions_concatenate_to_full_extraction(seed, workers):
-    """Every worker's share of every pattern ODAG, one walk each: disjoint,
-    and per pattern the union in rank order is the full extraction."""
+    """Every worker's share of the store's one rank space, one walk per
+    ODAG its blocks meet: disjoint, and per pattern the union in rank
+    order is the full extraction."""
     rng = random.Random(seed)
     store = OdagStore()
     size = rng.randint(1, 4)
