@@ -58,7 +58,10 @@ MAGIC = b"ARBKCKPT"
 #: 6: a pickled ``ListStore`` carries its byte budget and segment fields,
 #: and a spilled store is saved as a plain ``ListStore`` of its rows
 #: (version 5 saved it as a tagged ``("spill-rows", rows)`` pair).
-FORMAT_VERSION = 6
+#: 7: a guided run's store holds one plan level under ``PLAN_LEVEL``, read
+#: back by membership (version 6 held one ODAG per canonical pattern,
+#: whose paths that rule would read as duplicates).
+FORMAT_VERSION = 7
 _CHECKSUM_NBYTES = 32
 
 

@@ -124,12 +124,13 @@ class LocalAggregation:
     Accepts either the :class:`AggregationChannel` itself or just its reduce
     function — worker tasks run without any reference to global channel
     state (see :mod:`repro.runtime.tasks`), so they pass the bare reducer.
+    Without a ``canonicalizer`` (a guided run) every key is final.
     """
 
     def __init__(
         self,
         channel: AggregationChannel | ReduceFn,
-        canonicalizer: PatternCanonicalizer,
+        canonicalizer: PatternCanonicalizer | None,
     ) -> None:
         self._reduce_fn: ReduceFn = (
             channel.reduce_fn if isinstance(channel, AggregationChannel) else channel
@@ -141,8 +142,9 @@ class LocalAggregation:
         """Buffer ``value`` under ``key`` (quick patterns stay quick here
         when two-level aggregation is on; are canonicalized immediately —
         one isomorphism run per call — when it is off)."""
-        if isinstance(key, Pattern) and not self._canonicalizer.two_level:
-            canonical, mapping = self._canonicalizer.canonicalize(key)
+        canonicalizer = self._canonicalizer
+        if isinstance(key, Pattern) and canonicalizer and not canonicalizer.two_level:
+            canonical, mapping = canonicalizer.canonicalize(key)
             key = canonical
             value = remap_value(value, mapping)
         self._buffer.setdefault(key, []).append(value)
@@ -158,11 +160,12 @@ class LocalAggregation:
         two-level aggregation (Table 4's reduction factor).
         """
         reduce_fn = self._reduce_fn
+        canonicalizer = self._canonicalizer
         partials: dict[Hashable, Any] = {}
         for key, values in self._buffer.items():
             reduced = reduce_fn(key, values) if len(values) > 1 else values[0]
-            if isinstance(key, Pattern) and self._canonicalizer.two_level:
-                canonical, mapping = self._canonicalizer.canonicalize(key)
+            if isinstance(key, Pattern) and canonicalizer and canonicalizer.two_level:
+                canonical, mapping = canonicalizer.canonicalize(key)
                 final_key = canonical
                 reduced = remap_value(reduced, mapping)
             else:

@@ -80,6 +80,10 @@ class Computation:
     #: to pair a plan with computations that have not opted in — guided
     #: generation silently changes what an unaware computation explores
     #: (e.g. a motif census would quietly lose every non-query shape).
+    #: A guided run canonicalizes nothing: a ``Pattern`` key it is given
+    #: must be canonical already (the plan members' patterns are), and
+    #: ``termination_filter`` must read the embedding alone (it decides
+    #: which guided ODAG paths were stored, one step later).
     plan_compatible: bool = False
 
     #: Optional hook ``process_terminal(words, found)``: finish a whole

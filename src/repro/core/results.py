@@ -106,8 +106,8 @@ class StepStats(SuperstepRecord):
     expanded_embeddings: int = 0
     #: Embeddings discarded by the aggregation filter α at read time.
     aggregation_pruned: int = 0
-    #: Spurious ODAG paths that spelled a valid embedding of a *different*
-    #: pattern and were discarded by the extraction pattern check.
+    #: Spurious ODAG paths discarded at extraction: valid embeddings of a
+    #: *different* pattern, or (guided) valid plan prefixes never stored.
     spurious_discarded: int = 0
     #: Raw candidates generated by extension (before any check).
     candidates_generated: int = 0
@@ -128,7 +128,7 @@ class StepStats(SuperstepRecord):
     #: Wire size the same embeddings would need as plain lists (Figure 9's
     #: second series; equals storage_bytes under list storage).
     list_bytes: int = 0
-    #: Distinct patterns in the store (= number of ODAGs).
+    #: Distinct patterns in the store (= ODAGs); 1 on a guided stored step.
     num_patterns: int = 0
     #: Wire format this step's store was shipped in ("odag" or "list" —
     #: adaptive mode picks per step, section 6.3).
@@ -218,7 +218,8 @@ class RunResult(RunTotals):
     #: per-task (seeded from the previous step), so with num_workers > 1
     #: several workers of one step may each canonicalize the same new
     #: quick pattern — exactly as real distributed workers would.  With
-    #: num_workers=1 it equals the distinct-quick-pattern count.
+    #: num_workers=1 it equals the distinct-quick-pattern count.  All four
+    #: read 0 on a guided run, whose rows are keyed by plan level.
     pattern_requests: int = 0
     quick_patterns: int = 0
     canonical_patterns: int = 0

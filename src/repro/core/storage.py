@@ -18,6 +18,10 @@ step, ``spill`` is a list store under a byte budget):
 Both report wire sizes so the Figure 9 compression experiment can compare
 them on identical embedding sets, and both support deterministic rank-range
 partitioning so worker counts do not change what is explored.
+
+An exhaustive run keys each row by its canonical pattern; a guided run
+keys every row by :data:`PLAN_LEVEL` (the plan already said what it is),
+so a guided ODAG holds one plan level and is read back by membership.
 """
 
 from __future__ import annotations
@@ -49,6 +53,8 @@ SPILL_STORAGE = "spill"
 #: truth shared by config validation, the CLI's ``--storage`` choices, and
 #: the session facade's ``.storage()`` option.
 STORAGE_MODES = (ODAG_STORAGE, LIST_STORAGE, ADAPTIVE_STORAGE, SPILL_STORAGE)
+#: The one key of every guided row: a guided step's store is one plan level.
+PLAN_LEVEL = Pattern((), ())
 
 #: Default in-memory byte allowance of a ``spill`` :class:`ListStore`
 #: before it spills a segment (under the wire model

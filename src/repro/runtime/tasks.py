@@ -67,7 +67,7 @@ from ..core.config import ArabesqueConfig
 from ..core.embedding import make_embedding
 from ..core.pattern import Pattern, PatternCanonicalizer
 from ..core.results import StepStats, WorkerDelta, log_outputs
-from ..core.storage import EmbeddingStore, ListStore, make_store
+from ..core.storage import PLAN_LEVEL, EmbeddingStore, ListStore, make_store
 from ..graph.bitset import filter_bitset, from_bitset
 from ..plan.stepper import make_stepper
 
@@ -130,7 +130,7 @@ class WorkerTaskContext(ComputationContext):
         delta: WorkerDelta,
         local_agg: LocalAggregation,
         local_out: LocalAggregation,
-        canonicalizer: PatternCanonicalizer,
+        canonicalizer: PatternCanonicalizer | None,
     ) -> None:
         self._context = context
         self._delta = delta
@@ -158,7 +158,7 @@ class WorkerTaskContext(ComputationContext):
         self._local_out.map(key, value)
 
     def read_aggregate(self, key: Hashable) -> Any:
-        if isinstance(key, Pattern):
+        if isinstance(key, Pattern) and self._canonicalizer:
             key = self._canonicalizer.canonicalize(key)[0]
         return self._context.published_aggregates.get(key)
 
@@ -292,7 +292,9 @@ def run_step_task(context: StepContext, worker_id: int) -> WorkerDelta:
     """
     config = context.config
     computation = copy.copy(context.computation)
-    canonicalizer = PatternCanonicalizer(
+    # A guided run canonicalizes nothing: its rows are keyed by plan level
+    # and its aggregation keys are its plan members' canonical patterns.
+    canonicalizer = None if config.plan is not None else PatternCanonicalizer(
         config.two_level_aggregation, seed_cache=context.pattern_cache
     )
     local_agg = LocalAggregation(computation.reduce, canonicalizer)
@@ -363,9 +365,10 @@ def run_step_task(context: StepContext, worker_id: int) -> WorkerDelta:
         computation.bind_context(None)
     delta.agg_partials = local_agg.merged_partials()
     delta.out_partials = local_out.merged_partials()
-    delta.pattern_requests = canonicalizer.requests
-    delta.isomorphism_runs = canonicalizer.isomorphism_runs
-    delta.new_pattern_entries = canonicalizer.new_entries()
+    if canonicalizer is not None:
+        delta.pattern_requests = canonicalizer.requests
+        delta.isomorphism_runs = canonicalizer.isomorphism_runs
+        delta.new_pattern_entries = canonicalizer.new_entries()
     return delta
 
 
@@ -386,18 +389,19 @@ def run_step_chunk(
 def _settler(
     computation: Computation,
     keep,
-    canonicalizer: PatternCanonicalizer,
+    canonicalizer: PatternCanonicalizer | None,
     store: EmbeddingStore,
     stats: StepStats,
     timed,
 ):
     """The tail both passes share, for one accepted embedding: φ (``keep``),
     π, the termination filter, then the write to set F under its canonical
-    pattern.  Pattern canonicalization is charged to P (paper Figure 12:
-    P = pattern aggregation), only the store write to W."""
+    pattern — charged to P (paper Figure 12: P = pattern aggregation), only
+    the store write to W — or, guided (no ``canonicalizer``), under the
+    plan-level key: the plan already said what the row is."""
     process = timed("P", computation.process)
     terminates = computation.termination_filter
-    canonicalize = timed("P", canonicalizer.canonicalize)
+    canonicalize = canonicalizer and timed("P", canonicalizer.canonicalize)
     add = timed("W", store.add)
 
     def settle(embedding) -> None:
@@ -407,8 +411,8 @@ def _settler(
         process(embedding)
         if terminates(embedding):
             return
-        canonical_pattern, _ = canonicalize(embedding.pattern())
-        add(canonical_pattern, embedding.words)
+        key = canonicalize(embedding.pattern())[0] if canonicalize else PLAN_LEVEL
+        add(key, embedding.words)
 
     return settle
 
@@ -446,7 +450,7 @@ def _expansion_pass(
     context: StepContext,
     worker_id: int,
     computation: Computation,
-    canonicalizer: PatternCanonicalizer,
+    canonicalizer: PatternCanonicalizer | None,
     stepper,
     children,
     hook,
@@ -456,7 +460,11 @@ def _expansion_pass(
 ) -> None:
     """Steps >= 1: read a share of set I, apply α/β, expand, φ/π, write.
     ``children`` filters spurious ODAG paths during the read (charged to
-    R); ``hook`` is the terminal-level ``process_terminal`` or ``None``."""
+    R); ``hook`` is the terminal-level ``process_terminal`` or ``None``.
+    A guided ODAG is one plan level, read by membership: ``children``
+    proved the path a valid plan prefix, each generated once and stored
+    iff the termination filter is false for it (DAG members finish at
+    different depths) — no isomorphism test."""
     graph = context.graph
     mode = context.mode
     batch = hook is not None
@@ -464,9 +472,10 @@ def _expansion_pass(
         hook = timed("P", hook)
     advance = timed("G", stepper.advance)
     global_store = context.global_store
-    # List stores (spilled or not) hold exact embeddings under their true
-    # canonical pattern; only ODAG paths can be spurious.
-    verify_pattern = not isinstance(global_store, ListStore)
+    # List stores (spilled or not) hold exact embeddings; only ODAG paths
+    # can be spurious.
+    verify = not isinstance(global_store, ListStore)
+    terminates = computation.termination_filter
     stats = delta.counters
     assert global_store is not None, "expansion context must carry set I"
     work = 0
@@ -492,17 +501,15 @@ def _expansion_pass(
         store_pattern, words = item
         work += 1
         embedding = make_embedding(graph, mode, words)
-        if verify_pattern:
-            # A path through pattern B's ODAG can spell out a perfectly
-            # valid canonical embedding of pattern A (it passes the
-            # canonicality check and φ) — but the real copy lives in
-            # A's ODAG, so extracting it here would duplicate it.  The
-            # extracted embedding is genuine for THIS ODAG only if its
-            # canonical pattern matches the ODAG's key.
-            extracted_pattern, _ = canonicalizer.canonicalize(embedding.pattern())
-            if extracted_pattern != store_pattern:
-                stats.spurious_discarded += 1
-                continue
+        # An exhaustive path through pattern B's ODAG can spell out a valid
+        # canonical embedding of pattern A, whose real copy is in A's ODAG.
+        if verify and (
+            canonicalizer.canonicalize(embedding.pattern())[0] != store_pattern
+            if canonicalizer
+            else terminates(embedding)
+        ):
+            stats.spurious_discarded += 1
+            continue
         stats.expanded_embeddings += 1
         if not computation.aggregation_filter(embedding):
             stats.aggregation_pruned += 1

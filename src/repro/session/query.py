@@ -28,9 +28,10 @@ Plan-capable queries default to **guided** execution with
 batches each level's candidates into one DAG run through the same
 session DAG cache, accumulating MNI domains demuxed per leaf
 (:func:`repro.apps.fsm.run_guided_fsm`).  Guided queries also default to
-list embedding storage — the plan's symmetry restrictions already make
-every stored path unique, so ODAG's spurious-path re-validation is pure
-overhead there (the spine's ``core.store_extract_ns_per_row.list`` vs
+list embedding storage — guided rows are keyed by plan level and an ODAG
+of them is read back by membership, with no isomorphism test, but with a
+filter call per path prefix that a list never makes (the spine's
+``core.store_extract_ns_per_row.list`` vs
 ``.odag``: about 52 ns against 3.8-4.8 µs a row); an explicit
 ``.storage()`` or ``.config()`` always wins.
 """
@@ -260,8 +261,8 @@ class Query:
             and "storage" not in overrides
             and self._base_config is None
         ):
-            # Guided runs store only plan-accepted, symmetry-unique
-            # paths, so ODAG's spurious-path re-validation buys nothing
+            # Guided rows are keyed by plan level; an ODAG of them is read
+            # by membership, a filter call per prefix a list never makes
             # (benchmarks/spine: core.store_extract_ns_per_row.list vs
             # .odag, ~52 ns vs 3.8-4.8 µs a row).
             overrides["storage"] = LIST_STORAGE
