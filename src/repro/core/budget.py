@@ -116,13 +116,12 @@ class CancelFlag:
     :class:`RunCancelled`.
 
     Thread-backend workers share the flag object, so an in-step set() cuts
-    them off mid-pass.  The process backend pickles the :class:`StepContext`
-    into child processes, where a shared in-memory event cannot follow —
-    ``__reduce__`` therefore ships an *inert* fresh flag, degrading
-    cancellation to barrier granularity there (the engine's own check still
-    sees the live flag).  That trade keeps the flag dependency-free; a
-    ``multiprocessing.Event`` would cut in-step too but drags a semaphore
-    into every context pickle.
+    them off mid-pass.  So does the process backend's chunk 0, which runs in
+    the driver; its children hold a forked (or, under spawn, an inert
+    unpickled) copy that a set() cannot reach, but the driver kills them
+    once its own chunk raises.  That trade keeps the flag dependency-free:
+    a ``multiprocessing.Event`` would reach the children too but drags a
+    semaphore into every step context.
     """
 
     __slots__ = ("_event",)

@@ -78,7 +78,7 @@ OUTPUT_CHANNEL = "output"
 
 
 class ExplorationError(RuntimeError):
-    """Raised when exploration exceeds the configured step bound."""
+    """Raised when exploration exceeds its step bound or a process worker dies."""
 
 
 class ArabesqueEngine:

@@ -9,9 +9,9 @@ is backend-independent, which is what guarantees the determinism invariant:
 identical explored set, outputs, and aggregates for every backend at every
 worker count.
 
-Backends own whatever execution resources they need (thread pools, process
-pools) and release them in :meth:`ExecutionBackend.close`; the engine
-closes a backend it created itself when the run finishes.
+Backends own whatever execution resources they need (thread pools) and
+release them in :meth:`ExecutionBackend.close`; the engine closes a
+backend it created itself when the run finishes.
 """
 
 from __future__ import annotations

@@ -1,73 +1,64 @@
 """Process backend: real multi-core execution via multiprocessing.
 
-This is the backend that makes ``num_workers`` change wall-clock time, not
-just the metered simulation — the paper's Figure 8 scalability claim made
-physical.  Per step it runs the worker tasks across a pool of OS processes
-with **per-worker chunking**: the logical workers are split into one
-contiguous chunk per process, so a step costs one task message (and one
-delta batch) per process rather than per worker.
+This is the backend that makes ``num_workers`` change wall-clock time — the
+paper's Figure 8 scalability claim made physical.  Per step the logical
+workers are split into one contiguous chunk per process (**per-worker
+chunking**): one process and one delta batch per chunk, not per worker.
 
-Data movement mirrors the real system's communication pattern:
+* **The driver is worker 0**: it runs chunk 0 itself while one child per
+  other chunk computes the rest, instead of idling on a pool.
+* **Fork ships nothing**: a forked child inherits the step context (graph,
+  previous store, published aggregates) copy-on-write; spawn-only
+  platforms pickle it once per child.  A child sends its deltas back down
+  a one-way pipe and the engine merges them as it merges serial deltas.
+* **The heap is frozen** (``gc.freeze``) from before the children start
+  until the last delta arrives, so no child's collector scans — and so
+  copy-on-write-dirties — the inherited heap, and the driver's chunk and
+  delta decoding never re-walk it.  A caller's own frozen heap is left
+  alone.  The freeze is process-wide: engines stepping concurrently in
+  one process may unfreeze under each other, costing speed, never results.
+* **Child death is loud**: a child that exits without reporting (SIGKILL,
+  the OOM killer) raises :class:`ExplorationError` naming its worker ids
+  and exit code, and any failure kills and reaps the other children
+  first, so a step never hangs or leaves a process behind.
 
-* **broadcast of the global state** — on platforms with ``fork`` (Linux),
-  the step context (graph, previous step's store, published aggregates) is
-  inherited copy-on-write by forking the pool at each step barrier, which
-  ships the graph zero times; on spawn-only platforms it is pickled once
-  per pool process via the initializer;
-* **the shuffle** — each process pickles its workers' deltas (local
-  stores, aggregation partials, outputs) back to the engine, which merges
-  them exactly as it merges serial deltas.
-
-The pool is forked afresh each step, not kept for the run: on 2 Xeon
-vCPUs (``cliques(4)``, 2 workers) a fork costs 5-18 ms per step, while
-sending a long-lived pool the last step's 473 KB ODAG store would cost
-~20 ms to pickle plus 17-31 ms to unpickle in each child.
-
-Requirements: the computation and its aggregation values must be picklable
-(all bundled applications are).  Results are byte-identical to the serial
-backend for any worker count.
+Processes start afresh each step: on 2 Xeon vCPUs (``cliques(4)``, 2
+workers) a fork costs 5-18 ms, while shipping a long-lived process the
+last step's 473 KB ODAG store would cost ~20 ms to pickle plus 17-31 ms to
+unpickle in each child.  Computations and aggregation values must pickle.
+Results are byte-identical to the serial backend at any worker count.
 """
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import pickle
-import threading
 
 from ..core.config import PROCESS_BACKEND
+from ..core.engine import ExplorationError
 from ..core.results import WorkerDelta
 from .base import ExecutionBackend
 from .tasks import StepContext, run_step_chunk
 
-#: Step context a forked pool process inherits copy-on-write.  Guarded by
-#: _FORK_LOCK for the set -> fork window only: once the pool has forked,
-#: every child owns its COW snapshot and the parent slot can be cleared,
-#: so concurrent engines (e.g. a threaded parameter sweep, each with its
-#: own ProcessBackend) serialize only their forks, not their steps.
-_FORK_CONTEXT: StepContext | None = None
-_FORK_LOCK = threading.Lock()
-#: Step context a spawned pool process unpickles in its initializer.
-_SPAWN_CONTEXT: StepContext | None = None
 
-
-def _fork_chunk(worker_ids: list[int]) -> list[WorkerDelta]:
-    assert _FORK_CONTEXT is not None, "fork pool started without a step context"
-    return run_step_chunk(_FORK_CONTEXT, worker_ids)
-
-
-def _spawn_init(context_bytes: bytes) -> None:
-    global _SPAWN_CONTEXT
-    _SPAWN_CONTEXT = pickle.loads(context_bytes)
-
-
-def _spawn_chunk(worker_ids: list[int]) -> list[WorkerDelta]:
-    assert _SPAWN_CONTEXT is not None, "spawn pool started without a step context"
-    return run_step_chunk(_SPAWN_CONTEXT, worker_ids)
+def _report_chunk(context: StepContext, worker_ids: list[int], sender) -> None:
+    """Child body: send ``(True, deltas)`` or ``(False, exception)``."""
+    try:
+        sender.send((True, run_step_chunk(context, worker_ids)))
+        return
+    except Exception as exc:  # an interrupt or exit goes unreported: EOF
+        failure = exc
+    try:  # the driver must be able to unpickle the exception, too
+        sender.send((False, pickle.loads(pickle.dumps(failure))))
+    except Exception:
+        error = f"process worker(s) {worker_ids} failed: {failure!r}"
+        sender.send((False, ExplorationError(error)))
 
 
 def _chunk_worker_ids(num_workers: int, num_chunks: int) -> list[list[int]]:
-    """Contiguous near-equal chunks of worker ids, one per pool process."""
+    """Contiguous near-equal chunks of worker ids, one per process."""
     chunks = []
     for chunk in range(num_chunks):
         start = num_workers * chunk // num_chunks
@@ -90,38 +81,49 @@ class ProcessBackend(ExecutionBackend):
     @staticmethod
     def _pool_size(num_workers: int) -> int:
         """``min(num_workers, max(cpu_count, 2))``: capped at the CPU count,
-        but never below 2 processes, so a multi-worker run on a small
-        machine still overlaps compute with the engine-side merge."""
+        but never below 2 processes (the driver and one child), so every
+        multi-worker run crosses a process boundary, as on a big machine."""
         cpus = os.cpu_count() or 1
         return min(num_workers, max(cpus, 2))
 
     def run_step(self, context: StepContext) -> list[WorkerDelta]:
-        global _FORK_CONTEXT
         num_workers = context.config.num_workers
         processes = self._pool_size(num_workers)
         if num_workers == 1 or processes == 1:
             return self._run_serially(context)
-        chunks = _chunk_worker_ids(num_workers, processes)
-        if self._mp.get_start_method() == "fork":
-            # The pool forks inside the lock, snapshotting the context
-            # copy-on-write; children then read their own snapshot, so the
-            # parent slot is cleared before the (long) map runs.
-            with _FORK_LOCK:
-                _FORK_CONTEXT = context
+        own, *chunks = _chunk_worker_ids(num_workers, processes)
+        if freeze := gc.get_freeze_count() == 0:  # a caller's freeze stays
+            gc.freeze()
+        children = []
+        try:
+            for worker_ids in chunks:
+                receiver, sender = self._mp.Pipe(duplex=False)
+                child = self._mp.Process(target=_report_chunk, daemon=True,
+                                         args=(context, worker_ids, sender))
+                child.start()
+                sender.close()
+                children.append((worker_ids, child, receiver))
+            deltas = run_step_chunk(context, own)
+            for worker_ids, child, receiver in children:
                 try:
-                    pool = self._mp.Pool(processes=len(chunks))
-                finally:
-                    _FORK_CONTEXT = None
-            with pool:
-                per_chunk = pool.map(_fork_chunk, chunks)
-        else:
-            context_bytes = pickle.dumps(context)
-            with self._mp.Pool(
-                processes=len(chunks),
-                initializer=_spawn_init,
-                initargs=(context_bytes,),
-            ) as pool:
-                per_chunk = pool.map(_spawn_chunk, chunks)
-        deltas = [delta for chunk_deltas in per_chunk for delta in chunk_deltas]
-        deltas.sort(key=lambda delta: delta.worker_id)
+                    ok, payload = receiver.recv()
+                except EOFError:
+                    child.join()
+                    raise ExplorationError(
+                        f"process worker(s) {worker_ids} died without "
+                        f"reporting (exit code {child.exitcode})"
+                    ) from None
+                if not ok:
+                    raise payload
+                deltas.extend(payload)
+        except BaseException:
+            for _, child, _ in children:
+                child.kill()  # a no-op on a child that has exited
+            raise
+        finally:
+            for _, child, receiver in children:
+                child.join()
+                receiver.close()
+            if freeze:
+                gc.unfreeze()
         return deltas

@@ -90,9 +90,8 @@ class StepContext:
     mode: str
     #: The run's configuration, read-only: worker count, storage mode,
     #: plan (``None`` selects the exhaustive path), output collection,
-    #: phase profiling, spill budget and the cancellation flag — shared
-    #: with serial/thread workers; the process backend's pickled copies
-    #: are inert (barrier-granularity cancel there — see
+    #: phase profiling, spill budget and the cancellation flag (live in
+    #: serial/thread workers and the process backend's chunk 0; see
     #: :class:`~repro.core.budget.CancelFlag`).
     config: ArabesqueConfig
     #: Master quick-pattern -> (canonical, mapping) cache snapshot.
@@ -377,8 +376,8 @@ def run_step_chunk(
 ) -> list[WorkerDelta]:
     """Run several workers' tasks back to back (per-worker chunking).
 
-    The process backend hands each pool process one chunk so a step costs
-    one task message per process instead of one per logical worker.
+    The process backend hands each process one chunk so a step costs one
+    process and one delta batch per chunk instead of per logical worker.
     """
     return [run_step_task(context, worker_id) for worker_id in worker_ids]
 

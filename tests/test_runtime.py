@@ -5,14 +5,23 @@ The cross-backend × cross-app sweep is tests/test_equivalence_matrix.py
 (``CollectSets`` below is one of its rows); this covers the runtime itself.
 """
 
+import gc
+import os
+import signal
 from unittest import mock
 
 import pytest
 
+from repro.checkpoint import list_snapshots, resume_run
 from repro.core import (
     ArabesqueConfig,
     BACKENDS,
+    BudgetExceeded,
+    CancelFlag,
     Computation,
+    DEADLINE_BUDGET,
+    ExplorationError,
+    RunCancelled,
     VERTEX_EXPLORATION,
     run_computation,
 )
@@ -24,6 +33,7 @@ from repro.runtime import (
     SerialBackend,
     ThreadBackend,
     make_backend,
+    run_step_chunk,
     run_step_task,
 )
 
@@ -49,6 +59,110 @@ class CollectSets(Computation):
 
     def termination_filter(self, embedding):
         return embedding.num_vertices >= self.max_size
+
+
+class TwoArgError(RuntimeError):
+    """Pickles, but will not unpickle: ``args`` holds only the message."""
+
+    def __init__(self, message, code):
+        super().__init__(message)
+
+
+class ChildFault(CollectSets):
+    """Misbehaves from ``process``, but only in a process-backend child:
+    SIGKILLs itself (``"kill"``), raises :class:`BudgetExceeded`
+    (``"budget"``), or an exception that will not pickle (``"unpicklable"``)
+    or not unpickle (``"two-arg"``)."""
+
+    def __init__(self, fault):
+        super().__init__(3)
+        self.fault = fault
+
+    def init(self, graph, config):
+        super().init(graph, config)
+        self.driver_pid = os.getpid()
+
+    def process(self, embedding):
+        if os.getpid() != self.driver_pid:
+            if self.fault == "budget":
+                raise BudgetExceeded(DEADLINE_BUDGET)
+            if self.fault == "unpicklable":
+                raise RuntimeError("no pickle", lambda: None)
+            if self.fault == "two-arg":
+                raise TwoArgError("no unpickle", 2)
+            os.kill(os.getpid(), signal.SIGKILL)
+        super().process(embedding)
+
+
+class KillWhileArmed(ChildFault):
+    """SIGKILLs a child from step 1 on, while the ``armed`` file exists."""
+
+    def __init__(self, armed):
+        super().__init__("kill")
+        self.armed = armed
+
+    def process(self, embedding):
+        if embedding.num_vertices > 1 and os.path.exists(self.armed):
+            super().process(embedding)
+        else:
+            CollectSets.process(self, embedding)
+
+
+class DriverCancels(CollectSets):
+    """Sets the run's live cancel flag from the driver's own chunk."""
+
+    def __init__(self, cancel):
+        super().__init__(1)
+        self.cancel = cancel
+
+    def init(self, graph, config):
+        super().init(graph, config)
+        self.driver_pid = os.getpid()
+
+    def process(self, embedding):
+        if os.getpid() == self.driver_pid:
+            self.cancel.set()
+        super().process(embedding)
+
+
+@pytest.fixture
+def hang_alarm():
+    """Fail, not hang, if a process-backend run never returns."""
+
+    def timed_out(signum, frame):
+        raise TimeoutError("process-backend run hung")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _process_run(computation, children, graph=None, **config):
+    """Run ``computation`` on the process backend at 2 workers, appending
+    every child process the run starts to ``children``."""
+    backend = ProcessBackend()
+    make_child = backend._mp.Process
+
+    def spied(*args, **kwargs):
+        children.append(make_child(*args, **kwargs))
+        return children[-1]
+
+    backend._mp = mock.Mock(wraps=backend._mp, Process=spied)
+    config = ArabesqueConfig(num_workers=2, backend="process", **config)
+    graph = graph if graph is not None else gnm_random_graph(12, 30, seed=1)
+    return run_computation(graph, computation, config, backend=backend)
+
+
+def _assert_reaped(children):
+    """Every child has exited and been waited for: not even a zombie is
+    left.  (``waitpid(-1)`` would also see children other tests started,
+    such as the spawn start method's resource tracker.)"""
+    assert children
+    for child in children:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(child.pid, os.WNOHANG)
 
 
 class TestBackendSelection:
@@ -179,13 +293,110 @@ class TestBackendEquivalence:
 
 class TestProcessBackend:
     def test_single_worker_short_circuits(self):
-        """No pool; the record is the ``vertex-sets@g12-process-1w`` cell's."""
+        """No child process at 1 worker (the record is the
+        ``vertex-sets@g12-process-1w`` cell's); one per step at 2."""
         backend = ProcessBackend()
         backend._mp = mock.Mock(wraps=backend._mp)
-        config = ArabesqueConfig(num_workers=1, backend="process")
         graph = gnm_random_graph(10, 18, seed=2)
+        config = ArabesqueConfig(num_workers=1, backend="process")
         run_computation(graph, CollectSets(3), config, backend=backend)
-        backend._mp.Pool.assert_not_called()
+        backend._mp.Process.assert_not_called()
+        config = ArabesqueConfig(num_workers=2, backend="process")
+        result = run_computation(graph, CollectSets(3), config, backend=backend)
+        assert backend._mp.Process.call_count == len(result.steps)
+
+    def test_driver_runs_worker_zero(self, monkeypatch):
+        import repro.runtime.process as process
+
+        def tagged_chunk(context, worker_ids):
+            deltas = run_step_chunk(context, worker_ids)
+            for delta in deltas:
+                delta.pid = os.getpid()
+            return deltas
+
+        class Recording(ProcessBackend):
+            def run_step(self, context):
+                deltas = super().run_step(context)
+                pids.append([(d.worker_id, d.pid) for d in deltas])
+                return deltas
+
+        pids = []
+        monkeypatch.setattr(process, "run_step_chunk", tagged_chunk)
+        config = ArabesqueConfig(num_workers=2, backend="process")
+        run_computation(gnm_random_graph(12, 30, seed=1), CollectSets(3),
+                        config, backend=Recording())
+        assert pids
+        for (w0, driver), (w1, child) in pids:
+            assert (w0, w1) == (0, 1)
+            assert driver == os.getpid() != child
+
+    def test_killed_child_raises_instead_of_hanging(self, hang_alarm):
+        """A SIGKILLed child is a loud error, and no process outlives it."""
+        children = []
+        with pytest.raises(
+            ExplorationError, match=r"worker\(s\) \[1\] .*exit code -9"
+        ):
+            _process_run(ChildFault("kill"), children)
+        _assert_reaped(children)
+        assert gc.get_freeze_count() == 0
+
+    def test_killed_child_run_resumes_from_its_checkpoint(
+        self, tmp_path, hang_alarm
+    ):
+        armed, run_dir = tmp_path / "armed", str(tmp_path / "run")
+        armed.touch()
+        with pytest.raises(ExplorationError, match="exit code -9"):
+            _process_run(KillWhileArmed(str(armed)), [], checkpoint_dir=run_dir)
+        assert [step for step, _ in list_snapshots(run_dir)] == [0]
+        armed.unlink()
+        config = ArabesqueConfig(num_workers=2, backend="process")
+        resumed = resume_run(run_dir, gnm_random_graph(12, 30, seed=1),
+                             config=config)
+        fresh = _process_run(KillWhileArmed(str(armed)), [])
+        assert resumed.canonical_signature() == fresh.canonical_signature()
+
+    @pytest.mark.parametrize("fault,error", [
+        ("unpicklable", "RuntimeError\\('no pickle'"),
+        ("two-arg", "TwoArgError\\('no unpickle'"),
+    ], ids=["unpicklable", "two-arg"])
+    def test_unpicklable_child_error_arrives_as_its_repr(
+        self, fault, error, hang_alarm
+    ):
+        children = []
+        with pytest.raises(ExplorationError,
+                           match=r"worker\(s\) \[1\] failed: " + error):
+            _process_run(ChildFault(fault), children)
+        _assert_reaped(children)
+
+    @pytest.mark.parametrize("case", ["clean", "child-raises", "driver-raises"])
+    def test_heap_is_unfrozen_after_the_run(self, case, hang_alarm):
+        enabled = gc.isenabled()
+        assert gc.get_freeze_count() == 0
+        children = []
+        if case == "clean":
+            _process_run(CollectSets(3), children)
+        elif case == "child-raises":
+            with pytest.raises(BudgetExceeded):
+                _process_run(ChildFault("budget"), children)
+        else:
+            # Only the driver's chunk reads the live flag mid-step.
+            cancel = CancelFlag()
+            with pytest.raises(RunCancelled, match="mid-step"):
+                _process_run(DriverCancels(cancel), children,
+                             gnm_random_graph(1200, 1500, seed=3),
+                             cancel=cancel)
+        assert gc.get_freeze_count() == 0
+        assert gc.isenabled() == enabled
+        _assert_reaped(children)
+
+    def test_a_callers_frozen_heap_is_left_alone(self):
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            _process_run(CollectSets(3), [])
+            assert gc.get_freeze_count() == frozen
+        finally:
+            gc.unfreeze()
 
     def test_pool_size_is_capped_at_cpus_but_never_below_two(self, monkeypatch):
         from repro.runtime.process import _chunk_worker_ids, os
