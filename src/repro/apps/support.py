@@ -92,11 +92,6 @@ class Domain:
         return Domain(reordered)
 
     # ------------------------------------------------------------------
-    @property
-    def arity(self) -> int:
-        """Number of pattern positions."""
-        return len(self._masks)
-
     def position_images(self, position: int) -> frozenset[int]:
         """Distinct vertices mapped to ``position`` (pre orbit folding) —
         the one decode of a domain."""

@@ -2,7 +2,6 @@
 
 from .bron_kerbosch import (
     count_cliques_by_size,
-    count_maximal_cliques,
     degeneracy_order,
     enumerate_cliques,
     enumerate_maximal_cliques,
@@ -19,7 +18,7 @@ from .grami import (
     run_grami,
     single_edge_patterns,
 )
-from .tlp import TlpResult, run_tlp_fsm, tlp_agrees_with_grami
+from .tlp import TlpResult, run_tlp_fsm
 from .tlv import TlvResult, run_tlv_fsm
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "TlpResult",
     "TlvResult",
     "count_cliques_by_size",
-    "count_maximal_cliques",
     "count_motifs",
     "count_motifs_up_to",
     "degeneracy_order",
@@ -44,5 +42,4 @@ __all__ = [
     "run_tlp_fsm",
     "run_tlv_fsm",
     "single_edge_patterns",
-    "tlp_agrees_with_grami",
 ]

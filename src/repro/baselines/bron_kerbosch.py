@@ -124,7 +124,3 @@ def enumerate_maximal_cliques(graph: LabeledGraph) -> Iterator[frozenset[int]]:
                 earlier |= 1 << u
         yield from pivot_expand([v], later, earlier)
 
-
-def count_maximal_cliques(graph: LabeledGraph) -> int:
-    """Number of maximal cliques."""
-    return sum(1 for _ in enumerate_maximal_cliques(graph))

@@ -23,7 +23,6 @@ from ..bsp.metrics import RunMetrics
 from ..core.pattern import Pattern
 from ..graph import LabeledGraph
 from .grami import (
-    GramiResult,
     extend_pattern,
     graph_label_triples,
     mni_support_lazy,
@@ -83,7 +82,3 @@ def run_tlp_fsm(
         level += 1
     return result
 
-
-def tlp_agrees_with_grami(tlp: TlpResult, grami: GramiResult) -> bool:
-    """Distribution must not change the answer (used by tests)."""
-    return tlp.frequent == grami.frequent

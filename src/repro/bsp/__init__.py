@@ -9,14 +9,7 @@ time for the Figure 7/8/10 scripts.  :class:`BspEngine` is the in-process
 Giraph substitute the TLV baseline runs on.
 """
 
-from .aggregator import (
-    Aggregator,
-    dict_merge_aggregator,
-    list_aggregator,
-    max_aggregator,
-    min_aggregator,
-    sum_aggregator,
-)
+from .aggregator import Aggregator, dict_merge_aggregator
 from .cost_model import CostModel, speedup_curve
 from .engine import BspContext, BspEngine, BspError, Worker
 from .messages import Message
@@ -32,9 +25,5 @@ __all__ = [
     "RunMetrics",
     "Worker",
     "dict_merge_aggregator",
-    "list_aggregator",
-    "max_aggregator",
-    "min_aggregator",
     "speedup_curve",
-    "sum_aggregator",
 ]

@@ -45,29 +45,6 @@ class Aggregator(Generic[T]):
         return self._previous
 
 
-def sum_aggregator() -> Aggregator[int]:
-    """Counts/sums integers (used for halting votes and statistics)."""
-    return Aggregator(initial=lambda: 0, combine=lambda acc, v: acc + v)
-
-
-def max_aggregator() -> Aggregator[float]:
-    """Keeps the maximum contributed value."""
-    return Aggregator(initial=lambda: float("-inf"), combine=max)
-
-def min_aggregator() -> Aggregator[float]:
-    """Keeps the minimum contributed value."""
-    return Aggregator(initial=lambda: float("inf"), combine=min)
-
-
-def list_aggregator() -> Aggregator[list]:
-    """Concatenates contributed items (order: worker id, then send order)."""
-    def combine(acc: list, value: Any) -> list:
-        acc.append(value)
-        return acc
-
-    return Aggregator(initial=list, combine=combine)
-
-
 def dict_merge_aggregator(merge_value: Callable[[Any, Any], Any]) -> Aggregator[dict]:
     """Merges contributed ``(key, value)`` pairs into a dict.
 

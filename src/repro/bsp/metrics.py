@@ -27,7 +27,3 @@ class RunMetrics(RunTotals):
         record = SuperstepRecord(step=len(self.steps), num_workers=self.num_workers)
         self.steps.append(record)
         return record
-
-    @property
-    def num_supersteps(self) -> int:
-        return len(self.steps)

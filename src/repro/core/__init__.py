@@ -33,9 +33,9 @@ from .embedding import (
     make_embedding,
 )
 from .engine import ArabesqueEngine, ExplorationError, run_computation
-from .extension import edge_extensions, extensions, initial_candidates, vertex_extensions
+from .extension import extensions, initial_candidates
 from .odag import Odag
-from .partition import PartitionReport, block_round_robin_assignment, measure_partition
+from .partition import PartitionReport, measure_partition
 from .pattern import Pattern, PatternCanonicalizer, canonicalize_pattern, pattern_orbits
 from .results import RunResult, StepStats, WorkerDelta
 from .storage import (
@@ -88,11 +88,9 @@ __all__ = [
     "VERTEX_EXPLORATION",
     "VertexInducedEmbedding",
     "WorkerDelta",
-    "block_round_robin_assignment",
     "canonicalize_edge_set",
     "canonicalize_pattern",
     "canonicalize_vertex_set",
-    "edge_extensions",
     "extensions",
     "initial_candidates",
     "is_canonical_edge_extension",
@@ -104,5 +102,4 @@ __all__ = [
     "merge_partials",
     "pattern_orbits",
     "run_computation",
-    "vertex_extensions",
 ]

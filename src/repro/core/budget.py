@@ -119,7 +119,8 @@ class CancelFlag:
     them off mid-pass.  So does the process backend's chunk 0, which runs in
     the driver; its children hold a forked (or, under spawn, an inert
     unpickled) copy that a set() cannot reach, but the driver kills them
-    once its own chunk raises.  That trade keeps the flag dependency-free:
+    once its own chunk raises, or, if its chunk is done, once its wait on
+    the children sees the flag.  That trade keeps the flag dependency-free:
     a ``multiprocessing.Event`` would reach the children too but drags a
     semaphore into every step context.
     """

@@ -189,15 +189,6 @@ def canonical_extension_mask(row, parent_words: tuple[int, ...], pool: int) -> i
 # ----------------------------------------------------------------------
 # Mode dispatch used by the engine and storages
 # ----------------------------------------------------------------------
-def extension_checker(mode: str):
-    """The incremental canonicality check for an exploration mode."""
-    if mode == VERTEX_EXPLORATION:
-        return is_canonical_vertex_extension
-    if mode == EDGE_EXPLORATION:
-        return is_canonical_edge_extension
-    raise ValueError(f"unknown exploration mode {mode!r}")
-
-
 def full_checker(mode: str):
     """The from-scratch canonicality check for an exploration mode."""
     if mode == VERTEX_EXPLORATION:

@@ -186,24 +186,6 @@ class VertexInducedEmbedding(Embedding):
             uniform if uniform is not None else tuple(edge_labels),
         )
 
-    def _pattern_from_scratch(self) -> Pattern:
-        """The quick pattern built directly, without the interned table:
-        the reference :meth:`pattern` is tested against."""
-        graph = self.graph
-        words = self.words
-        vertex_labels = tuple(graph.vertex_label(v) for v in words)
-        pattern_edges: list[tuple[int, int, int]] = []
-        for j, v in enumerate(words):
-            neighbor_bits = graph.neighbor_bits(v)
-            for i in range(j):
-                u = words[i]
-                if (neighbor_bits >> u) & 1:
-                    pattern_edges.append(
-                        (i, j, graph.edge_label(graph.edge_between(u, v)))
-                    )
-        pattern_edges.sort()
-        return Pattern(vertex_labels, tuple(pattern_edges))
-
     def is_clique(self) -> bool:
         """Whether the newest vertex connects to all previous ones.
 

@@ -57,16 +57,6 @@ def extensions(graph: LabeledGraph, mode: str, words: tuple[int, ...]) -> list[i
     return list(from_bitset(extension_mask(word_row(graph, mode), words)))
 
 
-def vertex_extensions(graph: LabeledGraph, words: tuple[int, ...]) -> list[int]:
-    """Distinct neighboring vertices of the embedding, sorted ascending."""
-    return extensions(graph, VERTEX_EXPLORATION, words)
-
-
-def edge_extensions(graph: LabeledGraph, words: tuple[int, ...]) -> list[int]:
-    """Distinct incident edges not already in the embedding, sorted."""
-    return extensions(graph, EDGE_EXPLORATION, words)
-
-
 def initial_candidates(graph: LabeledGraph, mode: str) -> range:
     """Expansion of the "undefined" embedding: all vertices or all edges."""
     if mode == VERTEX_EXPLORATION:

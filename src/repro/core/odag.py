@@ -204,12 +204,6 @@ class Odag:
         """Number of overapproximated paths (>= stored embeddings)."""
         return self._ensure_index()[2][-1]
 
-    def path_count(self, level: int, word: int) -> int:
-        """Paths reaching the end from ``word`` at ``level`` (cost estimate)."""
-        if level == self.size - 1:
-            return self._last_level() >> word & 1
-        return self._ensure_index()[0][level].get(word, 0)
-
     # ------------------------------------------------------------------
     # Extraction
     # ------------------------------------------------------------------

@@ -69,14 +69,3 @@ def measure_partition(
         )
     return PartitionReport(num_workers=num_workers, shares=tuple(shares))
 
-
-def block_round_robin_assignment(total: int, num_workers: int, block: int) -> list[int]:
-    """The paper's block round-robin scheme: owner of each embedding index.
-
-    "Workers do round robin on large blocks of b embeddings" — provided for
-    the partitioning ablation, which compares block round-robin against the
-    cost-estimated rank-range split.
-    """
-    if block < 1:
-        raise ValueError("block size must be >= 1")
-    return [(index // block) % num_workers for index in range(total)]

@@ -89,14 +89,6 @@ class RunTotals:
         """All broadcast bytes across the run."""
         return sum(step.broadcast_bytes for step in self.steps)
 
-    def phase_totals(self) -> dict[str, float]:
-        """W/R/G/C/P phase breakdown (Figure 12), if profiling was on."""
-        totals: dict[str, float] = {}
-        for step in self.steps:
-            for phase, seconds in step.phase_seconds.items():
-                totals[phase] = totals.get(phase, 0.0) + seconds
-        return totals
-
 
 @dataclass
 class StepStats(SuperstepRecord):
@@ -254,12 +246,6 @@ class RunResult(RunTotals):
         """Embeddings processed (canonical + accepted by φ) across the run —
         the paper's "embeddings analyzed" figure (Table 5)."""
         return sum(step.processed_embeddings for step in self.steps)
-
-    @property
-    def total_domain_hits(self) -> int:
-        """Per-vertex domain images recorded across the run (guided FSM:
-        ``num matches × pattern arity``; zero for other workloads)."""
-        return sum(step.domain_hits for step in self.steps)
 
     @property
     def total_batched(self) -> int:

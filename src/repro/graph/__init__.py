@@ -1,6 +1,6 @@
 """Graph substrate: immutable labeled graphs, builders, generators, I/O."""
 
-from .bitset import bitset_count, from_bitset, iter_bitset, to_bitset
+from .bitset import from_bitset, iter_bitset, to_bitset
 from .builder import GraphBuilder
 from .generators import (
     assign_labels,
@@ -16,36 +16,26 @@ from .generators import (
     strip_labels,
 )
 from .graph import GraphError, LabeledGraph
-from .io import (
-    graph_from_string,
-    read_adjacency,
-    read_edge_list,
-    write_adjacency,
-    write_edge_list,
-)
+from .io import read_edge_list, write_edge_list
 
 __all__ = [
     "GraphBuilder",
     "GraphError",
     "LabeledGraph",
     "assign_labels",
-    "bitset_count",
     "complete_graph",
     "cycle_graph",
     "from_bitset",
     "gnm_random_graph",
     "graph_from_edges",
-    "graph_from_string",
     "grid_graph",
     "iter_bitset",
     "path_graph",
     "powerlaw_graph",
     "random_regularish_graph",
-    "read_adjacency",
     "read_edge_list",
     "star_graph",
     "strip_labels",
     "to_bitset",
-    "write_adjacency",
     "write_edge_list",
 ]

@@ -84,7 +84,3 @@ def iter_bitset(bits: int) -> Iterator[int]:
         yield low.bit_length() - 1
         bits ^= low
 
-
-def bitset_count(bits: int) -> int:
-    """Number of members (popcount)."""
-    return bits.bit_count()

@@ -247,17 +247,13 @@ class LabeledGraph:
         """Tuple of all vertex labels indexed by vertex id."""
         return tuple(self._vertex_labels)
 
-    def vertices_with_label(self, label: int) -> tuple[int, ...]:
-        """All vertices carrying ``label``, sorted ascending.
+    def label_bits(self, label: int) -> int:
+        """All vertices carrying ``label``, as a bitset (``0`` for absent).
 
         The label index every real mining system keeps: guided plans use
         it as the step-0 candidate pool instead of scanning all vertices.
         Built eagerly at construction (graphs are immutable).
         """
-        return self._label_index.get(label, ())
-
-    def label_bits(self, label: int) -> int:
-        """Bitset form of :meth:`vertices_with_label` (``0`` for absent)."""
         return self._label_bits.get(label, 0)
 
     def degree(self, v: int) -> int:
@@ -346,16 +342,6 @@ class LabeledGraph:
         """Incident edge ids of ``v`` as a big-int bitset over edge ids."""
         return self._inc_bits[v]
 
-    def edge_other_endpoint(self, eid: int, v: int) -> int:
-        """The endpoint of ``eid`` that is not ``v``."""
-        u = self._edge_u[eid]
-        w = self._edge_v[eid]
-        if v == u:
-            return w
-        if v == w:
-            return u
-        raise GraphError(f"vertex {v} is not an endpoint of edge {eid}")
-
     # ------------------------------------------------------------------
     # Label statistics (used by dataset reports and generators)
     # ------------------------------------------------------------------
@@ -382,44 +368,6 @@ class LabeledGraph:
             both |= once & bits
             once |= bits
         return list(from_bitset(both))
-
-    def is_connected_vertex_set(self, vertex_ids: Sequence[int]) -> bool:
-        """Whether ``vertex_ids`` induces a connected subgraph."""
-        if not vertex_ids:
-            return False
-        members = to_bitset(vertex_ids)
-        nbr_bits = self._nbr_bits
-        start = members & -members
-        seen = start
-        stack = [start.bit_length() - 1]
-        while stack:
-            v = stack.pop()
-            fresh = nbr_bits[v] & members & ~seen
-            if fresh:
-                seen |= fresh
-                stack.extend(from_bitset(fresh))
-        return seen == members
-
-    def connected_components(self) -> list[list[int]]:
-        """Connected components as sorted vertex-id lists."""
-        seen = [False] * self.num_vertices
-        components: list[list[int]] = []
-        for start in self.vertices():
-            if seen[start]:
-                continue
-            component = [start]
-            seen[start] = True
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for u in self._nbr_views[v]:
-                    if not seen[u]:
-                        seen[u] = True
-                        component.append(u)
-                        stack.append(u)
-            component.sort()
-            components.append(component)
-        return components
 
     # ------------------------------------------------------------------
     # Dunder protocol

@@ -1,19 +1,11 @@
-"""Graph text formats.
-
-Two formats are supported:
-
-* **Edge list** — one ``u v [edge_label]`` pair per line, optionally preceded
-  by ``v <vertex> <label>`` vertex-label lines.  Comment lines start with
-  ``#``.  This covers the crawled datasets the paper uses (Youtube, Patents).
-
-* **Arabesque adjacency** — the input format of the original system: one line
-  per vertex, ``<vertex id> <vertex label> [<neighbor id> ...]``.  Edge
-  labels are not representable; they default to 0.
+"""The edge-list text format: one ``u v [edge_label]`` pair per line,
+optionally preceded by ``v <vertex> <label>`` vertex-label lines.  Comment
+lines start with ``#``.  This covers the crawled datasets the paper uses
+(Youtube, Patents).
 """
 
 from __future__ import annotations
 
-import io
 from pathlib import Path
 from typing import TextIO
 
@@ -81,65 +73,3 @@ def write_edge_list(graph: LabeledGraph, target: str | Path | TextIO) -> None:
     finally:
         if owned:
             handle.close()
-
-
-def read_adjacency(source: str | Path | TextIO, name: str = "graph") -> LabeledGraph:
-    """Parse the original Arabesque adjacency format.
-
-    One line per vertex: ``<vertex id> <vertex label> [<neighbor id> ...]``.
-    Vertex ids must be dense ``0..n-1``; each edge may be listed on one or
-    both endpoint lines.
-    """
-    handle, owned = _open_for_read(source)
-    labels: dict[int, int] = {}
-    adjacency: dict[int, list[int]] = {}
-    try:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) < 2:
-                raise GraphError(f"line {lineno}: expected '<id> <label> [nbrs...]'")
-            vid, label = int(parts[0]), int(parts[1])
-            if vid in labels:
-                raise GraphError(f"line {lineno}: duplicate vertex {vid}")
-            labels[vid] = label
-            adjacency[vid] = [int(p) for p in parts[2:]]
-    finally:
-        if owned:
-            handle.close()
-
-    n = len(labels)
-    if set(labels) != set(range(n)):
-        raise GraphError("adjacency format requires dense vertex ids 0..n-1")
-
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for v in range(n):
-        for u in adjacency[v]:
-            if not 0 <= u < n:
-                raise GraphError(f"vertex {v} lists missing neighbor {u}")
-            key = (v, u) if v < u else (u, v)
-            if key not in seen:
-                seen.add(key)
-                edges.append(key)
-    return LabeledGraph([labels[v] for v in range(n)], edges, name=name)
-
-
-def write_adjacency(graph: LabeledGraph, target: str | Path | TextIO) -> None:
-    """Write ``graph`` in the original Arabesque adjacency format."""
-    handle, owned = _open_for_write(target)
-    try:
-        for v in graph.vertices():
-            neighbors = " ".join(str(u) for u in graph.neighbors(v))
-            suffix = f" {neighbors}" if neighbors else ""
-            handle.write(f"{v} {graph.vertex_label(v)}{suffix}\n")
-    finally:
-        if owned:
-            handle.close()
-
-
-def graph_from_string(text: str, name: str = "graph") -> LabeledGraph:
-    """Parse an edge-list graph from an inline string (tests, examples)."""
-    return read_edge_list(io.StringIO(text), name=name)

@@ -29,9 +29,7 @@ from .dag import (
     DagNode,
     DagStepper,
     PlanDAG,
-    accepting_patterns,
     build_plan_dag,
-    dag_survivors,
     mask_bundle,
     restrict_dag,
 )
@@ -45,8 +43,6 @@ from .fsm_guide import (
 )
 from .guided import (
     PlanStepper,
-    guided_candidates,
-    guided_extension_check,
     guided_survivors,
     match_mapping,
 )
@@ -56,7 +52,6 @@ from .stats import GraphCatalog, build_catalog
 from .stepper import ExhaustiveStepper, make_stepper
 from .symmetry import (
     pattern_automorphisms,
-    satisfies_restrictions,
     symmetry_breaking_restrictions,
 )
 
@@ -75,18 +70,14 @@ __all__ = [
     "PlanStep",
     "PlanStepper",
     "StepEstimate",
-    "accepting_patterns",
     "build_catalog",
     "build_plan_dag",
     "choose_order",
     "estimate_order",
     "compile_candidate_dag",
     "compile_plan",
-    "dag_survivors",
     "restrict_dag",
     "domain_sets_from_matches",
-    "guided_candidates",
-    "guided_extension_check",
     "guided_survivors",
     "label_triples",
     "make_stepper",
@@ -97,7 +88,6 @@ __all__ = [
     "pattern_automorphisms",
     "read_pattern_file",
     "resolve_query",
-    "satisfies_restrictions",
     "single_edge_candidates",
     "symmetry_breaking_restrictions",
 ]

@@ -20,12 +20,11 @@ one structure instead:
   by construction (they are exactly the solo plan's);
 * **set-of-active-nodes execution** — the runtime advances each embedding
   against the whole batch at once through a :class:`DagStepper`:
-  :func:`dag_survivors` tracks which member patterns still accept the
-  word sequence, candidate pools are generated once per distinct trie
+  it tracks which member patterns still accept the word sequence, candidate pools are generated once per distinct trie
   node of the surviving patterns and deduplicated
   (:func:`_pool_for_nodes`), a candidate is kept if *any* survivor
   accepts it (:meth:`DagStepper.accept`), and a full-size embedding is
-  emitted once per accepting leaf (:func:`accepting_patterns`).
+  emitted once per accepting leaf.
 
 Correctness is independent of how much sharing the order search finds:
 every member pattern owns a complete plan, and an embedding advances a
@@ -49,7 +48,6 @@ from ..graph import LabeledGraph
 from ..graph.bitset import from_bitset, to_bitset
 from .guided import (
     confirm_edge_labels,
-    guided_extension_check,
     prefers_row_iteration,
     residual_mask,
     residual_ok,
@@ -526,68 +524,6 @@ def restrict_dag(
 # ----------------------------------------------------------------------
 # Execution: advance the set of active nodes / surviving patterns
 # ----------------------------------------------------------------------
-def dag_survivors(
-    dag: PlanDAG, graph: LabeledGraph, words: tuple[int, ...]
-) -> list[int]:
-    """Member patterns (by index) whose plan accepts ``words`` as a prefix.
-
-    A pattern survives depth ``d`` iff its plan has a step there and that
-    step's full check (label, back-edges, induced non-edges, symmetry
-    restrictions, whitelist) accepts ``words[d]`` — i.e. exactly the
-    per-pattern guided acceptance, applied batch-wide.  Patterns whose
-    plan length equals ``len(words)`` and survived every step are full
-    matches (see :func:`accepting_patterns`).
-    """
-    survivors = list(range(len(dag.plans)))
-    for depth in range(len(words)):
-        if not survivors:
-            break
-        prefix = words[:depth]
-        word = words[depth]
-        survivors = [
-            p
-            for p in survivors
-            if dag.plans[p].num_steps > depth
-            and guided_extension_check(dag.plans[p], graph, prefix, word)
-        ]
-    return survivors
-
-
-def accepting_patterns(
-    dag: PlanDAG, graph: LabeledGraph, words: tuple[int, ...]
-) -> tuple[int, ...]:
-    """Member indices whose plan accepts ``words`` as a *full* match.
-
-    An embedding is emitted once per accepting leaf: each index here is
-    one leaf whose whole root-to-leaf constraint chain ``words``
-    satisfies.  Under monomorphic semantics several leaves can accept the
-    same words (extra graph edges belong to a denser sibling's edge set
-    too); under induced semantics back-non-edges make the leaf unique.
-    """
-    size = len(words)
-    return tuple(
-        p
-        for p in dag_survivors(dag, graph, words)
-        if dag.plans[p].num_steps == size
-    )
-
-
-def dag_extendable(
-    dag: PlanDAG, graph: LabeledGraph, words: tuple[int, ...]
-) -> bool:
-    """Whether any surviving member still has plan steps beyond ``words``.
-
-    The DAG computations' termination filter: embeddings that are a leaf
-    for every surviving pattern must not be stored for the next step (they
-    would only generate empty candidate pools).
-    """
-    size = len(words)
-    return any(
-        dag.plans[p].num_steps > size
-        for p in dag_survivors(dag, graph, words)
-    )
-
-
 def _pool_for_nodes(
     dag: PlanDAG,
     graph: LabeledGraph,
@@ -604,7 +540,7 @@ def _pool_for_nodes(
     intersection is amortized across every member routed through the
     node, which is exactly the sharing win a solo plan (one member per
     "node") does not get — the solo kernel keeps its single min-degree
-    anchor row (:func:`repro.plan.guided.guided_candidates`).  Merging
+    anchor row (:func:`repro.plan.guided.guided_survivors`).  Merging
     is one ``&`` chain + one ``|`` per node and one ascending decode; a
     single one-back-edge unrestricted node returns the anchor's CSR row
     directly.
@@ -814,7 +750,8 @@ class DagStepper:
                         yield p
 
     def survivors(self, words: tuple[int, ...]) -> list[int]:
-        """Memoized :func:`dag_survivors` — the flat view of the entry."""
+        """Members whose plan accepts ``words`` as a prefix, memoized — the
+        flat view of the entry."""
         live, finished = self._grouped(words)
         return sorted(finished + [p for members in live.values() for p in members])
 
@@ -1028,10 +965,12 @@ class DagStepper:
         return pool & union
 
     def accepting(self, words: tuple[int, ...]) -> list[int]:
-        """Memoized-walk :func:`accepting_patterns` (emission hook); the
-        list is the entry's own — read it, never mutate it."""
+        """Members whose plan accepts ``words`` as a full match, one per
+        accepting leaf (emission hook); the list is the entry's own — read
+        it, never mutate it."""
         return self._grouped(words)[1]
 
     def extendable(self, words: tuple[int, ...]) -> bool:
-        """Memoized-walk :func:`dag_extendable` (termination hook)."""
+        """Whether a surviving member has plan steps beyond ``words``
+        (termination hook)."""
         return bool(self._grouped(words)[0])

@@ -4,13 +4,12 @@ The exhaustive engine pairs :func:`repro.core.extension.extensions`
 ("every neighbor of every member") with the Algorithm 2 canonicality
 check.  The guided path replaces both:
 
-* :func:`guided_candidates` draws candidates from the adjacency list of a
-  single *anchor* — the lowest-degree already-matched back-neighbor of the
-  next plan step — so the candidate pool shrinks from the embedding's
-  whole frontier to one neighborhood;
-* :func:`guided_extension_check` validates a candidate against the next
-  plan step — the per-candidate constraint battery, defined once as two
-  halves: :func:`structural_ok` (label, injectivity, back-edges with edge
+* candidates come from the adjacency list of a single *anchor* — the
+  lowest-degree already-matched back-neighbor of the next plan step — so
+  the candidate pool shrinks from the embedding's whole frontier to one
+  neighborhood;
+* the plan check validates a candidate against the next plan step — the
+  per-candidate constraint battery, defined once as two halves: :func:`structural_ok` (label, injectivity, back-edges with edge
   labels — what a multi-query trie node shares) and :func:`residual_ok`
   (whitelist, back-non-edges under induced semantics, symmetry-breaking
   order restrictions — what stays per plan).  The restrictions make the
@@ -18,9 +17,10 @@ check.  The guided path replaces both:
   generated through exactly one word sequence, which is why the guided
   path needs no embedding canonicality check;
 * :func:`guided_survivors` fuses both into the form the runtime's step
-  tasks actually execute: the whole constraint battery collapses into
-  one chain of big-int ``&`` ops over the graph's bitsets, decoded to
-  sorted vertex order once per embedding;
+  tasks execute: the whole constraint battery collapses into one chain
+  of big-int ``&`` ops over the graph's bitsets, decoded to sorted
+  vertex order once per embedding (``tests/reference.py`` keeps the
+  per-candidate pool and check it is tested against);
 * :class:`PlanStepper` puts one plan behind the stepper shape the runtime
   drives (``zero_pool`` / ``accept`` / ``advance`` — see
   :mod:`repro.plan.stepper`).
@@ -40,8 +40,6 @@ misses a match.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 from ..graph import LabeledGraph
 from ..graph.bitset import from_bitset, to_bitset
@@ -73,34 +71,6 @@ def prefers_row_iteration(pool_estimate: int) -> bool:
     wall-clock only (regression-pinned by the kernel-equivalence tests).
     """
     return pool_estimate <= SMALL_POOL_DEGREE
-
-
-def guided_candidates(
-    plan: MatchingPlan, graph: LabeledGraph, words: tuple[int, ...]
-) -> Sequence[int]:
-    """Candidate pool for extending a partial match by one plan step.
-
-    Returns a sorted sequence of graph vertices — the anchor's CSR
-    adjacency row, or for a domain-restricted step (guided FSM) the
-    decoded single-``&`` intersection of the anchor's neighbor bitset
-    with the step whitelist.  Bitsets decode in ascending id order, so
-    guided exploration stays deterministic across runs, workers, and
-    backends exactly like the exhaustive generator.
-    """
-    position = len(words)
-    if position >= plan.num_steps:
-        return ()
-    step = plan.steps[position]
-    if not step.back_edges:
-        # Only the first step of a connected plan has no back-neighbor.
-        return from_bitset(root_pool_bits(step, graph))
-    anchor = min(
-        (words[earlier] for earlier, _ in step.back_edges),
-        key=lambda vertex: (graph.degree(vertex), vertex),
-    )
-    if step.allowed is None:
-        return graph.neighbors(anchor)
-    return from_bitset(graph.neighbor_bits(anchor) & step.allowed)
 
 
 def root_pool_bits(step, graph: LabeledGraph) -> int:
@@ -170,26 +140,6 @@ def residual_ok(
     return True
 
 
-def guided_extension_check(
-    plan: MatchingPlan,
-    graph: LabeledGraph,
-    parent_words: tuple[int, ...],
-    word: int,
-) -> bool:
-    """Whether ``parent_words + (word,)`` is a valid partial match.
-
-    Assumes ``parent_words`` already satisfies the plan's first
-    ``len(parent_words)`` steps (the engine only extends surviving
-    embeddings, and ODAG extraction applies this check prefix by prefix).
-    """
-    position = len(parent_words)
-    return (
-        position < len(plan.steps)
-        and structural_ok(plan.steps[position], graph, parent_words, word)
-        and residual_ok(plan, position, graph, parent_words, word)
-    )
-
-
 def residual_mask(step, induced: bool, bits: int, words, neighbor_bits) -> int:
     """The per-plan half of one step check as mask algebra: ``bits``
     narrowed by the step's whitelist, symmetry-breaking order
@@ -229,11 +179,11 @@ def guided_survivors(
 ) -> tuple[int, tuple[int, ...]]:
     """Candidate pool size + surviving extensions, fused into bitset algebra.
 
-    Equivalent to filtering :func:`guided_candidates` through
-    :func:`guided_extension_check` word by word, but the whole per-step
-    constraint battery — whitelist, vertex label, back-edge adjacency,
-    induced back-non-edges, injectivity, symmetry-breaking order
-    restrictions — collapses into one chain of big-int ``&`` ops over the
+    Equivalent to filtering the anchor's row through the plan check
+    (:func:`structural_ok` and :func:`residual_ok`) word by word, but the
+    whole per-step constraint battery — whitelist, vertex label,
+    back-edge adjacency, induced back-non-edges, injectivity,
+    symmetry-breaking order restrictions — collapses into one chain of big-int ``&`` ops over the
     graph's precomputed bitsets, decoded to sorted vertex order once at
     the end.  Only per-edge *label* confirmation still walks individual
     candidates, and only on graphs with mixed edge labels
@@ -248,8 +198,8 @@ def guided_survivors(
     ``strategy`` pins a path explicitly (``"rows"`` / ``"masks"``) for
     tests and benchmarks; ``None`` selects adaptively.
 
-    Returns ``(num_candidates, survivors)``: the size of the pool
-    :func:`guided_candidates` would have produced (the engine's
+    Returns ``(num_candidates, survivors)``: the size of the candidate
+    pool (the anchor's row, whitelisted; the engine's
     machine-independent exploration metric) and the words whose extension
     passes the plan check, ascending — so emission order, and with it
     result byte-identity across backends, is untouched.
@@ -326,7 +276,7 @@ def _row_survivors(
     """The hybrid's sparse path: iterate the anchor row, probe per word.
 
     Semantically identical to the mask chain — the per-step constraint
-    battery of :func:`guided_extension_check` with its loop invariants
+    battery of the plan check with its loop invariants
     hoisted (matched back-neighbors resolved, order restrictions turned
     into two id bounds) — but the cost scales with the anchor's *degree*
     instead of the vertex-universe width.  The pool (and with it
@@ -438,8 +388,8 @@ class PlanStepper:
         return from_bitset(root_pool_bits(self.plan.steps[0], self.graph))
 
     def accept(self, words: tuple[int, ...], pool: int) -> int:
-        """The members of ``pool`` that :func:`guided_extension_check`
-        accepts after ``words``: every such word lies in the kernel's
+        """The members of ``pool`` that the plan check accepts after
+        ``words``: every such word lies in the kernel's
         candidate pool, so this is ``pool`` & the kernel's survivors."""
         _, bits, rows = _survivor_kernel(self.plan, self.graph, words, None)
         return pool & (bits if rows is None else to_bitset(rows))

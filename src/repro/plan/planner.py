@@ -65,7 +65,7 @@ class PlanStep:
     #: (:func:`restrict_plan`), GraMi-style: every full match maps
     #: inherited pattern vertices into the parent's domains, so pruning
     #: against them loses nothing.  The bitset form makes the hot pool
-    #: intersection in :func:`repro.plan.guided.guided_candidates` a
+    #: intersection in :func:`repro.plan.guided.guided_survivors` a
     #: single ``&``.
     allowed: int | None = None
 

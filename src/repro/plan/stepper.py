@@ -27,12 +27,11 @@ A *stepper* is that difference, behind three methods:
     their union), or the one bitmask of the children φ kept on an
     exhaustive run whose computation names that size as its last.
 
-What each stepper accepts is defined by a per-candidate function outside
-it — Algorithm 2 (:func:`~repro.core.canonical.extension_checker`), the
-plan check (:func:`~repro.plan.guided.guided_extension_check`) and, for a
-DAG, "some member of :func:`~repro.plan.dag.dag_survivors` accepts" —
-which ``tests/test_kernel_equivalence.py`` replays the kernels against;
-no stepper calls them per candidate.
+What each stepper accepts is defined by a per-candidate rule outside it —
+Algorithm 2 (``is_canonical_*_extension``), the plan check and, for a
+DAG, "some surviving member's plan check accepts".  ``tests/reference.py``
+writes each rule one candidate at a time, and
+``tests/test_kernel_equivalence.py`` replays the kernels against them.
 
 Three steppers have the shape — :class:`ExhaustiveStepper` (extension
 mask, then Algorithm 2 over the whole pool),

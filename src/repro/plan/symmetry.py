@@ -72,14 +72,3 @@ def symmetry_breaking_restrictions(
                 restrictions.append((moved, other))
         current = [sigma for sigma in current if sigma[moved] == moved]
     return tuple(restrictions), num_automorphisms
-
-
-def satisfies_restrictions(
-    mapping: tuple[int, ...], restrictions: tuple[tuple[int, int], ...]
-) -> bool:
-    """Whether a full ``pattern vertex -> graph vertex`` mapping passes.
-
-    Used by the oracle-side of the cross-validation tests; the guided
-    engine itself checks restrictions incrementally per plan step.
-    """
-    return all(mapping[u] < mapping[v] for u, v in restrictions)

@@ -21,6 +21,9 @@ chunking**): one process and one delta batch per chunk, not per worker.
   the OOM killer) raises :class:`ExplorationError` naming its worker ids
   and exit code, and any failure kills and reaps the other children
   first, so a step never hangs or leaves a process behind.
+* **Waiting is interruptible**: while its children run, the driver probes
+  the cancellation flag and the deadline every :data:`POLL_SECONDS`, as a
+  serial task probes them between embeddings.
 
 Processes start afresh each step: on 2 Xeon vCPUs (``cliques(4)``, 2
 workers) a fork costs 5-18 ms, while shipping a long-lived process the
@@ -35,12 +38,17 @@ import gc
 import multiprocessing
 import os
 import pickle
+from multiprocessing.connection import wait
 
 from ..core.config import PROCESS_BACKEND
 from ..core.engine import ExplorationError
 from ..core.results import WorkerDelta
 from .base import ExecutionBackend
-from .tasks import StepContext, run_step_chunk
+from .tasks import StepContext, _probe_interrupts, run_step_chunk
+
+#: Seconds between the driver's cancel/deadline probes while it waits on
+#: its children.
+POLL_SECONDS = 0.01
 
 
 def _report_chunk(context: StepContext, worker_ids: list[int], sender) -> None:
@@ -104,18 +112,25 @@ class ProcessBackend(ExecutionBackend):
                 sender.close()
                 children.append((worker_ids, child, receiver))
             deltas = run_step_chunk(context, own)
-            for worker_ids, child, receiver in children:
-                try:
-                    ok, payload = receiver.recv()
-                except EOFError:
-                    child.join()
-                    raise ExplorationError(
-                        f"process worker(s) {worker_ids} died without "
-                        f"reporting (exit code {child.exitcode})"
-                    ) from None
-                if not ok:
-                    raise payload
-                deltas.extend(payload)
+            reports = {}
+            waiting = {receiver: (ids, child) for ids, child, receiver in children}
+            while waiting:
+                _probe_interrupts(context.deadline_at, context.config.cancel, count=0)
+                for receiver in wait(list(waiting), POLL_SECONDS):
+                    worker_ids, child = waiting.pop(receiver)
+                    try:
+                        ok, payload = receiver.recv()
+                    except EOFError:
+                        child.join()
+                        raise ExplorationError(
+                            f"process worker(s) {worker_ids} died without "
+                            f"reporting (exit code {child.exitcode})"
+                        ) from None
+                    if not ok:
+                        raise payload
+                    reports[receiver] = payload
+            for _, _, receiver in children:  # merged in worker-id order
+                deltas.extend(reports[receiver])
         except BaseException:
             for _, child, _ in children:
                 child.kill()  # a no-op on a child that has exited

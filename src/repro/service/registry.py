@@ -310,11 +310,6 @@ class MinerRegistry:
         with self._lock:
             return RegistryCacheInfo(**vars(self._info))
 
-    def result_cache_nbytes(self) -> int:
-        """Deep bytes currently held by the whole-result cache."""
-        with self._lock:
-            return self._results_nbytes
-
     # ------------------------------------------------------------------
     # Internals (call with the lock held)
     # ------------------------------------------------------------------

@@ -510,8 +510,10 @@ async def _read_request(
     length_text = headers.get("content-length", "0")
     try:
         length = int(length_text)
-    except ValueError as exc:
-        raise _HttpError(400, f"bad Content-Length {length_text!r}") from exc
+    except ValueError:
+        length = -1
+    if length < 0:
+        raise _HttpError(400, f"bad Content-Length {length_text!r}")
     if length > MAX_BODY_BYTES:
         raise _HttpError(413, f"request body over {MAX_BODY_BYTES} bytes")
     body: dict | None = None

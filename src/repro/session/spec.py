@@ -176,7 +176,9 @@ class QuerySpec:
                 "'checkpoint_dir' must be a non-empty directory path "
                 f"(got {self.checkpoint_dir!r})"
             )
-        if workload == "motifs" and self.min_size > self.max_size:
+        if workload in ("motifs", "cliques") and self.max_size is not None and (
+            self.min_size > self.max_size
+        ):
             raise SessionError("need 1 <= min_size <= max_size")
         if workload == "fsm" and self.support is None:
             raise SessionError(

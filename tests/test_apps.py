@@ -1,6 +1,7 @@
 """Application tests: FSM, motifs, cliques, maximal cliques — each
 cross-validated against an independent oracle (brute force or networkx)."""
 
+import io
 import itertools
 
 import networkx as nx
@@ -23,9 +24,9 @@ from repro.graph import (
     cycle_graph,
     gnm_random_graph,
     graph_from_edges,
-    graph_from_string,
     grid_graph,
     path_graph,
+    read_edge_list,
     star_graph,
 )
 from repro.isomorphism import find_isomorphisms
@@ -239,7 +240,7 @@ class TestFsm:
         assert pruned_high > pruned_low
 
     def test_outputs_are_frequent_embeddings(self):
-        g = graph_from_string(
+        g = read_edge_list(io.StringIO(
             """
             v 0 1
             v 1 2
@@ -251,7 +252,7 @@ class TestFsm:
             2 3
             3 4
             """
-        )
+        ))
         result = run_computation(g, FrequentSubgraphMining(2, max_edges=2))
         assert result.num_outputs > 0
         for item in result.outputs:

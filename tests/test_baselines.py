@@ -45,6 +45,8 @@ from repro.graph import (
     star_graph,
 )
 
+from reference import is_connected_vertex_set
+
 
 def to_networkx(graph):
     nxg = nx.Graph()
@@ -113,7 +115,7 @@ class TestEsu:
         expected = {
             combo
             for combo in itertools.combinations(range(12), size)
-            if g.is_connected_vertex_set(combo)
+            if is_connected_vertex_set(g, combo)
         }
         assert found == expected
 

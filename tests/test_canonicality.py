@@ -20,6 +20,8 @@ from repro.core import (
 )
 from repro.graph import LabeledGraph, complete_graph, gnm_random_graph, path_graph
 
+from reference import is_connected_vertex_set
+
 
 class TestVertexExtension:
     def test_first_word_always_canonical(self):
@@ -62,7 +64,7 @@ class TestVertexExtension:
         size3 = set()
         vertices = range(6)
         for combo in itertools.combinations(vertices, 3):
-            if g.is_connected_vertex_set(combo):
+            if is_connected_vertex_set(g, combo):
                 size3.add(canonicalize_vertex_set(g, combo))
         for words in size3:
             assert is_canonical_vertex_words(g, words)
@@ -75,7 +77,7 @@ class TestVertexUniquenessProperty:
     def test_exactly_one_canonical_order_per_set(self):
         g = gnm_random_graph(12, 26, seed=3)
         for combo in itertools.combinations(range(12), 3):
-            if not g.is_connected_vertex_set(combo):
+            if not is_connected_vertex_set(g, combo):
                 continue
             canonical_orders = [
                 words
@@ -105,12 +107,12 @@ class TestVertexExtendibilityProperty:
         extends the canonical order of one of its connected k-subsets."""
         g = gnm_random_graph(10, 20, seed=7)
         for combo in itertools.combinations(range(10), 4):
-            if not g.is_connected_vertex_set(combo):
+            if not is_connected_vertex_set(g, combo):
                 continue
             words = canonicalize_vertex_set(g, combo)
             parent = words[:-1]
             assert is_canonical_vertex_words(g, parent)
-            assert g.is_connected_vertex_set(parent)
+            assert is_connected_vertex_set(g, parent)
             assert is_canonical_vertex_extension(g, parent, words[-1])
 
 

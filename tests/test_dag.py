@@ -50,14 +50,14 @@ from repro.isomorphism import SubgraphMatcher
 from repro.plan import (
     NAMED_SHAPES,
     PlanError,
-    accepting_patterns,
     build_plan_dag,
     compile_plan,
-    dag_survivors,
     restrict_dag,
 )
-from repro.plan.dag import DagStepper, dag_extendable
+from repro.plan.dag import DagStepper
 from repro.session import Miner, SessionError
+
+from reference import accepting_patterns, dag_extendable, dag_survivors
 
 
 def shapes(*names):

@@ -17,7 +17,7 @@ from repro.core import (
     run_computation,
 )
 from repro.core.canonical import canonicalize_edge_set
-from repro.core.extension import edge_extensions
+from repro.core.extension import extensions
 from repro.graph import (
     complete_graph,
     cycle_graph,
@@ -104,7 +104,7 @@ class TestEdgeExtensions:
         g = gnm_random_graph(12, 26, seed=4)
         words = canonicalize_edge_set(g, [0, *[e for e in g.incident_edges(
             g.edge_endpoints(0)[0]) if e != 0][:1]])
-        for candidate in edge_extensions(g, words):
+        for candidate in extensions(g, EDGE_EXPLORATION, words):
             u, v = g.edge_endpoints(candidate)
             span = set()
             for eid in words:
@@ -114,17 +114,17 @@ class TestEdgeExtensions:
     def test_extensions_exclude_members(self):
         g = complete_graph(4)
         words = (0, 1)
-        assert not set(words) & set(edge_extensions(g, words))
+        assert not set(words) & set(extensions(g, EDGE_EXPLORATION, words))
 
     def test_extensions_sorted(self):
         g = complete_graph(5)
-        exts = edge_extensions(g, (0,))
+        exts = extensions(g, EDGE_EXPLORATION, (0,))
         assert exts == sorted(exts)
 
     def test_path_end_extension(self):
         g = path_graph(4)  # edges 0,1,2 in a line
-        assert edge_extensions(g, (0,)) == [1]
-        assert edge_extensions(g, (0, 1)) == [2]
+        assert extensions(g, EDGE_EXPLORATION, (0,)) == [1]
+        assert extensions(g, EDGE_EXPLORATION, (0, 1)) == [2]
 
 
 class TestEdgeEmbeddingSemantics:
@@ -139,7 +139,7 @@ class TestEdgeEmbeddingSemantics:
         # Edge words are unique ids; extending by a member id never happens.
         g = complete_graph(3)
         e = EdgeInducedEmbedding(g, (0,))
-        assert 0 not in edge_extensions(g, e.words)
+        assert 0 not in extensions(g, EDGE_EXPLORATION, e.words)
 
     def test_edge_mode_canonicalization_roundtrip(self):
         g = gnm_random_graph(8, 14, seed=7)

@@ -31,13 +31,15 @@ from repro.graph import (
     star_graph,
 )
 
+from reference import is_connected_vertex_set, phase_totals
+
 
 def brute_force_connected_vertex_sets(graph, max_size):
     """All connected vertex sets of size 1..max_size, as frozensets."""
     found = set()
     for size in range(1, max_size + 1):
         for combo in itertools.combinations(graph.vertices(), size):
-            if graph.is_connected_vertex_set(combo):
+            if is_connected_vertex_set(graph, combo):
                 found.add(frozenset(combo))
     return found
 
@@ -290,7 +292,7 @@ class TestStatistics:
         result = run_computation(
             gnm_random_graph(12, 30, seed=1), CollectEverything(3), config
         )
-        phases = result.phase_totals()
+        phases = phase_totals(result)
         # All five paper phases appear (R only from step 1 onward).
         assert {"R", "G", "C", "P", "W"} <= set(phases)
         assert all(seconds >= 0.0 for seconds in phases.values())

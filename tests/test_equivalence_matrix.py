@@ -9,7 +9,6 @@ and each row's reference cell its oracle: ESU, VF2, Bron–Kerbosch or GraMi.
 import dataclasses
 import functools
 import multiprocessing
-from collections import Counter
 from contextlib import nullcontext
 from tempfile import TemporaryDirectory
 from typing import Callable, NamedTuple
@@ -18,21 +17,20 @@ from unittest import mock
 import pytest
 
 from repro.apps import (
-    CliqueFinding, DagMotifCounting, DagPatternDomains, FrequentCliqueMining,
-    FrequentSubgraphMining, GraphCollection, GraphMatching, GuidedMatching,
-    InexactMatching, MaximalCliqueFinding, MotifCounting, TransactionalFSM,
-    enumerate_motif_patterns, fsm as fsm_app, frequent_clique_patterns,
-    frequent_patterns, motif_counts,
+    CliqueFinding, DagMotifCounting, DagPatternDomains, Domain, FrequentSubgraphMining,
+    GraphMatching, GuidedMatching, MaximalCliqueFinding, MotifCounting,
+    enumerate_motif_patterns, fsm as fsm_app, frequent_patterns, motif_counts,
 )
+from repro.apps.cliques import clique_extensions
 from repro.apps.fsm import run_guided_fsm
-from repro.apps.transactional_fsm import transactional_frequent_patterns
 from repro.baselines import (count_motifs_up_to, enumerate_cliques,
                               enumerate_maximal_cliques, run_grami)
 from repro.baselines.esu import enumerate_connected_subgraphs
-from repro.core import ArabesqueConfig, Pattern, StepStats, run_computation
+from repro.core import (ArabesqueConfig, Computation, Pattern, StepStats,
+                        run_computation)
 from repro.datasets import citeseer_like, mico_like, skewed_label_graph
 from repro.graph import assign_labels, gnm_random_graph, strip_labels
-from repro.isomorphism import SubgraphMatcher, distinct_embeddings
+from repro.isomorphism import distinct_embeddings
 from repro.plan import NAMED_SHAPES, build_catalog, build_plan_dag, compile_plan
 from repro.plan.fsm_guide import compile_candidate_dag
 from repro.runtime import ProcessBackend
@@ -47,10 +45,6 @@ def labeled(vertices, edges, seed, labels, label_seed=None):
     graph = gnm_random_graph(vertices, edges, seed=seed)
     return assign_labels(graph, labels, seed=seed if label_seed is None else label_seed)
 
-
-#: The member graphs of the transactional-FSM collection.
-TRANSACTIONS = [(5, 7, seed, 2, seed + 50) for seed in (1, 2, 3)]
-COLLECTION = GraphCollection([labeled(*member) for member in TRANSACTIONS])
 
 GRAPHS = {
     "g40": lambda: labeled(40, 110, 3, 2),
@@ -67,7 +61,6 @@ GRAPHS = {
     "g12": lambda: gnm_random_graph(12, 26, seed=7),
     "g10": lambda: labeled(10, 22, 11, 2, label_seed=12),
     "g10e": lambda: gnm_random_graph(10, 18, seed=3),
-    "collection": lambda: COLLECTION.union_graph,
     "skewed": skewed_label_graph,
     "citeseer": lambda: citeseer_like(scale=0.3),
     "mico": lambda: mico_like(scale=0.004),
@@ -169,30 +162,9 @@ def grami_cliques(support, max_size):
                 and 2 * p.num_edges == p.num_vertices * (p.num_vertices - 1)} | {
             Pattern((label,), ()).canonical()
             for label, n in graph.vertex_label_histogram().items() if n >= support}
-    return cliques, lambda run: set(frequent_clique_patterns(run, support))
-
-
-def grami_per_transaction(support, max_edges):
-    """A pattern's support: how many members GraMi finds it in at threshold 1."""
-    def frequent(graph):
-        held = Counter(p for member in TRANSACTIONS
-                       for p in run_grami(labeled(*member), 1, max_edges).frequent)
-        return {p: n for p, n in held.items() if n >= support}
-    return frequent, lambda run: transactional_frequent_patterns(run, support)
-
-
-def vf2_label_cost(pattern, budget):
-    """VF2 on the label-free shape; a vertex set costs its cheapest mapping."""
-    def matches(graph):
-        shape = (0,) * pattern.num_vertices, dict.fromkeys(pattern.edge_dict(), 0)
-        cheapest, unlabeled = {}, strip_labels(graph)
-        for mapping in SubgraphMatcher(*shape, unlabeled, induced=True).match_iter():
-            cost = float(sum(label != graph.vertex_label(v)
-                             for label, v in zip(pattern.vertex_labels, mapping)))
-            members = tuple(sorted(mapping))
-            cheapest[members] = min(cost, cheapest.get(members, cost))
-        return sorted(item for item in cheapest.items() if item[1] <= budget)
-    return matches, outputs
+    return cliques, lambda run: {
+        pattern for pattern, domain in run.final_aggregates.items()
+        if domain.support(pattern.orbits()) >= support}
 
 
 ESU_VERTEX_SETS = (
@@ -204,6 +176,43 @@ BRUTE_FORCE_EDGE_SETS = (
     lambda g: (connected_edge_sets(g, 3), len(connected_edge_sets(g, 3))),
     lambda run: (set(run.outputs), run.num_outputs),
 )
+
+
+class FrequentCliques(Computation):
+    """Cliques whose labeled shape has MNI support >= ``support``: the one
+    row whose pool-level φ (``filter_extensions``) runs beside aggregation
+    (``reduce``, α and β over the previous step's supports)."""
+
+    def __init__(self, support, max_size):
+        super().__init__()
+        self.support, self.max_size = support, max_size
+
+    def filter(self, embedding):
+        return embedding.num_vertices <= self.max_size and embedding.is_clique()
+
+    def filter_extensions(self, words, mask):
+        return clique_extensions(self.graph, self.max_size, words, mask)
+
+    def process(self, embedding):
+        self.map(self.pattern(embedding), Domain.from_embedding(embedding))
+
+    def reduce(self, key, domains):
+        return Domain.merge_all(domains)
+
+    def _support(self, embedding):
+        quick = self.pattern(embedding)
+        domain = self.read_aggregate(quick)
+        return 0 if domain is None else domain.support(quick.canonical().orbits())
+
+    def aggregation_filter(self, embedding):
+        return self._support(embedding) >= self.support
+
+    def aggregation_process(self, embedding):
+        self.output((self.pattern(embedding).canonical(),
+                     tuple(sorted(embedding.words)), self._support(embedding)))
+
+    def termination_filter(self, embedding):
+        return embedding.num_vertices >= self.max_size
 
 
 # -- the table ---------------------------------------------------------------
@@ -241,19 +250,14 @@ WORKLOADS = [
     Workload("cliques-3", "g10", CLIQUES_3, bron_kerbosch(3, 2), TERMINAL),
     Workload("maximal-cliques-3", "g10", explore(MaximalCliqueFinding, 3),
              bron_kerbosch_maximal(3), POOL),
-    Workload("frequent-cliques", "g10", explore(FrequentCliqueMining, 2, max_size=3),
+    Workload("frequent-cliques", "g10", explore(FrequentCliques, 2, max_size=3),
              grami_cliques(2, 3), POOL),
     Workload("vertex-sets", "g12", explore(CollectSets, 3), ESU_VERTEX_SETS),
     Workload("fsm", "g10", explore(FrequentSubgraphMining, 2, max_edges=2), grami(2, 2)),
     Workload("fsm", "citeseer", explore(FrequentSubgraphMining, 40, max_edges=2),
              grami(40, 2)),
-    Workload("transactional-fsm", "collection",
-             explore(TransactionalFSM, COLLECTION, support_threshold=2, max_edges=2),
-             grami_per_transaction(2, 2)),
     Workload("edge-sets", "g10e", explore(CollectEdgeSubgraphs, 3), BRUTE_FORCE_EDGE_SETS),
     Workload("match-path", "g10", explore(GraphMatching, PATH_010), vf2(PATH_010)),
-    Workload("inexact-match", "g10", explore(InexactMatching, PATH_010, budget=1.0),
-             vf2_label_cost(PATH_010, 1.0)),
     Workload("match-triangle", "g24-5u", explore(GraphMatching, TRIANGLE), vf2(TRIANGLE)),
     Workload("match-wedge-101", "skewed", explore(GraphMatching, WEDGE_101),
              vf2(WEDGE_101)),
@@ -329,9 +333,9 @@ SWEEPS = [
     # The census on mico, and FSM on citeseer.
     (["motifs@mico-u", "motifs@mico"], [Cell()]),
     (["fsm@citeseer"], grid(storages=("odag", "list"))),
-    # Every bundled application on every backend.
+    # Every bundled application, and the frequent-clique hooks, on every backend.
     (["motifs@g10", "cliques-3@g10", "maximal-cliques-3@g10", "frequent-cliques@g10",
-      "fsm@g10", "transactional-fsm@collection", "match-path@g10", "inexact-match@g10"],
+      "fsm@g10", "match-path@g10"],
      grid(BACKENDS, (1, 2, 4))),
     (["vertex-sets@g12"], grid(BACKENDS, (1, 3))  # + the one-worker hand-off
      + [Cell("thread"), Cell("process")]),

@@ -1,28 +1,10 @@
-"""Tests for the extension applications: graph matching, frequent cliques,
-and transactional (multi-graph) FSM."""
-
-import itertools
+"""Tests for the graph-matching application."""
 
 import pytest
 
-from repro.apps import (
-    FrequentCliqueMining,
-    GraphCollection,
-    GraphMatching,
-    TidSet,
-    TransactionalFSM,
-    frequent_clique_patterns,
-    pattern_embeds_in,
-    transactional_frequent_patterns,
-)
+from repro.apps import GraphMatching, pattern_embeds_in
 from repro.core import ArabesqueConfig, Pattern, run_computation
-from repro.graph import (
-    complete_graph,
-    cycle_graph,
-    gnm_random_graph,
-    graph_from_edges,
-    path_graph,
-)
+from repro.graph import complete_graph, cycle_graph, gnm_random_graph
 from repro.isomorphism import distinct_embeddings
 
 TRIANGLE = Pattern((0, 0, 0), ((0, 1, 0), (0, 2, 0), (1, 2, 0)))
@@ -99,124 +81,3 @@ class TestGraphMatching:
             g, GraphMatching(TRIANGLE), ArabesqueConfig(num_workers=4)
         ).outputs
         assert sorted(reference) == sorted(parallel)
-
-
-class TestFrequentCliques:
-    def test_unlabeled_triangles(self):
-        g = complete_graph(5)
-        result = run_computation(g, FrequentCliqueMining(2, max_size=3))
-        frequent = frequent_clique_patterns(result, 2)
-        # Patterns: single vertex, edge, triangle — all with support >= 2.
-        assert all(p.num_vertices <= 3 for p in frequent)
-        triangle = TRIANGLE.canonical()
-        assert triangle in frequent
-        assert frequent[triangle] == 5  # all 5 vertices participate
-
-    def test_labeled_thresholding(self):
-        # Two labeled triangles of shape (1,1,2) and one of shape (1,2,2).
-        g = graph_from_edges(
-            [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (6, 7), (7, 8), (6, 8)],
-            vertex_labels=[1, 1, 2, 1, 1, 2, 1, 2, 2],
-        )
-        result = run_computation(g, FrequentCliqueMining(2, max_size=3))
-        frequent = frequent_clique_patterns(result, 2)
-        shape_112 = Pattern((1, 1, 2), ((0, 1, 0), (0, 2, 0), (1, 2, 0))).canonical()
-        shape_122 = Pattern((1, 2, 2), ((0, 1, 0), (0, 2, 0), (1, 2, 0))).canonical()
-        assert shape_112 in frequent
-        assert shape_122 not in frequent
-
-    def test_outputs_carry_support(self):
-        g = complete_graph(4)
-        result = run_computation(g, FrequentCliqueMining(2, max_size=3))
-        for row in result.outputs:
-            assert row.support >= 2
-            assert row.pattern.is_canonical()
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FrequentCliqueMining(0)
-        with pytest.raises(ValueError):
-            FrequentCliqueMining(2, max_size=0)
-
-
-class TestGraphCollection:
-    def test_union_sizes(self):
-        collection = GraphCollection([path_graph(3), complete_graph(3)])
-        assert collection.union_graph.num_vertices == 6
-        assert collection.union_graph.num_edges == 2 + 3
-
-    def test_graph_of(self):
-        collection = GraphCollection([path_graph(3), complete_graph(4), path_graph(2)])
-        assert collection.graph_of(0) == 0
-        assert collection.graph_of(2) == 0
-        assert collection.graph_of(3) == 1
-        assert collection.graph_of(6) == 1
-        assert collection.graph_of(7) == 2
-
-    def test_empty_collection_rejected(self):
-        with pytest.raises(ValueError):
-            GraphCollection([])
-
-    def test_components_stay_separate(self):
-        collection = GraphCollection([path_graph(3), path_graph(3)])
-        components = collection.union_graph.connected_components()
-        assert len(components) == 2
-
-
-class TestTidSet:
-    def test_merge(self):
-        merged = TidSet.merge_all([TidSet.single(1), TidSet.single(2), TidSet.single(1)])
-        assert merged.support == 2
-
-    def test_equality_and_wire_size(self):
-        assert TidSet.single(3) == TidSet.single(3)
-        assert TidSet.single(3).wire_size() == 8
-
-
-class TestTransactionalFsm:
-    def test_gspan_semantics(self):
-        # Triangle occurs in graphs 0 and 2; path-only in graph 1.
-        graphs = [complete_graph(3), path_graph(3), complete_graph(3)]
-        collection = GraphCollection(graphs)
-        app = TransactionalFSM(collection, support_threshold=2, max_edges=3)
-        result = run_computation(collection.union_graph, app)
-        frequent = transactional_frequent_patterns(result, 2)
-        triangle = TRIANGLE.canonical()
-        path = PATH3.canonical()
-        edge = EDGE.canonical()
-        assert frequent[edge] == 3
-        assert frequent[path] == 3  # path occurs inside the triangles too
-        assert frequent[triangle] == 2
-
-    def test_threshold_prunes(self):
-        graphs = [complete_graph(3), path_graph(3), path_graph(4)]
-        collection = GraphCollection(graphs)
-        app = TransactionalFSM(collection, support_threshold=3, max_edges=3)
-        result = run_computation(collection.union_graph, app)
-        frequent = transactional_frequent_patterns(result, 3)
-        assert TRIANGLE.canonical() not in frequent
-        assert PATH3.canonical() in frequent
-
-    def test_support_counts_graphs_not_embeddings(self):
-        # One graph with MANY triangles still counts as support 1.
-        graphs = [complete_graph(6), path_graph(3)]
-        collection = GraphCollection(graphs)
-        app = TransactionalFSM(collection, support_threshold=2, max_edges=3)
-        result = run_computation(collection.union_graph, app)
-        frequent = transactional_frequent_patterns(result, 2)
-        assert TRIANGLE.canonical() not in frequent
-
-    def test_anti_monotone_termination(self):
-        graphs = [gnm_random_graph(8, 14, seed=i) for i in range(4)]
-        collection = GraphCollection(graphs)
-        app = TransactionalFSM(collection, support_threshold=4)
-        result = run_computation(collection.union_graph, app)
-        # Terminates without a max_edges cap because support dies out.
-        assert result.num_steps < 20
-
-    def test_validation(self):
-        collection = GraphCollection([path_graph(2)])
-        with pytest.raises(ValueError):
-            TransactionalFSM(collection, 0)
-        with pytest.raises(ValueError):
-            TransactionalFSM(collection, 1, max_edges=0)

@@ -15,12 +15,7 @@ builds only the children φ keeps.  Three things pin the contract:
 
 import pytest
 
-from repro.apps import (
-    CliqueFinding,
-    FrequentCliqueMining,
-    MaximalCliqueFinding,
-    MotifCounting,
-)
+from repro.apps import CliqueFinding, MaximalCliqueFinding, MotifCounting
 from repro.core import ArabesqueConfig, make_embedding, run_computation
 from repro.core.extension import extension_mask, word_row
 from repro.graph import gnm_random_graph
@@ -28,11 +23,13 @@ from repro.graph.bitset import from_bitset
 from repro.plan import make_stepper
 from repro.runtime.tasks import _extension_filter
 
+from test_equivalence_matrix import FrequentCliques
+
 HOOKED = [
     ("cliques", lambda: CliqueFinding(4)),
     ("cliques-uncapped", lambda: CliqueFinding()),
     ("maximal-cliques", lambda: MaximalCliqueFinding(3)),
-    ("frequent-cliques", lambda: FrequentCliqueMining(2, max_size=3)),
+    ("frequent-cliques", lambda: FrequentCliques(2, max_size=3)),
     ("motifs", lambda: MotifCounting(3)),
 ]
 IDS = [name for name, _ in HOOKED]

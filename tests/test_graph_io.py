@@ -1,4 +1,4 @@
-"""Tests for graph text I/O (edge list and Arabesque adjacency formats)."""
+"""Tests for graph text I/O (the edge-list format)."""
 
 import io
 
@@ -8,17 +8,14 @@ from repro.graph import (
     GraphError,
     gnm_random_graph,
     assign_labels,
-    graph_from_string,
-    read_adjacency,
     read_edge_list,
-    write_adjacency,
     write_edge_list,
 )
 
 
 class TestEdgeList:
     def test_parse_basic(self):
-        g = graph_from_string(
+        g = read_edge_list(io.StringIO(
             """
             # a comment
             v a 1
@@ -26,7 +23,7 @@ class TestEdgeList:
             a b 9
             b c
             """
-        )
+        ))
         assert g.num_vertices == 3
         assert g.num_edges == 2
         assert g.vertex_label(0) == 1
@@ -36,11 +33,11 @@ class TestEdgeList:
 
     def test_parse_rejects_malformed_vertex(self):
         with pytest.raises(GraphError):
-            graph_from_string("v a\n")
+            read_edge_list(io.StringIO("v a\n"))
 
     def test_parse_rejects_malformed_edge(self):
         with pytest.raises(GraphError):
-            graph_from_string("a b c d\n")
+            read_edge_list(io.StringIO("a b c d\n"))
 
     def test_roundtrip(self):
         g = assign_labels(gnm_random_graph(40, 90, seed=3), 5, seed=1)
@@ -56,47 +53,5 @@ class TestEdgeList:
         assert read_edge_list(path) == g
 
     def test_duplicate_edges_merged(self):
-        g = graph_from_string("a b\nb a\na b\n")
+        g = read_edge_list(io.StringIO("a b\nb a\na b\n"))
         assert g.num_edges == 1
-
-
-class TestAdjacency:
-    def test_parse_basic(self):
-        g = read_adjacency(io.StringIO("0 5 1 2\n1 6 0\n2 7 0\n"))
-        assert g.num_vertices == 3
-        assert g.num_edges == 2
-        assert g.vertex_label(2) == 7
-        assert g.adjacent(0, 2)
-
-    def test_parse_rejects_sparse_ids(self):
-        with pytest.raises(GraphError):
-            read_adjacency(io.StringIO("0 1\n5 2\n"))
-
-    def test_parse_rejects_duplicate_vertex(self):
-        with pytest.raises(GraphError):
-            read_adjacency(io.StringIO("0 1\n0 2\n"))
-
-    def test_parse_rejects_missing_neighbor(self):
-        with pytest.raises(GraphError):
-            read_adjacency(io.StringIO("0 1 9\n"))
-
-    def test_parse_rejects_short_line(self):
-        with pytest.raises(GraphError):
-            read_adjacency(io.StringIO("0\n"))
-
-    def test_roundtrip_drops_edge_labels_only(self):
-        g = assign_labels(gnm_random_graph(25, 40, seed=9), 4, seed=5)
-        buffer = io.StringIO()
-        write_adjacency(g, buffer)
-        parsed = read_adjacency(io.StringIO(buffer.getvalue()))
-        assert parsed.vertex_labels == g.vertex_labels
-        assert parsed.num_edges == g.num_edges
-        for v in g.vertices():
-            assert parsed.neighbors(v) == g.neighbors(v)
-
-    def test_file_roundtrip(self, tmp_path):
-        g = gnm_random_graph(15, 20, seed=6)
-        path = tmp_path / "g.adj"
-        write_adjacency(g, path)
-        parsed = read_adjacency(path)
-        assert parsed.num_edges == g.num_edges

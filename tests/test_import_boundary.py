@@ -1,17 +1,25 @@
-"""The simulator is a reader: who may import ``repro.bsp``, and what it may import.
+"""What ``src/`` may import, and what it may hold.
 
-``repro.bsp`` prices metered runs for the figure scripts and hosts the TLV
-baseline's substrate.  The product — engine, apps, session, service, CLI —
-must not depend on it, and it may know of the product only the run record
-it reads (``repro.core.results``) and the wire model (``repro.core.wire``).
-Walks the sources with ``ast``, so imports under ``TYPE_CHECKING`` or
+The simulator is a reader: ``repro.bsp`` prices metered runs for the
+figure scripts and hosts the TLV baseline's substrate.  The product —
+engine, apps, session, service, CLI — must not depend on it, and it may
+know of the product only the run record it reads (``repro.core.results``)
+and the wire model (``repro.core.wire``).
+
+``src/`` holds only what a surface reaches: every function, class and
+method is reached from the CLI, the session facade, the service, a
+benchmark or an example, or is listed in ``ALLOWED`` with the reason it
+stays.  Code only the tests call lives in ``tests/``.
+
+Both walk the sources with ``ast``, so imports under ``TYPE_CHECKING`` or
 inside functions count too.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "repro"
+REPO = Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "src" / "repro"
 
 MAY_IMPORT_BSP = {"baselines/tlv.py", "baselines/tlp.py"}
 BSP_MAY_IMPORT = {"repro.core.results", "repro.core.wire"}
@@ -70,3 +78,150 @@ def test_bsp_reads_only_the_run_record_and_the_wire_model():
         if outside:
             offenders[path.name] = outside
     assert offenders == {}
+
+
+# -- reachability --------------------------------------------------------------
+#: The surfaces: ``src/repro`` modules whose top level a user runs, and the
+#: scripts (under the repository root) that are run whole.
+SURFACE_MODULES = ("cli.py", "__main__.py", "session/*.py", "service/*.py")
+SURFACE_SCRIPTS = ("benchmarks/**/*.py", "examples/*.py")
+
+#: Definitions no surface reaches, kept on purpose (``path::qualname``,
+#: path under ``src/repro``).  What an entry reaches needs no entry.
+ALLOWED = {
+    **{f"graph/generators.py::{name}": "public graph constructor of repro.graph"
+       for name in ("complete_graph", "cycle_graph", "gnm_random_graph",
+                    "graph_from_edges", "grid_graph", "path_graph",
+                    "powerlaw_graph", "star_graph")},
+    "graph/io.py::write_edge_list": "writes the edge-list format every surface reads",
+    "graph/graph.py::LabeledGraph.incident_edges":
+        "the incidence CSR row, twin of neighbors()",
+    "isomorphism/vf2.py::distinct_embeddings": "VF2 baseline: distinct matched vertex sets",
+    "isomorphism/vf2.py::find_isomorphisms": "VF2 baseline: every pattern-to-graph mapping",
+    "baselines/bron_kerbosch.py::enumerate_maximal_cliques":
+        "centralized maximal-clique baseline (the paper's Mace)",
+    "checkpoint/faults.py::run_to_crash": "crashes a run at a barrier for `repro resume`",
+    "session/miner.py::Miner.maximal_cliques": "the facade's maximal-cliques query",
+}
+
+DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+BINDING = (ast.Assign, ast.AnnAssign, ast.AugAssign)
+
+
+def names_in(nodes) -> set[str]:
+    """Every identifier ``nodes`` load or store, attribute names included."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in nodes
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def class_level(cls: ast.ClassDef) -> list:
+    """What runs when a class statement does: its bases, its decorators and
+    its body, less the bodies of its own defs."""
+    runs = [*cls.bases, *cls.keywords, *cls.decorator_list]
+    for stmt in cls.body:
+        runs.extend(stmt.decorator_list if isinstance(stmt, DEFINITION) else [stmt])
+    return runs
+
+
+def reachability(repo: Path, allowed) -> tuple[list[str], list[str]]:
+    """``(unreached, stale)``: the ``src/repro`` definitions no surface
+    reaches that ``allowed`` does not list, and the ``allowed`` entries that
+    are gone or reached.  A fixpoint over names: a top-level definition is
+    reached when its name appears in reached code, a method when its class
+    is reached and its name appears (dunders with the class alone).  A
+    module-level binding is reached with its name, the rest of a module's
+    top level always.  Names are not resolved, so the walk over-approximates
+    and never flags live code."""
+    package = repo / "src" / "repro"
+    defs, bindings, reached_code = {}, [], []
+
+    def scan(body, prefix, owner, surface):
+        for stmt in body:
+            if isinstance(stmt, DEFINITION):
+                key = prefix + stmt.name
+                defs[key] = (stmt, owner)
+                if isinstance(stmt, ast.ClassDef):
+                    scan(stmt.body, key + ".", key, False)
+            elif owner is not None or isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                continue
+            elif isinstance(stmt, (ast.If, ast.Try)):
+                if isinstance(stmt, ast.If):
+                    reached_code.append(stmt.test)
+                for block in (stmt.body, stmt.orelse, getattr(stmt, "finalbody", ()),
+                              *(handler.body for handler in getattr(stmt, "handlers", ()))):
+                    scan(block, prefix, None, surface)
+            elif isinstance(stmt, BINDING) and not surface:
+                targets = getattr(stmt, "targets", None) or [stmt.target]
+                value = [stmt.value] if stmt.value else []
+                bindings.append((names_in(targets), names_in(value)))
+            else:
+                reached_code.append(stmt)
+
+    for path in sorted(package.rglob("*.py")):
+        relative = path.relative_to(package)
+        surface = any(relative.match(pattern) for pattern in SURFACE_MODULES)
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scan(tree.body, f"{relative.as_posix()}::", None, surface)
+    for pattern in SURFACE_SCRIPTS:
+        for path in repo.glob(pattern):
+            reached_code.append(ast.parse(path.read_text(encoding="utf-8")))
+
+    def unreached(seeds) -> set[str]:
+        reached, names = set(), names_in(reached_code)
+        pending = [key for key in seeds if key in defs]
+        while True:
+            for key in pending:
+                node, _ = defs[key]
+                reached.add(key)
+                is_class = isinstance(node, ast.ClassDef)
+                names |= names_in(class_level(node) if is_class else [node])
+            fresh = set().union(*(used for bound, used in bindings if bound & names))
+            fresh -= names
+            names |= fresh
+            pending = [
+                key for key, (node, owner) in defs.items()
+                if key not in reached and (owner is None or owner in reached)
+                and (node.name in names or owner and node.name.startswith("__")
+                     and node.name.endswith("__"))
+            ]
+            if not pending and not fresh:
+                return defs.keys() - reached
+
+    orphans = unreached(())
+    stale = sorted(key for key in allowed if key not in orphans)
+    return sorted(unreached(allowed) - set(allowed)), stale
+
+
+def test_src_holds_only_what_a_surface_reaches():
+    unreached, stale = reachability(REPO, ALLOWED)
+    assert unreached == [], "reached only from tests: move it to tests/, or delete it"
+    assert stale == [], "ALLOWED lists a definition that is gone or now reached"
+
+
+def test_the_reachability_gate_fires(tmp_path):
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "cli.py").write_text("from .lib import main\n\nmain()\n")
+    (package / "lib.py").write_text(
+        "HANDLERS = {'run': RUNNER}\n"
+        "RUNNER = Runner\n"
+        "def main():\n    return HANDLERS['run']().run()\n"
+        "class Runner:\n"
+        "    def __init__(self):\n        self.n = 1\n"
+        "    def run(self):\n        return self.n\n"
+        "    def test_only_method(self):\n        return 2\n"
+        "def test_only():\n    return 3\n"
+        "def public():\n    return helper()\n"
+        "def helper():\n    return 4\n"
+    )
+    allowed = {"lib.py::public": "kept on purpose"}
+    assert reachability(tmp_path, allowed) == (
+        ["lib.py::Runner.test_only_method", "lib.py::test_only"], [])
+    allowed = dict.fromkeys(
+        ["lib.py::public", "lib.py::test_only", "lib.py::main", "lib.py::gone"], "")
+    assert reachability(tmp_path, allowed) == (
+        ["lib.py::Runner.test_only_method"], ["lib.py::gone", "lib.py::main"])

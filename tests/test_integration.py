@@ -6,13 +6,11 @@ import pytest
 
 from repro.apps import (
     CliqueFinding,
-    FrequentCliqueMining,
     FrequentSubgraphMining,
     GraphMatching,
     MaximalCliqueFinding,
     MotifCounting,
     cliques_by_size,
-    frequent_clique_patterns,
     frequent_patterns,
     motif_counts,
 )
@@ -62,16 +60,6 @@ class TestCrossApplicationConsistency:
         assert sorted(maximal) == sorted(
             tuple(sorted(c)) for c in enumerate_maximal_cliques(mico) if len(c) <= 4
         )
-
-    def test_frequent_cliques_subset_of_fsm_like_threshold(self, mico):
-        """Every frequent clique pattern must be a clique and meet the
-        threshold under the same MNI machinery FSM uses."""
-        threshold = 25
-        result = run_computation(mico, FrequentCliqueMining(threshold, max_size=3))
-        for pattern, support in frequent_clique_patterns(result, threshold).items():
-            assert support >= threshold
-            expected_edges = pattern.num_vertices * (pattern.num_vertices - 1) // 2
-            assert pattern.num_edges == expected_edges
 
     def test_tlp_and_engine_find_same_frequent_patterns(self, citeseer):
         threshold = 40

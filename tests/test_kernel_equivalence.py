@@ -56,7 +56,7 @@ from repro.apps import (
     enumerate_motif_patterns,
 )
 from repro.core import ArabesqueConfig, Pattern, extensions, run_computation
-from repro.core.canonical import canonical_extension_mask, extension_checker
+from repro.core.canonical import canonical_extension_mask
 from repro.core.extension import extension_mask, word_row
 from repro.core.pattern import PatternCanonicalizer
 from repro.datasets import (
@@ -73,15 +73,12 @@ from repro.plan import (
     NAMED_SHAPES,
     build_plan_dag,
     compile_plan,
-    guided_candidates,
     make_stepper,
     restrict_dag,
 )
 from repro.plan.dag import (
     DagStepper,
     _pool_for_nodes,
-    dag_extendable,
-    dag_survivors,
     mask_bundle,
 )
 from repro.plan.fsm_guide import (
@@ -91,12 +88,15 @@ from repro.plan.fsm_guide import (
 )
 from repro.plan.guided import (
     SMALL_POOL_DEGREE,
-    guided_extension_check,
     guided_survivors,
     prefers_row_iteration,
 )
 from repro.plan.planner import restrict_plan
 from repro.session import Miner
+
+from reference import (accepting_patterns, dag_extendable, dag_survivors,
+                       extension_checker, guided_candidates, guided_extension_check,
+                       phase_totals)
 
 
 def shapes(*names):
@@ -491,7 +491,7 @@ class TestStepperContract:
         timed, plain = run(True), run(False)
         assert timed.canonical_signature() == plain.canonical_signature()
         assert timed.steps == plain.steps  # every StepStats field
-        assert not plain.phase_totals()
+        assert not phase_totals(plain)
         # Phase seconds are summed over workers, which a process backend
         # may run side by side.
         overlap = 2 if backend == "process" else 1
@@ -598,7 +598,6 @@ class TestCanonicalMaskKernel:
 def _engine_leaf_counts(graph, dag):
     """Leaf counts from a real engine run over the fused DAG path."""
     from repro.core import Computation
-    from repro.plan.dag import accepting_patterns, dag_extendable
 
     class LeafCounter(Computation):
         plan_compatible = True

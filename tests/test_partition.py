@@ -13,7 +13,6 @@ from repro.core import (
     Pattern,
     PartitionReport,
     PatternCanonicalizer,
-    block_round_robin_assignment,
     measure_partition,
 )
 from repro.core.canonical import canonical_extension_mask, canonicalize_vertex_set
@@ -95,30 +94,6 @@ class TestMeasurePartition:
         dup.merge(random_store(5))
         with pytest.raises(ValueError, match="partition invariant violated"):
             measure_partition(dup, 3)
-
-
-class TestBlockRoundRobin:
-    def test_assignment_pattern(self):
-        owners = block_round_robin_assignment(total=8, num_workers=2, block=2)
-        assert owners == [0, 0, 1, 1, 0, 0, 1, 1]
-
-    def test_block_one_is_pure_round_robin(self):
-        owners = block_round_robin_assignment(total=5, num_workers=3, block=1)
-        assert owners == [0, 1, 2, 0, 1]
-
-    def test_rejects_bad_block(self):
-        with pytest.raises(ValueError):
-            block_round_robin_assignment(4, 2, block=0)
-
-    def test_every_index_owned(self):
-        owners = block_round_robin_assignment(total=100, num_workers=7, block=4)
-        assert len(owners) == 100
-        assert set(owners) <= set(range(7))
-
-    def test_blocks_spread_evenly(self):
-        owners = block_round_robin_assignment(total=700, num_workers=7, block=10)
-        counts = [owners.count(w) for w in range(7)]
-        assert max(counts) - min(counts) <= 10  # at most one block apart
 
 
 @given(seed=st.integers(0, 2000), workers=st.integers(1, 6))

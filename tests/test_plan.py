@@ -42,15 +42,15 @@ from repro.plan import (
     NAMED_SHAPES,
     PlanError,
     compile_plan,
-    guided_candidates,
-    guided_extension_check,
     match_mapping,
     pattern_automorphisms,
     read_pattern_file,
-    satisfies_restrictions,
     symmetry_breaking_restrictions,
 )
 from repro.session import Miner
+
+from reference import (guided_candidates, guided_extension_check,
+                       is_connected_vertex_set, satisfies_restrictions)
 
 #: Scales keeping every bundled dataset in the few-hundred-vertex range so
 #: the exhaustive oracle stays fast.
@@ -86,7 +86,7 @@ def random_connected_pattern(seed: int, max_vertices: int = 5, labels: int = 1) 
         candidate = gnm_random_graph(n, m, seed=seed + 7919 * attempt)
         if labels > 1:
             candidate = assign_labels(candidate, labels, seed=seed + 13)
-        if candidate.is_connected_vertex_set(tuple(candidate.vertices())):
+        if is_connected_vertex_set(candidate, tuple(candidate.vertices())):
             return pattern_of_graph(candidate)
     raise AssertionError("no connected pattern found (generator bug)")
 

@@ -24,6 +24,8 @@ from repro.core.embedding import VERTEX_EXPLORATION, make_embedding
 from repro.graph import LabeledGraph, assign_labels, gnm_random_graph
 from repro.isomorphism import canonical_form
 
+from reference import is_connected_vertex_set
+
 
 def random_labeled_graph(seed: int, max_n: int = 8, labels: int = 2) -> LabeledGraph:
     rng = random.Random(seed)
@@ -119,7 +121,7 @@ def test_odag_store_roundtrip(seed):
     canonicalizer = PatternCanonicalizer()
     store = OdagStore()
     for combo in itertools.combinations(range(10), size):
-        if not graph.is_connected_vertex_set(combo):
+        if not is_connected_vertex_set(graph, combo):
             continue
         words = canonicalize_vertex_set(graph, combo)
         embedding = make_embedding(graph, VERTEX_EXPLORATION, words)
@@ -157,7 +159,7 @@ def test_quick_patterns_collapse_consistently(seed):
     combos = [
         combo
         for combo in itertools.combinations(graph.vertices(), 3)
-        if graph.is_connected_vertex_set(combo)
+        if is_connected_vertex_set(graph, combo)
     ]
     if not combos:
         return

@@ -8,6 +8,7 @@ The cross-backend × cross-app sweep is tests/test_equivalence_matrix.py
 import gc
 import os
 import signal
+import time
 from unittest import mock
 
 import pytest
@@ -36,6 +37,8 @@ from repro.runtime import (
     run_step_chunk,
     run_step_task,
 )
+
+from reference import phase_totals
 
 
 class CollectSets(Computation):
@@ -72,7 +75,7 @@ class ChildFault(CollectSets):
     """Misbehaves from ``process``, but only in a process-backend child:
     SIGKILLs itself (``"kill"``), raises :class:`BudgetExceeded`
     (``"budget"``), or an exception that will not pickle (``"unpicklable"``)
-    or not unpickle (``"two-arg"``)."""
+    or not unpickle (``"two-arg"``), or sleeps 30 s (``"sleep"``)."""
 
     def __init__(self, fault):
         super().__init__(3)
@@ -90,6 +93,9 @@ class ChildFault(CollectSets):
                 raise RuntimeError("no pickle", lambda: None)
             if self.fault == "two-arg":
                 raise TwoArgError("no unpickle", 2)
+            if self.fault == "sleep":
+                time.sleep(30)
+                return
             os.kill(os.getpid(), signal.SIGKILL)
         super().process(embedding)
 
@@ -355,6 +361,34 @@ class TestProcessBackend:
         fresh = _process_run(KillWhileArmed(str(armed)), [])
         assert resumed.canonical_signature() == fresh.canonical_signature()
 
+    @pytest.mark.parametrize("interrupt", ["cancel", "deadline"])
+    def test_interrupt_while_children_run(self, interrupt, monkeypatch, hang_alarm):
+        """Cancel or the deadline, tripped while the driver waits on a child
+        still inside ``process``, raises within a second and leaves no child
+        behind."""
+        import repro.runtime.process as process
+
+        cancel, chunk_done = CancelFlag(), []
+
+        def driver_then_cancel(context, worker_ids):
+            deltas = run_step_chunk(context, worker_ids)
+            chunk_done.append(time.monotonic())  # children never get here
+            if interrupt == "cancel":
+                cancel.set()
+            return deltas
+
+        monkeypatch.setattr(process, "run_step_chunk", driver_then_cancel)
+        deadline = 0.3 if interrupt == "deadline" else None
+        children = []
+        start = time.monotonic()
+        with pytest.raises(RunCancelled if deadline is None else BudgetExceeded):
+            _process_run(ChildFault("sleep"), children, cancel=cancel,
+                         deadline_seconds=deadline)
+        tripped = chunk_done[0] if deadline is None else start + deadline
+        assert time.monotonic() - tripped < 1.0
+        _assert_reaped(children)
+        assert gc.get_freeze_count() == 0
+
     @pytest.mark.parametrize("fault,error", [
         ("unpicklable", "RuntimeError\\('no pickle'"),
         ("two-arg", "TwoArgError\\('no unpickle'"),
@@ -431,4 +465,4 @@ class TestProcessBackend:
             num_workers=2, backend="process", profile_phases=True
         )
         result = run_computation(graph, CollectSets(3), config)
-        assert {"R", "G", "C", "P", "W"} <= set(result.phase_totals())
+        assert {"R", "G", "C", "P", "W"} <= set(phase_totals(result))

@@ -40,6 +40,11 @@ from repro.service.registry import payload_nbytes
 from repro.session import Miner
 
 
+def result_cache_nbytes(registry):
+    """Deep bytes the whole-result cache holds right now."""
+    return registry._results_nbytes
+
+
 def small_graph(seed=5):
     return assign_labels(gnm_random_graph(24, 60, seed=seed), 3, seed=seed)
 
@@ -150,7 +155,7 @@ class TestResultCache:
         _, hit = registry.cached("g", "q2", "c", lambda m: {"rows": "y" * 1000})
         assert not hit  # LRU entry was pushed out by bytes
         assert registry.cache_info().result_evictions >= 1
-        assert 0 < registry.result_cache_nbytes() <= limit
+        assert 0 < result_cache_nbytes(registry) <= limit
 
     def test_oversize_payload_is_never_cached(self):
         registry = MinerRegistry(result_cache_limit_nbytes=256)
@@ -161,7 +166,7 @@ class TestResultCache:
         assert not hit  # still a miss: the payload exceeds the whole budget
         info = registry.cache_info()
         assert info.result_oversize == 2
-        assert registry.result_cache_nbytes() == 0
+        assert result_cache_nbytes(registry) == 0
 
     def test_zero_limit_disables_result_caching(self):
         registry = MinerRegistry(result_cache_limit_nbytes=0)
@@ -176,7 +181,7 @@ class TestResultCache:
         registry.cached("g", "q", "c", lambda m: {"rows": list(range(100))})
         block = registry.describe()["result_cache"]
         assert block["entries"] == 1
-        assert block["nbytes"] == registry.result_cache_nbytes() > 0
+        assert block["nbytes"] == result_cache_nbytes(registry) > 0
         assert block["limit_nbytes"] == registry.result_cache_limit_nbytes
 
 
@@ -319,6 +324,21 @@ class TestEndpoints:
         assert call(server, "POST", "/query", {"graph": "tiny"})[0] == 400
         assert call(server, "GET", "/bogus")[0] == 404
         assert call(server, "PUT", "/health")[0] == 405
+
+    def test_negative_content_length_is_a_400(self, server):
+        import socket
+
+        with socket.create_connection(server.address, timeout=30) as sock:
+            sock.sendall(b"POST /motifs HTTP/1.1\r\nHost: x\r\n"
+                         b"Content-Length: -5\r\n\r\n")
+            response = b""
+            while chunk := sock.recv(4096):
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert "bad Content-Length '-5'" in json.loads(body)["error"]["message"]
+        status, raw = call(server, "GET", "/health")
+        assert status == 200 and json.loads(raw) == {"status": "ok"}
 
     def test_loading_a_duplicate_name_is_a_400(self, server):
         status, raw = call(

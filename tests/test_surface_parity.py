@@ -128,6 +128,29 @@ def test_option_agrees_across_surfaces(field):
             assert str(cli_error.value) == message
 
 
+@pytest.mark.parametrize("max_size,min_size,accepted", [(4, 2, True), (2, 4, False)])
+def test_clique_size_range_agrees_across_surfaces(max_size, min_size, accepted):
+    miner = Miner(gnm_random_graph(12, 20, seed=2))
+    surfaces = [
+        lambda: miner.cliques(max_size, min_size=min_size).spec,
+        lambda: parse_request(
+            "cliques", {"graph": "g", "max_size": max_size, "min_size": min_size}),
+        lambda: spec_from_args(build_parser().parse_args(
+            ["cliques", "graph.edges", "--max-size", str(max_size),
+             "--min-size", str(min_size)])),
+    ]
+    if accepted:
+        assert {(spec.max_size, spec.min_size) for spec in (s() for s in surfaces)} == {
+            (max_size, min_size)}
+        return
+    messages = set()
+    for surface in surfaces:
+        with pytest.raises((SessionError, ServiceError)) as error:
+            surface()
+        messages.add(str(error.value))
+    assert messages == {"need 1 <= min_size <= max_size"}
+
+
 def test_documented_request_keys_match_the_parser_and_the_spec():
     """docs/service.md's request-key table is checked, not trusted."""
     import re
