@@ -29,7 +29,7 @@ from repro.baselines.esu import enumerate_connected_subgraphs
 from repro.core import (ArabesqueConfig, Computation, Pattern, StepStats,
                         run_computation)
 from repro.datasets import citeseer_like, mico_like, skewed_label_graph
-from repro.graph import assign_labels, gnm_random_graph, strip_labels
+from repro.graph import LabeledGraph, assign_labels, gnm_random_graph, strip_labels
 from repro.isomorphism import distinct_embeddings
 from repro.plan import NAMED_SHAPES, build_catalog, build_plan_dag, compile_plan
 from repro.plan.fsm_guide import compile_candidate_dag
@@ -44,6 +44,16 @@ from test_terminal_level import PerChildDagDomains
 def labeled(vertices, edges, seed, labels, label_seed=None):
     graph = gnm_random_graph(vertices, edges, seed=seed)
     return assign_labels(graph, labels, seed=seed if label_seed is None else label_seed)
+
+
+def disjoint_union(*members):
+    """One graph with ``members`` side by side, vertex ids shifted in order."""
+    labels, edges, offset = [], [], 0
+    for member in members:
+        labels.extend(member.vertex_labels)
+        edges.extend((offset + u, offset + v) for _, u, v in member.edge_iter())
+        offset += member.num_vertices
+    return LabeledGraph(labels, edges, name="components")
 
 
 GRAPHS = {
@@ -61,6 +71,8 @@ GRAPHS = {
     "g12": lambda: gnm_random_graph(12, 26, seed=7),
     "g10": lambda: labeled(10, 22, 11, 2, label_seed=12),
     "g10e": lambda: gnm_random_graph(10, 18, seed=3),
+    "components": lambda: disjoint_union(*(labeled(5, 7, seed, 2, seed + 50)
+                                           for seed in (1, 2, 3))),
     "skewed": skewed_label_graph,
     "citeseer": lambda: citeseer_like(scale=0.3),
     "mico": lambda: mico_like(scale=0.004),
@@ -256,6 +268,9 @@ WORKLOADS = [
     Workload("fsm", "g10", explore(FrequentSubgraphMining, 2, max_edges=2), grami(2, 2)),
     Workload("fsm", "citeseer", explore(FrequentSubgraphMining, 40, max_edges=2),
              grami(40, 2)),
+    Workload("motifs", "components", MOTIFS, esu(3), TERMINAL),
+    Workload("fsm", "components", explore(FrequentSubgraphMining, 2, max_edges=2),
+             grami(2, 2)),
     Workload("edge-sets", "g10e", explore(CollectEdgeSubgraphs, 3), BRUTE_FORCE_EDGE_SETS),
     Workload("match-path", "g10", explore(GraphMatching, PATH_010), vf2(PATH_010)),
     Workload("match-triangle", "g24-5u", explore(GraphMatching, TRIANGLE), vf2(TRIANGLE)),
@@ -337,6 +352,8 @@ SWEEPS = [
     (["motifs@g10", "cliques-3@g10", "maximal-cliques-3@g10", "frequent-cliques@g10",
       "fsm@g10", "match-path@g10"],
      grid(BACKENDS, (1, 2, 4))),
+    # A disconnected input graph: every component seeds and grows alone.
+    (["motifs@components", "fsm@components"], grid(BACKENDS, (1, 2, 4))),
     (["vertex-sets@g12"], grid(BACKENDS, (1, 3))  # + the one-worker hand-off
      + [Cell("thread"), Cell("process")]),
     (["motifs@g24-5u", "match-triangle@g24-5u"], grid(BACKENDS, (2,))),

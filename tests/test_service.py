@@ -340,6 +340,22 @@ class TestEndpoints:
         status, raw = call(server, "GET", "/health")
         assert status == 200 and json.loads(raw) == {"status": "ok"}
 
+    @pytest.mark.parametrize("length", ["-1", "-0x10", "abc", "1.5", "", "5 5"])
+    def test_unreadable_content_length_is_a_400(self, server, length):
+        import socket
+
+        with socket.create_connection(server.address, timeout=30) as sock:
+            sock.sendall(b"POST /motifs HTTP/1.1\r\nHost: x\r\n"
+                         b"Content-Length: " + length.encode() + b"\r\n\r\n{}")
+            response = b""
+            while chunk := sock.recv(4096):
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        message = json.loads(body)["error"]["message"]
+        assert message == f"bad Content-Length {length!r}"
+        assert call(server, "GET", "/health")[0] == 200
+
     def test_loading_a_duplicate_name_is_a_400(self, server):
         status, raw = call(
             server, "POST", "/graphs", {"name": "tiny", "dataset": "citeseer"}

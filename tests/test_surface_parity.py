@@ -128,7 +128,9 @@ def test_option_agrees_across_surfaces(field):
             assert str(cli_error.value) == message
 
 
-@pytest.mark.parametrize("max_size,min_size,accepted", [(4, 2, True), (2, 4, False)])
+@pytest.mark.parametrize("max_size,min_size,accepted", [
+    (4, 2, True), (2, 4, False), (3, 3, True), (5, 1, True), (1, 2, False), (3, 4, False),
+])
 def test_clique_size_range_agrees_across_surfaces(max_size, min_size, accepted):
     miner = Miner(gnm_random_graph(12, 20, seed=2))
     surfaces = [
