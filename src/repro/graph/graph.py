@@ -72,7 +72,6 @@ class LabeledGraph:
         "_nbr_edge_all",
         "_nbr_bits",
         "_inc_bits",
-        "_label_index",
         "_label_bits",
         "_uniform_edge_label",
         "_name",
@@ -158,14 +157,11 @@ class LabeledGraph:
         self._nbr_bits = tuple(nbr_bits)
         self._inc_bits = tuple(inc_bits)
 
-        #: Eager label -> sorted vertex ids (tuple + bitset form).  Built
-        #: at construction so no read path ever mutates the instance.
+        #: Eager label -> vertex-id bitset.  Built at construction so no
+        #: read path ever mutates the instance.
         index: dict[int, list[int]] = {}
         for vertex, vertex_label in enumerate(self._vertex_labels):
             index.setdefault(vertex_label, []).append(vertex)
-        self._label_index = {
-            vertex_label: tuple(ids) for vertex_label, ids in index.items()
-        }
         self._label_bits = {
             vertex_label: to_bitset(ids) for vertex_label, ids in index.items()
         }
@@ -198,7 +194,7 @@ class LabeledGraph:
     @property
     def num_vertex_labels(self) -> int:
         """Number of distinct vertex labels present in the graph."""
-        return len(self._label_index)
+        return len(self._label_bits)
 
     def average_degree(self) -> float:
         """Average vertex degree, ``2m / n`` (0.0 for the empty graph)."""
@@ -347,7 +343,7 @@ class LabeledGraph:
     # ------------------------------------------------------------------
     def vertex_label_histogram(self) -> dict[int, int]:
         """Mapping ``label -> number of vertices`` carrying it."""
-        return {label: len(ids) for label, ids in self._label_index.items()}
+        return {label: bits.bit_count() for label, bits in self._label_bits.items()}
 
     # ------------------------------------------------------------------
     # Structure helpers

@@ -44,7 +44,7 @@ from ..core.config import PROCESS_BACKEND
 from ..core.engine import ExplorationError
 from ..core.results import WorkerDelta
 from .base import ExecutionBackend
-from .tasks import StepContext, _probe_interrupts, run_step_chunk
+from .tasks import StepContext, check_interrupts, run_step_chunk
 
 #: Seconds between the driver's cancel/deadline probes while it waits on
 #: its children.
@@ -115,7 +115,7 @@ class ProcessBackend(ExecutionBackend):
             reports = {}
             waiting = {receiver: (ids, child) for ids, child, receiver in children}
             while waiting:
-                _probe_interrupts(context.deadline_at, context.config.cancel, count=0)
+                check_interrupts(context.deadline_at, context.config.cancel)
                 for receiver in wait(list(waiting), POLL_SECONDS):
                     worker_ids, child = waiting.pop(receiver)
                     try:

@@ -169,23 +169,27 @@ class WorkerTaskContext(ComputationContext):
         self._delta.counters.domain_hits += count
 
 
+def check_interrupts(deadline_at: float | None, cancel: CancelFlag | None) -> None:
+    """Raise if one of the two cooperative interrupts has tripped: external
+    cancellation (:class:`RunCancelled`) or the deadline budget
+    (:class:`BudgetExceeded`).  The task sees only the expiry instant; the
+    engine re-raises deadline trips with the run-level limit filled in."""
+    if cancel is not None and cancel.is_set():
+        raise RunCancelled("run cancelled mid-step")
+    if deadline_at is not None and time.monotonic() > deadline_at:
+        raise BudgetExceeded(DEADLINE_BUDGET)
+
+
 def _probe_interrupts(
     deadline_at: float | None,
     cancel: CancelFlag | None,
     count: int,
 ) -> None:
-    """Periodic in-step probe (every DEADLINE_CHECK_INTERVAL embeddings)
-    of the two cooperative interrupts — the deadline budget and external
-    cancellation — so one pathological step cannot run minutes past its
-    cutoff before reaching the barrier.  The task sees only the expiry
-    instant; the engine re-raises deadline trips with the run-level limit
-    filled in."""
-    if count % DEADLINE_CHECK_INTERVAL != 0:
-        return
-    if cancel is not None and cancel.is_set():
-        raise RunCancelled("run cancelled mid-step")
-    if deadline_at is not None and time.monotonic() > deadline_at:
-        raise BudgetExceeded(DEADLINE_BUDGET)
+    """Periodic in-step probe: :func:`check_interrupts` every
+    DEADLINE_CHECK_INTERVAL embeddings, so one pathological step cannot run
+    minutes past its cutoff before reaching the barrier."""
+    if count % DEADLINE_CHECK_INTERVAL == 0:
+        check_interrupts(deadline_at, cancel)
 
 
 def _trusted_hook(computation: Computation, hook: str, replaces: tuple[str, ...]):

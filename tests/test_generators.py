@@ -5,15 +5,9 @@ import pytest
 from repro.graph import (
     GraphError,
     assign_labels,
-    complete_graph,
-    cycle_graph,
     gnm_random_graph,
-    graph_from_edges,
-    grid_graph,
-    path_graph,
     powerlaw_graph,
     random_regularish_graph,
-    star_graph,
 )
 
 
@@ -118,95 +112,3 @@ class TestAssignLabels:
         assert labeled.num_edges == base.num_edges
         for v in base.vertices():
             assert labeled.neighbors(v) == base.neighbors(v)
-
-
-#: ``(graph, vertices, edges, sorted degree sequence)`` for each fixed shape.
-SHAPES = {
-    "complete-1": (lambda: complete_graph(1), 1, 0, [0]),
-    "complete-2": (lambda: complete_graph(2), 2, 1, [1, 1]),
-    "complete-5": (lambda: complete_graph(5), 5, 10, [4] * 5),
-    "path-0": (lambda: path_graph(0), 0, 0, []),
-    "path-1": (lambda: path_graph(1), 1, 0, [0]),
-    "path-6": (lambda: path_graph(6), 6, 5, [1, 1, 2, 2, 2, 2]),
-    "cycle-3": (lambda: cycle_graph(3), 3, 3, [2] * 3),
-    "cycle-7": (lambda: cycle_graph(7), 7, 7, [2] * 7),
-    "star-0": (lambda: star_graph(0), 1, 0, [0]),
-    "star-4": (lambda: star_graph(4), 5, 4, [1, 1, 1, 1, 4]),
-    "grid-1x1": (lambda: grid_graph(1, 1), 1, 0, [0]),
-    "grid-1x4": (lambda: grid_graph(1, 4), 4, 3, [1, 1, 2, 2]),
-    "grid-3x4": (lambda: grid_graph(3, 4), 12, 17, [2] * 4 + [3] * 6 + [4] * 2),
-}
-
-
-class TestFixedShapes:
-    @pytest.mark.parametrize("shape", SHAPES)
-    def test_size_and_degrees(self, shape):
-        build, vertices, edges, degrees = SHAPES[shape]
-        g = build()
-        assert (g.num_vertices, g.num_edges) == (vertices, edges)
-        assert sorted(g.degree(v) for v in g.vertices()) == degrees
-
-    @pytest.mark.parametrize("shape", SHAPES)
-    def test_unlabeled_and_deterministic(self, shape):
-        build = SHAPES[shape][0]
-        g = build()
-        assert set(g.vertex_labels) <= {0} and set(g.edge_labels) <= {0}
-        assert build() == g
-
-    @pytest.mark.parametrize("n", [0, 1, 2])
-    def test_cycle_rejects_fewer_than_three(self, n):
-        with pytest.raises(GraphError, match="at least 3"):
-            cycle_graph(n)
-
-    def test_complete_every_pair_adjacent(self):
-        g = complete_graph(6)
-        assert all(g.adjacent(u, v) for u in g.vertices() for v in g.vertices() if u != v)
-
-    def test_cycle_closes(self):
-        g = cycle_graph(5)
-        assert g.adjacent(0, 4)
-        assert [sorted(g.neighbors(v)) for v in (0, 2)] == [[1, 4], [1, 3]]
-
-    def test_star_hub_is_vertex_zero(self):
-        g = star_graph(3)
-        assert sorted(g.neighbors(0)) == [1, 2, 3]
-        assert not g.adjacent(1, 2)
-
-    def test_grid_is_row_major_and_triangle_free(self):
-        g = grid_graph(3, 3)
-        assert sorted(g.neighbors(4)) == [1, 3, 5, 7]
-        assert not any(g.adjacent(u, w) for v in g.vertices()
-                       for u in g.neighbors(v) for w in g.neighbors(v) if u < w)
-
-    def test_names(self):
-        assert complete_graph(3).name == "complete"
-        assert grid_graph(2, 2, name="g").name == "g"
-
-
-class TestGraphFromEdges:
-    def test_infers_vertex_count(self):
-        g = graph_from_edges([(0, 3), (1, 3)])
-        assert (g.num_vertices, g.num_edges) == (4, 2)
-        assert g.degree(2) == 0
-
-    def test_keeps_vertex_and_edge_labels(self):
-        g = graph_from_edges([(0, 1), (1, 2)], vertex_labels=[5, 6, 7, 8],
-                             edge_labels=[1, 2])
-        assert g.num_vertices == 4  # the labels may name extra, isolated vertices
-        assert g.vertex_labels == (5, 6, 7, 8)
-        assert g.edge_label(g.edge_id(1, 2)) == 2
-
-    def test_rejects_short_vertex_labels(self):
-        with pytest.raises(GraphError, match="shorter"):
-            graph_from_edges([(0, 2)], vertex_labels=[0, 0])
-
-    @pytest.mark.parametrize("edges,message", [
-        ([(1, 1)], "self-loop"), ([(0, 1), (1, 0)], "parallel"),
-    ])
-    def test_rejects_what_a_simple_graph_cannot_hold(self, edges, message):
-        with pytest.raises(GraphError, match=message):
-            graph_from_edges(edges)
-
-    def test_empty_edge_list_is_the_empty_graph(self):
-        g = graph_from_edges([])
-        assert (g.num_vertices, g.num_edges) == (0, 0)

@@ -185,41 +185,73 @@ class TestStructureHelpers:
         assert clone.edge_label(2) == 12
 
 
+#: ``(build, vertices, edges, sorted degree sequence)`` per named shape.
+SHAPES = {
+    "complete-1": (lambda: complete_graph(1), 1, 0, [0]),
+    "complete-2": (lambda: complete_graph(2), 2, 1, [1, 1]),
+    "complete-5": (lambda: complete_graph(5), 5, 10, [4] * 5),
+    "path-0": (lambda: path_graph(0), 0, 0, []),
+    "path-1": (lambda: path_graph(1), 1, 0, [0]),
+    "path-4": (lambda: path_graph(4), 4, 3, [1, 1, 2, 2]),
+    "cycle-3": (lambda: cycle_graph(3), 3, 3, [2] * 3),
+    "cycle-5": (lambda: cycle_graph(5), 5, 5, [2] * 5),
+    "star-0": (lambda: star_graph(0), 1, 0, [0]),
+    "star-6": (lambda: star_graph(6), 7, 6, [1] * 6 + [6]),
+    "grid-1x1": (lambda: grid_graph(1, 1), 1, 0, [0]),
+    "grid-1x4": (lambda: grid_graph(1, 4), 4, 3, [1, 1, 2, 2]),
+    "grid-3x4": (lambda: grid_graph(3, 4), 12, 17, [2] * 4 + [3] * 6 + [4] * 2),
+}
+
+#: ``(shape, vertex, its sorted neighbors)``: where each shape puts its edges.
+NEIGHBORS = [
+    ("path-4", 1, [0, 2]),
+    ("cycle-5", 0, [1, 4]),
+    ("cycle-5", 2, [1, 3]),
+    ("star-6", 0, [1, 2, 3, 4, 5, 6]),
+    ("star-6", 3, [0]),
+    ("grid-3x4", 5, [1, 4, 6, 9]),  # row-major: row 1, column 1
+    ("grid-3x4", 0, [1, 4]),
+]
+
+
 class TestNamedShapes:
-    def test_complete_graph(self):
-        g = complete_graph(5)
-        assert g.num_edges == 10
-        assert all(g.degree(v) == 4 for v in g.vertices())
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_size_and_degrees(self, shape):
+        build, vertices, edges, degrees = SHAPES[shape]
+        g = build()
+        assert (g.num_vertices, g.num_edges) == (vertices, edges)
+        assert sorted(g.degree(v) for v in g.vertices()) == degrees
 
-    def test_path_graph(self):
-        g = path_graph(4)
-        assert g.num_edges == 3
-        assert g.degree(0) == 1
-        assert g.degree(1) == 2
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_unlabeled_and_deterministic(self, shape):
+        build = SHAPES[shape][0]
+        g = build()
+        assert set(g.vertex_labels) <= {0} and set(g.edge_labels) <= {0}
+        assert build() == g
 
-    def test_cycle_graph(self):
-        g = cycle_graph(5)
-        assert g.num_edges == 5
-        assert all(g.degree(v) == 2 for v in g.vertices())
+    @pytest.mark.parametrize("shape, vertex, neighbors", NEIGHBORS)
+    def test_neighbors(self, shape, vertex, neighbors):
+        assert sorted(SHAPES[shape][0]().neighbors(vertex)) == neighbors
 
-    def test_cycle_rejects_small(self):
-        with pytest.raises(GraphError):
-            cycle_graph(2)
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_cycle_rejects_small(self, n):
+        with pytest.raises(GraphError, match="at least 3"):
+            cycle_graph(n)
 
-    def test_star_graph(self):
-        g = star_graph(6)
-        assert g.num_vertices == 7
-        assert g.degree(0) == 6
+    @pytest.mark.parametrize("edges, vertices", [
+        ([(0, 3), (1, 2)], 4), ([(0, 3), (1, 3)], 4), ([], 0),
+    ])
+    def test_graph_from_edges_infers_size(self, edges, vertices):
+        g = graph_from_edges(edges)
+        assert (g.num_vertices, g.num_edges) == (vertices, len(edges))
 
-    def test_grid_graph(self):
-        g = grid_graph(3, 4)
-        assert g.num_vertices == 12
-        assert g.num_edges == 3 * 3 + 2 * 4
-
-    def test_graph_from_edges_infers_size(self):
-        g = graph_from_edges([(0, 3), (1, 2)])
-        assert g.num_vertices == 4
+    def test_graph_from_edges_keeps_labels(self):
+        g = graph_from_edges([(0, 1), (1, 2)], vertex_labels=[5, 6, 7, 8],
+                             edge_labels=[1, 2])
+        assert g.num_vertices == 4  # the labels may name extra, isolated vertices
+        assert g.vertex_labels == (5, 6, 7, 8)
+        assert g.edge_label(g.edge_id(1, 2)) == 2
 
     def test_graph_from_edges_rejects_short_labels(self):
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="shorter"):
             graph_from_edges([(0, 3)], vertex_labels=[0])

@@ -20,6 +20,7 @@ from repro.graph import (
     iter_bitset,
     to_bitset,
 )
+from reference import is_connected_vertex_set
 
 
 def random_graph_data(seed: int, max_n: int = 12):
@@ -94,7 +95,7 @@ def test_csr_core_agrees_with_dict_of_sets_reference(seed):
 
 @given(seed=st.integers(0, 5000))
 @settings(max_examples=60, deadline=None)
-def test_induced_edges_agree_with_reference(seed):
+def test_induced_and_connectivity_agree_with_reference(seed):
     labels, edges, edge_labels = random_graph_data(seed)
     graph = LabeledGraph(labels, edges, edge_labels)
     ref = DictOfSetsReference(labels, edges, edge_labels)
@@ -109,6 +110,21 @@ def test_induced_edges_agree_with_reference(seed):
         if u in members and v in members
     )
     assert graph.induced_edge_ids(subset) == expected_edges
+
+    def naive_connected(vertex_ids):
+        if not vertex_ids:
+            return False
+        todo = [vertex_ids[0]]
+        seen = {vertex_ids[0]}
+        while todo:
+            v = todo.pop()
+            for u in ref.adjacency[v] & set(vertex_ids):
+                if u not in seen:
+                    seen.add(u)
+                    todo.append(u)
+        return len(seen) == len(set(vertex_ids))
+
+    assert is_connected_vertex_set(graph, subset) == naive_connected(subset)
 
 
 @given(ids=st.sets(st.integers(0, 300), max_size=40))

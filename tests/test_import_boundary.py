@@ -18,6 +18,8 @@ inside functions count too.
 import ast
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "repro"
 
@@ -202,11 +204,18 @@ def test_src_holds_only_what_a_surface_reaches():
     assert stale == [], "ALLOWED lists a definition that is gone or now reached"
 
 
-def test_the_reachability_gate_fires(tmp_path):
-    package = tmp_path / "src" / "repro"
-    package.mkdir(parents=True)
-    (package / "cli.py").write_text("from .lib import main\n\nmain()\n")
-    (package / "lib.py").write_text(
+def synthetic(root: Path, files: dict[str, str]) -> Path:
+    """A repository at ``root`` holding ``files`` (paths under it)."""
+    for relative, text in files.items():
+        path = root / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return root
+
+
+RUNNER_TREE = {
+    "src/repro/cli.py": "from .lib import main\n\nmain()\n",
+    "src/repro/lib.py": (
         "HANDLERS = {'run': RUNNER}\n"
         "RUNNER = Runner\n"
         "def main():\n    return HANDLERS['run']().run()\n"
@@ -217,109 +226,68 @@ def test_the_reachability_gate_fires(tmp_path):
         "def test_only():\n    return 3\n"
         "def public():\n    return helper()\n"
         "def helper():\n    return 4\n"
-    )
-    allowed = {"lib.py::public": "kept on purpose"}
-    assert reachability(tmp_path, allowed) == (
-        ["lib.py::Runner.test_only_method", "lib.py::test_only"], [])
-    allowed = dict.fromkeys(
-        ["lib.py::public", "lib.py::test_only", "lib.py::main", "lib.py::gone"], "")
-    assert reachability(tmp_path, allowed) == (
-        ["lib.py::Runner.test_only_method"], ["lib.py::gone", "lib.py::main"])
+    ),
+}
 
-
-def synthetic(root: Path, files: dict[str, str]) -> Path:
-    """A repository at ``root`` holding ``files`` (paths under it)."""
-    for relative, text in files.items():
-        path = root / relative
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
-    return root
-
-
-def test_the_gate_does_not_count_tests_as_a_surface(tmp_path):
-    repo = synthetic(tmp_path, {
+#: ``case: (files, allowed, (unreached, stale))`` on a synthetic tree, one
+#: rule of the gate each.
+GATE_CASES = {
+    # A test-only function or method fails; an allowlisted def, and what it
+    # calls, passes.
+    "test-only-def-fails": (
+        RUNNER_TREE, {"lib.py::public": "kept on purpose"},
+        (["lib.py::Runner.test_only_method", "lib.py::test_only"], []),
+    ),
+    # An entry that is gone, or that a surface reaches, is stale.
+    "stale-entry-fails": (
+        RUNNER_TREE,
+        dict.fromkeys(["lib.py::public", "lib.py::test_only", "lib.py::main",
+                       "lib.py::gone"], ""),
+        (["lib.py::Runner.test_only_method"], ["lib.py::gone", "lib.py::main"]),
+    ),
+    "tests-are-no-surface": ({
         "src/repro/cli.py": "from .lib import used\nused()\n",
         "src/repro/lib.py": "def used():\n    pass\ndef only_tested():\n    pass\n",
         "tests/test_lib.py": "from repro.lib import only_tested\nonly_tested()\n",
-    })
-    assert reachability(repo, {}) == (["lib.py::only_tested"], [])
-
-
-def test_the_gate_counts_benchmarks_and_examples_as_surfaces(tmp_path):
-    repo = synthetic(tmp_path, {
+    }, {}, (["lib.py::only_tested"], [])),
+    "benchmarks-and-examples-are-surfaces": ({
         "src/repro/lib.py": ("def benched():\n    pass\ndef shown():\n    pass\n"
                              "def orphan():\n    pass\n"),
         "benchmarks/spine/bench.py": "from repro.lib import benched\nbenched()\n",
         "examples/demo.py": "def main():\n    from repro.lib import shown\n    shown()\n",
-    })
-    assert reachability(repo, {}) == (["lib.py::orphan"], [])
-
-
-def test_the_gate_reaches_dunders_with_their_class(tmp_path):
-    repo = synthetic(tmp_path, {
+    }, {}, (["lib.py::orphan"], [])),
+    "dunders-come-with-their-class": ({
         "src/repro/cli.py": "from .lib import Box\nBox()\n",
         "src/repro/lib.py": ("class Box:\n"
                              "    def __init__(self):\n        pass\n"
                              "    def __len__(self):\n        return 0\n"
                              "    def unused(self):\n        pass\n"),
-    })
-    assert reachability(repo, {}) == (["lib.py::Box.unused"], [])
-
-
-def test_the_gate_needs_the_class_before_its_methods(tmp_path):
-    repo = synthetic(tmp_path, {
+    }, {}, (["lib.py::Box.unused"], [])),
+    "methods-need-their-class": ({
         "src/repro/cli.py": "import sys\nsys.stdout.write('')\n",
         "src/repro/lib.py": "class Writer:\n    def write(self, text):\n        pass\n",
-    })
-    assert reachability(repo, {}) == (["lib.py::Writer", "lib.py::Writer.write"], [])
-
-
-def test_the_gate_reaches_a_binding_only_through_its_name(tmp_path):
-    repo = synthetic(tmp_path, {
+    }, {}, (["lib.py::Writer", "lib.py::Writer.write"], [])),
+    "bindings-reach-only-through-their-name": ({
         "src/repro/cli.py": "from .lib import TABLE\nTABLE['a']()\n",
         "src/repro/lib.py": ("TABLE = {'a': handler}\nSPARE = {'b': spare}\n"
                              "def handler():\n    pass\ndef spare():\n    pass\n"),
-    })
-    assert reachability(repo, {}) == (["lib.py::spare"], [])
-
-
-def test_the_gate_runs_a_surface_modules_bindings(tmp_path):
-    repo = synthetic(tmp_path, {
+    }, {}, (["lib.py::spare"], [])),
+    "surface-bindings-run": ({
         "src/repro/session/run.py": "from ..lib import go\nDEFAULT = go\n",
         "src/repro/lib.py": "def go():\n    pass\n",
-    })
-    assert reachability(repo, {}) == ([], [])
-
-
-def test_the_gate_walks_top_level_if_and_try(tmp_path):
-    repo = synthetic(tmp_path, {
+    }, {}, ([], [])),
+    "top-level-if-and-try-are-walked": ({
         "src/repro/cli.py": "from .lib import fast, fallback\nfast()\nfallback()\n",
         "src/repro/lib.py": ("if probe():\n    def fast():\n        pass\n"
                              "else:\n    def slow():\n        pass\n"
                              "try:\n    import missing\n"
                              "except ImportError:\n    def fallback():\n        pass\n"
                              "def probe():\n    return True\n"),
-    })
-    assert reachability(repo, {}) == (["lib.py::slow"], [])
+    }, {}, (["lib.py::slow"], [])),
+}
 
 
-def test_an_allowed_entry_reaches_what_it_calls(tmp_path):
-    repo = synthetic(tmp_path, {
-        "src/repro/lib.py": ("def public():\n    return helper()\n"
-                             "def helper():\n    pass\n"),
-    })
-    assert reachability(repo, {}) == (["lib.py::helper", "lib.py::public"], [])
-    assert reachability(repo, {"lib.py::public": "kept"}) == ([], [])
-
-
-def test_an_allowed_entry_that_is_gone_is_stale(tmp_path):
-    repo = synthetic(tmp_path, {"src/repro/lib.py": "X = 1\n"})
-    assert reachability(repo, {"lib.py::removed": "kept"}) == ([], ["lib.py::removed"])
-
-
-def test_an_allowed_entry_a_surface_reaches_is_stale(tmp_path):
-    repo = synthetic(tmp_path, {
-        "src/repro/cli.py": "from .lib import public\npublic()\n",
-        "src/repro/lib.py": "def public():\n    pass\n",
-    })
-    assert reachability(repo, {"lib.py::public": "kept"}) == ([], ["lib.py::public"])
+@pytest.mark.parametrize("case", GATE_CASES)
+def test_the_reachability_gate_fires(tmp_path, case):
+    files, allowed, expected = GATE_CASES[case]
+    assert reachability(synthetic(tmp_path, files), allowed) == expected

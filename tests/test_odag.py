@@ -329,7 +329,8 @@ class ReferenceOdag:
 
 def path_count(odag, level, word):
     """Paths reaching the end from ``word`` at ``level``: the per-element
-    counts of the rank index extraction walks."""
+    counts of the rank index extraction walks.  ``Odag`` has no public read
+    of them, so this reads its private index and last level."""
     if level == odag.size - 1:
         return odag._last_level() >> word & 1
     return odag._ensure_index()[0][level].get(word, 0)

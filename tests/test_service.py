@@ -42,7 +42,7 @@ from repro.session import Miner
 
 def result_cache_nbytes(registry):
     """Deep bytes the whole-result cache holds right now."""
-    return registry._results_nbytes
+    return registry.describe()["result_cache"]["nbytes"]
 
 
 def small_graph(seed=5):
@@ -178,10 +178,11 @@ class TestResultCache:
     def test_describe_reports_result_cache_bytes(self):
         registry = MinerRegistry()
         registry.load("g", small_graph())
-        registry.cached("g", "q", "c", lambda m: {"rows": list(range(100))})
+        payload = {"rows": list(range(100))}
+        registry.cached("g", "q", "c", lambda m: payload)
         block = registry.describe()["result_cache"]
         assert block["entries"] == 1
-        assert block["nbytes"] == result_cache_nbytes(registry) > 0
+        assert block["nbytes"] == payload_nbytes(payload) > 0
         assert block["limit_nbytes"] == registry.result_cache_limit_nbytes
 
 
@@ -325,22 +326,7 @@ class TestEndpoints:
         assert call(server, "GET", "/bogus")[0] == 404
         assert call(server, "PUT", "/health")[0] == 405
 
-    def test_negative_content_length_is_a_400(self, server):
-        import socket
-
-        with socket.create_connection(server.address, timeout=30) as sock:
-            sock.sendall(b"POST /motifs HTTP/1.1\r\nHost: x\r\n"
-                         b"Content-Length: -5\r\n\r\n")
-            response = b""
-            while chunk := sock.recv(4096):
-                response += chunk
-        head, _, body = response.partition(b"\r\n\r\n")
-        assert head.startswith(b"HTTP/1.1 400 ")
-        assert "bad Content-Length '-5'" in json.loads(body)["error"]["message"]
-        status, raw = call(server, "GET", "/health")
-        assert status == 200 and json.loads(raw) == {"status": "ok"}
-
-    @pytest.mark.parametrize("length", ["-1", "-0x10", "abc", "1.5", "", "5 5"])
+    @pytest.mark.parametrize("length", ["-5", "-1", "-0x10", "abc", "1.5", "", "5 5"])
     def test_unreadable_content_length_is_a_400(self, server, length):
         import socket
 
@@ -354,7 +340,8 @@ class TestEndpoints:
         assert head.startswith(b"HTTP/1.1 400 ")
         message = json.loads(body)["error"]["message"]
         assert message == f"bad Content-Length {length!r}"
-        assert call(server, "GET", "/health")[0] == 200
+        status, raw = call(server, "GET", "/health")
+        assert status == 200 and json.loads(raw) == {"status": "ok"}
 
     def test_loading_a_duplicate_name_is_a_400(self, server):
         status, raw = call(

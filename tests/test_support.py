@@ -16,7 +16,7 @@ class TestDomainBasics:
     def test_from_vertex_embedding(self):
         g = graph_from_edges([(0, 1), (1, 2)], vertex_labels=[1, 2, 1])
         d = Domain.from_embedding(VertexInducedEmbedding(g, (1, 0)))
-        assert len(d._masks) == 2
+        assert d.orbit_folded((0, 1)) == (1 << 1, 1 << 0)  # arity 2
         assert d.position_images(0) == frozenset({1})
         assert d.position_images(1) == frozenset({0})
 
@@ -220,7 +220,9 @@ class TestMaskDomainAgainstFrozensetReference:
 
         def admit(pair):
             mask_domain, set_domain = pair
-            assert len(mask_domain._masks) == len(set_domain.sets)
+            # orbit_folded raises unless the arities agree
+            identity = tuple(range(len(set_domain.sets)))
+            assert len(mask_domain.orbit_folded(identity)) == len(identity)
             for position, images in enumerate(set_domain.sets):
                 assert mask_domain.position_images(position) == images
             assert mask_domain.wire_size() == set_domain.wire_size()
