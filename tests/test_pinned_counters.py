@@ -16,6 +16,10 @@ The ``meters`` rows hold the other exact numbers: what the engine meters
 for the simulated cluster (wire totals, what each step shipped as, each
 step's per-worker work units) — the inputs of Figures 7, 8 and 10.
 
+The ``tlv`` rows hold the TLV baseline's run totals (Figure 7): the
+supersteps, messages and bytes it meters, its total and critical-path
+work, and what it found.
+
 The ``table4`` rows hold two-level pattern aggregation's own counters
 (Table 4): pattern requests, quick and canonical patterns, isomorphism runs.
 
@@ -33,9 +37,17 @@ from pathlib import Path
 import pytest
 
 from repro.apps import enumerate_motif_patterns
+from repro.baselines import run_tlv_fsm
 from repro.core import Pattern
 from repro.datasets import citeseer_like, skewed_label_graph
-from repro.graph import LabeledGraph, assign_labels, gnm_random_graph, strip_labels
+from repro.graph import (
+    LabeledGraph,
+    assign_labels,
+    gnm_random_graph,
+    powerlaw_graph,
+    star_graph,
+    strip_labels,
+)
 from repro.plan import (
     NAMED_SHAPES,
     build_catalog,
@@ -288,6 +300,29 @@ def meter_row(run):
     }
 
 
+def tlv_rows():
+    """TLV FSM at θ=1 on 4 workers: a hub-heavy power-law graph and the
+    star hotspot.  ``max_work`` sums each superstep's busiest worker."""
+    runs = {
+        "powerlaw(80, 2) size<=4 w4": (powerlaw_graph(80, 2, seed=7), 4),
+        "star(30) size<=3 w4": (star_graph(30), 3),
+    }
+    rows = {}
+    for name, (graph, max_size) in runs.items():
+        result = run_tlv_fsm(graph, threshold=1, max_size=max_size, num_workers=4)
+        metrics = result.metrics
+        rows[name] = {
+            "supersteps": len(metrics.steps),
+            "total_messages": metrics.total_messages,
+            "total_bytes": metrics.total_bytes,
+            "total_work": sum(step.total_work for step in metrics.steps),
+            "max_work": sum(step.max_work for step in metrics.steps),
+            "embeddings_processed": result.embeddings_processed,
+            "frequent": len(result.frequent),
+        }
+    return rows
+
+
 def compute_table():
     edges = gnm_random_graph(40, 100, seed=7)
     tiny = strip_labels(edges)
@@ -312,6 +347,7 @@ def compute_table():
         "meters dense2": meter_rows(dense2),
         "table4 tiny3": table4_rows(tiny3),
         "table4 tiny5e": table4_rows(tiny5e),
+        "tlv": tlv_rows(),
     }
     return {
         f"{section} {name}": row
