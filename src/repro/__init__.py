@@ -26,7 +26,7 @@ Package map (see docs/architecture.md for the full inventory):
 * :mod:`repro.core` — the filter-process model and execution techniques;
   each run meters its own per-worker work and wire traffic;
 * :mod:`repro.bsp` — the simulated cluster: a cost model that reads those
-  meters, and the in-process BSP engine under the TLV baseline;
+  meters (and the TLV/TLP baselines'); nothing in ``src/`` imports it;
 * :mod:`repro.plan` — pattern-aware guided exploration planner;
 * :mod:`repro.apps` — FSM, motifs, cliques, maximal cliques, matching;
 * :mod:`repro.baselines` — TLV, TLP, GRAMI/G-Tries/Mace substitutes;

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..bsp.metrics import RunMetrics
 from ..core.pattern import Pattern
+from ..core.results import RunMetrics
 from ..graph import LabeledGraph
 from .grami import (
     extend_pattern,

@@ -13,39 +13,44 @@ paradigm:
   fraction of embeddings to expand" — with hash partitioning, whichever
   worker owns a hub vertex owns its load.
 
-This implementation runs on the BSP substrate (:mod:`repro.bsp`), with
-graph vertices hash-partitioned across workers.  The exploration itself is
-generic over a :class:`~repro.core.computation.Computation`-like filter and
-a per-pattern frequency threshold (the FSM instantiation the paper uses);
-canonicality (Algorithm 2) provides the same coordination-free dedup as the
-Arabesque layer, and a per-owner seen-set removes the identical duplicates
-that multiple proposers create — the "extended duplication of state" the
-paper calls out.
+This implementation is a plain superstep loop over simulated workers, with
+graph vertices hash-partitioned across them; every message is metered onto
+the superstep's :class:`~repro.core.results.SuperstepRecord`, which
+:class:`repro.bsp.CostModel` prices.  Canonicality (Algorithm 2) provides
+the same coordination-free dedup as the Arabesque layer, and a per-owner
+seen-set removes the identical duplicates that multiple proposers create —
+the "extended duplication of state" the paper calls out.  Domains are
+aggregated per canonical pattern and published at the barrier, so a
+superstep reads the previous superstep's aggregate.
 
 Message protocol (three supersteps per embedding size, keeping sizes
 aligned with aggregate publication):
 
-* ``("cand", words)``  -> dedup owner: seen-set check, φ, domain mapping;
-* next superstep: α using the now-published aggregates, then
-  ``("expand", words, u)`` to each member vertex's worker;
+* ``("cand", words)``  -> dedup owner: seen-set check, domain mapping;
+* next superstep (woken by a self-addressed ``("tick",)``): α using the
+  now-published aggregate, then ``("expand", words, u)`` to each member
+  vertex's worker;
 * ``("expand", words, u)``: u proposes canonical extensions from its own
   adjacency and sends new ``cand`` messages.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
+from typing import Any
 
-from ..bsp import BspContext, BspEngine, Worker, dict_merge_aggregator
-from ..bsp.metrics import RunMetrics
+from ..apps.support import Domain
 from ..core.canonical import is_canonical_vertex_extension
 from ..core.embedding import VertexInducedEmbedding
 from ..core.pattern import Pattern
+from ..core.results import RunMetrics, SuperstepRecord
+from ..core.wire import INT_BYTES, estimate_size
 from ..graph import LabeledGraph
 from .grami import exact_mni_support
-from ..apps.support import Domain
 
-AGG_NAME = "tlv-domains"
+#: A point-to-point message's routing header: source and destination ids.
+ROUTING_BYTES = 2 * INT_BYTES
 
 
 @dataclass
@@ -57,92 +62,11 @@ class TlvResult:
     embeddings_processed: int = 0
 
 
-class _TlvWorker(Worker):
-    """One worker owning the graph vertices ``v % num_workers == id``."""
-
-    def __init__(self, graph: LabeledGraph, threshold: int, max_size: int):
-        self.graph = graph
-        self.threshold = threshold
-        self.max_size = max_size
-        self.seen: set[tuple[int, ...]] = set()
-        self.pending_expand: list[tuple[int, ...]] = []
-        self.processed = 0
-
-    def setup(self, worker_id: int, num_workers: int) -> None:
-        self.worker_id = worker_id
-        self.num_workers = num_workers
-
-    # -- helpers ---------------------------------------------------------
-    def _owner_of_embedding(self, words: tuple[int, ...]) -> int:
-        return hash(words) % self.num_workers
-
-    def _owner_of_vertex(self, v: int) -> int:
-        return v % self.num_workers
-
-    def _pattern_support(self, ctx: BspContext, pattern: Pattern) -> int | None:
-        aggregates = ctx.get_aggregate(AGG_NAME)
-        canonical, mapping = pattern.canonical_mapping()
-        domain = aggregates.get(canonical)
-        if domain is None:
-            return None
-        return domain.support(canonical.orbits())
-
-    # -- protocol ---------------------------------------------------------
-    def compute(self, ctx: BspContext, messages) -> None:
-        graph = self.graph
-        if ctx.superstep == 0:
-            for v in range(self.worker_id, graph.num_vertices, self.num_workers):
-                ctx.send(self._owner_of_embedding((v,)), ("cand", (v,)))
-            ctx.vote_to_halt()
-            return
-
-        # Phase A: α + expand-forward for embeddings accepted last round.
-        for words in self.pending_expand:
-            pattern = VertexInducedEmbedding(graph, words).pattern()
-            support = self._pattern_support(ctx, pattern)
-            ctx.add_work(1)
-            if support is None or support < self.threshold:
-                continue
-            if len(words) >= self.max_size:
-                continue
-            for u in words:
-                ctx.send(self._owner_of_vertex(u), ("expand", words, u))
-        self.pending_expand = []
-
-        for message in messages:
-            kind = message[0]
-            if kind == "tick":
-                continue
-            if kind == "cand":
-                words = message[1]
-                ctx.add_work(1)
-                if words in self.seen:
-                    continue
-                self.seen.add(words)
-                self.processed += 1
-                embedding = VertexInducedEmbedding(graph, words)
-                quick = embedding.pattern()
-                canonical, mapping = quick.canonical_mapping()
-                domain = Domain.from_embedding(embedding).remap_positions(mapping)
-                ctx.aggregate(AGG_NAME, (canonical, domain))
-                self.pending_expand.append(words)
-            else:
-                _, words, u = message
-                # Hotspot accounting: expanding at u costs deg(u) work.
-                ctx.add_work(graph.degree(u))
-                for w in graph.neighbors(u):
-                    if w in words:
-                        continue
-                    if not is_canonical_vertex_extension(graph, words, w):
-                        continue
-                    ctx.send(
-                        self._owner_of_embedding(words + (w,)),
-                        ("cand", words + (w,)),
-                    )
-        if self.pending_expand:
-            # Wake ourselves next superstep to run the α + expand phase.
-            ctx.send(self.worker_id, ("tick",))
-        ctx.vote_to_halt()
+def _send(step: SuperstepRecord, outboxes: list[list], dst: int, payload: Any) -> None:
+    """Deliver ``payload`` to worker ``dst`` next superstep, metered."""
+    outboxes[dst].append(payload)
+    step.messages_sent += 1
+    step.bytes_sent += ROUTING_BYTES + estimate_size(payload)
 
 
 def run_tlv_fsm(
@@ -155,35 +79,85 @@ def run_tlv_fsm(
 
     ``max_size`` caps embedding size in vertices (TLV explores vertex-
     induced embeddings, the natural unit of a vertex-centric paradigm).
+    Worker ``w`` owns the graph vertices ``v % num_workers == w`` and the
+    embeddings ``hash(words) % num_workers == w``.
     """
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
-    workers = [_TlvWorker(graph, threshold, max_size) for _ in range(num_workers)]
-    engine = BspEngine(
-        workers,
-        aggregators={AGG_NAME: dict_merge_aggregator(
-            lambda old, new: Domain.merge_all([old, new])
-        )},
-        max_supersteps=6 * (max_size + 2),
-    )
-    metrics = engine.run()
-    # Collect final frequent patterns from the union of all aggregate
-    # snapshots: re-derive supports per pattern exactly (the aggregator only
+    if num_workers < 1:
+        raise ValueError("num_workers must be >= 1")
+    metrics = RunMetrics(num_workers=num_workers)
+    seen: list[set[tuple[int, ...]]] = [set() for _ in range(num_workers)]
+    pending: list[list[tuple[int, ...]]] = [[] for _ in range(num_workers)]
+    inboxes: list[list] = [[] for _ in range(num_workers)]
+    published: dict[Pattern, Domain] = {}
+    processed = 0
+    while True:
+        step = metrics.new_superstep()
+        outboxes: list[list] = [[] for _ in range(num_workers)]
+        current: dict[Pattern, Domain] = {}
+        started = time.perf_counter()
+        for worker in range(num_workers):
+            if step.step == 0:
+                for v in range(worker, graph.num_vertices, num_workers):
+                    _send(step, outboxes, hash((v,)) % num_workers, ("cand", (v,)))
+                continue
+            # α + expand-forward for the embeddings accepted last superstep.
+            for words in pending[worker]:
+                step.add_work(worker, 1)
+                if len(words) >= max_size:
+                    continue
+                canonical = VertexInducedEmbedding(graph, words).pattern().canonical()
+                domain = published.get(canonical)
+                if domain is None or domain.support(canonical.orbits()) < threshold:
+                    continue
+                for u in words:
+                    _send(step, outboxes, u % num_workers, ("expand", words, u))
+            pending[worker] = []
+            for message in inboxes[worker]:
+                if message[0] == "cand":
+                    words = message[1]
+                    step.add_work(worker, 1)
+                    if words in seen[worker]:
+                        continue
+                    seen[worker].add(words)
+                    processed += 1
+                    embedding = VertexInducedEmbedding(graph, words)
+                    canonical, mapping = embedding.pattern().canonical_mapping()
+                    domain = Domain.from_embedding(embedding).remap_positions(mapping)
+                    merged = current.get(canonical)
+                    current[canonical] = (
+                        domain if merged is None else Domain.merge_all([merged, domain])
+                    )
+                    pending[worker].append(words)
+                elif message[0] == "expand":
+                    _, words, u = message
+                    # Hotspot accounting: expanding at u costs deg(u) work.
+                    step.add_work(worker, graph.degree(u))
+                    for w in graph.neighbors(u):
+                        if w in words or not is_canonical_vertex_extension(graph, words, w):
+                            continue
+                        grown = words + (w,)
+                        _send(step, outboxes, hash(grown) % num_workers, ("cand", grown))
+            if pending[worker]:
+                # Wake ourselves next superstep to run the α + expand phase.
+                _send(step, outboxes, worker, ("tick",))
+        step.wall_seconds = time.perf_counter() - started
+        published, inboxes = current, outboxes
+        if not step.messages_sent:
+            break
+    # Supports are re-derived exactly per pattern seen (the aggregate only
     # holds the last superstep), mirroring how the paper's TLV reports.
-    frequent: dict[Pattern, int] = {}
-    seen_patterns: set[Pattern] = set()
-    for worker in workers:
-        for words in worker.seen:
-            pattern = VertexInducedEmbedding(graph, words).pattern().canonical()
-            seen_patterns.add(pattern)
-    for pattern in seen_patterns:
+    patterns = {
+        VertexInducedEmbedding(graph, words).pattern().canonical()
+        for owned in seen
+        for words in owned
+    }
+    frequent = {}
+    for pattern in patterns:
         support = exact_mni_support(graph, pattern, induced=True)
         if support >= threshold:
             frequent[pattern] = support
-    return TlvResult(
-        frequent=frequent,
-        metrics=metrics,
-        embeddings_processed=sum(w.processed for w in workers),
-    )
+    return TlvResult(frequent=frequent, metrics=metrics, embeddings_processed=processed)

@@ -1,29 +1,14 @@
-"""The simulated cluster: a reader of metered runs, plus the TLV substrate.
+"""The simulated cluster: a reader of metered runs.
 
-Nothing outside this package and the TLV/TLP baselines imports it.  The
-engine in :mod:`repro.core` meters per-worker work units and wire traffic
-onto its own per-superstep records (:mod:`repro.core.results`);
-:class:`CostModel` prices those records — or a baseline's
-:class:`RunMetrics`, a list of the same records — into simulated cluster
-time for the Figure 7/8/10 scripts.  :class:`BspEngine` is the in-process
-Giraph substitute the TLV baseline runs on.
+Nothing in ``src/`` imports it; the figure scripts, examples and tests do.
+The engine in :mod:`repro.core` meters per-worker work units and wire
+traffic onto its own per-superstep records (:mod:`repro.core.results`), and
+the TLV/TLP baselines meter theirs onto a
+:class:`~repro.core.results.RunMetrics`, a list of the same records.
+:class:`CostModel` prices either into simulated cluster time for the
+Figure 7/8/10 scripts.
 """
 
-from .aggregator import Aggregator, dict_merge_aggregator
 from .cost_model import CostModel, speedup_curve
-from .engine import BspContext, BspEngine, BspError, Worker
-from .messages import Message
-from .metrics import RunMetrics
 
-__all__ = [
-    "Aggregator",
-    "BspContext",
-    "BspEngine",
-    "BspError",
-    "CostModel",
-    "Message",
-    "RunMetrics",
-    "Worker",
-    "dict_merge_aggregator",
-    "speedup_curve",
-]
+__all__ = ["CostModel", "speedup_curve"]

@@ -7,7 +7,7 @@ testbed; per docs/architecture.md (substitution 1) we recover *simulated*
 makespans from quantities the in-process engines meter exactly, one
 :class:`~repro.core.results.SuperstepRecord` per superstep — the Arabesque
 engine's :class:`~repro.core.results.RunResult` and the TLV/TLP baselines'
-:class:`~repro.bsp.metrics.RunMetrics` carry the same records:
+:class:`~repro.core.results.RunMetrics` carry the same records:
 
 * per-worker **work units** — a superstep lasts as long as its busiest
   worker, so hotspots (the TLV/TLP failure mode) directly stretch the

@@ -5,13 +5,13 @@ snapshot point (the ASYMP / G-thinker direction named in the ROADMAP):
 :mod:`~repro.checkpoint.snapshot` defines the versioned, checksummed,
 atomically-written snapshot format and the retention-managed writer;
 :mod:`~repro.checkpoint.resume` validates fingerprints and rebuilds an
-engine mid-run; :mod:`~repro.checkpoint.faults` injects crashes at chosen
-barriers so the resume path is tested against every barrier of a run.
+engine mid-run.  The suite's fault injection (``tests/faults.py``) crashes
+runs at chosen barriers so the resume path is tested against every barrier
+of a run.
 
 See docs/checkpoint.md for the format and the resume semantics.
 """
 
-from .faults import CrashingWriter, InjectedCrash, run_to_crash
 from .resume import (
     EXECUTION_CONFIG_FIELDS,
     build_resume_config,
@@ -38,10 +38,8 @@ __all__ = [
     "CheckpointError",
     "CheckpointGraphMismatch",
     "CheckpointWriter",
-    "CrashingWriter",
     "EXECUTION_CONFIG_FIELDS",
     "FORMAT_VERSION",
-    "InjectedCrash",
     "SEMANTIC_CONFIG_FIELDS",
     "build_resume_config",
     "graph_fingerprint",
@@ -50,7 +48,6 @@ __all__ = [
     "load_latest",
     "read_snapshot",
     "resume_run",
-    "run_to_crash",
     "validate_payload",
     "write_snapshot",
 ]

@@ -51,7 +51,7 @@ MAGIC = b"ARBKCKPT"
 #: (``_masks``; version 2 pickled frozensets as ``_sets``).
 #: 4: the pickled ``RunResult`` holds one per-superstep list, ``steps``,
 #: whose records carry the work units and wire counters (version 3 kept
-#: them in a second list on a ``bsp.metrics.RunMetrics``).
+#: them in a second list on a ``RunMetrics``).
 #: 5: the pickled ``RunResult`` holds its undecoded ``output_log`` of
 #: ``(words, mask, take)`` records (version 4 pickled the decoded
 #: ``outputs`` list, a name that is now a read-only property).

@@ -9,7 +9,6 @@ from .budget import (
     RunCancelled,
 )
 from .canonical import (
-    canonicalize_edge_set,
     canonicalize_vertex_set,
     is_canonical_edge_extension,
     is_canonical_edge_words,
@@ -33,7 +32,7 @@ from .embedding import (
     make_embedding,
 )
 from .engine import ArabesqueEngine, ExplorationError, run_computation
-from .extension import extensions, initial_candidates
+from .extension import initial_candidates
 from .odag import Odag
 from .partition import PartitionReport, measure_partition
 from .pattern import Pattern, PatternCanonicalizer, canonicalize_pattern, pattern_orbits
@@ -88,10 +87,8 @@ __all__ = [
     "VERTEX_EXPLORATION",
     "VertexInducedEmbedding",
     "WorkerDelta",
-    "canonicalize_edge_set",
     "canonicalize_pattern",
     "canonicalize_vertex_set",
-    "extensions",
     "initial_candidates",
     "is_canonical_edge_extension",
     "is_canonical_edge_words",

@@ -8,8 +8,9 @@ optional budgets and the engine enforces them **cooperatively**:
 
 * ``deadline_seconds`` — a wall-clock allowance for the whole run.  The
   engine checks it at every BSP step barrier, and the worker tasks also
-  probe it every :data:`DEADLINE_CHECK_INTERVAL` embeddings inside a
-  step, so a single pathological step cannot overshoot by much.  The
+  probe it every :data:`DEADLINE_CHECK_INTERVAL` units of work inside a
+  step (embeddings read plus candidates generated), so a single
+  pathological step cannot overshoot by much.  The
   clock is :func:`time.monotonic`, which on Linux is the system-wide
   ``CLOCK_MONOTONIC`` — comparable across the process backend's forks.
 * ``max_embeddings`` — a cap on *processed* embeddings (the paper's
@@ -32,7 +33,8 @@ from __future__ import annotations
 
 import threading
 
-#: Embeddings between in-task deadline probes (see
+#: Units of work (embeddings read plus candidates generated) between
+#: in-task deadline and cancel probes (see
 #: :func:`repro.runtime.tasks.run_step_task`).  Coarse enough that the
 #: clock read never shows up in profiles, fine enough that a runaway
 #: step is cut off in milliseconds, not minutes.
@@ -112,7 +114,7 @@ class CancelFlag:
     The owner (e.g. the query service's disconnect watcher) calls
     :meth:`set` from any thread; the engine checks the flag at every BSP
     barrier and worker tasks probe it alongside the deadline probe (every
-    :data:`DEADLINE_CHECK_INTERVAL` embeddings), raising
+    :data:`DEADLINE_CHECK_INTERVAL` units of work), raising
     :class:`RunCancelled`.
 
     Thread-backend workers share the flag object, so an in-step set() cuts

@@ -127,35 +127,6 @@ def is_canonical_edge_words(graph: LabeledGraph, words: tuple[int, ...]) -> bool
     return True
 
 
-def canonicalize_edge_set(graph: LabeledGraph, edge_ids) -> tuple[int, ...]:
-    """The unique canonical word order of a connected edge set.
-
-    Start from the smallest edge id, then repeatedly append the smallest
-    unvisited edge sharing an endpoint with the visited prefix.
-    """
-    members = set(edge_ids)
-    if not members:
-        return ()
-    words = [min(members)]
-    visited = {words[0]}
-    # Track the vertex span of the prefix for O(deg) adjacency tests.
-    span: set[int] = set(graph.edge_endpoints(words[0]))
-    while len(words) < len(members):
-        best: int | None = None
-        for eid in members:
-            if eid in visited:
-                continue
-            u, v = graph.edge_endpoints(eid)
-            if (u in span or v in span) and (best is None or eid < best):
-                best = eid
-        if best is None:
-            raise ValueError("edge set is not connected")
-        words.append(best)
-        visited.add(best)
-        span.update(graph.edge_endpoints(best))
-    return tuple(words)
-
-
 # ----------------------------------------------------------------------
 # Algorithm 2 over a whole candidate pool (both exploration modes)
 # ----------------------------------------------------------------------
@@ -195,13 +166,4 @@ def full_checker(mode: str):
         return is_canonical_vertex_words
     if mode == EDGE_EXPLORATION:
         return is_canonical_edge_words
-    raise ValueError(f"unknown exploration mode {mode!r}")
-
-
-def canonicalizer(mode: str):
-    """The word-set canonicalizer for an exploration mode."""
-    if mode == VERTEX_EXPLORATION:
-        return canonicalize_vertex_set
-    if mode == EDGE_EXPLORATION:
-        return canonicalize_edge_set
     raise ValueError(f"unknown exploration mode {mode!r}")

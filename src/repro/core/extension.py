@@ -13,7 +13,6 @@ canonicality check, not of this module.
 from __future__ import annotations
 
 from ..graph import LabeledGraph
-from ..graph.bitset import from_bitset
 from .embedding import EDGE_EXPLORATION, VERTEX_EXPLORATION
 
 
@@ -46,15 +45,6 @@ def extension_mask(row, words: tuple[int, ...]) -> int:
         pool |= row(word)
         members |= 1 << word
     return pool & ~members
-
-
-def extensions(graph: LabeledGraph, mode: str, words: tuple[int, ...]) -> list[int]:
-    """Distinct incident words not already in the embedding, ascending.
-
-    Bitsets decode in id order, so exploration stays deterministic across
-    runs and worker counts, which the tests rely on for cross-validation.
-    """
-    return list(from_bitset(extension_mask(word_row(graph, mode), words)))
 
 
 def initial_candidates(graph: LabeledGraph, mode: str) -> range:

@@ -6,7 +6,8 @@ strategies (Figure 9), communication volumes and per-worker work (Figures
 7-8, priced by a reader of these records, :mod:`repro.bsp.cost_model`),
 phase timings (Figure 12), and pattern statistics (Table 4, Figure 11).
 The metered half (:class:`SuperstepRecord`, :class:`RunTotals`) is written
-once here; the TLV/TLP baselines' run container holds the same records.
+once here; the TLV/TLP baselines' run container, :class:`RunMetrics`, holds
+the same records.
 """
 
 from __future__ import annotations
@@ -88,6 +89,21 @@ class RunTotals:
     def total_broadcast_bytes(self) -> int:
         """All broadcast bytes across the run."""
         return sum(step.broadcast_bytes for step in self.steps)
+
+
+@dataclass
+class RunMetrics(RunTotals):
+    """A baseline run (TLV, TLP): the same records, one per superstep."""
+
+    #: The cluster size: every superstep is priced on this many workers.
+    num_workers: int
+    steps: list[SuperstepRecord] = field(default_factory=list)
+
+    def new_superstep(self) -> SuperstepRecord:
+        """Open the record for the next superstep and return it."""
+        record = SuperstepRecord(step=len(self.steps), num_workers=self.num_workers)
+        self.steps.append(record)
+        return record
 
 
 @dataclass

@@ -5,8 +5,9 @@ The original Arabesque runs on Giraph over a 10 GbE network; communication
 volume is a first-order effect in its evaluation (TLV exchanges 120 million
 messages where Arabesque needs 137 thousand — section 6.2).  The engine's
 simulated aggregation shuffle, the stores' ``wire_size`` methods and the
-BSP substrate's messages (:mod:`repro.bsp.messages`) all meter payloads
-with :func:`estimate_size`, a model of a compact binary encoding:
+TLV baseline's point-to-point messages (:mod:`repro.baselines.tlv`) all
+meter payloads with :func:`estimate_size`, a model of a compact binary
+encoding:
 
 * ints are 4 bytes (Arabesque stores vertex/edge ids as Java ints);
 * containers cost a 4-byte length header plus their elements;

@@ -10,11 +10,12 @@ label for unlabeled graphs).
 The representation is a CSR (compressed sparse row) core over stdlib
 ``array('l')`` buffers plus a big-int bitset layer (:mod:`.bitset`):
 
-* ``_offsets[v] .. _offsets[v+1]`` delimits vertex ``v``'s row in both the
+* ``_offsets[v] .. _offsets[v+1]`` delimits vertex ``v``'s row in the
   neighbor array (``_csr_neighbors``, sorted by neighbor id; the parallel
-  ``_csr_nbr_edge`` holds each entry's edge id) and the incident-edge array
-  (``_csr_incident``, sorted by edge id) — ``neighbors(v)`` and
-  ``incident_edges(v)`` are zero-copy ``memoryview`` slices;
+  ``_csr_nbr_edge`` holds each entry's edge id) — ``neighbors(v)`` is a
+  zero-copy ``memoryview`` slice;
+* incident edges are held only as bitsets over edge ids
+  (``incident_bits(v)``);
 * ``adjacent(u, v)`` is a single shift on ``neighbor_bits(u)``, and
   ``edge_between(u, v)`` is a bisect into the smaller endpoint's CSR row;
 * the label index is built **eagerly** at construction, so instances are
@@ -65,9 +66,7 @@ class LabeledGraph:
         "_offsets",
         "_csr_neighbors",
         "_csr_nbr_edge",
-        "_csr_incident",
         "_nbr_views",
-        "_inc_views",
         "_nbr_all",
         "_nbr_edge_all",
         "_nbr_bits",
@@ -94,7 +93,6 @@ class LabeledGraph:
             )
 
         adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        incident: list[list[int]] = [[] for _ in range(n)]
         edge_u = array("l")
         edge_v = array("l")
         nbr_bits = [0] * n
@@ -113,10 +111,6 @@ class LabeledGraph:
             edge_v.append(key[1])
             adjacency[u].append((v, eid))
             adjacency[v].append((u, eid))
-            # Edge ids are assigned in input order, so per-vertex incident
-            # lists come out sorted by edge id without an explicit sort.
-            incident[u].append(eid)
-            incident[v].append(eid)
             nbr_bits[u] |= 1 << v
             nbr_bits[v] |= 1 << u
             eid_bit = 1 << eid
@@ -130,29 +124,22 @@ class LabeledGraph:
         offsets = array("l", [0])
         csr_neighbors = array("l")
         csr_nbr_edge = array("l")
-        csr_incident = array("l")
         for v in range(n):
             row = adjacency[v]
             row.sort()
             for neighbor, eid in row:
                 csr_neighbors.append(neighbor)
                 csr_nbr_edge.append(eid)
-            csr_incident.extend(incident[v])
             offsets.append(len(csr_neighbors))
         self._offsets = offsets
         self._csr_neighbors = csr_neighbors
         self._csr_nbr_edge = csr_nbr_edge
-        self._csr_incident = csr_incident
 
         nbr_all = memoryview(csr_neighbors)
-        inc_all = memoryview(csr_incident)
         self._nbr_all = nbr_all
         self._nbr_edge_all = memoryview(csr_nbr_edge)
         self._nbr_views = tuple(
             nbr_all[offsets[v] : offsets[v + 1]] for v in range(n)
-        )
-        self._inc_views = tuple(
-            inc_all[offsets[v] : offsets[v + 1]] for v in range(n)
         )
         self._nbr_bits = tuple(nbr_bits)
         self._inc_bits = tuple(inc_bits)
@@ -219,7 +206,6 @@ class LabeledGraph:
                 self._offsets,
                 self._csr_neighbors,
                 self._csr_nbr_edge,
-                self._csr_incident,
             )
         )
         total += sum(sys.getsizeof(bits) for bits in self._nbr_bits)
@@ -329,10 +315,6 @@ class LabeledGraph:
         if eid is None:
             raise GraphError(f"no edge between {u} and {v}")
         return eid
-
-    def incident_edges(self, v: int) -> Sequence[int]:
-        """Edge ids incident to vertex ``v``, sorted ascending."""
-        return self._inc_views[v]
 
     def incident_bits(self, v: int) -> int:
         """Incident edge ids of ``v`` as a big-int bitset over edge ids."""

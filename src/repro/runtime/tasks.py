@@ -104,7 +104,7 @@ class StepContext:
     global_store: EmbeddingStore | None = None
     #: Monotonic instant the run's deadline budget expires (``None`` = no
     #: deadline).  Tasks probe it every
-    #: :data:`~repro.core.budget.DEADLINE_CHECK_INTERVAL` embeddings so a
+    #: :data:`~repro.core.budget.DEADLINE_CHECK_INTERVAL` units of work so a
     #: single pathological step fails fast instead of only at the next
     #: barrier; ``time.monotonic`` is the system-wide ``CLOCK_MONOTONIC``
     #: on Linux, so the instant is comparable inside the process
@@ -185,8 +185,8 @@ def _probe_interrupts(
     cancel: CancelFlag | None,
     count: int,
 ) -> None:
-    """Periodic in-step probe: :func:`check_interrupts` every
-    DEADLINE_CHECK_INTERVAL embeddings, so one pathological step cannot run
+    """Step 0's periodic probe: :func:`check_interrupts` every
+    DEADLINE_CHECK_INTERVAL roots, so one pathological step cannot run
     minutes past its cutoff before reaching the barrier."""
     if count % DEADLINE_CHECK_INTERVAL == 0:
         check_interrupts(deadline_at, cancel)
@@ -494,10 +494,13 @@ def _expansion_pass(
     )
     deadline_at = context.deadline_at
     cancel = context.config.cancel
-    probe_count = 0
+    # Probe on work done (parents read plus candidates generated), so the
+    # gap between probes is bounded by work, not by a count of parents.
+    next_probe = 0
     while True:
-        _probe_interrupts(deadline_at, cancel, probe_count)
-        probe_count += 1
+        if work >= next_probe:
+            check_interrupts(deadline_at, cancel)
+            next_probe = work + DEADLINE_CHECK_INTERVAL
         item = read()
         if item is None:
             break

@@ -1,4 +1,5 @@
-"""Fault injection: kill runs at chosen BSP barriers to drive crash-resume.
+"""Fault injection for the suite: kill runs at chosen BSP barriers to drive
+crash-resume.
 
 Two crash flavours, both aimed at the instant *after* barrier *k*'s
 snapshot hits disk (the worst case for resume — maximum state, minimum
@@ -10,10 +11,9 @@ re-execution):
   the test matrix; from the snapshot's point of view it is
   indistinguishable from the process dying, because the engine gets no
   chance to write anything further.
-* :func:`run_to_crash`'s ``hard_kill`` mode (used via
-  ``tests/test_failure_modes.py``) — the real thing: a forked child
-  ``SIGKILL``\\ s itself after the write, so no ``finally`` blocks, no
-  interpreter shutdown, no flushing.  What survives is exactly what
+* :func:`run_to_crash` with a kill ``action`` (``test_failure_modes.py``)
+  — the real thing: a forked child ``SIGKILL``\\ s itself after the
+  write, so no ``finally`` blocks, no interpreter shutdown, no flushing.  What survives is exactly what
   ``os.replace`` made durable.
 """
 
@@ -21,11 +21,9 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..core.config import ArabesqueConfig
-from ..core.computation import Computation
-from ..core.engine import ArabesqueEngine
-from ..graph import LabeledGraph
-from .snapshot import CheckpointWriter
+from repro.checkpoint import CheckpointWriter
+from repro.core import ArabesqueConfig, ArabesqueEngine, Computation
+from repro.graph import LabeledGraph
 
 
 class InjectedCrash(RuntimeError):
@@ -94,6 +92,3 @@ def run_to_crash(
         f"{crash_after_step} — the workload has fewer snapshotted barriers "
         "than the sweep assumes"
     )
-
-
-__all__ = ["CrashingWriter", "InjectedCrash", "run_to_crash"]

@@ -14,6 +14,7 @@ from repro.core.canonical import (
     is_canonical_vertex_extension,
 )
 from repro.core.embedding import EDGE_EXPLORATION, VERTEX_EXPLORATION
+from repro.core.extension import extension_mask, word_row
 from repro.core.pattern import Pattern
 from repro.graph.bitset import from_bitset, to_bitset
 from repro.plan.guided import residual_ok, root_pool_bits, structural_ok
@@ -26,6 +27,41 @@ def extension_checker(mode):
     if mode == EDGE_EXPLORATION:
         return is_canonical_edge_extension
     raise ValueError(f"unknown exploration mode {mode!r}")
+
+
+def extensions(graph, mode, words):
+    """Distinct incident words not already in ``words``, ascending: the
+    extension mask of Algorithm 1's expansion step, decoded."""
+    return list(from_bitset(extension_mask(word_row(graph, mode), words)))
+
+
+def canonicalize_edge_set(graph, edge_ids):
+    """The unique canonical word order of a connected edge set.
+
+    Start from the smallest edge id, then repeatedly append the smallest
+    unvisited edge sharing an endpoint with the visited prefix.
+    """
+    members = set(edge_ids)
+    if not members:
+        return ()
+    words = [min(members)]
+    visited = {words[0]}
+    # Track the vertex span of the prefix for O(deg) adjacency tests.
+    span = set(graph.edge_endpoints(words[0]))
+    while len(words) < len(members):
+        best = None
+        for eid in members:
+            if eid in visited:
+                continue
+            u, v = graph.edge_endpoints(eid)
+            if (u in span or v in span) and (best is None or eid < best):
+                best = eid
+        if best is None:
+            raise ValueError("edge set is not connected")
+        words.append(best)
+        visited.add(best)
+        span.update(graph.edge_endpoints(best))
+    return tuple(words)
 
 
 def pattern_from_scratch(embedding):

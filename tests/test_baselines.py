@@ -35,6 +35,7 @@ from repro.baselines import (
 )
 from repro.core import Pattern, run_computation
 from repro.graph import (
+    LabeledGraph,
     assign_labels,
     complete_graph,
     cycle_graph,
@@ -251,6 +252,20 @@ class TestTlp:
         # Critical path with many workers >= the heaviest single pattern.
         assert sum(s.max_work for s in many.metrics.steps) >= max_single_pattern_work
 
+    def test_frequent_patterns_broadcast_once(self):
+        """Each frequent pattern is metered as one broadcast of its wire
+        size, on its level's record; TLP sends nothing point to point."""
+        g = assign_labels(gnm_random_graph(14, 26, seed=2), 2, seed=2)
+        result = run_tlp_fsm(g, 3, max_edges=3, num_workers=4)
+        by_level = {}
+        for pattern in result.frequent:
+            by_level.setdefault(pattern.num_edges - 1, []).append(pattern)
+        for step in result.metrics.steps:
+            level = by_level.get(step.step, [])
+            assert step.broadcast_messages == len(level)
+            assert step.broadcast_bytes == sum(p.wire_size() for p in level)
+            assert step.messages_sent == step.bytes_sent == 0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             run_tlp_fsm(complete_graph(3), 0)
@@ -326,8 +341,23 @@ class TestTlv:
         }
         assert counts[1] == counts[3]
 
+    def test_metering_by_hand(self):
+        """One vertex, one worker: its ``cand`` (an 8-byte routing header
+        plus ``("cand", (0,))``, 20 bytes), then the self-addressed
+        ``("tick",)`` (8 + 12) that wakes the α phase, then quiescence."""
+        result = run_tlv_fsm(LabeledGraph([0], []), 1, max_size=1)
+        steps = result.metrics.steps
+        assert [s.messages_sent for s in steps] == [1, 1, 0]
+        assert [s.bytes_sent for s in steps] == [28, 20, 0]
+        assert [s.work_units for s in steps] == [{}, {0: 1.0}, {0: 1.0}]
+        assert not any(s.broadcast_messages or s.broadcast_bytes for s in steps)
+        assert result.embeddings_processed == 1
+        assert list(result.frequent.values()) == [1]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             run_tlv_fsm(complete_graph(3), 0, 2)
         with pytest.raises(ValueError):
             run_tlv_fsm(complete_graph(3), 1, 0)
+        with pytest.raises(ValueError):
+            run_tlv_fsm(complete_graph(3), 1, 2, num_workers=0)

@@ -11,7 +11,6 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
-    canonicalize_edge_set,
     canonicalize_vertex_set,
     is_canonical_edge_extension,
     is_canonical_edge_words,
@@ -20,7 +19,7 @@ from repro.core import (
 )
 from repro.graph import LabeledGraph, complete_graph, gnm_random_graph, path_graph
 
-from reference import is_connected_vertex_set
+from reference import canonicalize_edge_set, is_connected_vertex_set
 
 
 class TestVertexExtension:

@@ -35,12 +35,9 @@ from repro.checkpoint import (
     EXECUTION_CONFIG_FIELDS,
     SEMANTIC_CONFIG_FIELDS,
     CheckpointWriter,
-    CrashingWriter,
-    InjectedCrash,
     graph_fingerprint,
     list_snapshots,
     load_latest,
-    run_to_crash,
     resume_run,
 )
 from repro.core import (
@@ -54,6 +51,8 @@ from repro.core import (
 )
 from repro.graph import assign_labels, complete_graph, gnm_random_graph, strip_labels
 from repro.session import Miner, SessionError
+
+from faults import CrashingWriter, InjectedCrash, run_to_crash
 
 
 def crash_graph():

@@ -3,8 +3,8 @@ substitution 1)."""
 
 import pytest
 
-from repro.bsp import CostModel, RunMetrics
-from repro.core.results import RunResult, StepStats, SuperstepRecord
+from repro.bsp import CostModel
+from repro.core.results import RunMetrics, RunResult, StepStats, SuperstepRecord
 
 
 def step_with(**kwargs) -> SuperstepRecord:

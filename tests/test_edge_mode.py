@@ -16,8 +16,6 @@ from repro.core import (
     EdgeInducedEmbedding,
     run_computation,
 )
-from repro.core.canonical import canonicalize_edge_set
-from repro.core.extension import extensions
 from repro.graph import (
     complete_graph,
     cycle_graph,
@@ -25,6 +23,9 @@ from repro.graph import (
     path_graph,
     star_graph,
 )
+from repro.graph.bitset import from_bitset
+
+from reference import canonicalize_edge_set, extensions
 
 
 class CollectEdgeSubgraphs(Computation):
@@ -102,8 +103,8 @@ class TestEdgeModeCompleteness:
 class TestEdgeExtensions:
     def test_extensions_are_incident(self):
         g = gnm_random_graph(12, 26, seed=4)
-        words = canonicalize_edge_set(g, [0, *[e for e in g.incident_edges(
-            g.edge_endpoints(0)[0]) if e != 0][:1]])
+        words = canonicalize_edge_set(g, [0, *[e for e in from_bitset(g.incident_bits(
+            g.edge_endpoints(0)[0])) if e != 0][:1]])
         for candidate in extensions(g, EDGE_EXPLORATION, words):
             u, v = g.edge_endpoints(candidate)
             span = set()

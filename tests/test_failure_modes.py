@@ -200,7 +200,7 @@ class TestCheckpointFailureModes:
 
     def _crashed_run_dir(self, tmp_path):
         from repro.apps import CliqueFinding
-        from repro.checkpoint import run_to_crash
+        from faults import run_to_crash
 
         run_to_crash(
             complete_graph(6),
@@ -273,7 +273,7 @@ class TestCheckpointFailureModes:
         """Version 1 pickled ODAGs as Python sets under other slot names,
         version 2 pickled FSM domains as frozensets (``Domain._sets``),
         version 3 a ``RunResult`` with a second per-step list on a
-        ``bsp.metrics.RunMetrics``, version 4 a decoded ``outputs`` list
+        ``RunMetrics``, version 4 a decoded ``outputs`` list
         where ``RunResult`` now holds an ``output_log``, version 5 a
         spilled store as a tagged ``("spill-rows", rows)`` pair and a
         ``ListStore`` without its budget fields, version 6 a guided run's
@@ -305,8 +305,10 @@ class TestCheckpointFailureModes:
         import struct
 
         from repro.apps import CliqueFinding
-        from repro.checkpoint import CheckpointError, resume_run, run_to_crash
+        from repro.checkpoint import CheckpointError, resume_run
         from repro.checkpoint.snapshot import MAGIC, _CHECKSUM_NBYTES, list_snapshots
+
+        from faults import run_to_crash
 
         graph = complete_graph(6)
         config = ArabesqueConfig(output_limit=40)
@@ -337,8 +339,10 @@ class TestCheckpointFailureModes:
         import struct
 
         from repro.apps import FrequentSubgraphMining
-        from repro.checkpoint import CheckpointError, resume_run, run_to_crash
+        from repro.checkpoint import CheckpointError, resume_run
         from repro.checkpoint.snapshot import MAGIC, _CHECKSUM_NBYTES, list_snapshots
+
+        from faults import run_to_crash
 
         graph = complete_graph(6)
         run_to_crash(

@@ -115,9 +115,6 @@ class TestAccessors:
         assert triangle_with_tail.edge_label(2) == 12
         assert triangle_with_tail.edge_labels == (10, 11, 12, 13)
 
-    def test_incident_edges(self, triangle_with_tail):
-        assert tuple(triangle_with_tail.incident_edges(2)) == (1, 2, 3)
-
     def test_incident_bits(self, triangle_with_tail):
         assert from_bitset(triangle_with_tail.incident_bits(2)) == (1, 2, 3)
 

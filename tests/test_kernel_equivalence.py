@@ -55,7 +55,7 @@ from repro.apps import (
     MotifCounting,
     enumerate_motif_patterns,
 )
-from repro.core import ArabesqueConfig, Pattern, extensions, run_computation
+from repro.core import ArabesqueConfig, Pattern, run_computation
 from repro.core.canonical import canonical_extension_mask
 from repro.core.extension import extension_mask, word_row
 from repro.core.pattern import PatternCanonicalizer
@@ -95,8 +95,8 @@ from repro.plan.planner import restrict_plan
 from repro.session import Miner
 
 from reference import (accepting_patterns, dag_extendable, dag_survivors,
-                       extension_checker, guided_candidates, guided_extension_check,
-                       phase_totals)
+                       extension_checker, extensions, guided_candidates,
+                       guided_extension_check, phase_totals)
 
 
 def shapes(*names):

@@ -23,7 +23,7 @@ from repro.apps import CliqueFinding, MotifCounting, fsm as fsm_app
 from repro.apps.fsm import DagPatternDomains, run_guided_fsm
 from repro.apps.matching import GuidedMatching
 from repro.apps.motifs import DagMotifCounting, enumerate_motif_patterns
-from repro.checkpoint import resume_run, run_to_crash
+from repro.checkpoint import resume_run
 from repro.core import (
     ArabesqueConfig,
     BudgetExceeded,
@@ -64,6 +64,7 @@ from repro.plan.guided import SMALL_POOL_DEGREE, PlanStepper, guided_survivors
 from repro.plan.planner import restrict_plan
 from repro.runtime.tasks import _extension_filter, _terminal_hook
 
+from faults import run_to_crash
 from reference import phase_totals
 
 
