@@ -308,6 +308,36 @@ class TestTlv:
             )
         }
 
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("threshold", [1, 4, 6])
+    def test_matches_induced_mni_oracle(self, threshold, workers):
+        """Induced MNI support is anti-monotone: every parent pattern of a
+        frequent pattern is frequent, so α never prunes an embedding of a
+        frequent pattern and TLV's answer is the oracle's at any depth.
+        At θ=6 α prunes: 74 embeddings are processed instead of 92."""
+        g = assign_labels(gnm_random_graph(12, 22, seed=3), 2, seed=3)
+        result = run_tlv_fsm(g, threshold, max_size=3, num_workers=workers)
+        assert result.frequent == self.oracle_frequent(g, threshold, 3)
+
+    @pytest.mark.parametrize("workers", [2, 3, 5])
+    def test_traffic_differs_from_one_worker_only_by_ticks(self, workers):
+        """Partitioning moves work between workers but not its amount: each
+        superstep does the same total work and sends the same ``cand`` and
+        ``expand`` messages; only the self-addressed ticks (one per worker
+        with pending embeddings, 8 + 12 bytes each) multiply."""
+        g = powerlaw_graph(40, 2, seed=3)
+        one = run_tlv_fsm(g, 1, max_size=3, num_workers=1)
+        many = run_tlv_fsm(g, 1, max_size=3, num_workers=workers)
+        assert many.frequent == one.frequent
+        assert many.embeddings_processed == one.embeddings_processed
+        assert len(many.metrics.steps) == len(one.metrics.steps)
+        for a, b in zip(one.metrics.steps, many.metrics.steps):
+            assert b.total_work == a.total_work
+            extra_ticks = b.messages_sent - a.messages_sent
+            assert 0 <= extra_ticks <= workers - 1
+            assert b.bytes_sent - a.bytes_sent == 20 * extra_ticks
+            assert set(b.work_units) <= set(range(workers))
+
     def test_message_explosion_vs_arabesque(self):
         """The paradigm comparison of section 6.2: TLV sends orders of
         magnitude more messages than the TLE engine for the same job."""

@@ -53,6 +53,24 @@ class TestMetricsAndCostModel:
             step.add_work(worker_id, hot_units if worker_id == 0 else 1)
         return run
 
+    def test_new_superstep_numbers_records_on_the_cluster_size(self):
+        run = RunMetrics(num_workers=3)
+        first, second = run.new_superstep(), run.new_superstep()
+        assert run.steps[0] is first and run.steps[1] is second
+        assert [s.step for s in run.steps] == [0, 1]
+        assert [s.num_workers for s in run.steps] == [3, 3]
+
+    def test_run_totals_sum_the_records(self):
+        run = RunMetrics(num_workers=2)
+        for messages, size, broadcast in ((3, 40, 7), (2, 25, 0)):
+            step = run.new_superstep()
+            step.messages_sent += messages
+            step.bytes_sent += size
+            step.broadcast_messages += 1
+            step.broadcast_bytes += broadcast
+        assert (run.total_messages, run.total_bytes) == (5, 65)
+        assert run.total_broadcast_bytes == 7
+
     def test_work_units_recorded(self):
         metrics = self._run_star(10)
         step = metrics.steps[0]

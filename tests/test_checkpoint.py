@@ -49,6 +49,7 @@ from repro.core import (
     STORAGE_MODES,
     run_computation,
 )
+from repro.core.budget import DEADLINE_CHECK_INTERVAL
 from repro.graph import assign_labels, complete_graph, gnm_random_graph, strip_labels
 from repro.session import Miner, SessionError
 
@@ -384,6 +385,29 @@ class TestCancellation:
                 )
         finally:
             killer.join(timeout=30)
+
+    def test_expansion_pass_probes_on_work_not_parents(self):
+        """On K60 step 1 reads only 60 parents but generates 1,770 children.
+        A flag set at the first child is noticed by the pass's next probe,
+        at most one probe interval of work later (plus the one parent whose
+        59 candidates cross it), not at the step's barrier."""
+        flag = CancelFlag()
+        children = []
+
+        class CancelAtFirstChild(MotifCounting):
+            def filter(self, embedding):
+                if len(embedding.words) == 2:
+                    children.append(embedding.words)
+                    flag.set()
+                return super().filter(embedding)
+
+        with pytest.raises(RunCancelled, match="mid-step"):
+            run_computation(
+                complete_graph(60),
+                CancelAtFirstChild(3),
+                ArabesqueConfig(cancel=flag),
+            )
+        assert 1 <= len(children) <= DEADLINE_CHECK_INTERVAL + 59
 
     def test_cancel_must_be_a_cancel_flag(self):
         with pytest.raises(ValueError, match="cancel"):
