@@ -20,13 +20,19 @@ The ``tlv`` rows hold the TLV baseline's run totals (Figure 7): the
 supersteps, messages and bytes it meters, its total and critical-path
 work, and what it found.
 
+The ``guided`` rows hold whole guided runs on a sparse labeled input
+whose DAG steps meet both small and large candidate pools: per-step
+candidates, per-step work units and the run's signature.
+
 The ``table4`` rows hold two-level pattern aggregation's own counters
 (Table 4): pattern requests, quick and canonical patterns, isomorphism runs.
 
 Graphs: ``tiny`` is G(40, 100) seed 7 unlabeled, ``tiny3`` the same edges
 under 3 labels, ``tiny5e`` the same edges under 5 vertex labels and two
 alternating edge labels, ``dense2`` G(40, 200) under 2 labels — dense
-enough that the ODAG read really discards spurious paths.
+enough that the ODAG read really discards spurious paths, ``powerlaw3``
+a power-law graph (80 vertices, 2 edges per arrival, seed 7) under 3
+labels — hubs next to degree-2 leaves.
 """
 
 import hashlib
@@ -242,6 +248,26 @@ def run_rows(graph, guided_odag=False):
     return rows
 
 
+def guided_rows(graph):
+    """Guided FSM and motif runs at 1 and 2 workers: what each step
+    counted and metered, and what the run found."""
+    miner = Miner(graph)
+    queries = {
+        "fsm(3, max_edges=3)": lambda: miner.fsm(3, max_edges=3),
+        "motifs(3)": lambda: miner.motifs(3),
+    }
+    rows = {}
+    for name, query in queries.items():
+        for workers in (1, 2):
+            run = query().workers(workers).run().raw
+            rows[f"{name} w{workers}"] = {
+                "candidates": [step.candidates_generated for step in run.steps],
+                "work_units": [sorted(step.work_units.values()) for step in run.steps],
+                "signature": hashlib.sha256(run.canonical_signature()).hexdigest(),
+            }
+    return rows
+
+
 #: Paper Table 4: embeddings that asked for a pattern, the distinct quick
 #: patterns they map to, the canonical patterns those collapse to, and the
 #: isomorphism runs actually performed (which 2 workers may repeat).
@@ -330,6 +356,7 @@ def compute_table():
     dense2 = assign_labels(gnm_random_graph(40, 200, seed=7), 2, seed=7)
     # Per-edge labels (no uniform label) under 5 vertex labels, so some
     # 3- and 4-vertex patterns carry all-distinct labels.
+    powerlaw3 = assign_labels(powerlaw_graph(80, 2, seed=7), 3, seed=7)
     tiny5e = LabeledGraph(
         assign_labels(edges, 5, seed=7).vertex_labels,
         [edges.edge_endpoints(eid) for eid in edges.edges()],
@@ -345,6 +372,7 @@ def compute_table():
         "run dense2": run_rows(dense2, guided_odag=True),
         "meters tiny3": meter_rows(tiny3),
         "meters dense2": meter_rows(dense2),
+        "guided powerlaw3": guided_rows(powerlaw3),
         "table4 tiny3": table4_rows(tiny3),
         "table4 tiny5e": table4_rows(tiny5e),
         "tlv": tlv_rows(),
