@@ -1,20 +1,20 @@
 """Maximal clique mining — the paper's section 2 generalization.
 
 "The clique problem can also be generalized to maximal cliques, i.e., those
-not contained in any other clique."  Exploration is identical to
-:class:`~repro.apps.cliques.CliqueFinding`; the only change is the output
-condition: a clique is emitted iff no input-graph vertex is adjacent to all
-of its members.  This stays automorphism-invariant (maximality depends only
-on the vertex set) and keeps φ anti-monotone (non-maximal cliques must still
-be *explored* — one of their extensions may be maximal — just not output).
+not contained in any other clique."  Exploration is
+:class:`~repro.apps.cliques.CliqueFinding`'s; the only change is the output
+condition: a clique of at least ``min_size`` vertices is emitted iff no
+input-graph vertex is adjacent to all of its members.  This stays
+automorphism-invariant (maximality depends only on the vertex set) and keeps
+φ anti-monotone (non-maximal cliques must still be *explored* — one of their
+extensions may be maximal — just not output).
 """
 
 from __future__ import annotations
 
-from ..core.computation import Computation
-from ..core.embedding import Embedding, VERTEX_EXPLORATION, VertexInducedEmbedding
+from ..core.embedding import Embedding, VertexInducedEmbedding
 from ..graph.bitset import to_bitset
-from .cliques import clique_extensions
+from .cliques import CliqueFinding
 
 
 def is_maximal_clique(embedding: VertexInducedEmbedding) -> bool:
@@ -33,35 +33,18 @@ def is_maximal_clique(embedding: VertexInducedEmbedding) -> bool:
     return not common & outside
 
 
-class MaximalCliqueFinding(Computation):
-    """Enumerate maximal cliques (optionally capped at ``max_size``).
+class MaximalCliqueFinding(CliqueFinding):
+    """Enumerate maximal cliques of at least ``min_size`` vertices
+    (optionally capped at ``max_size``).  Only ``process`` differs from
+    :class:`~repro.apps.cliques.CliqueFinding`, so the runtime declines
+    the inherited ``process_terminal``.
 
     With a ``max_size`` cap, cliques of exactly ``max_size`` are reported
-    when maximal in the *full* graph — matching Mace's semantics, which the
-    paper uses as the centralized baseline.
+    when maximal in the *full* graph — matching Mace's semantics, which
+    the paper uses as the centralized baseline.
     """
-
-    exploration_mode = VERTEX_EXPLORATION
-
-    def __init__(self, max_size: int | None = None):
-        super().__init__()
-        if max_size is not None and max_size < 1:
-            raise ValueError("max_size must be >= 1 when given")
-        self.max_size = max_size
-
-    def filter(self, embedding: Embedding) -> bool:
-        assert isinstance(embedding, VertexInducedEmbedding)
-        if self.max_size is not None and embedding.num_vertices > self.max_size:
-            return False
-        return embedding.is_clique()
-
-    def filter_extensions(self, words: tuple[int, ...], mask: int) -> int:
-        return clique_extensions(self.graph, self.max_size, words, mask)
 
     def process(self, embedding: Embedding) -> None:
         assert isinstance(embedding, VertexInducedEmbedding)
-        if is_maximal_clique(embedding):
+        if embedding.num_vertices >= self.min_size and is_maximal_clique(embedding):
             self.output(tuple(sorted(embedding.words)))
-
-    def termination_filter(self, embedding: Embedding) -> bool:
-        return self.max_size is not None and embedding.num_vertices >= self.max_size

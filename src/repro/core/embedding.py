@@ -75,10 +75,6 @@ class Embedding:
         """Number of words — the exploration depth that produced this."""
         return len(self.words)
 
-    def vertex_set(self) -> frozenset[int]:
-        """Member vertices as a frozenset."""
-        return frozenset(self.vertices)
-
     def extend(self, word: int) -> "Embedding":
         """New embedding with ``word`` appended (same graph, same mode)."""
         return type(self)(self.graph, self.words + (word,))

@@ -20,11 +20,11 @@ one structure instead:
   by construction (they are exactly the solo plan's);
 * **set-of-active-nodes execution** — the runtime advances each embedding
   against the whole batch at once through a :class:`DagStepper`:
-  it tracks which member patterns still accept the word sequence, candidate pools are generated once per distinct trie
-  node of the surviving patterns and deduplicated
-  (:func:`_pool_for_nodes`), a candidate is kept if *any* survivor
-  accepts it (:meth:`DagStepper.accept`), and a full-size embedding is
-  emitted once per accepting leaf.
+  it tracks which member patterns still accept the word sequence,
+  candidate pools are generated once per distinct trie node of the
+  surviving patterns and merged as bitsets, a candidate is kept if *any*
+  survivor accepts it (:meth:`DagStepper.accept`), and a full-size
+  embedding is emitted once per accepting leaf.
 
 Correctness is independent of how much sharing the order search finds:
 every member pattern owns a complete plan, and an embedding advances a
@@ -41,14 +41,13 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Collection, Sequence
+from typing import Sequence
 
 from ..core.pattern import Pattern
 from ..graph import LabeledGraph
 from ..graph.bitset import from_bitset, to_bitset
 from .guided import (
     confirm_edge_labels,
-    prefers_row_iteration,
     residual_mask,
     residual_ok,
     root_pool_bits,
@@ -524,53 +523,6 @@ def restrict_dag(
 # ----------------------------------------------------------------------
 # Execution: advance the set of active nodes / surviving patterns
 # ----------------------------------------------------------------------
-def _pool_for_nodes(
-    dag: PlanDAG,
-    graph: LabeledGraph,
-    words: tuple[int, ...],
-    live_nodes: Collection[int],
-) -> Sequence[int]:
-    """Merged sorted-unique candidate pool of the given trie nodes.
-
-    Each node's pool is **closure-complete**: the intersection of *all*
-    its shared back-edge neighbor rows (then the union whitelist) — the
-    node honors every structural back-edge its members agree on, so a
-    shared node's pool admits only vertices adjacent to the whole
-    anchored prefix, not just the cheapest single anchor.  The
-    intersection is amortized across every member routed through the
-    node, which is exactly the sharing win a solo plan (one member per
-    "node") does not get — the solo kernel keeps its single min-degree
-    anchor row (:func:`repro.plan.guided.guided_survivors`).  Merging
-    is one ``&`` chain + one ``|`` per node and one ascending decode; a
-    single one-back-edge unrestricted node returns the anchor's CSR row
-    directly.
-    """
-    if not live_nodes:
-        return ()
-    merged = 0
-    single = len(live_nodes) == 1
-    for node_id in live_nodes:
-        node = dag.nodes[node_id]
-        back = node.back_edges
-        if not back:
-            # A node without back-neighbors is a root; connected-prefix
-            # order validation keeps roots out of positions >= 1, so a
-            # violated invariant must fail loudly rather than quietly
-            # degrade into an inflated pool.
-            assert not words, "back-edge-less DAG node reached mid-plan"
-            merged |= root_pool_bits(node, graph)
-            continue
-        if single and len(back) == 1 and node.allowed is None:
-            return graph.neighbors(words[back[0][0]])
-        pool = graph.neighbor_bits(words[back[0][0]])
-        for earlier, _ in back[1:]:
-            pool &= graph.neighbor_bits(words[earlier])
-        if node.allowed is not None:
-            pool &= node.allowed
-        merged |= pool
-    return from_bitset(merged)
-
-
 class DagMaskBundle:
     """Per-``(PlanDAG, graph)`` structural masks, one slot per trie node.
 
@@ -653,8 +605,8 @@ def bound_stepper(computation, dag: PlanDAG, graph: LabeledGraph) -> "DagStepper
 class DagStepper:
     """Per-task DAG execution helper with memoized survivor walks.
 
-    The naive functions above re-walk the trie from the root on every
-    call — an O(depth × patterns) rescan per candidate check.  A stepper
+    A naive walk re-reads the trie from the root on every call — an
+    O(depth × patterns) rescan per candidate check.  A stepper
     caches each word tuple's surviving members, derived from the parent
     prefix's entry and held **grouped** (:meth:`_entry`): the live members
     by next trie node, plus those that finish there.  An entry is built
@@ -662,19 +614,17 @@ class DagStepper:
     read-only), so the structural half of the step check (label, injectivity,
     back-edges) runs once per *node*, only the residual (whitelist,
     induced non-edges, symmetry restrictions) runs per member, and
-    ``accepting``/``extendable`` are reads; :meth:`survivors` is the flat view.
+    ``accepting``/``extendable`` are reads.
 
-    :meth:`step` is the fused whole-pool kernel the runtime's expansion
-    pass calls: per live trie node the structural half of the check —
+    :meth:`step` and :meth:`advance` are views of one fused whole-pool
+    kernel: per live trie node the structural half of the check —
     anchor adjacency ∧ union whitelist ∧ label ∧ shared back-edges —
     is one big-int ``&`` chain over the node's precomputed
     :class:`DagMaskBundle` masks, and each member's residual is more mask
-    algebra on top, giving one **survivor bitmask per live member**; a
-    degree-adaptive hybrid (:func:`repro.plan.guided.prefers_row_iteration`
-    on the summed anchor degrees) probes a tiny row pool word by word
-    instead.  Decoding warms the survivor cache for every accepted child
-    (so ``accepting``/``extendable`` lookups hit); on a *terminal level*
-    :meth:`advance` leaves the masks undecoded for
+    algebra on top, giving one **survivor bitmask per live member**, on
+    small pools and large alike.  Decoding warms the survivor cache for
+    every accepted child (so ``accepting``/``extendable`` lookups hit); on
+    a *terminal level* :meth:`advance` leaves the masks undecoded for
     ``Computation.process_terminal``.
 
     One stepper is created per worker step task (and lazily per task
@@ -749,45 +699,28 @@ class DagStepper:
                     if residual_ok(plans[p], depth, graph, prefix, word):
                         yield p
 
-    def survivors(self, words: tuple[int, ...]) -> list[int]:
-        """Members whose plan accepts ``words`` as a prefix, memoized — the
-        flat view of the entry."""
-        live, finished = self._grouped(words)
-        return sorted(finished + [p for members in live.values() for p in members])
-
-    def step(
-        self, words: tuple[int, ...], strategy: str | None = None
-    ) -> tuple[int, tuple[int, ...]]:
+    def step(self, words: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
         """Fused one-step kernel: ``(num_candidates, survivors)``.
 
-        Equivalent to filtering the merged node pool
-        (:func:`_pool_for_nodes`) word by word through the live members'
-        plan checks — ``num_candidates`` is the deduplicated union pool's
-        size, ``survivors`` the ascending words at least one live member
-        accepts.  ``strategy`` pins a path (``"rows"`` /
-        ``"masks"``) for tests and benchmarks; ``None`` selects
-        adaptively.  Accepted children's survivor lists are cached as a
+        Equivalent to filtering the merged pool of the live members' next
+        trie nodes word by word through their plan checks —
+        ``num_candidates`` is the deduplicated union pool's size,
+        ``survivors`` the ascending words at least one live member
+        accepts.  Accepted children's survivor lists are cached as a
         byproduct, exactly as on-demand derivation would compute them.
         """
-        return self._run(words, strategy, False)[:2]
-
-    def member_masks(
-        self, words: tuple[int, ...], strategy: str | None = None
-    ) -> tuple[int, list[tuple[int, int]]]:
-        """:meth:`step` left undecoded: ``(num_candidates, masks)`` with
-        ``masks`` the non-empty ``(member, bitmask)`` pairs in ascending
-        member order — bit ``w`` set iff the member accepts
-        ``words + (w,)``."""
-        return self._run(words, strategy, True)[:2]
+        return self._run(words, False)[:2]
 
     def advance(self, words: tuple[int, ...], batch: bool):
         """What the expansion pass runs: ``(num_candidates, num_accepted,
-        found, terminal)`` — :meth:`member_masks` when ``batch`` and every
-        live member completes at the next word (``terminal``: the children
-        the masks hold, one several members accept counting once), else
+        found, terminal)`` — when ``batch`` and every live member completes
+        at the next word, ``found`` is the non-empty ``(member, bitmask)``
+        pairs in ascending member order, bit ``w`` set iff the member
+        accepts ``words + (w,)`` (``terminal``: the children the masks
+        hold, one several members accept counting once); else
         :meth:`step` (``terminal`` is ``None``)."""
         num_candidates, found, terminal = self._run(
-            words, None, None if batch else False
+            words, None if batch else False
         )
         if not terminal:
             return num_candidates, len(found), found, None
@@ -797,7 +730,7 @@ class DagStepper:
         survivors = union.bit_count()
         return num_candidates, survivors, found, survivors
 
-    def _run(self, words: tuple[int, ...], strategy, terminal):
+    def _run(self, words: tuple[int, ...], terminal):
         """The one kernel: ``(num_candidates, found, terminal)`` with
         ``found`` member masks (``terminal``) or decoded survivors;
         ``terminal=None`` asks whether every live member finishes here."""
@@ -810,40 +743,6 @@ class DagStepper:
             terminal = all(
                 depths[p] == last for members in by_node.values() for p in members
             )
-        graph = self.graph
-        nodes = self.dag.nodes
-        # Estimate each node's pool by its cheapest back-neighbor degree
-        # (an upper bound on the closure-complete intersection — a
-        # popcount the CSR offsets hand over for free); the sum drives
-        # the hybrid decision.  Unrolled: no genexp frames on the hot path.
-        estimate = 0
-        for node_id in by_node:
-            back = nodes[node_id].back_edges
-            if back:
-                degree = graph.degree(words[back[0][0]])
-                for earlier, _ in back[1:]:
-                    vertex_degree = graph.degree(words[earlier])
-                    if vertex_degree < degree:
-                        degree = vertex_degree
-                estimate += degree
-            else:
-                assert not words, "back-edge-less DAG node reached mid-plan"
-                estimate += self.bundle.root_pools[node_id].bit_count()
-        if strategy == "rows" or (
-            strategy is None and prefers_row_iteration(estimate)
-        ):
-            # Sparse path: accepted members per ascending survivor word.
-            num_candidates, word_members = self._row_members(words, by_node)
-            if not terminal:
-                self._remember(words, word_members.items())
-                return num_candidates, tuple(word_members), False
-            packed: dict[int, int] = {}
-            for word, accepted in word_members.items():
-                bit = 1 << word
-                for p in accepted:
-                    packed[p] = packed.get(p, 0) | bit
-            return num_candidates, sorted(packed.items()), True
-        # Dense path: one survivor bitmask per member.
         num_candidates, masks = self._masked_masks(words, by_node)
         if terminal:
             return num_candidates, masks, True
@@ -851,55 +750,37 @@ class DagStepper:
         for _, mask in masks:
             union |= mask
         survivors = from_bitset(union)
+        # Warm the survivor cache: each child's entry from its accepting members.
+        depth = len(words) + 1
+        entry = self._entry
         if len(masks) == 1:
             # One accepting member: its children share one entry.
-            entry = self._entry(len(words) + 1, (masks[0][0],))
-            self._cache_with_room().update(
-                dict.fromkeys((words + (w,) for w in survivors), entry)
+            children = dict.fromkeys(
+                (words + (w,) for w in survivors), entry(depth, (masks[0][0],))
             )
         else:
-            accepted = ([p for p, mask in masks if mask >> w & 1] for w in survivors)
-            self._remember(words, zip(survivors, accepted))
+            children = (
+                (words + (w,), entry(depth, [p for p, mask in masks if mask >> w & 1]))
+                for w in survivors
+            )
+        self._cache_with_room().update(children)
         return num_candidates, survivors, False
 
-    def _remember(self, words: tuple[int, ...], children) -> None:
-        """Cache the ``(word, accepted members)`` children of ``words``."""
-        entry = self._entry
-        depth = len(words) + 1
-        self._cache_with_room().update(
-            (words + (word,), entry(depth, accepted)) for word, accepted in children
-        )
-
-    def _row_members(self, words: tuple[int, ...], by_node: dict[int, list[int]]):
-        """The hybrid's sparse path: per-candidate probes over the merged
-        row pool, with the per-word node/member grouping hoisted out."""
-        depth = len(words)
-        dag = self.dag
-        graph = self.graph
-        plans = dag.plans
-        pool = _pool_for_nodes(dag, graph, words, by_node)
-        grouped = [(dag.nodes[n], members) for n, members in by_node.items()]
-        word_members: dict[int, list[int]] = {}
-        for word in pool:
-            accepted: list[int] = []
-            for node, members in grouped:
-                if not structural_ok(node, graph, words, word):
-                    continue
-                for p in members:
-                    if residual_ok(plans[p], depth, graph, words, word):
-                        accepted.append(p)
-            if accepted:
-                accepted.sort()
-                word_members[word] = accepted
-        return len(pool), word_members
-
     def _masked_masks(self, words: tuple[int, ...], by_node: dict[int, list[int]]):
-        """The dense path: one structural ``&`` chain per live node over
-        the bundle's masks, one residual chain per member, nothing
-        decoded.  The node pool is the closure-complete back-row
-        intersection (see :func:`_pool_for_nodes`), so the shared
-        back-edge ``&``s price into the pool instead of inflating the
-        counted candidate stream."""
+        """``(num_candidates, masks)``: one structural ``&`` chain per live
+        node over the bundle's masks, one residual chain per member,
+        nothing decoded.
+
+        Each node's pool is **closure-complete**: the intersection of
+        *all* its shared back-edge neighbor rows (then the union
+        whitelist), so a shared node's pool admits only vertices adjacent
+        to the whole anchored prefix and the shared back-edge ``&``s price
+        into the pool instead of inflating the counted candidate stream.
+        The intersection is amortized across every member routed through
+        the node — the sharing win a solo plan (one member per "node")
+        does not get, so the solo kernel keeps its single min-degree
+        anchor row (:func:`repro.plan.guided.guided_survivors`).
+        ``num_candidates`` is the popcount of the node pools' union."""
         depth = len(words)
         graph = self.graph
         plans = self.dag.plans
@@ -913,6 +794,8 @@ class DagStepper:
             node = nodes[node_id]
             back = node.back_edges
             if not back:
+                # Connected-prefix orders keep roots out of positions >= 1.
+                assert not words, "back-edge-less DAG node reached mid-plan"
                 pool_bits = bundle.root_pools[node_id]
                 struct = pool_bits & bundle.label_masks[node_id]
             else:
@@ -956,11 +839,11 @@ class DagStepper:
     def accept(self, words: tuple[int, ...], pool: int) -> int:
         """The members of ``pool`` that advance at least one member
         surviving ``words``: every such word lies in the kernel's candidate
-        pool, so this is ``pool`` & the union of :meth:`member_masks`.
+        pool, so this is ``pool`` & the union of the kernel's member masks.
         Anti-monotone like the single-plan check — survivors only shrink —
         so ODAG extraction can apply it prefix by prefix."""
         union = 0
-        for _, mask in self._run(words, None, True)[1]:
+        for _, mask in self._run(words, True)[1]:
             union |= mask
         return pool & union
 

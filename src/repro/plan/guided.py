@@ -60,15 +60,15 @@ SMALL_POOL_DEGREE = 16
 
 
 def prefers_row_iteration(pool_estimate: int) -> bool:
-    """The hybrid kernels' path decision, pinned for tests and docs.
+    """The single-plan kernel's path decision, pinned for tests and docs.
 
     ``True`` selects the row-iteration path (decode/iterate the anchor's
     CSR row, check candidates one by one), ``False`` the pool-level mask
     path.  ``pool_estimate`` is a cheap popcount-equivalent upper bound
-    on the candidate pool: the anchor's degree for a single plan, the
-    sum of per-node anchor degrees for a DAG step.  Both paths produce
+    on the candidate pool: the anchor's degree.  Both paths produce
     identical ``(num_candidates, survivors)`` streams — the choice is
     wall-clock only (regression-pinned by the kernel-equivalence tests).
+    The DAG kernel (:class:`repro.plan.dag.DagStepper`) has no row path.
     """
     return pool_estimate <= SMALL_POOL_DEGREE
 

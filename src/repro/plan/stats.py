@@ -90,14 +90,6 @@ class GraphCatalog:
         """Number of vertices carrying ``label`` (0 when absent)."""
         return self.label_frequency.get(label, 0)
 
-    def fan_out(self, from_label: int, to_label: int) -> float:
-        """Expected number of ``to_label``-labeled neighbors of a vertex
-        labeled ``from_label`` (0.0 when either label is absent)."""
-        freq = self.frequency(from_label)
-        if freq == 0:
-            return 0.0
-        return self.pair_counts.get((from_label, to_label), 0) / freq
-
     def closure_probability(self, label_a: int, label_b: int) -> float:
         """Estimated probability that a random ``a``-labeled and a random
         ``b``-labeled vertex are adjacent (independence assumption,

@@ -32,7 +32,7 @@ from ..core.budget import CancelFlag
 from ..core.pattern import Pattern
 from ..plan.shapes import NAMED_SHAPES
 from ..session import Miner, MiningResult, QuerySpec, SessionError
-from ..session.spec import WORKLOADS
+from ..session.spec import PARAMETERS, WORKLOADS
 
 from .registry import ServiceError
 
@@ -45,17 +45,13 @@ _COMMON_KEYS = {
     "workers",
     "backend",
     "storage",
+    "limit",
     "deadline_ms",
     "max_embeddings",
     "stream",
 }
-#: Per-workload parameter keys.
-_WORKLOAD_KEYS = {
-    "motifs": {"max_size", "min_size"},
-    "match": {"query", "induced", "limit"},
-    "fsm": {"support", "max_edges"},
-    "cliques": {"max_size", "min_size", "maximal", "limit"},
-}
+#: Spec parameter -> its request key, where the two are spelled apart.
+_REQUEST_KEY = {"pattern": "query"}
 #: Workload -> the payload key holding its items (what NDJSON streaming
 #: splits into rows).
 _ITEMS_KEY = {
@@ -144,7 +140,9 @@ def parse_request(workload: str, body: dict) -> QuerySpec:
         raise ServiceError(
             f"request body must be a JSON object (got {type(body).__name__})"
         )
-    allowed = _ENVELOPE_KEYS | _COMMON_KEYS | _WORKLOAD_KEYS[workload]
+    allowed = _ENVELOPE_KEYS | _COMMON_KEYS | {
+        _REQUEST_KEY.get(name, name) for name in PARAMETERS[workload]
+    }
     unknown = set(body) - allowed
     if unknown:
         raise ServiceError(

@@ -371,9 +371,8 @@ class CliqueQuery(Query):
         from ..apps.maximal_cliques import MaximalCliqueFinding
 
         spec = self._spec
-        if spec.maximal:
-            return MaximalCliqueFinding(max_size=spec.max_size)
-        return CliqueFinding(max_size=spec.max_size, min_size=spec.min_size)
+        finding = MaximalCliqueFinding if spec.maximal else CliqueFinding
+        return finding(max_size=spec.max_size, min_size=spec.min_size)
 
 
 class FSMQuery(_GuidedAggregateQuery):

@@ -51,8 +51,9 @@ PLAN_CAPABLE_WORKLOADS = ("motifs", "match", "fsm")
 
 #: Workload -> the parameter fields it takes; every other parameter
 #: must stay unset.  ``compute`` (an in-process Computation object, see
-#: :meth:`Miner.compute`) takes none.
-_PARAMETERS = {
+#: :meth:`Miner.compute`) takes none.  The service's per-workload
+#: request keys are these names (``pattern`` is spelled ``query``).
+PARAMETERS = {
     "motifs": ("max_size", "min_size"),
     "match": ("pattern", "induced"),
     "fsm": ("support", "max_edges"),
@@ -60,7 +61,7 @@ _PARAMETERS = {
     "compute": (),
 }
 _ALL_PARAMETERS = tuple(
-    dict.fromkeys(name for names in _PARAMETERS.values() for name in names)
+    dict.fromkeys(name for names in PARAMETERS.values() for name in names)
 )
 #: What an omitted size parameter means, on every surface.
 _WHEN_OMITTED = {
@@ -121,7 +122,7 @@ class QuerySpec:
 
     def __post_init__(self) -> None:
         workload = self.workload
-        takes = _PARAMETERS.get(workload)
+        takes = PARAMETERS.get(workload)
         if takes is None:
             raise SessionError(
                 f"unknown workload {workload!r} — available: "
@@ -269,6 +270,7 @@ class QuerySpec:
 __all__ = [
     "AGGREGATE_WORKLOADS",
     "CONFIG_FIELDS",
+    "PARAMETERS",
     "PLAN_CAPABLE_WORKLOADS",
     "QuerySpec",
     "SessionError",

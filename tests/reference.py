@@ -155,6 +155,29 @@ def dag_survivors(dag, graph, words):
     return survivors
 
 
+def pool_for_nodes(dag, graph, words, live_nodes):
+    """The DAG kernel's candidate pool at ``words``, ascending: the union,
+    over the given trie nodes, of each node's pool.  A node's pool holds
+    the vertices adjacent to *every* shared back-edge anchor (the node's
+    whole anchored prefix), inside its union whitelist; a root node's is
+    its whitelist, or the label index of its label."""
+    pool = set()
+    for node_id in live_nodes:
+        node = dag.nodes[node_id]
+        if not node.back_edges:
+            # Connected-prefix orders keep roots out of positions >= 1.
+            assert not words, "back-edge-less DAG node reached mid-plan"
+            pool.update(from_bitset(root_pool_bits(node, graph)))
+            continue
+        candidates = set(graph.neighbors(words[node.back_edges[0][0]]))
+        for earlier, _ in node.back_edges[1:]:
+            candidates &= set(graph.neighbors(words[earlier]))
+        if node.allowed is not None:
+            candidates &= set(from_bitset(node.allowed))
+        pool |= candidates
+    return sorted(pool)
+
+
 def accepting_patterns(dag, graph, words):
     """Member indices whose plan accepts ``words`` as a full match: one per
     accepting leaf (several under monomorphic semantics)."""

@@ -175,6 +175,26 @@ class TestMaximalCliques:
         result = run_computation(path_graph(4), MaximalCliqueFinding())
         assert set(result.outputs) == {(0, 1), (1, 2), (2, 3)}
 
+    def test_min_size_drops_smaller_maximal_cliques(self):
+        path = path_graph(5)
+        assert run_computation(path, MaximalCliqueFinding(min_size=3)).num_outputs == 0
+        assert run_computation(path, MaximalCliqueFinding(min_size=2)).num_outputs == 4
+
+    @pytest.mark.parametrize("min_size", [2, 3, 4])
+    def test_min_size_against_networkx(self, min_size):
+        g = gnm_random_graph(16, 48, seed=3)
+        result = run_computation(g, MaximalCliqueFinding(min_size=min_size))
+        expected = {
+            tuple(sorted(c)) for c in nx.find_cliques(to_networkx(g))
+            if len(c) >= min_size
+        }
+        assert set(result.outputs) == expected and expected
+
+    def test_exploration_is_inherited_from_clique_finding(self):
+        assert issubclass(MaximalCliqueFinding, CliqueFinding)
+        own = {name for name in vars(MaximalCliqueFinding) if not name.startswith("__")}
+        assert own == {"process"}
+
 
 class TestFsm:
     def brute_force_fsm(self, graph, threshold, max_edges):

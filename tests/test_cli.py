@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, load_graph, main
-from repro.graph import write_edge_list, gnm_random_graph, assign_labels
+from repro.graph import write_edge_list, gnm_random_graph, assign_labels, path_graph
 
 
 @pytest.fixture
@@ -101,6 +101,14 @@ class TestCommands:
         assert main(
             ["cliques", str(edge_list_file), "--max-size", "3", "--maximal"]
         ) == 0
+
+    def test_cliques_maximal_honours_the_min_size_default(self, capsys, tmp_path):
+        path = tmp_path / "path.edges"
+        write_edge_list(path_graph(5), path)
+        assert main(["cliques", str(path), "--maximal"]) == 0
+        assert "size 2" not in capsys.readouterr().out
+        assert main(["cliques", str(path), "--maximal", "--min-size", "2"]) == 0
+        assert "size 2: 4 maximal cliques" in capsys.readouterr().out
 
     def test_maximal_cliques_subcommand(self, capsys, edge_list_file):
         assert main(

@@ -62,10 +62,6 @@ class TestVertexInduced:
         assert child.words == (0, 1, 2)
         assert e.words == (0, 1)  # parent unchanged
 
-    def test_vertex_set(self, labeled_square):
-        e = VertexInducedEmbedding(labeled_square, (2, 0))
-        assert e.vertex_set() == frozenset({0, 2})
-
     def test_quick_pattern_structure(self, labeled_square):
         e = VertexInducedEmbedding(labeled_square, (0, 1, 2))
         p = e.pattern()

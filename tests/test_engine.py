@@ -57,7 +57,7 @@ class CollectEverything(Computation):
         return embedding.num_vertices <= self.max_size
 
     def process(self, embedding):
-        self.output(embedding.vertex_set())
+        self.output(frozenset(embedding.vertices))
 
     def termination_filter(self, embedding):
         return embedding.num_vertices >= self.max_size

@@ -99,20 +99,67 @@ ALLOWED = {
     "baselines/bron_kerbosch.py::enumerate_maximal_cliques":
         "centralized maximal-clique baseline (the paper's Mace)",
     "session/miner.py::Miner.maximal_cliques": "the facade's maximal-cliques query",
+    "session/miner.py::Miner.compute":
+        "the facade's escape hatch: any Computation on a warm session (README)",
+    "session/query.py::ComputeQuery": "the query Miner.compute returns",
+    "session/query.py::Query.deadline": "the facade's wall-clock budget option",
+    "session/query.py::Query.spec": "the validated QuerySpec a fluent query describes",
 }
 
 DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 BINDING = (ast.Assign, ast.AnnAssign, ast.AugAssign)
 
 
+FUNCTION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def bound_in(function) -> set[str]:
+    """The bare names ``function`` binds for itself: its arguments, its
+    assignment, loop and ``with`` targets and its comprehension variables
+    (nested functions and classes bind for themselves), less the names it
+    declares ``global`` or ``nonlocal``."""
+    args = function.args
+    bound = {arg.arg for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                 args.vararg, args.kwarg) if arg}
+    declared = set()
+    body = function.body if isinstance(function.body, list) else [function.body]
+    pending = list(body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bound.add(node.id)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        if not isinstance(node, (*FUNCTION, ast.ClassDef)):
+            pending.extend(ast.iter_child_nodes(node))
+    return bound - declared
+
+
 def names_in(nodes) -> set[str]:
-    """Every identifier ``nodes`` load or store, attribute names included."""
-    return {
-        node.id if isinstance(node, ast.Name) else node.attr
-        for tree in nodes
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
-    }
+    """Every identifier ``nodes`` load or store, attribute names included,
+    less bare names bound in an enclosing function: a local, not the
+    definition it shares a name with."""
+    found = set()
+    pending = [(tree, frozenset()) for tree in nodes]
+    while pending:
+        node, local = pending.pop()
+        if isinstance(node, ast.Name):
+            if node.id not in local:
+                found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        if isinstance(node, FUNCTION):
+            # Decorators, defaults and annotations run in the enclosing
+            # scope; only the body sees the function's own names.
+            inner = local | bound_in(node)
+            body = node.body if isinstance(node.body, list) else [node.body]
+            pending.extend(
+                (child, inner if any(child is stmt for stmt in body) else local)
+                for child in ast.iter_child_nodes(node)
+            )
+        else:
+            pending.extend((child, local) for child in ast.iter_child_nodes(node))
+    return found
 
 
 def class_level(cls: ast.ClassDef) -> list:
@@ -129,7 +176,8 @@ def reachability(repo: Path, allowed) -> tuple[list[str], list[str]]:
     reaches that ``allowed`` does not list, and the ``allowed`` entries that
     are gone or reached.  A fixpoint over names: a top-level definition is
     reached when its name appears in reached code, a method when its class
-    is reached and its name appears (dunders with the class alone).  A
+    is reached and its name appears (dunders with the class alone); a bare
+    name an enclosing function binds is a local and appears as nothing.  A
     module-level binding is reached with its name, the rest of a module's
     top level always.  Names are not resolved, so the walk over-approximates
     and never flags live code."""
@@ -271,6 +319,28 @@ GATE_CASES = {
         "src/repro/session/run.py": "from ..lib import go\nDEFAULT = go\n",
         "src/repro/lib.py": "def go():\n    pass\n",
     }, {}, ([], [])),
+    # A bare name an enclosing function binds (argument, assignment
+    # target, comprehension variable, closed-over local) is that local,
+    # not the definition it shares a name with; an attribute, or a
+    # default value (it runs in the enclosing scope), still reaches.
+    "function-locals-reach-nothing": ({
+        "src/repro/cli.py": "from .lib import Stepper, run\nrun(Stepper())\n",
+        "src/repro/lib.py": (
+            "class Stepper:\n"
+            "    def step(self):\n        return ()\n"
+            "    def survivors(self):\n        pass\n"
+            "    def member_masks(self):\n        pass\n"
+            "    def accepting(self):\n        pass\n"
+            "def helper():\n    pass\n"
+            "def loader():\n    pass\n"
+            "def run(stepper, survivors=(), helper=helper):\n"
+            "    member_masks = stepper.step()\n"
+            "    loader = helper\n"
+            "    def inner():\n        return loader()\n"
+            "    return [accepting for accepting in survivors], member_masks, inner()\n"
+        ),
+    }, {}, (["lib.py::Stepper.accepting", "lib.py::Stepper.member_masks",
+             "lib.py::Stepper.survivors", "lib.py::loader"], [])),
     "top-level-if-and-try-are-walked": ({
         "src/repro/cli.py": "from .lib import fast, fallback\nfast()\nfallback()\n",
         "src/repro/lib.py": ("if probe():\n    def fast():\n        pass\n"

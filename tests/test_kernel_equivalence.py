@@ -7,17 +7,16 @@ order included — on every path through it:
 
 * **differential replay** — the full exploration tree of every bundled
   dataset × motif/FSM-style batch is replayed through the fused stepper
-  (adaptive, forced-rows, forced-masks) AND the free per-candidate
-  references (the merged node pool, each member's
-  ``guided_extension_check`` and ``dag_survivors``), hard-asserting
-  pool-size and survivor-stream equality at every state and
-  accepting-leaf equality at every emission point;
-* **hybrid fallback regression** — the degree-adaptive decision
-  (:func:`repro.plan.guided.prefers_row_iteration`) is pinned: sparse
-  low-degree pools (the citeseer triangle case, by name) take the
-  row-iteration path, dense pools take the mask path, and both paths
-  produce identical streams for the single-plan kernel and the DAG
-  kernel alike;
+  AND the free per-candidate references (the merged node pool, each
+  member's ``guided_extension_check`` and ``dag_survivors``),
+  hard-asserting pool-size and survivor-stream equality at every state
+  and accepting-leaf equality at every emission point;
+* **hybrid fallback regression** — the single-plan kernel's
+  degree-adaptive decision (:func:`repro.plan.guided.prefers_row_iteration`)
+  is pinned: sparse low-degree pools (the citeseer triangle case, by
+  name) take the row-iteration path, dense pools take the mask path, and
+  both paths produce identical streams.  The DAG kernel has one path;
+  it is replayed against the reference on small pools and large alike;
 * **property tests** (hypothesis) — random graphs × random pattern
   batches: the fused DAG-guided engine's per-leaf counts equal the
   per-pattern guided counts equal the exhaustive filter-process oracle,
@@ -67,7 +66,7 @@ from repro.datasets import (
     sn_like,
     youtube_like,
 )
-from repro.graph import assign_labels, gnm_random_graph, strip_labels
+from repro.graph import assign_labels, gnm_random_graph, star_graph, strip_labels
 from repro.graph.bitset import from_bitset, to_bitset
 from repro.plan import (
     NAMED_SHAPES,
@@ -76,11 +75,7 @@ from repro.plan import (
     make_stepper,
     restrict_dag,
 )
-from repro.plan.dag import (
-    DagStepper,
-    _pool_for_nodes,
-    mask_bundle,
-)
+from repro.plan.dag import DagStepper, mask_bundle
 from repro.plan.fsm_guide import (
     label_triples,
     one_edge_extensions,
@@ -96,7 +91,7 @@ from repro.session import Miner
 
 from reference import (accepting_patterns, dag_extendable, dag_survivors,
                        extension_checker, extensions, guided_candidates,
-                       guided_extension_check, phase_totals)
+                       guided_extension_check, phase_totals, pool_for_nodes)
 
 
 def shapes(*names):
@@ -129,7 +124,7 @@ def dag_reference(dag, graph, words):
             for p in live
             if guided_extension_check(dag.plans[p], graph, words, word)
         ]
-        for word in _pool_for_nodes(dag, graph, words, nodes)
+        for word in pool_for_nodes(dag, graph, words, nodes)
     }
 
 
@@ -151,44 +146,33 @@ def dag_check(dag):
 
 
 def replay_tree(dag, graph, max_states=None):
-    """Replay the whole DAG exploration tree through three steppers.
+    """Replay the whole DAG exploration tree through the fused stepper.
 
-    At every surviving state the fused kernel (adaptive) and the fused
-    kernel pinned to each hybrid path must agree with the per-candidate
+    At every surviving state the kernel must agree with the per-candidate
     reference (:func:`dag_reference` — the member plans' own checks over
     the merged node pool) on the candidate pool size, the survivor stream
     (ascending — the emission order), the accepting leaves, and
-    extendability.  Returns ``(num_states, num_survivors, emissions)``.
+    extendability.  Returns ``(states, num_survivors, emissions)``,
+    ``states`` the replayed word tuples in visiting order.
     """
     fused = DagStepper(dag, graph)
-    forced_rows = DagStepper(dag, graph)
-    forced_masks = DagStepper(dag, graph)
     emissions = []
     stack = [()]
-    num_states = 0
+    states = []
     num_survivors = 0
     while stack:
-        words = stack.pop()
-        num_states += 1
-        if max_states is not None and num_states > max_states:
+        if max_states is not None and len(states) == max_states:
             break
+        words = stack.pop()
+        states.append(words)
         num_candidates, survivors = fused.step(words)
-        rows_candidates, rows_survivors = forced_rows.step(words, strategy="rows")
-        masks_candidates, masks_survivors = forced_masks.step(
-            words, strategy="masks"
-        )
         reference = dag_reference(dag, graph, words)
         reference_survivors = tuple(
             word for word, members in reference.items() if members
         )
+        assert num_candidates == len(reference), f"pool sizes diverge at {words}"
         assert (
-            num_candidates
-            == rows_candidates
-            == masks_candidates
-            == len(reference)
-        ), f"pool sizes diverge at {words}"
-        assert (
-            survivors == rows_survivors == masks_survivors == reference_survivors
+            survivors == reference_survivors
         ), f"survivor streams diverge at {words}"
         num_survivors += len(survivors)
         for word in survivors:
@@ -205,7 +189,7 @@ def replay_tree(dag, graph, max_states=None):
             ), f"extendability diverges at {child}"
             if extendable:
                 stack.append(child)
-    return num_states, num_survivors, emissions
+    return states, num_survivors, emissions
 
 
 def degree_domain(graph, min_degree=2):
@@ -280,10 +264,10 @@ class TestDifferentialReplay:
         batch = enumerate_motif_patterns(graph, 3, min_size=2)
         assert batch, f"{name}: motif batch must not be empty"
         dag = build_plan_dag(batch, induced=True)
-        num_states, num_survivors, emissions = replay_tree(
+        states, num_survivors, emissions = replay_tree(
             dag, graph, max_states=4000
         )
-        assert num_states > 1, f"{name}: replay must explore the tree"
+        assert len(states) > 1, f"{name}: replay must explore the tree"
         assert num_survivors > 0
         assert emissions, f"{name}: no emissions — batch too restrictive"
 
@@ -293,8 +277,8 @@ class TestDifferentialReplay:
     def test_fsm_batch_fused_equals_legacy(self, name, factory):
         graph = factory()
         dag = fsm_style_dag(graph)
-        num_states, _, emissions = replay_tree(dag, graph, max_states=4000)
-        assert num_states > 1, f"{name}: replay must explore the tree"
+        states, _, emissions = replay_tree(dag, graph, max_states=4000)
+        assert len(states) > 1, f"{name}: replay must explore the tree"
         assert emissions, f"{name}: no emissions — whitelists too tight"
 
     def test_unlabeled_shape_batch_with_symmetry_restrictions(self):
@@ -706,36 +690,34 @@ class TestHybridFallback:
             assert adaptive == guided_survivors(plan, graph, words, "masks")
         assert dense, "dense mico pools must exercise the mask path"
 
-    def test_dag_stepper_hybrid_paths_agree_on_both_regimes(self):
+    def test_dag_kernel_equals_the_reference_on_small_and_large_pools(self):
+        # The DAG kernel has no row fallback: the states a summed-degree
+        # threshold would have sent to one (sparse citeseer) and the
+        # states past it (dense mico, a hub one past the threshold) are
+        # replayed against the per-candidate reference alike.
         sparse = strip_labels(citeseer_like(scale=0.08))
         dense = strip_labels(mico_like(scale=0.0015))
+        hub = star_graph(SMALL_POOL_DEGREE + 1)
         dag = build_plan_dag(shapes("wedge", "triangle", "square"), induced=True)
-        for graph in (sparse, dense):
-            replay_tree(dag, graph, max_states=1500)
+        small = {}
+        for name, graph in (("sparse", sparse), ("dense", dense), ("hub", hub)):
+            states, _, _ = replay_tree(dag, graph, max_states=1500)
+            estimates = [summed_anchor_degree(dag, graph, w) for w in states if w]
+            small[name] = sum(e <= SMALL_POOL_DEGREE for e in estimates) / len(estimates)
+        # Shares of states within the threshold: 0.99 sparse, 0.80 dense.
+        assert small["sparse"] >= 0.9 and small["dense"] <= 0.9, small
+        assert small["hub"] < 1, small
 
-    def test_dag_estimate_sums_per_node_anchor_degrees(self):
-        # Two live nodes with distinct anchors: the DAG decision reads
-        # the SUM of their anchor degrees, so a batch can go dense even
-        # when each node alone would not.  Pin by construction: a hub
-        # graph where the hub degree is just over half the threshold.
-        hub_edges = [(0, i) for i in range(1, SMALL_POOL_DEGREE + 2)]
-        graph = strip_labels(
-            gnm_random_graph(SMALL_POOL_DEGREE + 2, 1, seed=1)
-        )
-        # build explicitly instead: star graph
-        from repro.graph import LabeledGraph
 
-        graph = strip_labels(
-            LabeledGraph(
-                [0] * (SMALL_POOL_DEGREE + 2), sorted(hub_edges), name="star"
-            )
-        )
-        dag = build_plan_dag(shapes("wedge", "triangle"), induced=True)
-        stepper = DagStepper(dag, graph)
-        # From the hub, the wedge/triangle second-step nodes both anchor
-        # on vertex 0 (degree SMALL_POOL_DEGREE+1): a single node is
-        # already past the threshold; the replay just has to agree.
-        replay_tree(dag, graph)
+def summed_anchor_degree(dag, graph, words):
+    """Over the trie nodes the members surviving ``words`` occupy next, the
+    sum of each node's cheapest back-neighbor degree: an upper bound on
+    the DAG kernel's pool at a non-root state."""
+    nodes = {dag.paths[p][len(words)] for p in live_members(dag, graph, words)}
+    return sum(
+        min(graph.degree(words[earlier]) for earlier, _ in dag.nodes[n].back_edges)
+        for n in nodes
+    )
 
 
 # ---------------------------------------------------------------------------

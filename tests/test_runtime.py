@@ -54,7 +54,7 @@ class CollectSets(Computation):
         return embedding.num_vertices <= self.max_size
 
     def process(self, embedding):
-        self.output(embedding.vertex_set())
+        self.output(frozenset(embedding.vertices))
         self.map("embeddings", 1)
 
     def reduce(self, key, values):

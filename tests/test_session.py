@@ -33,7 +33,7 @@ from repro.core import (
     RunResult,
     run_computation,
 )
-from repro.graph import assign_labels, gnm_random_graph, strip_labels
+from repro.graph import assign_labels, gnm_random_graph, path_graph, strip_labels
 from repro.plan import NAMED_SHAPES, compile_plan
 from repro.session import (
     CliqueResult,
@@ -42,6 +42,7 @@ from repro.session import (
     Miner,
     MiningResult,
     MotifResult,
+    QuerySpec,
     SessionError,
 )
 
@@ -443,6 +444,12 @@ class TestResultViews:
         # ancestors were pruned — rejected instead.
         with pytest.raises(ValueError, match="re-mine"):
             result.patterns(support_threshold=1)
+
+    def test_maximal_cliques_honour_min_size(self):
+        miner = Miner(path_graph(5))
+        for min_size, by_size in ((3, {}), (2, {2: [(0, 1), (1, 2), (2, 3), (3, 4)]})):
+            spec = QuerySpec("cliques", maximal=True, min_size=min_size)
+            assert miner.query(spec).run().by_size() == by_size
 
     def test_clique_view_flags_maximality(self, miner):
         all_cliques = miner.cliques(max_size=3, min_size=1).run()

@@ -153,6 +153,37 @@ def test_clique_size_range_agrees_across_surfaces(max_size, min_size, accepted):
     assert messages == {"need 1 <= min_size <= max_size"}
 
 
+@pytest.mark.parametrize("workload,params,build", [
+    ("motifs", {"max_size": 3}, lambda miner: miner.motifs(3)),
+    ("fsm", {"support": 2, "max_edges": 2}, lambda miner: miner.fsm(2, max_edges=2)),
+], ids=["motifs", "fsm"])
+def test_exhaustive_limit_is_accepted_and_guided_limit_refused_alike(
+    workload, params, build
+):
+    miner = Miner(assign_labels(gnm_random_graph(12, 20, seed=2), 2, seed=2))
+
+    def fluent_spec(exhaustive):
+        query = build(miner)
+        if exhaustive:
+            query = query.exhaustive()
+        return query.limit(5).spec
+
+    def json_spec(exhaustive):
+        return parse_request(
+            workload, {"graph": "g", **params, "exhaustive": exhaustive, "limit": 5})
+
+    spec = fluent_spec(True)
+    assert json_spec(True) == spec
+    assert spec.config_overrides()["output_limit"] == 5
+    miner.query(spec).run()
+    messages = set()
+    for surface in (fluent_spec, json_spec):
+        with pytest.raises((SessionError, ServiceError)) as error:
+            surface(False)
+        messages.add(str(error.value))
+    assert len(messages) == 1 and "chain .exhaustive() first" in messages.pop()
+
+
 def test_documented_request_keys_match_the_parser_and_the_spec():
     """docs/service.md's request-key table is checked, not trusted."""
     import re

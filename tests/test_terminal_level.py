@@ -19,7 +19,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.apps import CliqueFinding, MotifCounting, fsm as fsm_app
+from repro.apps import CliqueFinding, MaximalCliqueFinding, MotifCounting, fsm as fsm_app
 from repro.apps.fsm import DagPatternDomains, run_guided_fsm
 from repro.apps.matching import GuidedMatching
 from repro.apps.motifs import DagMotifCounting, enumerate_motif_patterns
@@ -50,7 +50,7 @@ from repro.graph import (
     star_graph,
     strip_labels,
 )
-from repro.graph.bitset import from_bitset
+from repro.graph.bitset import from_bitset, to_bitset
 from repro.plan import (
     NAMED_SHAPES,
     build_plan_dag,
@@ -65,7 +65,7 @@ from repro.plan.planner import restrict_plan
 from repro.runtime.tasks import _extension_filter, _terminal_hook
 
 from faults import run_to_crash
-from reference import phase_totals
+from reference import dag_survivors, guided_extension_check, phase_totals
 
 
 # Module-level so the process backend and snapshots can pickle them.
@@ -434,27 +434,38 @@ class TestPoolDegreeBoundary:
         assert_same_run(*motif_pair(star))
         assert_same_run(*match_pair(star, "wedge"))
 
-    def test_rows_and_masks_build_the_same_member_masks(self):
+    def test_member_masks_equal_each_members_plan_check(self):
         graph = small_labeled(edges=200)
         dag = build_plan_dag(enumerate_motif_patterns(graph, 3), induced=True)
         stepper = DagStepper(dag, graph)
         frontier, states = [()], 0
         while frontier:
             words = frontier.pop()
-            rows = stepper.member_masks(words, "rows")
-            assert rows == stepper.member_masks(words, "masks")
-            num_candidates, masks = rows
-            _, num_accepted, _, finished = stepper.advance(words, True)
+            num_candidates, num_accepted, found, finished = stepper.advance(
+                words, True
+            )
             finishes = finished is not None
             assert finishes == (len(words) == 2)
-            assert finished in (None, num_accepted)
-            union = 0
-            for _, mask in masks:
-                union |= mask
-            assert num_accepted == union.bit_count()
-            assert stepper.step(words) == (num_candidates, from_bitset(union))
-            if not finishes:
-                frontier.extend(words + (w,) for w in from_bitset(union)[:6])
+            if finishes:
+                # Bit ``w`` of a member's mask: its own plan accepts the child.
+                assert finished == num_accepted
+                assert found == [
+                    (p, mask) for p in dag_survivors(dag, graph, words)
+                    if (mask := to_bitset(
+                        w for w in graph.vertices()
+                        if guided_extension_check(dag.plans[p], graph, words, w)
+                    ))
+                ]
+                union = 0
+                for _, mask in found:
+                    union |= mask
+                assert num_accepted == union.bit_count()
+                survivors = from_bitset(union)
+            else:
+                survivors = found
+                assert num_accepted == len(survivors)
+                frontier.extend(words + (w,) for w in survivors[:6])
+            assert stepper.step(words) == (num_candidates, survivors)
             states += 1
         assert states > 20
 
@@ -814,6 +825,16 @@ class TestExhaustiveHookGuard:
             )
             assert run.canonical_signature() == plain.canonical_signature()
             assert plain.total_batched > 0
+
+    def test_maximal_cliques_decline_the_inherited_hook(self):
+        # ``process`` is refined below CliqueFinding's ``process_terminal``:
+        # a batched last level would emit cliques that are not maximal.
+        computation = MaximalCliqueFinding(4, min_size=2)
+        assert _terminal_hook(computation, _extension_filter(computation)) is None
+        graph = gnm_random_graph(14, 50, seed=1)
+        run = run_computation(graph, MaximalCliqueFinding(4, min_size=2))
+        assert run.total_batched == 0
+        assert all(len(clique) >= 2 for clique in run.outputs)
 
     def test_an_uncapped_clique_run_has_no_last_level(self):
         assert CliqueFinding().terminal_size is None
