@@ -156,9 +156,9 @@ class DagPatternDomains(Computation):
     """Discover one candidate *batch*'s embeddings through a multi-query
     DAG and accumulate per-candidate MNI domains in a single run.
 
-    Run with ``config.plan`` set to the same DAG (:func:`run_guided_fsm`
-    wires this up).  The runtime advances each embedding against the
-    whole batch at once; ``process`` maps one singleton
+    The DAG it is built with guides the run (:func:`run_guided_fsm`
+    compiles one per level).  The runtime advances each embedding against
+    the whole batch at once; ``process`` maps one singleton
     :class:`~repro.apps.support.Domain` per accepting leaf, keyed by that
     leaf's canonical pattern — so the aggregation channel demultiplexes
     the merged domains by leaf, and ``final_aggregates[pattern]`` reads
@@ -172,7 +172,6 @@ class DagPatternDomains(Computation):
     """
 
     exploration_mode = VERTEX_EXPLORATION
-    plan_compatible = True
 
     def __init__(self, dag: PlanDAG):
         super().__init__()
@@ -302,7 +301,7 @@ def run_guided_fsm(
 
     ``config`` carries the execution knobs (backend, workers, storage —
     ``None`` defaults to list storage, the guided sweet spot); its
-    ``plan``/output fields are overridden per level run.
+    output fields are overridden per level run.
     ``dag_provider`` supplies compiled DAGs for canonical candidate
     batches (a session passes its cross-query DAG cache; default
     compiles with a run-local memo) — whitelists are overlaid per run on
@@ -391,7 +390,10 @@ def run_guided_fsm(
         return result
 
     pending = grow_level(frequent_now)
-    backend = make_backend(base)
+    run_config = dataclasses.replace(
+        base, collect_outputs=False, output_limit=None
+    )
+    backend = make_backend(run_config)
     try:
         level = 2
         while pending and (max_edges is None or level <= max_edges):
@@ -418,9 +420,6 @@ def run_guided_fsm(
                 dag = restrict_dag(
                     provide(tuple(pattern for pattern, _ in evaluated)),
                     dict(evaluated),
-                )
-                run_config = dataclasses.replace(
-                    base, plan=dag, collect_outputs=False, output_limit=None
                 )
                 run = run_computation(
                     graph,

@@ -133,8 +133,8 @@ class GraphMatching(Computation):
 class GuidedMatching(Computation):
     """Plan-guided matching: the runtime does the filtering.
 
-    Run with ``config.plan`` set to the same plan (the session facade's
-    ``match`` query wires this up): every embedding reaching the user
+    The plan it is built with guides the run (the session facade's
+    ``match`` query compiles it): every embedding reaching the user
     functions is a valid partial match by construction — the plan's
     per-step constraints
     subsume φ, and its symmetry restrictions subsume the canonicality
@@ -148,7 +148,6 @@ class GuidedMatching(Computation):
     """
 
     exploration_mode = VERTEX_EXPLORATION
-    plan_compatible = True
 
     def __init__(self, plan: MatchingPlan):
         super().__init__()

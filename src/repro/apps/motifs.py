@@ -200,8 +200,8 @@ def enumerate_motif_patterns(
 class DagMotifCounting(Computation):
     """Count the whole motif distribution through one multi-query DAG.
 
-    Run with ``config.plan`` set to the same DAG (:func:`run_guided_motifs`
-    wires this up).  The runtime advances each embedding against the
+    The DAG it is built with guides the run (:func:`run_guided_motifs`
+    compiles it).  The runtime advances each embedding against the
     whole batch; ``process`` emits 1 per accepting leaf, under that
     leaf's canonical pattern — the symmetry restrictions guarantee one
     representative per vertex-induced occurrence per motif, so the
@@ -211,7 +211,6 @@ class DagMotifCounting(Computation):
     """
 
     exploration_mode = VERTEX_EXPLORATION
-    plan_compatible = True
 
     def __init__(self, dag: PlanDAG):
         super().__init__()
@@ -283,7 +282,7 @@ def run_guided_motifs(
 
     ``config`` carries the execution knobs (backend, workers, storage —
     ``None`` defaults to list storage, the guided sweet spot); its
-    ``plan``/output fields are overridden for the run (guided motifs
+    output fields are overridden for the run (guided motifs
     aggregate the distribution and never collect per-embedding outputs).
     """
     batch = enumerate_motif_patterns(graph, max_size, min_size=min_size)
@@ -295,7 +294,7 @@ def run_guided_motifs(
     )
     dag = provide(batch)
     run_config = dataclasses.replace(
-        base, plan=dag, collect_outputs=False, output_limit=None
+        base, collect_outputs=False, output_limit=None
     )
     # Import here mirrors the engine's own lazy runtime import (runtime ->
     # core.config would otherwise cycle).

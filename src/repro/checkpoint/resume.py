@@ -38,12 +38,11 @@ from .snapshot import (
 )
 
 #: Config fields a resume caller may override without touching semantics:
-#: every field but the semantic ones and the plan (which always comes
-#: from the snapshot).
+#: every field but the semantic ones.
 EXECUTION_CONFIG_FIELDS = tuple(
     field.name
     for field in dataclasses.fields(ArabesqueConfig)
-    if field.name not in SEMANTIC_CONFIG_FIELDS and field.name != "plan"
+    if field.name not in SEMANTIC_CONFIG_FIELDS
 )
 
 
@@ -69,22 +68,12 @@ def validate_payload(
         for name in SEMANTIC_CONFIG_FIELDS
         if getattr(config, name) != getattr(snapshot_config, name)
     ]
-    if (config.plan is not None) != (snapshot_config.plan is not None):
-        mismatched.append("plan")
     if mismatched:
         details = ", ".join(
             f"{name}: snapshot={getattr(snapshot_config, name)!r} "
             f"offered={getattr(config, name)!r}"
             for name in mismatched
-            if name != "plan"
         )
-        if "plan" in mismatched:
-            details = (details + "; " if details else "") + (
-                "plan: snapshot "
-                + ("guided" if snapshot_config.plan is not None else "exhaustive")
-                + " vs offered "
-                + ("guided" if config.plan is not None else "exhaustive")
-            )
         raise CheckpointConfigMismatch(
             "the offered config changes what this run computes — resume "
             "must keep the snapshot's semantics ("
@@ -101,10 +90,10 @@ def build_resume_config(
 ) -> ArabesqueConfig:
     """The config the resumed run executes under.
 
-    Semantics (and the plan object itself) always come from the snapshot;
-    execution knobs come from the caller's config when one is given.  The
-    resumed run checkpoints back into ``run_dir`` unless the caller
-    pointed ``checkpoint_dir`` elsewhere.
+    Semantics always come from the snapshot (a guided run's plan with its
+    pickled computation); execution knobs come from the caller's config
+    when one is given.  The resumed run checkpoints back into ``run_dir``
+    unless the caller pointed ``checkpoint_dir`` elsewhere.
     """
     base: ArabesqueConfig = payload["config"]
     if config is None:

@@ -61,7 +61,9 @@ MAGIC = b"ARBKCKPT"
 #: 7: a guided run's store holds one plan level under ``PLAN_LEVEL``, read
 #: back by membership (version 6 held one ODAG per canonical pattern,
 #: whose paths that rule would read as duplicates).
-FORMAT_VERSION = 7
+#: 8: a guided run's plan travels only in the pickled computation (version
+#: 7 also pickled it on the config, and kept a never-read ``"mode"`` key).
+FORMAT_VERSION = 8
 _CHECKSUM_NBYTES = 32
 
 
@@ -148,7 +150,6 @@ def build_payload(
     *,
     graph_fingerprint: str,
     config: ArabesqueConfig,
-    mode: str,
     step: int,
     processed_total: int,
     result: RunResult,
@@ -163,7 +164,6 @@ def build_payload(
     return {
         "format_version": FORMAT_VERSION,
         "step": step,
-        "mode": mode,
         "processed_total": processed_total,
         "result": result,
         "store": _portable_store(store),

@@ -255,6 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     motifs = subparsers.add_parser("motifs", help="count motifs")
     common(motifs)
     motifs.add_argument("--max-size", type=int, default=3)
+    motifs.add_argument("--min-size", type=int, default=3,
+                        help="smallest motif order counted (default 3)")
     motifs.add_argument("--labeled", action="store_true",
                         help="keep vertex labels (labeled motifs)")
     motif_strategy = motifs.add_mutually_exclusive_group()

@@ -74,17 +74,17 @@ class Computation:
     #: ``VERTEX_EXPLORATION`` or ``EDGE_EXPLORATION``.
     exploration_mode: str = VERTEX_EXPLORATION
 
-    #: Whether this computation understands plan-guided exploration
-    #: (``config.plan`` set): words follow the plan's matching order and
-    #: only plan-compatible candidates are generated.  The engine refuses
-    #: to pair a plan with computations that have not opted in — guided
-    #: generation silently changes what an unaware computation explores
-    #: (e.g. a motif census would quietly lose every non-query shape).
-    #: A guided run canonicalizes nothing: a ``Pattern`` key it is given
-    #: must be canonical already (the plan members' patterns are), and
-    #: ``termination_filter`` must read the embedding alone (it decides
-    #: which guided ODAG paths were stored, one step later).
-    plan_compatible: bool = False
+    #: The run's plan: ``None`` explores exhaustively; a
+    #: :class:`~repro.plan.MatchingPlan` or a multi-query
+    #: :class:`~repro.plan.PlanDAG` makes the run guided — words follow the
+    #: plan's matching order and only candidates that satisfy its next
+    #: step are generated, so the user functions read plan-ordered words.
+    #: Guided runs explore vertices.  A guided run canonicalizes nothing:
+    #: a ``Pattern`` key it is given must be canonical already (the plan
+    #: members' patterns are), and ``termination_filter`` must read the
+    #: embedding alone (it decides which guided ODAG paths were stored,
+    #: one step later).
+    plan = None
 
     #: Optional hook ``process_terminal(words, found)``: finish a whole
     #: last level from bitmasks.  The runtime calls it once per stored
@@ -96,7 +96,7 @@ class Computation:
     #: ``found`` has one of two shapes, by how the
     #: computation runs:
     #:
-    #: * plan-compatible (guided): every plan member still alive for
+    #: * guided (``plan`` set): every plan member still alive for
     #:   ``words`` completes at the next word, and ``found`` lists
     #:   ``(member, mask)`` in ascending member order (member 0 for a
     #:   single plan), bit ``w`` set iff the member accepts
@@ -128,7 +128,7 @@ class Computation:
     #: builds only those children and skips their per-child ``filter``
     #: call.  Like ``process_terminal`` it is honoured only while no
     #: subclass refines ``filter`` below the class that wrote the hook,
-    #: and never for plan-compatible computations; ``None`` keeps the
+    #: and never for guided computations; ``None`` keeps the
     #: per-child φ.  Step 0 always filters per child.  ODAG extraction
     #: passes it path prefixes (two or more words that passed every check
     #: so far) with a successor sub-mask, under the same contract.

@@ -3,14 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .budget import CancelFlag
 from .storage import DEFAULT_SPILL_BUDGET_NBYTES, ODAG_STORAGE, STORAGE_MODES
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (plan -> core)
-    from ..plan.dag import PlanDAG
-    from ..plan.planner import MatchingPlan
 
 #: Execution-backend configuration values (see :mod:`repro.runtime`).
 SERIAL_BACKEND = "serial"
@@ -26,7 +21,9 @@ class ArabesqueConfig:
     The defaults match the paper's system: ODAG storage, two-level pattern
     aggregation, incremental canonicality checking.  The alternative values
     exist for the ablation experiments (Figures 10 and 11) and for the
-    simulated-scalability sweeps (``num_workers``).
+    simulated-scalability sweeps (``num_workers``).  What a run computes
+    beyond these knobs — a guided run's plan included — is the
+    application's: :attr:`~repro.core.computation.Computation.plan`.
     """
 
     #: Logical workers the exploration is partitioned over.  The partition
@@ -52,18 +49,6 @@ class ArabesqueConfig:
     #: Incremental canonicality checks (Algorithm 2); False re-checks the
     #: whole word sequence per candidate (ablation bench).
     incremental_canonicality: bool = True
-    #: Guided exploration plan (:func:`repro.plan.compile_plan`) or a
-    #: multi-query plan DAG (:func:`repro.plan.build_plan_dag`).  When
-    #: set, worker step tasks generate candidates from the plan's anchors
-    #: and validate them against the plan's per-step constraints —
-    #: symmetry-breaking restrictions replace the embedding canonicality
-    #: check entirely; a DAG advances a whole pattern batch at once,
-    #: sharing prefix exploration.  Requires a vertex-exploration
-    #: computation whose user functions understand plan-ordered words
-    #: (e.g. :class:`repro.apps.matching.GuidedMatching` or the DAG
-    #: computations in :mod:`repro.apps.motifs`/:mod:`repro.apps.fsm`);
-    #: ``None`` (default) keeps the exhaustive extend-everywhere path.
-    plan: "MatchingPlan | PlanDAG | None" = None
     #: Safety bound on exploration steps; exceeded = misbehaving filter.
     max_exploration_steps: int = 100
     #: Cooperative wall-clock budget for the whole run, in seconds.  The
@@ -123,16 +108,6 @@ class ArabesqueConfig:
             raise ValueError(
                 f"unknown backend {self.backend!r} (choose from {BACKENDS})"
             )
-        if self.plan is not None:
-            from ..plan.dag import PlanDAG
-            from ..plan.planner import MatchingPlan
-
-            if not isinstance(self.plan, (MatchingPlan, PlanDAG)):
-                raise ValueError(
-                    "plan must be a repro.plan.MatchingPlan or a "
-                    f"multi-query repro.plan.PlanDAG "
-                    f"(got {type(self.plan).__name__})"
-                )
         if self.max_exploration_steps < 1:
             raise ValueError("max_exploration_steps must be >= 1")
         if self.deadline_seconds is not None and not self.deadline_seconds > 0:

@@ -100,33 +100,26 @@ class ArabesqueEngine:
         self.graph = graph
         self.computation = computation
         self.config = config or ArabesqueConfig()
-        self._mode = computation.exploration_mode
-        if self._mode not in (VERTEX_EXPLORATION, EDGE_EXPLORATION):
-            raise ValueError(f"unknown exploration mode {self._mode!r}")
-        if self.config.plan is not None:
-            if self._mode != VERTEX_EXPLORATION:
+        mode = computation.exploration_mode
+        if mode not in (VERTEX_EXPLORATION, EDGE_EXPLORATION):
+            raise ValueError(f"unknown exploration mode {mode!r}")
+        plan = computation.plan
+        if plan is not None:
+            # Imported here: repro.plan builds on repro.core.
+            from ..plan.dag import PlanDAG
+            from ..plan.planner import MatchingPlan
+
+            if not isinstance(plan, (MatchingPlan, PlanDAG)):
+                raise ValueError(
+                    f"{type(computation).__name__}.plan must be a "
+                    "repro.plan.MatchingPlan or a multi-query "
+                    f"repro.plan.PlanDAG (got {type(plan).__name__})"
+                )
+            if mode != VERTEX_EXPLORATION:
                 raise ValueError(
                     "guided plans (and plan DAGs) drive vertex-based "
-                    "exploration; edge-exploration computations cannot "
-                    "run with config.plan"
-                )
-            if not computation.plan_compatible:
-                raise ValueError(
-                    f"{type(computation).__name__} has not opted into "
-                    "plan-guided exploration (plan_compatible=False); "
-                    "config.plan would silently restrict what it explores"
-                )
-        if computation.plan_compatible:
-            # A plan-compatible computation interprets embeddings through
-            # its own plan; if that differs from the plan steering the
-            # runtime (including config.plan=None, i.e. exhaustive
-            # exploration), the output would be silently wrong.
-            declared = getattr(computation, "plan", None)
-            if declared is not None and declared != self.config.plan:
-                raise ValueError(
-                    "computation carries a different plan than config.plan; "
-                    "pass the same MatchingPlan to both (the session "
-                    "facade and run_guided_fsm wire this up)"
+                    f"exploration; {type(computation).__name__} explores "
+                    f"{mode}s"
                 )
         #: Monotonic instant the run's deadline budget expires (set per
         #: run from ``config.deadline_seconds``; ``None`` = no deadline).
@@ -155,7 +148,6 @@ class ArabesqueEngine:
             step=step,
             graph=self.graph,
             computation=self.computation,
-            mode=self._mode,
             config=self.config,
             pattern_cache=canonicalizer.cache_snapshot(),
             published_aggregates=agg_channel.published(),
@@ -323,7 +315,6 @@ class ArabesqueEngine:
                         build_payload(
                             graph_fingerprint=fingerprint,
                             config=config,
-                            mode=self._mode,
                             step=step,
                             processed_total=processed_total,
                             result=result,

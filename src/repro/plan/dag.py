@@ -33,8 +33,8 @@ explores exactly the union of the per-pattern guided runs, with shared
 prefixes generated (and stored) once instead of once per pattern.
 
 The DAG is immutable, hashable, picklable plain data, accepted everywhere
-a single plan is: ``ArabesqueConfig.plan``, the runtime's
-:class:`~repro.runtime.tasks.StepContext`, and the engine's validation.
+a single plan is: a computation's ``plan`` (which the engine validates
+and the runtime's step tasks read), and the snapshot that pickles it.
 """
 
 from __future__ import annotations

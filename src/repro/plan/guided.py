@@ -60,7 +60,8 @@ SMALL_POOL_DEGREE = 16
 
 
 def prefers_row_iteration(pool_estimate: int) -> bool:
-    """The single-plan kernel's path decision, pinned for tests and docs.
+    """The single-plan kernel's path decision (``_survivor_kernel`` calls
+    it for every step past the first).
 
     ``True`` selects the row-iteration path (decode/iterate the anchor's
     CSR row, check candidates one by one), ``False`` the pool-level mask
@@ -239,7 +240,7 @@ def _survivor_kernel(
         ):
             anchor, estimate = vertex, vertex_degree
     if strategy == "rows" or (
-        strategy is None and estimate <= SMALL_POOL_DEGREE
+        strategy is None and prefers_row_iteration(estimate)
     ):
         return _row_survivors(plan, step, graph, words, anchor)
     neighbor_bits = graph.neighbor_bits

@@ -28,10 +28,10 @@ it has one), a guided :class:`~repro.plan.MatchingPlan`'s fused bitset
 kernel, or a multi-query :class:`~repro.plan.PlanDAG`'s set-of-active-nodes
 kernel — is the *stepper's* business (:mod:`repro.plan.stepper`): the
 passes below call ``zero_pool``/``accept``/``advance`` and never look at
-the plan (they read it, like every other knob, from the run's
-:class:`~repro.core.config.ArabesqueConfig` on the context).  A guided
-plan's ordering restrictions already guarantee each occurrence is
-generated exactly once, so its check replaces canonicality; a DAG stores
+the plan (the task reads it once, from the computation's ``plan``, to
+pick the stepper).  A guided plan's ordering restrictions already
+guarantee each occurrence is generated exactly once, so its check
+replaces canonicality; a DAG stores
 the extended embedding once no matter how many patterns it advances —
 emission happens once per accepting leaf inside the computation.  On a
 *terminal level* (every live plan member completes at the next word, or
@@ -85,14 +85,14 @@ class StepContext:
     step: int
     graph: Any
     #: Initialized computation; tasks shallow-copy it before binding their
-    #: per-task context, so the original is never written to.
+    #: per-task context, so the original is never written to.  Its
+    #: ``exploration_mode`` and ``plan`` (``None`` selects the exhaustive
+    #: path) say how the step explores.
     computation: Computation
-    mode: str
     #: The run's configuration, read-only: worker count, storage mode,
-    #: plan (``None`` selects the exhaustive path), output collection,
-    #: phase profiling, spill budget and the cancellation flag (live in
-    #: serial/thread workers and the process backend's chunk 0; see
-    #: :class:`~repro.core.budget.CancelFlag`).
+    #: output collection, phase profiling, spill budget and the
+    #: cancellation flag (live in serial/thread workers and the process
+    #: backend's chunk 0; see :class:`~repro.core.budget.CancelFlag`).
     config: ArabesqueConfig
     #: Master quick-pattern -> (canonical, mapping) cache snapshot.
     pattern_cache: dict[Pattern, tuple[Pattern, tuple[int, ...]]] = field(
@@ -220,10 +220,9 @@ def _terminal_hook(computation: Computation, pool_filter):
 def _extension_filter(computation: Computation):
     """``filter_extensions`` when it may stand in for the per-child φ: no
     subclass refines ``filter`` below the class that wrote the hook, and
-    the computation is not plan-compatible — the hook is defined over an
-    exhaustive extension mask, and the engine pairs no plan with a
-    computation that has not opted in."""
-    if computation.plan_compatible:
+    the computation runs no plan — the hook is defined over an exhaustive
+    extension mask."""
+    if computation.plan is not None:
         return None
     return _trusted_hook(computation, "filter_extensions", ("filter",))
 
@@ -244,7 +243,7 @@ def _successor_filter(context: StepContext, computation, stepper, pool_filter):
     if pool_filter is not None:
         return lambda prefix, pool: pool_filter(prefix, accept(prefix, pool))
     graph = context.graph
-    mode = context.mode
+    mode = computation.exploration_mode
     keep = computation.filter
 
     def children(prefix: tuple[int, ...], pool: int) -> int:
@@ -297,7 +296,7 @@ def run_step_task(context: StepContext, worker_id: int) -> WorkerDelta:
     computation = copy.copy(context.computation)
     # A guided run canonicalizes nothing: its rows are keyed by plan level
     # and its aggregation keys are its plan members' canonical patterns.
-    canonicalizer = None if config.plan is not None else PatternCanonicalizer(
+    canonicalizer = None if computation.plan is not None else PatternCanonicalizer(
         config.two_level_aggregation, seed_cache=context.pattern_cache
     )
     local_agg = LocalAggregation(computation.reduce, canonicalizer)
@@ -337,9 +336,9 @@ def run_step_task(context: StepContext, worker_id: int) -> WorkerDelta:
         else None
     )
     stepper = make_stepper(
-        config.plan,
+        computation.plan,
         context.graph,
-        context.mode,
+        computation.exploration_mode,
         config.incremental_canonicality,
         computation,
         wrap_check=partial(timed, "C"),
@@ -430,7 +429,7 @@ def _initial_pass(
     is one window mask from its first to its last word, which holds no
     other pool word, and the stepper's ``accept`` filters it whole."""
     graph = context.graph
-    mode = context.mode
+    mode = context.computation.exploration_mode
     stats = delta.counters
     pool = stepper.zero_pool()
     total = len(pool)
@@ -469,7 +468,7 @@ def _expansion_pass(
     iff the termination filter is false for it (DAG members finish at
     different depths) — no isomorphism test."""
     graph = context.graph
-    mode = context.mode
+    mode = computation.exploration_mode
     batch = hook is not None
     if batch:
         hook = timed("P", hook)

@@ -248,13 +248,6 @@ class Query:
 
     def _build_config(self) -> ArabesqueConfig:
         base = self._base_config or ArabesqueConfig()
-        if base.plan is not None and self.workload != "match":
-            raise SessionError(
-                f"the base config carries a plan, but {self.workload} "
-                "queries never take one — only Miner.match accepts a "
-                "precompiled MatchingPlan (guided FSM and guided motifs "
-                "compile their own multi-query plan DAGs)"
-            )
         overrides = self._spec.config_overrides()
         if (
             self.is_guided
@@ -480,13 +473,6 @@ class MatchQuery(Query):
                 spec.pattern, spec.induced, spec.labeled
             )
         return self._plan
-
-    def _build_config(self) -> ArabesqueConfig:
-        config = super()._build_config()
-        plan = self._resolved_plan() if self.is_guided else None
-        if config.plan is not plan:
-            config = dataclasses.replace(config, plan=plan)
-        return config
 
     def _computation(self) -> Computation:
         from ..apps.matching import GraphMatching, GuidedMatching

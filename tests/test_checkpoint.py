@@ -29,7 +29,13 @@ import signal
 
 import pytest
 
-from repro.apps import CliqueFinding, FrequentSubgraphMining, MotifCounting
+from repro.apps import (
+    CliqueFinding,
+    DagMotifCounting,
+    FrequentSubgraphMining,
+    MotifCounting,
+)
+from repro.apps.motifs import enumerate_motif_patterns
 from repro.bsp import CostModel
 from repro.checkpoint import (
     EXECUTION_CONFIG_FIELDS,
@@ -51,6 +57,7 @@ from repro.core import (
 )
 from repro.core.budget import DEADLINE_CHECK_INTERVAL
 from repro.graph import assign_labels, complete_graph, gnm_random_graph, strip_labels
+from repro.plan import build_plan_dag
 from repro.session import Miner, SessionError
 
 from faults import CrashingWriter, InjectedCrash, run_to_crash
@@ -64,6 +71,16 @@ def crash_graph():
 
 def mining_graph():
     return assign_labels(gnm_random_graph(10, 22, seed=11), 2, seed=12)
+
+
+def knob_workload(name):
+    """``(graph, make_computation)``: exhaustive cliques, or the guided
+    motif census, whose plan DAG rides on the computation."""
+    if name == "cliques":
+        return crash_graph(), lambda: CliqueFinding(max_size=4, min_size=2)
+    graph = mining_graph()
+    dag = build_plan_dag(enumerate_motif_patterns(graph, 4), induced=True)
+    return graph, lambda: DagMotifCounting(dag)
 
 
 # ---------------------------------------------------------------------------
@@ -172,14 +189,17 @@ class TestCrashResume:
         # Full-order equality holds at the same (backend, workers) combo.
         assert resumed.canonical_signature() == _fresh_signature(graph, config)
 
-    def test_execution_knobs_may_change_across_the_crash(self, tmp_path):
-        graph = crash_graph()
+    @pytest.mark.parametrize("workload,backend", [
+        ("cliques", "thread"), ("guided-motifs", "process"),
+    ])
+    def test_execution_knobs_may_change_across_the_crash(
+        self, tmp_path, workload, backend
+    ):
+        graph, make_computation = knob_workload(workload)
         before = ArabesqueConfig(storage=LIST_STORAGE, num_workers=1)
-        run_to_crash(
-            graph, CliqueFinding(max_size=4, min_size=2), before, str(tmp_path), 1
-        )
+        run_to_crash(graph, make_computation(), before, str(tmp_path), 1)
         after = dataclasses.replace(
-            before, backend="thread", num_workers=3, profile_phases=True
+            before, backend=backend, num_workers=3, profile_phases=True
         )
         changed = {
             field.name
@@ -189,23 +209,22 @@ class TestCrashResume:
         assert changed == {"backend", "num_workers", "profile_phases"}
         assert changed <= set(EXECUTION_CONFIG_FIELDS)
         resumed = resume_run(str(tmp_path), graph, config=after)
-        reference = run_computation(
-            graph, CliqueFinding(max_size=4, min_size=2), before
-        )
+        reference = run_computation(graph, make_computation(), before)
+        if workload == "guided-motifs":
+            assert resumed.total_batched > 0  # the guided kernel ran
+            assert resumed.pattern_requests == 0
         # Different worker counts reorder emissions (ODAG round-robin), so
         # only the order-normalized signature is comparable here.
         assert resumed.canonical_signature(
             ignore_output_order=True
         ) == reference.canonical_signature(ignore_output_order=True)
 
-    def test_execution_fields_are_every_non_semantic_field_but_the_plan(self):
+    def test_execution_fields_are_every_non_semantic_field(self):
         names = {field.name for field in dataclasses.fields(ArabesqueConfig)}
+        assert "plan" not in names  # the plan is the computation's
         assert set(SEMANTIC_CONFIG_FIELDS) <= names
         assert not set(EXECUTION_CONFIG_FIELDS) & set(SEMANTIC_CONFIG_FIELDS)
-        assert "plan" not in EXECUTION_CONFIG_FIELDS
-        assert set(EXECUTION_CONFIG_FIELDS) == (
-            names - set(SEMANTIC_CONFIG_FIELDS) - {"plan"}
-        )
+        assert set(EXECUTION_CONFIG_FIELDS) == names - set(SEMANTIC_CONFIG_FIELDS)
 
     def test_resumed_steps_are_priced_on_the_workers_they_ran_on(self, tmp_path):
         """Snapshotted at 2 workers, resumed at 4: each superstep's record

@@ -332,7 +332,6 @@ class _LeafCounter(Computation):
     """Test-only DAG computation: count accepting-leaf hits per member."""
 
     exploration_mode = VERTEX_EXPLORATION
-    plan_compatible = True
 
     def __init__(self, dag):
         super().__init__()
@@ -355,7 +354,7 @@ def _leaf_counts(graph, dag):
     run = run_computation(
         graph,
         _LeafCounter(dag),
-        ArabesqueConfig(plan=dag, collect_outputs=False, storage="list"),
+        ArabesqueConfig(collect_outputs=False, storage="list"),
     )
     return {
         member: count
@@ -480,30 +479,20 @@ class TestEngineValidation:
         from repro.apps import FrequentSubgraphMining
 
         graph = labeled_graph(1)
-        dag = build_plan_dag(shapes("triangle"), induced=False)
+        edge_mode = FrequentSubgraphMining(2)
+        assert edge_mode.exploration_mode == "edge"
+        edge_mode.plan = build_plan_dag(shapes("triangle"), induced=False)
         with pytest.raises(ValueError, match="vertex-based"):
-            run_computation(
-                graph, FrequentSubgraphMining(2), ArabesqueConfig(plan=dag)
-            )
-
-    def test_dag_requires_plan_compatible_computation(self):
-        graph = unlabeled_graph(1)
-        dag = build_plan_dag(shapes("triangle"), induced=True)
-        with pytest.raises(ValueError, match="plan_compatible"):
-            run_computation(graph, MotifCounting(3), ArabesqueConfig(plan=dag))
-
-    def test_computation_dag_must_match_config_dag(self):
-        graph = unlabeled_graph(1)
-        dag = build_plan_dag(shapes("triangle"), induced=True)
-        other = build_plan_dag(shapes("wedge", "triangle"), induced=True)
-        with pytest.raises(ValueError, match="different plan"):
-            run_computation(
-                graph, DagMotifCounting(dag), ArabesqueConfig(plan=other)
-            )
+            run_computation(graph, edge_mode)
 
     def test_config_rejects_non_plan_values(self):
+        dag = build_plan_dag(shapes("triangle"), induced=True)
+        with pytest.raises(TypeError):
+            ArabesqueConfig(plan=dag)
+        computation = DagMotifCounting(dag)
+        computation.plan = 123
         with pytest.raises(ValueError, match="MatchingPlan or"):
-            ArabesqueConfig(plan=123)
+            run_computation(unlabeled_graph(1), computation)
 
     def test_semantics_guards_on_dag_computations(self):
         induced = build_plan_dag(shapes("triangle"), induced=True)

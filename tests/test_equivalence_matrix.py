@@ -99,9 +99,7 @@ def guided(cls, compile_guide):
     """``cls(guide)`` run with ``guide = compile_guide(graph)`` as its plan."""
     compile_guide = functools.cache(compile_guide)
     def run(graph, config, backend, strip):
-        guide = compile_guide(graph)
-        config = dataclasses.replace(config, plan=guide)
-        return _run(graph, cls(guide), config, backend, strip)
+        return _run(graph, cls(compile_guide(graph)), config, backend, strip)
     return run
 
 

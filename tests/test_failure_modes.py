@@ -268,7 +268,7 @@ class TestCheckpointFailureModes:
         with pytest.raises(CheckpointError, match="format version 99"):
             read_snapshot(path)
 
-    @pytest.mark.parametrize("old_version", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("old_version", [1, 2, 3, 4, 5, 6, 7])
     def test_older_format_snapshot_is_refused(self, tmp_path, old_version):
         """Version 1 pickled ODAGs as Python sets under other slot names,
         version 2 pickled FSM domains as frozensets (``Domain._sets``),
@@ -278,21 +278,22 @@ class TestCheckpointFailureModes:
         spilled store as a tagged ``("spill-rows", rows)`` pair and a
         ``ListStore`` without its budget fields, version 6 a guided run's
         rows under per-pattern keys (one ODAG per pattern, which reading
-        guided ODAGs by membership would duplicate); an older file must
-        stop at the version check, never reach unpickling."""
+        guided ODAGs by membership would duplicate), version 7 a plan on
+        the pickled config as well as on the computation; an older file
+        must stop at the version check, never reach unpickling."""
         import struct
 
         from repro.checkpoint import CheckpointError, read_snapshot
         from repro.checkpoint.snapshot import FORMAT_VERSION, MAGIC
 
-        assert FORMAT_VERSION == 7
+        assert FORMAT_VERSION == 8
         path = self._crashed_run_dir(tmp_path)
         self._resign(
             path, MAGIC + struct.pack(">I", old_version) + b"not even a pickle"
         )
         with pytest.raises(
             CheckpointError,
-            match=f"format version {old_version}; this build reads version 7",
+            match=f"format version {old_version}; this build reads version 8",
         ):
             read_snapshot(path)
 

@@ -20,7 +20,7 @@ from repro.core import ArabesqueConfig, make_embedding, run_computation
 from repro.core.extension import extension_mask, word_row
 from repro.graph import gnm_random_graph
 from repro.graph.bitset import from_bitset
-from repro.plan import make_stepper
+from repro.plan import NAMED_SHAPES, compile_plan, make_stepper
 from repro.runtime.tasks import _extension_filter
 
 from test_equivalence_matrix import FrequentCliques
@@ -130,10 +130,11 @@ class TestHookGuard:
             == run_computation(graph, LooseCliques(3)).canonical_signature()
         )
 
-    def test_plan_compatible_computations_keep_the_per_child_filter(self):
+    def test_guided_computations_keep_the_per_child_filter(self):
         class Guided(CliqueFinding):
-            plan_compatible = True
+            plan = compile_plan(NAMED_SHAPES["triangle"].canonical())
 
+        assert _extension_filter(CliqueFinding(3)) is not None
         assert _extension_filter(Guided(3)) is None
 
     def test_base_computation_has_no_hook(self):

@@ -271,7 +271,7 @@ class TestDomainPlumbing:
         run = run_computation(
             g,
             DagPatternDomains(dag),
-            ArabesqueConfig(plan=dag, collect_outputs=False, storage="list"),
+            ArabesqueConfig(collect_outputs=False, storage="list"),
         )
         matches = sum(step.processed_embeddings for step in run.steps[1:])
         hits = sum(step.domain_hits for step in run.steps)
@@ -381,7 +381,7 @@ class TestFsmGuideHelpers:
             run = run_computation(
                 g,
                 _MatchCollector(dag),
-                ArabesqueConfig(plan=dag, storage="list"),
+                ArabesqueConfig(storage="list"),
             )
             sets = domain_sets_from_matches(plan, run.outputs)
             support = mni_support_from_domains(sets, pattern.orbits())

@@ -1,7 +1,7 @@
 """Guided rows are keyed by their plan level (docs/architecture.md).
 
-A guided run (``config.plan`` set) already knows what each row is — the
-plan accepted it — so it stores every row under the one
+A guided run (its computation carries a ``plan``) already knows what each
+row is — the plan accepted it — so it stores every row under the one
 :data:`~repro.core.storage.PLAN_LEVEL` key and never asks for a quick or
 canonical pattern: its Table 4 counters read 0 on every store and worker
 count, and each stored step holds one pattern.  A guided ODAG is read back

@@ -83,6 +83,7 @@ from repro.plan.fsm_guide import (
 )
 from repro.plan.guided import (
     SMALL_POOL_DEGREE,
+    _survivor_kernel,
     guided_survivors,
     prefers_row_iteration,
 )
@@ -308,8 +309,8 @@ STEPPER_KINDS = ("exhaustive-vertex", "exhaustive-edge", "plan", "dag")
 
 def stepper_case(kind, graph):
     """``(plan, make_computation, mode, reference pool, grows, check)`` of
-    one stepper kind: what ``config.plan`` carries, a computation that
-    runs on it, and the per-candidate reference ``advance`` is replayed
+    one stepper kind: the plan (``None`` for exhaustive), a computation
+    that carries it, and the per-candidate reference ``advance`` is replayed
     against — none of it built from the stepper under test."""
     batch = enumerate_motif_patterns(graph, 3, min_size=2)
     if kind in ("plan", "plan-whitelisted"):
@@ -415,9 +416,7 @@ class TestStepperContract:
             step0 = run_computation(
                 graph,
                 make_computation(),
-                ArabesqueConfig(
-                    plan=plan, num_workers=workers, collect_outputs=False
-                ),
+                ArabesqueConfig(num_workers=workers, collect_outputs=False),
             ).steps[0]
             assert step0.candidates_generated == len(zero_pool)
             assert step0.canonical_candidates == len(roots)
@@ -448,7 +447,7 @@ class TestStepperContract:
         step0 = run_computation(
             graph,
             make_computation(),
-            ArabesqueConfig(plan=plan, num_workers=workers, collect_outputs=False),
+            ArabesqueConfig(num_workers=workers, collect_outputs=False),
         ).steps[0]
         assert step0.work_units == expected
 
@@ -459,11 +458,10 @@ class TestStepperContract:
         self, kind, storage, backend
     ):
         graph = _bounded_labels(mico_like(scale=0.001))
-        plan, make_computation, _, _, _, _ = stepper_case(kind, graph)
+        _, make_computation, _, _, _, _ = stepper_case(kind, graph)
 
         def run(profile):
             config = ArabesqueConfig(
-                plan=plan,
                 storage=storage,
                 backend=backend,
                 num_workers=2,
@@ -584,8 +582,6 @@ def _engine_leaf_counts(graph, dag):
     from repro.core import Computation
 
     class LeafCounter(Computation):
-        plan_compatible = True
-
         def __init__(self, plan):
             super().__init__()
             self.plan = plan
@@ -607,7 +603,7 @@ def _engine_leaf_counts(graph, dag):
     run = run_computation(
         graph,
         LeafCounter(dag),
-        ArabesqueConfig(plan=dag, collect_outputs=False, storage="list"),
+        ArabesqueConfig(collect_outputs=False, storage="list"),
     )
     return {
         member: count
@@ -625,6 +621,20 @@ class TestHybridFallback:
         assert prefers_row_iteration(SMALL_POOL_DEGREE)
         assert not prefers_row_iteration(SMALL_POOL_DEGREE + 1)
         assert not prefers_row_iteration(10 * SMALL_POOL_DEGREE)
+
+    @pytest.mark.parametrize("degree", [SMALL_POOL_DEGREE, SMALL_POOL_DEGREE + 1])
+    def test_survivor_kernel_takes_the_path_the_decision_names(self, degree):
+        # The kernel decodes its survivors (row path) exactly when
+        # prefers_row_iteration says so for the anchor's degree; uniform
+        # edge labels keep the mask path's survivors a bitmask.
+        graph = star_graph(degree)
+        hub = max(range(graph.num_vertices), key=graph.degree)
+        assert graph.degree(hub) == degree
+        plan = compile_plan(NAMED_SHAPES["edge"].canonical(), induced=True)
+        _, bits, rows = _survivor_kernel(plan, graph, (hub,), None)
+        assert isinstance(rows, tuple) == prefers_row_iteration(degree)
+        decoded = rows if rows is not None else tuple(from_bitset(bits))
+        assert decoded == tuple(range(1, degree + 1))
 
     def _plan_states(self, plan, graph):
         states = []

@@ -121,12 +121,6 @@ class TestFluentOptions:
         with pytest.raises(SessionError):
             miner.compute("not a computation")
 
-    def test_plan_carrying_config_rejected_for_non_pattern_query(self, miner):
-        plan = compile_plan(NAMED_SHAPES["triangle"])
-        query = miner.motifs(3).config(ArabesqueConfig(plan=plan))
-        with pytest.raises(SessionError, match="MatchingPlan"):
-            query.run()
-
 
 class TestMatchStrategyValidation:
     def test_exhaustive_then_plan_conflicts(self, miner):
@@ -257,13 +251,12 @@ class TestLegacyEquivalence:
         assert facade.signature() == explicit.signature()
 
     def test_guided_match_equivalent_to_direct_engine_wiring(self, graph):
-        # Equivalence against the raw engine path: GuidedMatching +
-        # config.plan.
+        # Equivalence against the raw engine path: GuidedMatching, whose
+        # plan guides the run.
         query = NAMED_SHAPES["square"].canonical()
         plan = compile_plan(query, induced=True)
         legacy = run_computation(
-            strip_labels(graph), GuidedMatching(plan),
-            ArabesqueConfig(plan=plan),
+            strip_labels(graph), GuidedMatching(plan), ArabesqueConfig()
         )
         facade = Miner(graph).match(query).unlabeled().storage("odag").run()
         assert facade.signature() == legacy.canonical_signature()

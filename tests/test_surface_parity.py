@@ -132,17 +132,25 @@ def test_option_agrees_across_surfaces(field):
     (4, 2, True), (2, 4, False), (3, 3, True), (5, 1, True), (1, 2, False), (3, 4, False),
 ])
 def test_clique_size_range_agrees_across_surfaces(max_size, min_size, accepted):
+    """Cliques and motifs take the same size range on every surface."""
     miner = Miner(gnm_random_graph(12, 20, seed=2))
     surfaces = [
-        lambda: miner.cliques(max_size, min_size=min_size).spec,
-        lambda: parse_request(
-            "cliques", {"graph": "g", "max_size": max_size, "min_size": min_size}),
-        lambda: spec_from_args(build_parser().parse_args(
-            ["cliques", "graph.edges", "--max-size", str(max_size),
-             "--min-size", str(min_size)])),
+        surface
+        for workload in ("cliques", "motifs")
+        for surface in (
+            lambda workload=workload: getattr(miner, workload)(
+                max_size, min_size=min_size).spec,
+            lambda workload=workload: parse_request(
+                workload, {"graph": "g", "max_size": max_size, "min_size": min_size}),
+            lambda workload=workload: spec_from_args(build_parser().parse_args(
+                [workload, "graph.edges", "--max-size", str(max_size),
+                 "--min-size", str(min_size)])),
+        )
     ]
     if accepted:
-        assert {(spec.max_size, spec.min_size) for spec in (s() for s in surfaces)} == {
+        specs = [surface() for surface in surfaces]
+        assert [spec.workload for spec in specs] == ["cliques"] * 3 + ["motifs"] * 3
+        assert {(spec.max_size, spec.min_size) for spec in specs} == {
             (max_size, min_size)}
         return
     messages = set()

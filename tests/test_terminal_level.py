@@ -98,13 +98,13 @@ def assert_same_run(batched, per_child, expect_batched=True):
         assert batched.total_batched > 0, "terminal hook never engaged"
 
 
-def config_for(plan, **overrides):
+def config_for(**overrides):
     overrides.setdefault("storage", "list")
-    return ArabesqueConfig(plan=plan, **overrides)
+    return ArabesqueConfig(**overrides)
 
 
 def run_pair(graph, plan, batched_cls, per_child_cls, **overrides):
-    config = config_for(plan, **overrides)
+    config = config_for(**overrides)
     return (
         run_computation(graph, batched_cls(plan), config),
         run_computation(graph, per_child_cls(plan), config),
@@ -211,7 +211,7 @@ def expected_outputs(graph, plan, computation_cls):
             values.extend(tuple(sorted(words + (w,))) for w in from_bitset(mask))
             super().output_batch(words, mask)
 
-    full = run_computation(graph, Expecting(plan), config_for(plan))
+    full = run_computation(graph, Expecting(plan), config_for())
     assert full.outputs == values and full.num_outputs == len(values)
     return sizes, values
 
@@ -248,14 +248,14 @@ class TestOutputs:
         sizes, values = expected_outputs(graph, plan, Interleaving)
         assert len(values) == sum(sizes) + 2 * len(sizes)
         for limit in (None, 1, 2, 3, len(values) // 2):
-            config = config_for(plan, output_limit=limit)
+            config = config_for(output_limit=limit)
             run = run_computation(graph, Interleaving(plan), config)
             assert run.outputs == values[:limit]
             assert run.num_outputs == len(values)
         for workers in (2, 3):
             runs = [
                 run_computation(graph, Interleaving(plan), config_for(
-                    plan, num_workers=workers, backend=backend, output_limit=limit
+                    num_workers=workers, backend=backend, output_limit=limit
                 ))
                 for backend in ("serial", "thread", "process")
                 for limit in (None, len(values) // 2)
@@ -306,7 +306,7 @@ class TestOutputs:
         monkeypatch.setattr(results, "decode_output_log", slow_decode)
         graph = strip_labels(small_labeled())
         plan = compile_plan(NAMED_SHAPES["wedge"].canonical())
-        run = run_computation(graph, GuidedMatching(plan), config_for(plan))
+        run = run_computation(graph, GuidedMatching(plan), config_for())
         start, seen = threading.Barrier(4), []
 
         def read():
@@ -522,7 +522,7 @@ class TestEngineKnobs:
                 super().process(embedding)
 
         for cls in (Filtering, Refined):
-            run = run_computation(graph, cls(plan), config_for(plan))
+            run = run_computation(graph, cls(plan), config_for())
             assert run.total_batched == 0 and run.num_outputs > 0
 
 
@@ -554,7 +554,7 @@ class TestInterrupts:
             with pytest.raises(BudgetExceeded) as info:
                 run_computation(
                     graph, cls(dag),
-                    config_for(dag, max_embeddings=before_last - 1),
+                    config_for(max_embeddings=before_last - 1),
                 )
             trips.append((info.value.kind, info.value.limit, info.value.spent))
         assert trips[0] == trips[1]
@@ -568,7 +568,7 @@ class TestInterrupts:
             dag = build_plan_dag(enumerate_motif_patterns(graph, 3), induced=True)
             with pytest.raises(BudgetExceeded):
                 run_computation(
-                    graph, cls(dag), config_for(dag, deadline_seconds=1e-9)
+                    graph, cls(dag), config_for(deadline_seconds=1e-9)
                 )
 
     def test_cancel_is_probed_per_parent_inside_the_batched_step(self):
@@ -579,7 +579,7 @@ class TestInterrupts:
         with pytest.raises(RunCancelled, match="mid-step"):
             run_computation(
                 graph, computation,
-                config_for(dag, cancel=flag, collect_outputs=False),
+                config_for(cancel=flag, collect_outputs=False),
             )
         # Tripped by the first hook call, noticed at the next per-parent
         # probe of the same step — not after the whole level ran.
@@ -592,7 +592,7 @@ class TestInterrupts:
         for barrier in range(len(uninterrupted.steps) - 1):
             run_dir = tmp_path / f"crash-{barrier}"
             config = config_for(
-                dag, collect_outputs=False, checkpoint_dir=str(run_dir)
+                collect_outputs=False, checkpoint_dir=str(run_dir)
             )
             run_to_crash(graph, DagMotifCounting(dag), config, run_dir, barrier)
             resumed = resume_run(str(run_dir), graph)
