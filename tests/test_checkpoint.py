@@ -219,6 +219,16 @@ class TestCrashResume:
             ignore_output_order=True
         ) == reference.canonical_signature(ignore_output_order=True)
 
+    def test_guided_snapshot_carries_its_plan_on_the_computation_only(self, tmp_path):
+        graph, make_computation = knob_workload("guided-motifs")
+        computation = make_computation()
+        run_to_crash(graph, computation, ArabesqueConfig(), str(tmp_path), 1)
+        payload = load_latest(str(tmp_path))
+        assert payload["format_version"] == 8
+        assert payload["computation"].plan == computation.plan
+        assert not hasattr(payload["config"], "plan")
+        assert "mode" not in payload  # tasks read the computation's mode
+
     def test_execution_fields_are_every_non_semantic_field(self):
         names = {field.name for field in dataclasses.fields(ArabesqueConfig)}
         assert "plan" not in names  # the plan is the computation's

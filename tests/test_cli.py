@@ -110,6 +110,26 @@ class TestCommands:
         assert main(["cliques", str(path), "--maximal", "--min-size", "2"]) == 0
         assert "size 2: 4 maximal cliques" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("strategy", [[], ["--exhaustive"]],
+                             ids=["guided", "exhaustive"])
+    def test_motifs_min_size_drops_the_smaller_motifs(self, capsys, tmp_path,
+                                                      strategy):
+        path = tmp_path / "plain.edges"
+        write_edge_list(gnm_random_graph(20, 40, seed=1), path)
+
+        def motif_lines(*extra):
+            args = ["motifs", str(path), "--max-size", "4", *strategy, *extra]
+            assert main(args) == 0
+            out = capsys.readouterr().out
+            return [line for line in out.splitlines() if line.startswith("motif ")]
+
+        default = motif_lines()
+        assert default == motif_lines("--min-size", "3")
+        assert any(line.startswith("motif v=3 ") for line in default)
+        at_least_4 = motif_lines("--min-size", "4")
+        assert at_least_4 == [l for l in default if l.startswith("motif v=4 ")]
+        assert at_least_4
+
     def test_maximal_cliques_subcommand(self, capsys, edge_list_file):
         assert main(
             ["maximal-cliques", str(edge_list_file), "--max-size", "3"]
